@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -20,12 +21,8 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .errors import (
-    FrameUndefinedError,
-    InsufficientShotsError,
-    InvalidStateError,
-    TrispinError,
-)
+from .errors import FrameUndefinedError, InvalidStateError, TrispinError
+from .frame import mean_spin
 from .moments import ROUTE_ABS_FLOOR, ROUTE_REL_TOL, entanglement_s
 from .sampler import estimate_s_from_samples
 from .states import state_from_dict, symmetric_state
@@ -77,16 +74,20 @@ def _read_input(path):
 
 
 def _load_state(args):
-    raw = _read_input(args.input)
-    data = json.loads(raw.decode("utf-8"))
-    return raw, state_from_dict(data, auto_normalize=args.normalize)
+    """``(raw bytes, state, None)``, or ``(bytes read, None, error)``."""
+    raw = b""
+    try:
+        raw = _read_input(args.input)
+        data = json.loads(raw.decode("utf-8"))
+        return raw, state_from_dict(data, auto_normalize=args.normalize), None
+    except (OSError, ValueError, TrispinError) as exc:
+        return raw, None, exc
 
 
 def _cmd_compute(args):
-    try:
-        raw, state = _load_state(args)
-    except (OSError, ValueError, TrispinError) as exc:
-        _emit_error(args, b"", "invalid_input", str(exc))
+    raw, state, error = _load_state(args)
+    if error is not None:
+        _emit_error(args, raw, "invalid_input", str(error), args.output)
         return EXIT_INVALID_INPUT
     try:
         report = entanglement_s(state, allow_large=args.allow_large_n)
@@ -98,10 +99,11 @@ def _cmd_compute(args):
         return EXIT_INVALID_INPUT
     document = _envelope(args, raw)
     document["report"] = report.to_dict()
+    max_rel_dev = report.max_rel_dev(args.tolerance_rel, args.tolerance_abs)
     document["route_check"] = {
-        "max_rel_dev": report.max_rel_dev(),
+        "max_rel_dev": max_rel_dev,
         "tolerance_rel": args.tolerance_rel,
-        "passed": report.max_rel_dev() <= args.tolerance_rel,
+        "passed": max_rel_dev <= args.tolerance_rel,
     }
     _emit(document, args.output)
     return EXIT_OK
@@ -160,15 +162,51 @@ _SCAN_COLUMNS = (
 )
 
 
+def _scan_row(index, alpha, state, allow_large):
+    try:
+        report = entanglement_s(state, allow_large=allow_large)
+    except FrameUndefinedError:
+        mean = mean_spin(state)
+        head = [index, repr(alpha), repr(mean.jx), repr(mean.jy), repr(mean.jz)]
+        return head + [""] * 9 + [1]
+    return [
+        index,
+        repr(alpha),
+        repr(report.mean_spin.jx),
+        repr(report.mean_spin.jy),
+        repr(report.mean_spin.jz),
+        repr(report.angles.theta),
+        repr(report.angles.phi),
+        repr(report.var_xp),
+        repr(report.var_yp),
+        repr(report.m3_xp_direct),
+        repr(report.m3_yp_direct),
+        repr(report.m3_xp_sum),
+        repr(report.m3_yp_sum),
+        repr(report.s_parameter),
+        0,
+    ]
+
+
 def _cmd_scan(args):
     if not args.grid:
-        _emit_error(args, b"", "invalid_input", "scan needs --grid")
+        _emit_error(args, b"", "invalid_input", "scan needs --grid", args.output)
         return EXIT_INVALID_INPUT
     grid_bytes = args.grid.encode("utf-8")
     try:
         n_atoms, index_a, index_b, start, stop, points = _parse_grid(args.grid)
+        rows = []
+        for index in range(points):
+            alpha = (
+                start if points == 1 else start + (stop - start) * index / (points - 1)
+            )
+            coeffs = [0.0] * (n_atoms + 1)
+            coeffs[index_a] = math.cos(alpha)
+            coeffs[index_b] = math.sin(alpha)
+            state = symmetric_state(n_atoms, coeffs, normalize=True)
+            rows.append(_scan_row(index, alpha, state, args.allow_large_n))
     except TrispinError as exc:
-        _emit_error(args, grid_bytes, "invalid_input", str(exc))
+        _emit_error(args, grid_bytes, "invalid_input", str(exc), args.output)
         return EXIT_INVALID_INPUT
 
     buffer = io.StringIO()
@@ -186,42 +224,7 @@ def _cmd_scan(args):
     )
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(_SCAN_COLUMNS)
-    for index in range(points):
-        alpha = start if points == 1 else start + (stop - start) * index / (points - 1)
-        coeffs = [0.0] * (n_atoms + 1)
-        coeffs[index_a] = math.cos(alpha)
-        coeffs[index_b] = math.sin(alpha)
-        state = symmetric_state(n_atoms, coeffs, normalize=True)
-        try:
-            report = entanglement_s(state, allow_large=args.allow_large_n)
-        except FrameUndefinedError:
-            from .frame import mean_spin
-
-            mean = mean_spin(state)
-            writer.writerow(
-                [index, repr(alpha), repr(mean.jx), repr(mean.jy), repr(mean.jz)]
-                + [""] * 9 + [1]
-            )
-            continue
-        writer.writerow(
-            [
-                index,
-                repr(alpha),
-                repr(report.mean_spin.jx),
-                repr(report.mean_spin.jy),
-                repr(report.mean_spin.jz),
-                repr(report.angles.theta),
-                repr(report.angles.phi),
-                repr(report.var_xp),
-                repr(report.var_yp),
-                repr(report.m3_xp_direct),
-                repr(report.m3_yp_direct),
-                repr(report.m3_xp_sum),
-                repr(report.m3_yp_sum),
-                repr(report.s_parameter),
-                0,
-            ]
-        )
+    writer.writerows(rows)
     text = buffer.getvalue()
     if args.output and args.output != "-":
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -232,19 +235,18 @@ def _cmd_scan(args):
 
 
 def _cmd_sample(args):
-    try:
-        raw, state = _load_state(args)
-    except (OSError, ValueError, TrispinError) as exc:
-        _emit_error(args, b"", "invalid_input", str(exc))
+    raw, state, error = _load_state(args)
+    if error is not None:
+        _emit_error(args, raw, "invalid_input", str(error), args.output)
         return EXIT_INVALID_INPUT
     try:
         estimate = estimate_s_from_samples(state, args.shots, args.seed)
-    except InsufficientShotsError as exc:
-        _emit_error(args, raw, "invalid_input", str(exc), args.output)
-        return EXIT_INVALID_INPUT
     except FrameUndefinedError as exc:
         _emit_error(args, raw, "frame_undefined", str(exc), args.output)
         return EXIT_FRAME_UNDEFINED
+    except TrispinError as exc:
+        _emit_error(args, raw, "invalid_input", str(exc), args.output)
+        return EXIT_INVALID_INPUT
     document = _envelope(args, raw)
     record_xp = estimate.record_xp.to_dict()
     record_xp["estimates"] = estimate.estimates_xp.to_dict()
@@ -319,8 +321,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # parsing leaves the parser untouched, so one instance serves every call
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -26,8 +26,10 @@ from .operators import (
     SINGLE,
     OperatorMatrix,
     apply_collective,
+    apply_ladder,
     collective_op,
     collective_op_dicke,
+    ladder_vectors,
 )
 from .states import FullState, ProductState, SymmetricState
 
@@ -36,7 +38,11 @@ from .states import FullState, ProductState, SymmetricState
 # the noise cubically.
 EPSILON_FRAME = 1e-9
 
+# Relative: scaled by (1 + N/2), the size of a collective spin component.
 _HERMITICITY_IMAG_TOL = 1e-12
+
+# (x, y, z) weights selecting one collective component in ``apply_ladder``.
+UNIT_WEIGHTS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -61,8 +67,8 @@ class RotationAngles:
     sin_phi: float
 
 
-def _real_expectation(value, what):
-    if abs(value.imag) > _HERMITICITY_IMAG_TOL:
+def _real_expectation(value, what, n_atoms):
+    if abs(value.imag) > _HERMITICITY_IMAG_TOL * (1.0 + n_atoms / 2.0):
         raise RuntimeError(
             f"internal error: {what} has imaginary part {value.imag:.3e}"
         )
@@ -72,16 +78,14 @@ def _real_expectation(value, what):
 def mean_spin(state):
     """Mean spin vector of a state in any representation.
 
-    Symmetric states are evaluated on the (N+1)-dimensional ladder, full
-    states matrix-free in the product basis, and product states atom by atom;
-    all paths agree to rounding.
+    Symmetric states are evaluated on the (N+1)-dimensional ladder in O(N),
+    full states matrix-free in the product basis, and product states atom by
+    atom; all paths agree to rounding.
     """
     if isinstance(state, SymmetricState):
         vec = state.coeffs
-        comps = [
-            np.vdot(vec, collective_op_dicke(axis, state.n_atoms).entries @ vec)
-            for axis in AXES
-        ]
+        ladder = ladder_vectors(state.n_atoms)
+        comps = [np.vdot(vec, apply_ladder(vec, w, ladder)) for w in UNIT_WEIGHTS]
     elif isinstance(state, FullState):
         vec = state.amplitudes
         comps = [
@@ -93,7 +97,9 @@ def mean_spin(state):
         ]
     else:
         raise TypeError(f"not a state: {type(state).__name__}")
-    jx, jy, jz = (_real_expectation(c, f"<J{a}>") for c, a in zip(comps, AXES))
+    jx, jy, jz = (
+        _real_expectation(c, f"<J{a}>", state.n_atoms) for c, a in zip(comps, AXES)
+    )
     return MeanSpin(jx, jy, jz, math.sqrt(jx * jx + jy * jy + jz * jz))
 
 

@@ -14,6 +14,9 @@ where each pattern value is the sum over ordered triples of distinct atoms
 * the *sum* route: the ten-term (four-term for y') weighted correlator sums,
   kept as a machine check of the cancellation result.
 
+For symmetric states both routes run on the (N+1)-level ladder in O(N); the
+explicit sum over atom triples in the 2**N space stays as the reference.
+
 S is half the root of the sum of squared third moments, computed from the
 direct route.  The two routes must agree to ``ROUTE_REL_TOL`` (with an
 absolute floor ``ROUTE_ABS_FLOOR``) on every state with a defined frame.
@@ -22,6 +25,7 @@ absolute floor ``ROUTE_ABS_FLOOR``) on every state with a defined frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import math
 import numpy as np
@@ -29,14 +33,14 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .frame import (
     EPSILON_FRAME,
+    UNIT_WEIGHTS,
     MeanSpin,
     RotationAngles,
     mean_spin,
-    rotated_ops,
     rotation_angles,
     rotation_matrix,
 )
-from .operators import apply_axis_combination, apply_single_atom
+from .operators import AXES, apply_ladder, apply_single_atom, ladder_vectors
 from .states import (
     FullState,
     ProductState,
@@ -49,6 +53,7 @@ from .states import (
 ROUTE_REL_TOL = 1e-9
 ROUTE_ABS_FLOOR = 1e-12
 
+# Relative: an order-k moment is checked against _IMAG_TOL * (1 + N/2)**k.
 _IMAG_TOL = 1e-10
 
 # Canonical correlator pattern order (axis word applies to atom slots in order).
@@ -93,11 +98,11 @@ class MomentReport:
     m3_yp_sum: float
     s_parameter: float
 
-    def max_rel_dev(self):
+    def max_rel_dev(self, rel=ROUTE_REL_TOL, floor=ROUTE_ABS_FLOOR):
         """Worst scaled route deviation across the two axes."""
         return max(
-            route_deviation(self.m3_xp_direct, self.m3_xp_sum),
-            route_deviation(self.m3_yp_direct, self.m3_yp_sum),
+            route_deviation(self.m3_xp_direct, self.m3_xp_sum, rel, floor),
+            route_deviation(self.m3_yp_direct, self.m3_yp_sum, rel, floor),
         )
 
     def to_dict(self):
@@ -134,8 +139,8 @@ def route_deviation(direct, summed, rel=ROUTE_REL_TOL, floor=ROUTE_ABS_FLOOR):
     return abs(direct - summed) / max(abs(direct), floor / rel)
 
 
-def _real(value, what):
-    if abs(value.imag) > _IMAG_TOL:
+def _real(value, what, n_atoms, order):
+    if abs(value.imag) > _IMAG_TOL * (1.0 + n_atoms / 2.0) ** order:
         raise RuntimeError(f"internal error: {what} has imaginary part {value.imag:.3e}")
     return float(value.real)
 
@@ -170,27 +175,100 @@ def central_moment(state, op, order):
     if not op.hermitian:
         raise ValueError("central moments need a hermitian operator")
     vec = _matching_vector(state, op)
-    return _central_moment_dense(vec, op.entries, order)
-
-
-def _central_moment_dense(vec, entries, order):
-    mean = _real(np.vdot(vec, entries @ vec), "<A>")
+    n_atoms = op.n_atoms()
+    mean = _real(np.vdot(vec, op.entries @ vec), "<A>", n_atoms, 1)
     shifted = vec
     for _ in range(order):
-        shifted = entries @ shifted - mean * shifted
-    return _real(np.vdot(vec, shifted), f"<(A-<A>)^{order}>")
+        shifted = op.entries @ shifted - mean * shifted
+    return _real(np.vdot(vec, shifted), f"<(A-<A>)^{order}>", n_atoms, order)
 
 
-def _central_moment_matrix_free(amplitudes, weights, n_atoms, order):
-    """Central moment of an axis combination, without forming the operator."""
-    applied = apply_axis_combination(amplitudes, weights, n_atoms)
-    mean = _real(np.vdot(amplitudes, applied), "<A>")
-    shifted = amplitudes
-    for _ in range(order):
-        shifted = (
-            apply_axis_combination(shifted, weights, n_atoms) - mean * shifted
+def _ladder_central_moments(state, weights, ladder):
+    """Second and third central moments of ``wx*Jx + wy*Jy + wz*Jz``, O(N)."""
+    vec, n_atoms = state.coeffs, state.n_atoms
+    applied = apply_ladder(vec, weights, ladder)
+    mean = _real(np.vdot(vec, applied), "<A>", n_atoms, 1)
+    once = applied - mean * vec
+    twice = apply_ladder(once, weights, ladder) - mean * once
+    thrice = apply_ladder(twice, weights, ladder) - mean * twice
+    return (
+        _real(np.vdot(vec, twice), "<(A-<A>)^2>", n_atoms, 2),
+        _real(np.vdot(vec, thrice), "<(A-<A>)^3>", n_atoms, 3),
+    )
+
+
+def _site_word(word):
+    """One atom's product of spin components over (1, jx, jy, jz).
+
+    Reduces factor by factor with the spin-1/2 rule
+    ``j^a j^b = delta_ab/4 + (i/2) eps_abc j^c``.
+    """
+    poly = [1.0 + 0j, 0j, 0j, 0j]
+    for axis in word:
+        c = AXES.index(axis)
+        reduced = [0.25 * poly[1 + c], 0j, 0j, 0j]
+        reduced[1 + c] += poly[0]
+        for a in range(3):
+            if a != c:
+                sign = 1.0 if (c - a) % 3 == 1 else -1.0
+                reduced[4 - a - c] += 0.5j * sign * poly[1 + a]
+        poly = reduced
+    return poly
+
+
+_SITE_WORDS = {
+    "".join(word): _site_word(word)
+    for length in (2, 3)
+    for word in product(AXES, repeat=length)
+}
+
+
+def _ladder_correlators(state):
+    """The ten distinct-triple sums of a symmetric state, in O(N).
+
+    Inclusion-exclusion over coincident atom indices gives, per pattern abc,
+
+        D = <Ja Jb Jc> - S(p=q) - S(q=r) - S(p=r) + 2 S(p=q=r),
+
+    where each S sums over the triples whose marked indices coincide.  The
+    one-atom products in S reduce through ``_site_word`` to collective first
+    and second moments; for p = r the middle factor first moves past the
+    last one, which adds the one-atom commutator ``j^a [j^b, j^c]``.
+    """
+    n = state.n_atoms
+    ladder = ladder_vectors(n)
+    psi = state.coeffs
+    once = np.stack([apply_ladder(psi, w, ladder) for w in UNIT_WEIGHTS])
+    j1 = (once @ psi.conj()).tolist()  # <J_a>
+    bra = once.conj()
+    j2 = (bra @ once.T).tolist()  # <J_a J_b>
+    # j3[b][a][c] = <J_a J_b J_c>, from J_b applied to every J_c psi
+    j3 = [(bra @ apply_ladder(once, w, ladder).T).tolist() for w in UNIT_WEIGHTS]
+
+    def collective(poly):  # <sum_p poly(j_p)>
+        return poly[0] * n + sum(poly[1 + d] * j1[d] for d in range(3))
+
+    def collective_then(poly, c):  # <sum_p poly(j_p) J_c>
+        return poly[0] * n * j1[c] + sum(poly[1 + d] * j2[d][c] for d in range(3))
+
+    def then_collective(a, poly):  # <J_a sum_p poly(j_p)>
+        return poly[0] * n * j1[a] + sum(poly[1 + d] * j2[a][d] for d in range(3))
+
+    values = {}
+    for pattern in PATTERNS:
+        first, middle, last = pattern
+        a, b, c = (AXES.index(axis) for axis in pattern)
+        triple = collective(_SITE_WORDS[pattern])
+        p_eq_q = collective_then(_SITE_WORDS[first + middle], c)
+        q_eq_r = then_collective(a, _SITE_WORDS[middle + last])
+        p_eq_r = (
+            collective_then(_SITE_WORDS[first + last], b)
+            + triple
+            - collective(_SITE_WORDS[first + last + middle])
         )
-    return _real(np.vdot(amplitudes, shifted), f"<(A-<A>)^{order}>")
+        distinct = j3[b][a][c] - p_eq_q - q_eq_r - p_eq_r + 2.0 * triple
+        values[pattern] = _real(distinct, f"correlator {pattern}", n, 3)
+    return TripleCorrelatorSet(**values)
 
 
 def _triple_value(amplitudes, atoms, axes, n_atoms):
@@ -204,45 +282,39 @@ def _triple_value(amplitudes, atoms, axes, n_atoms):
 def triple_correlators(state, allow_large=False, use_fast_path=True):
     """Correlator sums over all ordered triples of distinct atoms.
 
-    Symmetric input takes the fast path: exchange symmetry makes every
-    ordered triple contribute the same value, so one triple times
-    N(N-1)(N-2) suffices.  ``use_fast_path=False`` forces the explicit sum
-    (the validation reference for the fast path).
+    Symmetric input takes the fast path: the sums follow from collective
+    moments on the ladder in O(N), with no cap on N.  Product and full-space
+    input, and ``use_fast_path=False``, take the explicit sum over all
+    N(N-1)(N-2) triples in the 2**N space (the validation reference for the
+    fast path).
     """
+    if isinstance(state, SymmetricState) and use_fast_path:
+        return _ladder_correlators(state)
     if isinstance(state, ProductState):
         full = product_to_full(state, allow_large)
-        symmetric = None
     elif isinstance(state, SymmetricState):
         full = dicke_to_full(state, allow_large)
-        symmetric = state
     elif isinstance(state, FullState):
         full = state
-        symmetric = None
     else:
         raise TypeError(f"not a state: {type(state).__name__}")
     n = full.n_atoms
     if n < 3:
         raise DimensionMismatchError(f"triple correlators need N >= 3, got N={n}")
 
+    triples = [
+        (p, q, r)
+        for p in range(1, n + 1)
+        for q in range(1, n + 1)
+        for r in range(1, n + 1)
+        if p != q and q != r and p != r
+    ]
     values = {}
-    if symmetric is not None and use_fast_path:
-        count = n * (n - 1) * (n - 2)
-        for pattern in PATTERNS:
-            single = _triple_value(full.amplitudes, (1, 2, 3), pattern, n)
-            values[pattern] = _real(count * single, f"correlator {pattern}")
-    else:
-        triples = [
-            (p, q, r)
-            for p in range(1, n + 1)
-            for q in range(1, n + 1)
-            for r in range(1, n + 1)
-            if p != q and q != r and p != r
-        ]
-        for pattern in PATTERNS:
-            total = 0.0 + 0.0j
-            for atoms in triples:
-                total += _triple_value(full.amplitudes, atoms, pattern, n)
-            values[pattern] = _real(total, f"correlator {pattern}")
+    for pattern in PATTERNS:
+        total = 0.0 + 0.0j
+        for atoms in triples:
+            total += _triple_value(full.amplitudes, atoms, pattern, n)
+        values[pattern] = _real(total, f"correlator {pattern}", n, 3)
     return TripleCorrelatorSet(**values)
 
 
@@ -326,30 +398,20 @@ def third_moment_sum_yp(state, angles, correlators):
 def direct_moments(state, space_tag="dicke", allow_large=False):
     """Mean spin, frame angles, and the direct-route central moments.
 
-    Returns ``(mean, angles, var_xp, var_yp, m3_xp, m3_yp)``.  The ladder
-    path works on N+1 dimensions; the full path applies the rotated
-    combinations matrix-free in the 2**N space.
+    Returns ``(mean, angles, var_xp, var_yp, m3_xp, m3_yp)``.  Every input is
+    first brought to the ladder (``as_symmetric``), where the rotated
+    components act through ``apply_ladder`` in O(N); ``space_tag`` names that
+    space and must be ``"dicke"``.
     """
-    if isinstance(state, ProductState):
-        state = product_to_full(state, allow_large)
-    mean = mean_spin(state)
-    angles = rotation_angles(mean)
-    if space_tag == "dicke":
-        sym = as_symmetric(state, allow_large)
-        op_xp, op_yp, _ = rotated_ops(angles, sym.n_atoms, "dicke")
-        var_xp = central_moment(sym, op_xp, 2)
-        var_yp = central_moment(sym, op_yp, 2)
-        m3_xp = central_moment(sym, op_xp, 3)
-        m3_yp = central_moment(sym, op_yp, 3)
-    elif space_tag == "full":
-        full = dicke_to_full(state, allow_large) if isinstance(state, SymmetricState) else state
-        rot = rotation_matrix(angles)
-        var_xp = _central_moment_matrix_free(full.amplitudes, rot[0], full.n_atoms, 2)
-        var_yp = _central_moment_matrix_free(full.amplitudes, rot[1], full.n_atoms, 2)
-        m3_xp = _central_moment_matrix_free(full.amplitudes, rot[0], full.n_atoms, 3)
-        m3_yp = _central_moment_matrix_free(full.amplitudes, rot[1], full.n_atoms, 3)
-    else:
+    if space_tag != "dicke":
         raise ValueError(f"unknown space tag {space_tag!r}")
+    sym = as_symmetric(state, allow_large)
+    mean = mean_spin(sym)
+    angles = rotation_angles(mean)
+    rot = rotation_matrix(angles)
+    ladder = ladder_vectors(sym.n_atoms)
+    var_xp, m3_xp = _ladder_central_moments(sym, rot[0], ladder)
+    var_yp, m3_yp = _ladder_central_moments(sym, rot[1], ladder)
     return mean, angles, var_xp, var_yp, m3_xp, m3_yp
 
 

@@ -5,8 +5,10 @@ significant bit of a product-basis index, bit value 0 is the upper level, and
 the ladder space orders levels from the top (``m = N/2``) downwards.
 
 Dense matrices are the canonical form for identity checking at small N.  The
-moment pipeline never forms a 2**N operator: it uses the matrix-free
-``apply_*`` functions, which act on amplitude vectors in O(N 2**N).
+moment pipeline never forms a dense operator: on the ladder it uses
+``apply_ladder``, which acts on N+1 coefficients in O(N) from the two vectors
+of ``ladder_vectors``; in the product basis the ``apply_*`` functions act on
+amplitude vectors in O(N 2**N).
 """
 
 from __future__ import annotations
@@ -113,25 +115,51 @@ def collective_op(axis, n_atoms, allow_large=False):
     return OperatorMatrix(1 << n_atoms, total, hermitian=True, space_tag="full")
 
 
-def collective_op_dicke(axis, n_atoms):
-    """Collective component on the (N+1)-dimensional ladder.
+def ladder_vectors(n_atoms):
+    """The two vectors that define every collective operator on the ladder.
 
-    Built from the standard raising-operator matrix elements
-    ``sqrt(j(j+1) - m(m+1))`` with ``j = N/2``; levels ordered from ``m = j``
-    down to ``m = -j``.  Agrees with the projection of ``collective_op`` onto
-    the symmetric subspace.
+    Returns ``(m, raising)``: the Jz eigenvalues ``m = N/2 - k`` for levels
+    ``k = 0..N`` (top of the ladder first), and the N raising-operator
+    elements ``sqrt(j(j+1) - m(m+1))`` with ``j = N/2``, where
+    ``raising[k]`` links level ``k+1`` to level ``k``.
     """
     if n_atoms < 1:
         raise InvalidStateError(f"need at least 1 atom, got {n_atoms}")
-    _axis_block(axis)
     j = n_atoms / 2.0
     m = j - np.arange(n_atoms + 1)
+    m_src = m[1:]
+    return m, np.sqrt(j * (j + 1) - m_src * (m_src + 1))
+
+
+def apply_ladder(coeffs, weights, ladder):
+    """Apply ``wx*Jx + wy*Jy + wz*Jz`` to ladder coefficients in O(N).
+
+    ``weights`` is ordered (x, y, z) and ``ladder`` is ``ladder_vectors(N)``;
+    ``coeffs`` may stack several states along leading axes.  With ``J+``
+    moving level k to k-1, the transverse part is
+    ``(wx - i wy)/2 J+ + (wx + i wy)/2 J-``.
+    """
+    wx, wy, wz = weights
+    m, raising = ladder
+    out = (wz * m) * np.asarray(coeffs, dtype=complex)
+    out[..., :-1] += (0.5 * (wx - 1j * wy)) * (raising * coeffs[..., 1:])
+    out[..., 1:] += (0.5 * (wx + 1j * wy)) * (raising * coeffs[..., :-1])
+    return out
+
+
+def collective_op_dicke(axis, n_atoms):
+    """Collective component on the (N+1)-dimensional ladder, as a dense matrix.
+
+    Built from ``ladder_vectors``; levels ordered from ``m = j`` down to
+    ``m = -j``.  Agrees with the projection of ``collective_op`` onto the
+    symmetric subspace.
+    """
+    _axis_block(axis)
+    m, elements = ladder_vectors(n_atoms)
     if axis == "z":
         entries = np.diag(m).astype(complex)
     else:
-        # raising operator maps level k -> k-1 (m -> m+1)
-        m_src = m[1:]
-        raising = np.diag(np.sqrt(j * (j + 1) - m_src * (m_src + 1)), 1).astype(complex)
+        raising = np.diag(elements, 1).astype(complex)
         if axis == "x":
             entries = 0.5 * (raising + raising.conj().T)
         else:
@@ -171,26 +199,3 @@ def apply_collective(amplitudes, axis, n_atoms):
     for atom in range(1, n_atoms + 1):
         out += apply_single_atom(amplitudes, atom, axis, n_atoms)
     return out
-
-
-def apply_axis_combination(amplitudes, weights, n_atoms):
-    """Apply ``wx*Jx + wy*Jy + wz*Jz`` matrix-free.
-
-    ``weights`` is a length-3 sequence ordered (x, y, z); zero weights are
-    skipped.
-    """
-    out = np.zeros(1 << n_atoms, dtype=complex)
-    for weight, axis in zip(weights, AXES):
-        if weight != 0.0:
-            out += weight * apply_collective(amplitudes, axis, n_atoms)
-    return out
-
-
-def operator_to_dict(op):
-    """Debug dump of an operator as a JSON-ready matrix of [re, im] pairs."""
-    return {
-        "dim": op.dim,
-        "space": op.space_tag,
-        "hermitian": op.hermitian,
-        "entries": [[[z.real, z.imag] for z in row] for row in op.entries],
-    }

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import InsufficientShotsError
 from .frame import mean_spin, rotated_ops, rotation_angles
 from .moments import _matching_vector
-from .states import ProductState, SymmetricState
+from .states import ProductState, SymmetricState, as_symmetric, product_to_full
 
 DEGENERACY_TOL = 1e-10
 MIN_SHOTS_ESTIMATE = 100
@@ -194,11 +194,19 @@ def estimate_s_from_samples(state, m_shots, seed, n_boot=BOOTSTRAP_RESAMPLES):
     (they do not commute); the S error combines the two bootstrap errors by
     the delta method, falling back to a conservative quadrature sum when both
     moments sit at the noise floor.
+
+    Raises
+    ------
+    NotSymmetricError
+        If the state leaves the symmetric subspace, by the same rule as
+        ``entanglement_s`` (``as_symmetric``).  Admissible states are sampled
+        in the representation they came in.
     """
     if m_shots < MIN_SHOTS_S:
         raise InsufficientShotsError(
             f"S estimation needs at least {MIN_SHOTS_S} shots, got {m_shots}"
         )
+    as_symmetric(state)
     angles = rotation_angles(mean_spin(state))
     if isinstance(state, SymmetricState):
         space = "dicke"
@@ -207,8 +215,6 @@ def estimate_s_from_samples(state, m_shots, seed, n_boot=BOOTSTRAP_RESAMPLES):
         space = "full"
         n_atoms = state.n_atoms
         if isinstance(state, ProductState):
-            from .states import product_to_full
-
             state = product_to_full(state)
     op_xp, op_yp, _ = rotated_ops(angles, n_atoms, space)
     master = np.random.default_rng(seed)

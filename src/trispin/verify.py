@@ -18,12 +18,13 @@ against the dense oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import math
 import numpy as np
 
 from .errors import FrameUndefinedError
-from .frame import mean_spin, rotated_ops, rotation_angles
+from .frame import mean_spin, rotation_angles, rotation_matrix
 from .moments import (
     ROUTE_REL_TOL,
     central_moment,
@@ -33,7 +34,7 @@ from .moments import (
     third_moment_sum_yp,
     triple_correlators,
 )
-from .operators import AXES, SINGLE, collective_op, single_atom_op
+from .operators import AXES, SINGLE, OperatorMatrix, collective_op, single_atom_op
 from .states import (
     dicke_to_full,
     random_product_state,
@@ -268,11 +269,23 @@ IDENTITIES = (
 )
 
 
+# The sweeps reuse a handful of small dense operators thousands of times; the
+# cached entries are read-only arrays.
+@lru_cache(maxsize=None)
+def _atom_op(atom, axis, n_atoms):
+    return single_atom_op(atom, axis, n_atoms).entries
+
+
+@lru_cache(maxsize=None)
+def _collective(axis, n_atoms):
+    return collective_op(axis, n_atoms).entries
+
+
 def _term_matrix(factors, n_atoms=3):
     """Dense product of single-atom operators; empty factors give identity."""
     out = np.eye(1 << n_atoms, dtype=complex)
     for atom, axis in factors:
-        out = out @ single_atom_op(atom, axis, n_atoms).entries
+        out = out @ _atom_op(atom, axis, n_atoms)
     return out
 
 
@@ -280,7 +293,7 @@ def identity_lhs(entry, n_atoms=3):
     """Dense collective product for the identity's axis word."""
     out = np.eye(1 << n_atoms, dtype=complex)
     for axis in entry.word:
-        out = out @ collective_op(axis, n_atoms).entries
+        out = out @ _collective(axis, n_atoms)
     return out
 
 
@@ -314,7 +327,7 @@ def _single_atom_relation_results(n_atoms=3):
     }
     cyclic = {"x": ("y", "z"), "y": ("z", "x"), "z": ("x", "y")}
     for atom in range(1, n_atoms + 1):
-        ops = {axis: single_atom_op(atom, axis, n_atoms).entries for axis in AXES}
+        ops = {axis: _atom_op(atom, axis, n_atoms) for axis in AXES}
         for axis in AXES:
             checks["atom_square"].append(ops[axis] @ ops[axis] - 0.25 * eye)
             checks["atom_cube"].append(
@@ -394,9 +407,9 @@ def verify_cancellation(theta, phi):
     ct, st = math.cos(theta), math.sin(theta)
     cp, sp = math.cos(phi), math.sin(phi)
     combo = (
-        ct * cp * collective_op("x", 3).entries
-        + ct * sp * collective_op("y", 3).entries
-        - st * collective_op("z", 3).entries
+        ct * cp * _collective("x", 3)
+        + ct * sp * _collective("y", 3)
+        - st * _collective("z", 3)
     )
     lhs = combo @ combo @ combo
     rhs = np.zeros_like(lhs)
@@ -451,6 +464,8 @@ def verify_sum_route(n_atoms, n_trials, seed, include_ghz=True):
         random_symmetric_state(n_atoms, int(rng.integers(2**63)))
         for _ in range(n_trials)
     ]
+    base = [_collective(axis, n_atoms) for axis in AXES]
+    full_dim = 1 << n_atoms
     worst = 0.0
     skipped = 0
     for state in states:
@@ -461,7 +476,15 @@ def verify_sum_route(n_atoms, n_trials, seed, include_ghz=True):
             skipped += 1
             continue
         full = dicke_to_full(state)
-        op_xp, op_yp, _ = rotated_ops(angles, n_atoms, "full")
+        op_xp, op_yp = (
+            OperatorMatrix(
+                full_dim,
+                sum(w * mat for w, mat in zip(row, base)),
+                hermitian=True,
+                space_tag="full",
+            )
+            for row in rotation_matrix(angles)[:2]
+        )
         direct_xp = central_moment(full, op_xp, 3)
         direct_yp = central_moment(full, op_yp, 3)
         corr = triple_correlators(state)

@@ -1,10 +1,13 @@
+import hashlib
 import json
 import math
 import re
 
 import pytest
 
+from trispin import cli
 from trispin.cli import main
+from trispin.moments import route_deviation
 
 PAIR_MIX_GRID = json.dumps(
     {
@@ -114,6 +117,33 @@ class TestCompute:
         assert main(["compute", "--input", product_file, "--output", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert abs(doc["report"]["s_parameter"]) <= 1e-10
+
+    def test_parse_error_honours_output_and_hashes_input(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"{not json")
+        out = tmp_path / "out.json"
+        assert main(["compute", "--input", str(bad), "--output", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        doc = json.loads(out.read_text())
+        assert doc["error"]["code"] == "invalid_input"
+        assert doc["input_sha256"] == hashlib.sha256(b"{not json").hexdigest()
+
+    def test_tolerance_abs_reaches_route_check(self, pinned_state, tmp_path):
+        docs = {}
+        for floor in ("1e-12", "10.0"):
+            out = tmp_path / f"out{floor}.json"
+            argv = ["compute", "--input", pinned_state, "--output", str(out)]
+            assert main(argv + ["--tolerance-abs", floor]) == 0
+            docs[floor] = json.loads(out.read_text())
+        for floor, doc in docs.items():
+            routes = doc["report"]["routes"]
+            expected = max(
+                route_deviation(routes["direct"][a], routes["sum"][a], 1e-9, float(floor))
+                for a in ("xp", "yp")
+            )
+            assert doc["route_check"]["max_rel_dev"] == expected
+        # the report itself does not depend on the tolerances
+        assert docs["1e-12"]["report"] == docs["10.0"]["report"]
 
     def test_reads_state_from_stdin(self, top_state, monkeypatch, capsys):
         import io
@@ -249,6 +279,16 @@ class TestScan:
         assert main(["scan"]) == 2
         capsys.readouterr()
 
+    def test_too_few_atoms_exits_2_with_error_document(self, tmp_path):
+        grid = json.dumps(
+            {"family": "pair_mix", "n_atoms": 2, "stop": 1.0, "points": 3}
+        )
+        out = tmp_path / "scan.json"
+        assert main(["scan", "--grid", grid, "--output", str(out)]) == 2
+        doc = json.loads(out.read_text())
+        assert doc["error"]["code"] == "invalid_input"
+        assert doc["input_sha256"] == hashlib.sha256(grid.encode()).hexdigest()
+
 
 class TestSample:
     def test_product_state_near_zero(self, product_file, tmp_path):
@@ -290,3 +330,54 @@ class TestSample:
     def test_frame_undefined_exits_3(self, ghz_state, capsys):
         assert main(["sample", "--input", ghz_state, "--shots", "2000"]) == 3
         capsys.readouterr()
+
+    def test_non_symmetric_product_exits_2(self, tmp_path):
+        path = write_state(
+            tmp_path, "updownup.json",
+            [[[1, 0], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, 0]]],
+            representation="product",
+        )
+        out = tmp_path / "sample.json"
+        assert main(
+            ["sample", "--input", path, "--shots", "2000", "--output", str(out)]
+        ) == 2
+        doc = json.loads(out.read_text())
+        assert doc["error"]["code"] == "invalid_input"
+        assert "sampling" not in doc
+
+    def test_product_past_the_cap_exits_2(self, tmp_path):
+        r = 1 / math.sqrt(2)
+        path = write_state(
+            tmp_path, "wide.json", [[[r, 0], [r, 0]]] * 15, n_atoms=15,
+            representation="product",
+        )
+        out = tmp_path / "sample.json"
+        assert main(
+            ["sample", "--input", path, "--shots", "2000", "--output", str(out)]
+        ) == 2
+        assert "capped" in json.loads(out.read_text())["error"]["message"]
+
+    def test_parse_error_honours_output_and_hashes_input(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"n_atoms": 3}')
+        out = tmp_path / "sample.json"
+        assert main(["sample", "--input", str(bad), "--output", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        doc = json.loads(out.read_text())
+        assert doc["error"]["code"] == "invalid_input"
+        assert doc["input_sha256"] == hashlib.sha256(b'{"n_atoms": 3}').hexdigest()
+
+
+class TestParser:
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_main_reuses_one_parser(self, top_state, capsys):
+        main(["compute", "--input", top_state])
+        first = cli._parser()
+        main(["compute", "--input", top_state, "--seed", "3"])
+        assert cli._parser() is first
+        capsys.readouterr()
+        # a reused parser still starts every call from the defaults
+        main(["compute", "--input", top_state])
+        assert json.loads(capsys.readouterr().out)["seed"] == 0

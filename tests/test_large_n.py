@@ -1,0 +1,146 @@
+"""Large registers on the ladder, checked against a reference written here.
+
+The reference works on the N+1 ladder coefficients with its own operator
+construction (J+ elements as sqrt((j - m)(j + m + 1))) and raw-moment
+formulas, so it shares no kernel code with the package.  The explicit 2**N
+triple sum is the reference for the ladder correlators at small N.
+"""
+
+import cmath
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trispin import entanglement_s, symmetric_state, triple_correlators
+from trispin.cli import main
+from trispin.moments import PATTERNS, ROUTE_REL_TOL
+
+LARGE_N = (100, 1000, 10_000)
+
+
+def reference_moments(coeffs):
+    """(jx, jy, jz, var_xp, var_yp, m3_xp, m3_yp) of a ladder state."""
+    psi = np.asarray(coeffs, dtype=complex)
+    n_atoms = len(psi) - 1
+    j = n_atoms / 2
+    m_low = j - np.arange(1, n_atoms + 1)  # m of the level each J+ element raises
+    plus = np.sqrt((j - m_low) * (j + m_low + 1))
+    jz_diag = j - np.arange(n_atoms + 1)
+
+    def raise_(v):
+        out = np.zeros_like(v)
+        out[:-1] = plus * v[1:]
+        return out
+
+    def lower(v):
+        out = np.zeros_like(v)
+        out[1:] = plus * v[:-1]
+        return out
+
+    def component(v, wx, wy, wz):
+        return (
+            wx * 0.5 * (raise_(v) + lower(v))
+            + wy * (raise_(v) - lower(v)) / 2j
+            + wz * jz_diag * v
+        )
+
+    jx = np.vdot(psi, component(psi, 1, 0, 0)).real
+    jy = np.vdot(psi, component(psi, 0, 1, 0)).real
+    jz = np.vdot(psi, jz_diag * psi).real
+    mag = math.sqrt(jx * jx + jy * jy + jz * jz)
+    ct = jz / mag
+    st_ = math.sqrt(max(0.0, 1 - ct * ct))
+    transverse = math.hypot(jx, jy)
+    cp, sp = (jx / transverse, jy / transverse) if transverse > 1e-9 else (1.0, 0.0)
+    out = [jx, jy, jz]
+    for weights in ((ct * cp, ct * sp, -st_), (-sp, cp, 0.0)):
+        a1 = component(psi, *weights)
+        a2 = component(a1, *weights)
+        mean = np.vdot(psi, a1).real
+        raw2 = np.vdot(a1, a1).real
+        raw3 = np.vdot(a1, a2).real
+        out.append((raw2 - mean**2, raw3 - 3 * mean * raw2 + 2 * mean**3))
+    (var_xp, m3_xp), (var_yp, m3_yp) = out[3], out[4]
+    return jx, jy, jz, var_xp, var_yp, m3_xp, m3_yp
+
+
+def large_states(n_atoms):
+    rng = np.random.default_rng(n_atoms)
+    spread = rng.standard_normal(n_atoms + 1) + 1j * rng.standard_normal(n_atoms + 1)
+    near_top = np.zeros(n_atoms + 1, dtype=complex)
+    near_top[:2] = math.cos(0.6), math.sin(0.6)
+    middle = np.zeros(n_atoms + 1, dtype=complex)
+    middle[n_atoms // 3: n_atoms // 3 + 2] = math.cos(0.6), 1j * math.sin(0.6)
+    return [symmetric_state(n_atoms, c, normalize=True) for c in (spread, near_top, middle)]
+
+
+@pytest.mark.parametrize("n_atoms", LARGE_N)
+def test_report_matches_ladder_reference(n_atoms):
+    for state in large_states(n_atoms):
+        report = entanglement_s(state)
+        jx, jy, jz, var_xp, var_yp, m3_xp, m3_yp = reference_moments(state.coeffs)
+        scale = 1.0 + n_atoms / 2
+        got = report.mean_spin
+        for order, value, want in (
+            (1, got.jx, jx), (1, got.jy, jy), (1, got.jz, jz),
+            (2, report.var_xp, var_xp), (2, report.var_yp, var_yp),
+            (3, report.m3_xp_direct, m3_xp), (3, report.m3_yp_direct, m3_yp),
+            (3, report.s_parameter, 0.5 * math.hypot(m3_xp, m3_yp)),
+        ):
+            assert abs(value - want) <= 1e-12 * scale**order
+
+
+@pytest.mark.parametrize("n_atoms", LARGE_N)
+def test_routes_agree_and_phase_drops_out(n_atoms):
+    for state in large_states(n_atoms):
+        report = entanglement_s(state)
+        assert report.max_rel_dev() <= ROUTE_REL_TOL
+        phased = symmetric_state(n_atoms, state.coeffs * cmath.exp(2.1j))
+        s_phased = entanglement_s(phased).s_parameter
+        assert abs(s_phased - report.s_parameter) <= 1e-12 * abs(report.s_parameter)
+
+
+def _random_ladder_state(n_atoms, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal(n_atoms + 1) + 1j * rng.standard_normal(n_atoms + 1)
+    return symmetric_state(n_atoms, raw, normalize=True)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_atoms=st.integers(3, 7), seed=st.integers(0, 2**32 - 1))
+def test_ladder_correlators_equal_explicit_triple_sum(n_atoms, seed):
+    state = _random_ladder_state(n_atoms, seed)
+    fast = triple_correlators(state)
+    slow = triple_correlators(state, use_fast_path=False)
+    scale = (1.0 + n_atoms / 2) ** 3
+    for pattern in PATTERNS:
+        assert abs(getattr(fast, pattern) - getattr(slow, pattern)) <= 1e-13 * scale
+
+
+def test_cli_compute_at_n_1000(tmp_path):
+    state = _random_ladder_state(1000, seed=5)
+    path = tmp_path / "n1000.json"
+    path.write_text(json.dumps({
+        "n_atoms": 1000, "representation": "dicke",
+        "coeffs": [[z.real, z.imag] for z in state.coeffs],
+    }))
+    out = tmp_path / "out.json"
+    assert main(["compute", "--input", str(path), "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["report"]["n_atoms"] == 1000
+    assert doc["route_check"]["passed"]
+
+
+def test_cli_scan_at_n_20(capsys):
+    grid = json.dumps({"family": "pair_mix", "n_atoms": 20, "index_a": 0,
+                       "index_b": 1, "stop": 1.5707963267948966, "points": 11})
+    assert main(["scan", "--grid", grid]) == 0
+    rows = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line and not line.startswith("#") and not line.startswith("grid_index")
+    ]
+    assert len(rows) == 11

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -270,3 +271,13 @@ class TestEntanglementS:
         assert set(doc["routes"]) == {"direct", "sum", "max_rel_dev"}
         assert doc["routes"]["direct"]["xp"] == doc["m3_xp_direct"]
         assert isinstance(doc["mean_spin"]["magnitude"], float)
+
+    def test_max_rel_dev_floor_is_a_parameter(self):
+        report = dataclasses.replace(
+            entanglement_s(random_symmetric_state(4, seed=1)),
+            m3_xp_direct=1e-13, m3_xp_sum=2e-13, m3_yp_direct=0.0, m3_yp_sum=0.0,
+        )
+        # below floor/rel = 1e-3 the deviation is scaled by the floor
+        assert report.max_rel_dev() == pytest.approx(1e-10, rel=1e-12)
+        assert report.max_rel_dev(floor=1e-15) == pytest.approx(1e-7, rel=1e-12)
+        assert report.max_rel_dev(rel=1e-6, floor=1e-12) == pytest.approx(1e-7, rel=1e-12)

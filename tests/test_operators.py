@@ -15,9 +15,10 @@ from trispin import (
 )
 from trispin.operators import (
     AXES,
-    apply_axis_combination,
     apply_collective,
+    apply_ladder,
     apply_single_atom,
+    ladder_vectors,
 )
 
 
@@ -172,16 +173,38 @@ class TestMatrixFreeApply:
                 apply_collective(vec, axis, 4), dense, atol=1e-13
             )
 
-    def test_axis_combination_matches_dense(self):
-        rng = np.random.default_rng(2)
-        vec = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+
+
+class TestLadderKernel:
+    def test_vectors_hold_spectrum_and_raising_elements(self):
+        m, raising = ladder_vectors(4)
+        np.testing.assert_array_equal(m, [2.0, 1.0, 0.0, -1.0, -2.0])
+        # <m+1|J+|m> = sqrt(j(j+1) - m(m+1)) for j = 2
+        np.testing.assert_allclose(
+            raising, np.sqrt([4.0, 6.0, 6.0, 4.0]), rtol=1e-15
+        )
+
+    @pytest.mark.parametrize("n_atoms", [1, 3, 6])
+    def test_axis_combination_matches_dense_ladder(self, n_atoms):
+        rng = np.random.default_rng(n_atoms)
+        vec = rng.standard_normal(n_atoms + 1) + 1j * rng.standard_normal(n_atoms + 1)
         weights = (0.3, -1.2, 0.7)
         dense = sum(
-            w * collective_op(a, 4).entries for w, a in zip(weights, AXES)
-        ) @ vec
-        np.testing.assert_allclose(
-            apply_axis_combination(vec, weights, 4), dense, atol=1e-13
+            w * collective_op_dicke(a, n_atoms).entries for w, a in zip(weights, AXES)
         )
+        np.testing.assert_allclose(
+            apply_ladder(vec, weights, ladder_vectors(n_atoms)), dense @ vec,
+            atol=1e-13,
+        )
+
+    def test_stacked_states_act_row_by_row(self):
+        rng = np.random.default_rng(5)
+        stack = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
+        ladder = ladder_vectors(5)
+        weights = (0.0, 1.0, -0.5)
+        together = apply_ladder(stack, weights, ladder)
+        for row, vec in zip(together, stack):
+            np.testing.assert_array_equal(row, apply_ladder(vec, weights, ladder))
 
 
 class TestOperatorMatrix:

@@ -6,6 +6,7 @@ import pytest
 from trispin import (
     InsufficientShotsError,
     MeasurementRecord,
+    NotSymmetricError,
     central_moment,
     collective_op,
     collective_op_dicke,
@@ -194,3 +195,11 @@ class TestEstimateS:
         state = random_symmetric_state(3, seed=42)
         with pytest.raises(InsufficientShotsError):
             estimate_s_from_samples(state, 999, seed=0)
+
+    def test_non_symmetric_product_rejected_like_compute(self):
+        # |up down up> leaves the symmetric subspace: S is not defined for it
+        state = product_state([[1, 0], [0, 1], [1, 0]])
+        with pytest.raises(NotSymmetricError):
+            entanglement_s(state)
+        with pytest.raises(NotSymmetricError):
+            estimate_s_from_samples(state, 2000, seed=3)
