@@ -33,7 +33,6 @@ from .moments import (
 )
 from .operators import (
     OperatorMatrix,
-    anticommutator_check,
     collective_op,
     collective_op_dicke,
     single_atom_op,
@@ -101,7 +100,6 @@ __all__ = [
     "single_atom_op",
     "collective_op",
     "collective_op_dicke",
-    "anticommutator_check",
     "MeanSpin",
     "RotationAngles",
     "mean_spin",

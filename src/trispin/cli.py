@@ -90,7 +90,7 @@ def _cmd_compute(args):
         _emit_error(args, raw, "invalid_input", str(error), args.output)
         return EXIT_INVALID_INPUT
     try:
-        report = entanglement_s(state, allow_large=args.allow_large_n)
+        report = entanglement_s(state)
     except FrameUndefinedError as exc:
         _emit_error(args, raw, "frame_undefined", str(exc), args.output)
         return EXIT_FRAME_UNDEFINED
@@ -162,9 +162,9 @@ _SCAN_COLUMNS = (
 )
 
 
-def _scan_row(index, alpha, state, allow_large):
+def _scan_row(index, alpha, state):
     try:
-        report = entanglement_s(state, allow_large=allow_large)
+        report = entanglement_s(state)
     except FrameUndefinedError:
         mean = mean_spin(state)
         head = [index, repr(alpha), repr(mean.jx), repr(mean.jy), repr(mean.jz)]
@@ -204,7 +204,7 @@ def _cmd_scan(args):
             coeffs[index_a] = math.cos(alpha)
             coeffs[index_b] = math.sin(alpha)
             state = symmetric_state(n_atoms, coeffs, normalize=True)
-            rows.append(_scan_row(index, alpha, state, args.allow_large_n))
+            rows.append(_scan_row(index, alpha, state))
     except TrispinError as exc:
         _emit_error(args, grid_bytes, "invalid_input", str(exc), args.output)
         return EXIT_INVALID_INPUT
@@ -281,10 +281,6 @@ def build_parser():
     common.add_argument("--shots", type=int, default=100000, help="measurement shots")
     common.add_argument("--grid", default=None, help="inline grid JSON for scan")
     common.add_argument("--n", type=int, default=None, help="atom count override")
-    common.add_argument(
-        "--allow-large-n", action="store_true",
-        help="lift the 2^N construction cap (memory!)",
-    )
     common.add_argument(
         "--normalize", action="store_true",
         help="renormalize state input instead of rejecting noisy norms",

@@ -27,7 +27,6 @@ from .operators import (
     OperatorMatrix,
     apply_collective,
     apply_ladder,
-    collective_op,
     collective_op_dicke,
     ladder_vectors,
 )
@@ -149,23 +148,19 @@ def rotation_matrix(angles):
     )
 
 
-def rotated_ops(angles, n_atoms, space_tag="dicke", allow_large=False):
-    """Dense (Jx', Jy', Jz') in the requested space.
+def rotated_ops(angles, n_atoms):
+    """Dense (Jx', Jy', Jz') on the (N+1)-level ladder.
 
     Each primed operator is the corresponding linear combination of the
     unprimed collective components, so it shares the spectrum of Jz.
     """
-    if space_tag == "dicke":
-        base = [collective_op_dicke(axis, n_atoms).entries for axis in AXES]
-        dim = n_atoms + 1
-    elif space_tag == "full":
-        base = [collective_op(axis, n_atoms, allow_large).entries for axis in AXES]
-        dim = 1 << n_atoms
-    else:
-        raise ValueError(f"unknown space tag {space_tag!r}")
-    rot = rotation_matrix(angles)
-    out = []
-    for row in rot:
-        entries = sum(w * mat for w, mat in zip(row, base))
-        out.append(OperatorMatrix(dim, entries, hermitian=True, space_tag=space_tag))
-    return tuple(out)
+    base = [collective_op_dicke(axis, n_atoms).entries for axis in AXES]
+    return tuple(
+        OperatorMatrix(
+            n_atoms + 1,
+            sum(w * mat for w, mat in zip(row, base)),
+            hermitian=True,
+            space_tag="dicke",
+        )
+        for row in rotation_matrix(angles)
+    )

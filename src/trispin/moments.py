@@ -154,10 +154,6 @@ def _matching_vector(state, op):
             f"ladder-space operator of dim {op.dim} needs a symmetric state of "
             f"{op.dim - 1} atoms, got {type(state).__name__}"
         )
-    if isinstance(state, ProductState):
-        state = product_to_full(state)
-    if isinstance(state, SymmetricState):
-        state = dicke_to_full(state)
     if isinstance(state, FullState) and (1 << state.n_atoms) == op.dim:
         return state.amplitudes
     raise DimensionMismatchError(
@@ -279,7 +275,7 @@ def _triple_value(amplitudes, atoms, axes, n_atoms):
     return np.vdot(amplitudes, work)
 
 
-def triple_correlators(state, allow_large=False, use_fast_path=True):
+def triple_correlators(state, use_fast_path=True):
     """Correlator sums over all ordered triples of distinct atoms.
 
     Symmetric input takes the fast path: the sums follow from collective
@@ -291,9 +287,9 @@ def triple_correlators(state, allow_large=False, use_fast_path=True):
     if isinstance(state, SymmetricState) and use_fast_path:
         return _ladder_correlators(state)
     if isinstance(state, ProductState):
-        full = product_to_full(state, allow_large)
+        full = product_to_full(state)
     elif isinstance(state, SymmetricState):
-        full = dicke_to_full(state, allow_large)
+        full = dicke_to_full(state)
     elif isinstance(state, FullState):
         full = state
     else:
@@ -346,14 +342,14 @@ def correlator_weights_yp(cos_phi, sin_phi):
     }
 
 
-def third_moment_sum_xp(state, angles, correlators):
+def third_moment_sum_xp(mean, angles, correlators):
     """Third moment of Jx' from the ten-term tripartite correlator sum.
 
-    Uses the mean-value weights when the transverse mean spin is resolvable;
-    with the mean spin along +-z that form is 0/0, so the equivalent
-    angle-form weights (regular in theta, phi) take over.
+    Takes the state's ``MeanSpin``.  Uses the mean-value weights when the
+    transverse mean spin is resolvable; with the mean spin along +-z that form
+    is 0/0, so the equivalent angle-form weights (regular in theta, phi) take
+    over.
     """
-    mean = mean_spin(state)
     jx, jy, jz = mean.jx, mean.jy, mean.jz
     t_sq = jx * jx + jy * jy
     corr = correlators
@@ -377,9 +373,8 @@ def third_moment_sum_xp(state, angles, correlators):
     return numerator / (mean.magnitude**3 * t_sq**1.5)
 
 
-def third_moment_sum_yp(state, angles, correlators):
-    """Third moment of Jy' from the four-term tripartite correlator sum."""
-    mean = mean_spin(state)
+def third_moment_sum_yp(mean, angles, correlators):
+    """Third moment of Jy' from the four-term sum, given the ``MeanSpin``."""
     jx, jy = mean.jx, mean.jy
     t_sq = jx * jx + jy * jy
     corr = correlators
@@ -395,17 +390,14 @@ def third_moment_sum_yp(state, angles, correlators):
     return numerator / t_sq**1.5
 
 
-def direct_moments(state, space_tag="dicke", allow_large=False):
+def direct_moments(state):
     """Mean spin, frame angles, and the direct-route central moments.
 
     Returns ``(mean, angles, var_xp, var_yp, m3_xp, m3_yp)``.  Every input is
     first brought to the ladder (``as_symmetric``), where the rotated
-    components act through ``apply_ladder`` in O(N); ``space_tag`` names that
-    space and must be ``"dicke"``.
+    components act through ``apply_ladder`` in O(N).
     """
-    if space_tag != "dicke":
-        raise ValueError(f"unknown space tag {space_tag!r}")
-    sym = as_symmetric(state, allow_large)
+    sym = as_symmetric(state)
     mean = mean_spin(sym)
     angles = rotation_angles(mean)
     rot = rotation_matrix(angles)
@@ -415,7 +407,7 @@ def direct_moments(state, space_tag="dicke", allow_large=False):
     return mean, angles, var_xp, var_yp, m3_xp, m3_yp
 
 
-def entanglement_s(state, allow_large=False):
+def entanglement_s(state):
     """Full moment report, including S, for a symmetric pure state.
 
     S is half the root-mean-square combination of the two third moments and
@@ -427,15 +419,13 @@ def entanglement_s(state, allow_large=False):
     FrameUndefinedError
         For zero mean spin (the construction needs a direction to rotate to).
     NotSymmetricError
-        If a full-space input leaves the symmetric subspace.
+        If a product or full-space input leaves the symmetric subspace.
     """
-    sym = as_symmetric(state, allow_large)
-    mean, angles, var_xp, var_yp, m3_xp, m3_yp = direct_moments(
-        sym, "dicke", allow_large
-    )
-    corr = triple_correlators(sym, allow_large)
-    m3_xp_sum = third_moment_sum_xp(sym, angles, corr)
-    m3_yp_sum = third_moment_sum_yp(sym, angles, corr)
+    sym = as_symmetric(state)
+    mean, angles, var_xp, var_yp, m3_xp, m3_yp = direct_moments(sym)
+    corr = triple_correlators(sym)
+    m3_xp_sum = third_moment_sum_xp(mean, angles, corr)
+    m3_yp_sum = third_moment_sum_yp(mean, angles, corr)
     s_value = 0.5 * math.hypot(m3_xp, m3_yp)
     return MomentReport(
         n_atoms=sym.n_atoms,

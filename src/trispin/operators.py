@@ -4,11 +4,11 @@ Conventions (fixed globally, see ``states``): atom 1 owns the most
 significant bit of a product-basis index, bit value 0 is the upper level, and
 the ladder space orders levels from the top (``m = N/2``) downwards.
 
-Dense matrices are the canonical form for identity checking at small N.  The
-moment pipeline never forms a dense operator: on the ladder it uses
-``apply_ladder``, which acts on N+1 coefficients in O(N) from the two vectors
-of ``ladder_vectors``; in the product basis the ``apply_*`` functions act on
-amplitude vectors in O(N 2**N).
+S runs on the ladder: the moments use ``apply_ladder`` (O(N), from the two
+vectors of ``ladder_vectors``), the sampler diagonalises dense ladder
+matrices.  The dense 2**N matrices and the matrix-free ``apply_*`` actions on
+2**N amplitudes are small-N references for the identity checks and the
+explicit triple-correlator sum.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def _axis_block(axis):
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}") from None
 
 
-def single_atom_op(atom, axis, n_atoms, allow_large=False):
+def single_atom_op(atom, axis, n_atoms):
     """Dense operator acting as the spin component on one atom only.
 
     Parameters
@@ -96,20 +96,20 @@ def single_atom_op(atom, axis, n_atoms, allow_large=False):
     """
     if not 1 <= atom <= n_atoms:
         raise IndexError(f"atom index {atom} outside 1..{n_atoms}")
-    check_full_space_size(n_atoms, allow_large)
+    check_full_space_size(n_atoms)
     block = _axis_block(axis)
     factors = [block if i == atom else _ID2 for i in range(1, n_atoms + 1)]
     entries = reduce(np.kron, factors)
     return OperatorMatrix(1 << n_atoms, entries, hermitian=True, space_tag="full")
 
 
-def collective_op(axis, n_atoms, allow_large=False):
+def collective_op(axis, n_atoms):
     """Dense collective component: sum of the single-atom operators."""
     if n_atoms < 1:
         raise InvalidStateError(f"need at least 1 atom, got {n_atoms}")
-    check_full_space_size(n_atoms, allow_large)
+    check_full_space_size(n_atoms)
     total = sum(
-        single_atom_op(atom, axis, n_atoms, allow_large).entries
+        single_atom_op(atom, axis, n_atoms).entries
         for atom in range(1, n_atoms + 1)
     )
     return OperatorMatrix(1 << n_atoms, total, hermitian=True, space_tag="full")
@@ -165,19 +165,6 @@ def collective_op_dicke(axis, n_atoms):
         else:
             entries = -0.5j * (raising - raising.conj().T)
     return OperatorMatrix(n_atoms + 1, entries, hermitian=True, space_tag="dicke")
-
-
-def anticommutator_check(atom, axis_a, axis_b, n_atoms):
-    """Largest entry of the single-atom anticommutator (should vanish).
-
-    Distinct spin-1/2 components of the same atom anticommute; this returns
-    ``max |{J_a, J_b}|`` as a residual for the verification suite.
-    """
-    if axis_a == axis_b:
-        raise ValueError("axes must differ for the anticommutator check")
-    a = single_atom_op(atom, axis_a, n_atoms).entries
-    b = single_atom_op(atom, axis_b, n_atoms).entries
-    return float(np.max(np.abs(a @ b + b @ a)))
 
 
 # ---------------------------------------------------------------------------

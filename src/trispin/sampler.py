@@ -12,9 +12,11 @@ moments are fragile).  The bootstrap stream is derived from the record seed
 via ``SeedSequence(seed, spawn_key=(1,))`` and is therefore reproducible as
 well.
 
-Jx' and Jy' do not commute, so ``estimate_s_from_samples`` measures them in
-independent runs, as separate state preparations would; the two run seeds are
-drawn from one master stream seeded by the caller.
+``estimate_s_from_samples`` brings every input to the (N+1)-level ladder
+(``as_symmetric``) and samples dense ladder operators there, whatever
+representation the state came in.  Jx' and Jy' do not commute, so it measures
+them in independent runs, as separate state preparations would; the two run
+seeds are drawn from one master stream seeded by the caller.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from .errors import InsufficientShotsError
 from .frame import mean_spin, rotated_ops, rotation_angles
 from .moments import _matching_vector
-from .states import ProductState, SymmetricState, as_symmetric, product_to_full
+from .states import as_symmetric
 
 DEGENERACY_TOL = 1e-10
 MIN_SHOTS_ESTIMATE = 100
@@ -199,24 +201,15 @@ def estimate_s_from_samples(state, m_shots, seed, n_boot=BOOTSTRAP_RESAMPLES):
     ------
     NotSymmetricError
         If the state leaves the symmetric subspace, by the same rule as
-        ``entanglement_s`` (``as_symmetric``).  Admissible states are sampled
-        in the representation they came in.
+        ``entanglement_s``.
     """
     if m_shots < MIN_SHOTS_S:
         raise InsufficientShotsError(
             f"S estimation needs at least {MIN_SHOTS_S} shots, got {m_shots}"
         )
-    as_symmetric(state)
+    state = as_symmetric(state)
     angles = rotation_angles(mean_spin(state))
-    if isinstance(state, SymmetricState):
-        space = "dicke"
-        n_atoms = state.n_atoms
-    else:
-        space = "full"
-        n_atoms = state.n_atoms
-        if isinstance(state, ProductState):
-            state = product_to_full(state)
-    op_xp, op_yp, _ = rotated_ops(angles, n_atoms, space)
+    op_xp, op_yp, _ = rotated_ops(angles, state.n_atoms)
     master = np.random.default_rng(seed)
     seed_xp, seed_yp = (int(s) for s in master.integers(0, 2**63, size=2))
     record_xp = projective_sample(state, op_xp, m_shots, seed_xp, "jx_prime")

@@ -33,16 +33,17 @@ NORM_TOL = 1e-12
 SYMMETRY_TOL = 1e-10
 
 # Hard cap on full-space construction: 2**14 amplitudes keeps memory
-# predictable.  Collective-ladder paths are not affected by the cap.
+# predictable.  The 2**N space is only a small-N reference; S never needs it.
 FULL_SPACE_ATOM_CAP = 14
 
 
-def check_full_space_size(n_atoms, allow_large=False):
-    """Refuse 2**N constructions past the cap unless explicitly overridden."""
-    if n_atoms > FULL_SPACE_ATOM_CAP and not allow_large:
+def check_full_space_size(n_atoms):
+    """Refuse 2**N constructions past the cap."""
+    if n_atoms > FULL_SPACE_ATOM_CAP:
         raise InvalidStateError(
             f"full 2^N construction capped at N={FULL_SPACE_ATOM_CAP} "
-            f"(requested N={n_atoms}); pass allow_large=True to override"
+            f"(requested N={n_atoms}); the 2^N space is a small-N reference "
+            "only, S itself runs on the N+1 ladder levels"
         )
 
 
@@ -170,7 +171,7 @@ def _binomials(n_atoms):
     return np.array([math.comb(n_atoms, k) for k in range(n_atoms + 1)], dtype=float)
 
 
-def dicke_to_full(state, allow_large=False):
+def dicke_to_full(state):
     """Expand ladder coefficients into the 2**N product basis.
 
     Every basis state with ``k`` lower-level atoms receives amplitude
@@ -178,17 +179,17 @@ def dicke_to_full(state, allow_large=False):
     over its C(N, k) bit patterns.
     """
     n = state.n_atoms
-    check_full_space_size(n, allow_large)
+    check_full_space_size(n)
     counts = _down_counts(n)
     weights = _binomials(n)
     amps = state.coeffs[counts] / np.sqrt(weights[counts])
     return FullState(n, amps)
 
 
-def product_to_full(state, allow_large=False):
+def product_to_full(state):
     """Tensor the per-atom amplitudes into the 2**N product basis."""
     n = state.n_atoms
-    check_full_space_size(n, allow_large)
+    check_full_space_size(n)
     amps = np.ones(1, dtype=complex)
     for a_up, a_down in state.qubits:
         amps = np.kron(amps, np.array([a_up, a_down]))
@@ -221,12 +222,48 @@ def full_to_dicke(state):
     return SymmetricState(n, coeffs)
 
 
-def as_symmetric(state, allow_large=False):
+def _product_to_dicke(state):
+    """Map an identical-qubit product onto the ladder without 2**N amplitudes.
+
+    Rows are phase-aligned to row 0 (a row orthogonal to it keeps phase 1)
+    and must match their mean to ``SYMMETRY_TOL`` in norm, the bound
+    ``full_to_dicke`` puts on the non-symmetric weight.  The coefficients are
+    those of the coherent spin state of the mean qubit (a, b), i.e.
+    sqrt(C(N, k)) a**(N-k) b**k (Arecchi et al., PRA 6, 2211 (1972)), times
+    the product of the row phases.  Magnitudes are formed in log space, with
+    C(N, k) from ``math.lgamma``, so large N neither overflows nor gives NaN.
+    """
+    rows, n = state.qubits, state.n_atoms
+    overlaps = rows @ rows[0].conj()
+    sizes = np.abs(overlaps)
+    phases = np.divide(overlaps, sizes, out=np.ones_like(overlaps), where=sizes > 0)
+    aligned = rows * phases.conj()[:, None]
+    qubit = aligned.mean(axis=0)
+    residual = float(np.linalg.norm(aligned - qubit))
+    if residual > SYMMETRY_TOL:
+        raise NotSymmetricError(
+            f"product rows differ beyond a global phase: non-symmetric weight "
+            f"of norm {residual:.3e}"
+        )
+    k = np.arange(n + 1)
+    lgamma = math.lgamma
+    log_mag = 0.5 * np.array(
+        [lgamma(n + 1) - lgamma(i + 1) - lgamma(n - i + 1) for i in k]
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 * log(0) counts as 0
+        for power, amp in ((n - k, qubit[0]), (k, qubit[1])):
+            log_mag += np.where(power > 0, power * np.log(abs(amp)), 0.0)
+    phase = (n - k) * np.angle(qubit[0]) + k * np.angle(qubit[1])
+    coeffs = np.prod(phases) * np.exp(log_mag + 1j * phase)
+    return SymmetricState(n, coeffs / np.linalg.norm(coeffs))
+
+
+def as_symmetric(state):
     """Coerce any representation to ``SymmetricState`` (or fail loudly)."""
     if isinstance(state, SymmetricState):
         return state
     if isinstance(state, ProductState):
-        return full_to_dicke(product_to_full(state, allow_large))
+        return _product_to_dicke(state)
     if isinstance(state, FullState):
         return full_to_dicke(state)
     raise TypeError(f"not a state: {type(state).__name__}")

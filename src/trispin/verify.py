@@ -488,8 +488,8 @@ def verify_sum_route(n_atoms, n_trials, seed, include_ghz=True):
         direct_xp = central_moment(full, op_xp, 3)
         direct_yp = central_moment(full, op_yp, 3)
         corr = triple_correlators(state)
-        sum_xp = third_moment_sum_xp(state, angles, corr)
-        sum_yp = third_moment_sum_yp(state, angles, corr)
+        sum_xp = third_moment_sum_xp(mean, angles, corr)
+        sum_yp = third_moment_sum_yp(mean, angles, corr)
         worst = max(
             worst,
             route_deviation(direct_xp, sum_xp),

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 
 import pytest
 
@@ -345,17 +346,21 @@ class TestSample:
         assert doc["error"]["code"] == "invalid_input"
         assert "sampling" not in doc
 
-    def test_product_past_the_cap_exits_2(self, tmp_path):
+    def test_product_past_the_full_space_cap_exits_0(self, tmp_path):
         r = 1 / math.sqrt(2)
         path = write_state(
             tmp_path, "wide.json", [[[r, 0], [r, 0]]] * 15, n_atoms=15,
             representation="product",
         )
-        out = tmp_path / "sample.json"
+        out = tmp_path / "out.json"
+        assert main(["compute", "--input", path, "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["report"]["n_atoms"] == 15
         assert main(
             ["sample", "--input", path, "--shots", "2000", "--output", str(out)]
-        ) == 2
-        assert "capped" in json.loads(out.read_text())["error"]["message"]
+        ) == 0
+        sampling = json.loads(out.read_text())["sampling"]
+        assert [len(r["counts"]) for r in sampling["records"]] == [16, 16]
+        assert sampling["s_hat"] <= 6 * sampling["s_se"]
 
     def test_parse_error_honours_output_and_hashes_input(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -366,6 +371,28 @@ class TestSample:
         doc = json.loads(out.read_text())
         assert doc["error"]["code"] == "invalid_input"
         assert doc["input_sha256"] == hashlib.sha256(b'{"n_atoms": 3}').hexdigest()
+
+
+def test_s_paths_never_build_2n_vectors(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("2^N vector built on an S path")
+
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "trispin"]
+    for module in modules:
+        for name in ("product_to_full", "dicke_to_full"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    r = 1 / math.sqrt(2)
+    inputs = [
+        write_state(tmp_path, "product.json", [[[r, 0], [0, r]]] * 4, n_atoms=4,
+                    representation="product"),
+        write_state(tmp_path, "dicke.json", [[0.8, 0], [0.6, 0], [0, 0], [0, 0]]),
+    ]
+    for path in inputs:
+        assert main(["compute", "--input", path]) == 0
+        assert main(["sample", "--input", path, "--shots", "2000"]) == 0
+    assert main(["scan", "--grid", PAIR_MIX_GRID]) == 0
+    capsys.readouterr()
 
 
 class TestParser:

@@ -108,14 +108,14 @@ class TestRotationAngles:
 
 class TestRotatedOps:
     def test_identity_rotation_leaves_components(self):
-        ops = rotated_ops(angles_from(0.0, 0.0), 3, "dicke")
+        ops = rotated_ops(angles_from(0.0, 0.0), 3)
         for op, axis in zip(ops, AXES):
             np.testing.assert_allclose(
                 op.entries, collective_op_dicke(axis, 3).entries, atol=1e-15
             )
 
     def test_quarter_turn_about_y(self):
-        ops = rotated_ops(angles_from(math.pi / 2, 0.0), 3, "dicke")
+        ops = rotated_ops(angles_from(math.pi / 2, 0.0), 3)
         jx = collective_op_dicke("x", 3).entries
         jy = collective_op_dicke("y", 3).entries
         jz = collective_op_dicke("z", 3).entries
@@ -128,7 +128,7 @@ class TestRotatedOps:
             state = random_symmetric_state(4, seed)
             mean = mean_spin(state)
             angles = rotation_angles(mean)
-            op_xp, op_yp, op_zp = rotated_ops(angles, 4, "dicke")
+            op_xp, op_yp, op_zp = rotated_ops(angles, 4)
             vec = state.coeffs
             assert abs(np.vdot(vec, op_xp.entries @ vec)) <= 1e-10
             assert abs(np.vdot(vec, op_yp.entries @ vec)) <= 1e-10
@@ -137,7 +137,7 @@ class TestRotatedOps:
     def test_rotated_spectrum_matches_ladder(self):
         angles = angles_from(0.77, -2.1)
         expected = np.arange(-2.0, 2.5, 1.0)
-        for op in rotated_ops(angles, 4, "dicke"):
+        for op in rotated_ops(angles, 4):
             np.testing.assert_allclose(
                 np.sort(np.linalg.eigvalsh(op.entries)), expected, atol=1e-12
             )
@@ -149,13 +149,13 @@ class TestRotatedOps:
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_rotation_preserves_algebra(self, theta, phi):
         angles = angles_from(max(theta, 1e-6), phi)
-        op_xp, op_yp, op_zp = (op.entries for op in rotated_ops(angles, 3, "dicke"))
+        op_xp, op_yp, op_zp = (op.entries for op in rotated_ops(angles, 3))
         commutator = op_xp @ op_yp - op_yp @ op_xp - 1j * op_zp
         assert np.max(np.abs(commutator)) <= 1e-12
 
     def test_squares_sum_to_casimir(self):
         angles = angles_from(1.234, 0.456)
-        ops = rotated_ops(angles, 4, "dicke")
+        ops = rotated_ops(angles, 4)
         total = sum(op.entries @ op.entries for op in ops)
         unrotated = sum(
             collective_op_dicke(a, 4).entries @ collective_op_dicke(a, 4).entries

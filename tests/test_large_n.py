@@ -2,8 +2,10 @@
 
 The reference works on the N+1 ladder coefficients with its own operator
 construction (J+ elements as sqrt((j - m)(j + m + 1))) and raw-moment
-formulas, so it shares no kernel code with the package.  The explicit 2**N
-triple sum is the reference for the ladder correlators at small N.
+formulas, so it shares no kernel code with the package.  Product input is
+checked against coherent-state coefficients built here by a level-to-level
+recurrence.  The explicit 2**N triple sum is the reference for the ladder
+correlators at small N.
 """
 
 import cmath
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trispin import entanglement_s, symmetric_state, triple_correlators
+from trispin import entanglement_s, product_state, symmetric_state, triple_correlators
 from trispin.cli import main
 from trispin.moments import PATTERNS, ROUTE_REL_TOL
 
@@ -78,20 +80,51 @@ def large_states(n_atoms):
     return [symmetric_state(n_atoms, c, normalize=True) for c in (spread, near_top, middle)]
 
 
+def assert_matches_reference(report, coeffs):
+    """Every report field within 1e-12 * (1 + N/2)**order of the reference."""
+    jx, jy, jz, var_xp, var_yp, m3_xp, m3_yp = reference_moments(coeffs)
+    scale = 1.0 + report.n_atoms / 2
+    got = report.mean_spin
+    for order, value, want in (
+        (1, got.jx, jx), (1, got.jy, jy), (1, got.jz, jz),
+        (2, report.var_xp, var_xp), (2, report.var_yp, var_yp),
+        (3, report.m3_xp_direct, m3_xp), (3, report.m3_yp_direct, m3_yp),
+        (3, report.s_parameter, 0.5 * math.hypot(m3_xp, m3_yp)),
+    ):
+        assert abs(value - want) <= 1e-12 * scale**order
+
+
 @pytest.mark.parametrize("n_atoms", LARGE_N)
 def test_report_matches_ladder_reference(n_atoms):
     for state in large_states(n_atoms):
-        report = entanglement_s(state)
-        jx, jy, jz, var_xp, var_yp, m3_xp, m3_yp = reference_moments(state.coeffs)
-        scale = 1.0 + n_atoms / 2
-        got = report.mean_spin
-        for order, value, want in (
-            (1, got.jx, jx), (1, got.jy, jy), (1, got.jz, jz),
-            (2, report.var_xp, var_xp), (2, report.var_yp, var_yp),
-            (3, report.m3_xp_direct, m3_xp), (3, report.m3_yp_direct, m3_yp),
-            (3, report.s_parameter, 0.5 * math.hypot(m3_xp, m3_yp)),
-        ):
-            assert abs(value - want) <= 1e-12 * scale**order
+        assert_matches_reference(entanglement_s(state), state.coeffs)
+
+
+def recurrence_coherent_coeffs(n_atoms, a_up, a_down):
+    """Ladder coefficients of N copies of one qubit, level by level.
+
+    Each level follows from the one above through the ratio
+    sqrt((N - k + 1) / k) * a_down / a_up, accumulated in log magnitude and
+    in phase; both amplitudes must be nonzero.
+    """
+    k = np.arange(1, n_atoms + 1)
+    log_ratio = 0.5 * np.log((n_atoms - k + 1) / k) + math.log(abs(a_down) / abs(a_up))
+    log_mag = n_atoms * math.log(abs(a_up)) + np.concatenate([[0.0], np.cumsum(log_ratio)])
+    turn = (a_down / abs(a_down)) / (a_up / abs(a_up))
+    phases = np.cumprod(np.concatenate([[1.0 + 0j], np.full(n_atoms, turn)]))
+    coeffs = np.exp(log_mag) * phases
+    return coeffs / np.linalg.norm(coeffs)
+
+
+@pytest.mark.parametrize("n_atoms", [1000, 10_000])
+def test_product_input_matches_ladder_reference(n_atoms):
+    # the route check is not asserted: the third moments of a product sit at
+    # the rounding floor, below the fixed absolute route floor at this size
+    rng = np.random.default_rng(n_atoms + 1)
+    qubit = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    qubit /= np.linalg.norm(qubit)
+    report = entanglement_s(product_state(np.tile(qubit, (n_atoms, 1))))
+    assert_matches_reference(report, recurrence_coherent_coeffs(n_atoms, *qubit))
 
 
 @pytest.mark.parametrize("n_atoms", LARGE_N)

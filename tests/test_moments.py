@@ -37,6 +37,15 @@ def coherent_x(n_atoms):
     return product_state([q] * n_atoms)
 
 
+def dense_rotated(angles, n_atoms):
+    """Full-space (Jx', Jy', Jz') from the dense oracle, as operator objects."""
+    trig = (angles.cos_theta, angles.sin_theta, angles.cos_phi, angles.sin_phi)
+    return tuple(
+        OperatorMatrix(1 << n_atoms, mat, hermitian=True, space_tag="full")
+        for mat in bf.rotated_operators(n_atoms, *trig)
+    )
+
+
 class TestCentralMoment:
     def test_ladder_eigenstate_has_no_dispersion(self):
         state = symmetric_state(4, [0, 1, 0, 0, 0])
@@ -50,7 +59,7 @@ class TestCentralMoment:
         state = coherent_x(4)
         full = product_to_full(state)
         angles = rotation_angles(mean_spin(state))
-        op_xp, op_yp, op_zp = rotated_ops(angles, 4, "full")
+        op_xp, op_yp, op_zp = dense_rotated(angles, 4)
         var_xp = central_moment(full, op_xp, 2)
         var_yp = central_moment(full, op_yp, 2)
         var_zp = central_moment(full, op_zp, 2)
@@ -69,7 +78,7 @@ class TestCentralMoment:
     def test_third_moment_reduces_to_raw_cube_in_frame(self):
         state = random_symmetric_state(5, seed=3)
         angles = rotation_angles(mean_spin(state))
-        op_xp = rotated_ops(angles, 5, "dicke")[0]
+        op_xp = rotated_ops(angles, 5)[0]
         raw_cube = np.vdot(
             state.coeffs, np.linalg.matrix_power(op_xp.entries, 3) @ state.coeffs
         ).real
@@ -145,10 +154,11 @@ class TestTripleCorrelators:
 class TestSumRouteFormulas:
     def test_product_state_gives_zero_both_axes(self):
         state = random_product_state(4, seed=8)
-        angles = rotation_angles(mean_spin(state))
+        mean = mean_spin(state)
+        angles = rotation_angles(mean)
         corr = triple_correlators(state)
-        assert abs(third_moment_sum_xp(state, angles, corr)) < 1e-12
-        assert abs(third_moment_sum_yp(state, angles, corr)) < 1e-12
+        assert abs(third_moment_sum_xp(mean, angles, corr)) < 1e-12
+        assert abs(third_moment_sum_yp(mean, angles, corr)) < 1e-12
 
     def test_mean_along_z_reduces_to_polar_terms(self):
         # transverse mean spin vanishes for this superposition of the extreme
@@ -160,16 +170,16 @@ class TestSumRouteFormulas:
         assert mean.jz == pytest.approx((0.64 - 0.36) * 1.5, abs=1e-12)
         angles = rotation_angles(mean)
         corr = triple_correlators(state)
-        assert third_moment_sum_xp(state, angles, corr) == pytest.approx(
+        assert third_moment_sum_xp(mean, angles, corr) == pytest.approx(
             corr.xxx, abs=1e-14
         )
-        assert third_moment_sum_yp(state, angles, corr) == pytest.approx(
+        assert third_moment_sum_yp(mean, angles, corr) == pytest.approx(
             corr.yyy, abs=1e-14
         )
         assert corr.yyy == pytest.approx(-0.72, abs=1e-12)
         # and the reduced sums still match the direct route
         full = dicke_to_full(state)
-        op_xp, op_yp, _ = rotated_ops(angles, 3, "full")
+        op_xp, op_yp, _ = dense_rotated(angles, 3)
         assert central_moment(full, op_xp, 3) == pytest.approx(corr.xxx, abs=1e-12)
         assert central_moment(full, op_yp, 3) == pytest.approx(corr.yyy, abs=1e-12)
 
@@ -180,20 +190,21 @@ class TestSumRouteFormulas:
         angles = rotation_angles(mean)
         corr = triple_correlators(state)
         expected = corr.yyy * math.copysign(1.0, mean.jx)
-        assert third_moment_sum_yp(state, angles, corr) == pytest.approx(
+        assert third_moment_sum_yp(mean, angles, corr) == pytest.approx(
             expected, abs=1e-12
         )
 
     def test_routes_agree_on_seeded_state(self):
         state = random_symmetric_state(4, seed=11)
-        angles = rotation_angles(mean_spin(state))
+        mean = mean_spin(state)
+        angles = rotation_angles(mean)
         corr = triple_correlators(state)
         full = dicke_to_full(state)
-        op_xp, op_yp, _ = rotated_ops(angles, 4, "full")
+        op_xp, op_yp, _ = dense_rotated(angles, 4)
         direct_xp = central_moment(full, op_xp, 3)
         direct_yp = central_moment(full, op_yp, 3)
-        assert route_deviation(direct_xp, third_moment_sum_xp(state, angles, corr)) <= 1e-9
-        assert route_deviation(direct_yp, third_moment_sum_yp(state, angles, corr)) <= 1e-9
+        assert route_deviation(direct_xp, third_moment_sum_xp(mean, angles, corr)) <= 1e-9
+        assert route_deviation(direct_yp, third_moment_sum_yp(mean, angles, corr)) <= 1e-9
 
 
 class TestEntanglementS:

@@ -5,7 +5,6 @@ import bruteforce as bf
 from trispin import (
     InvalidStateError,
     OperatorMatrix,
-    anticommutator_check,
     collective_op,
     collective_op_dicke,
     dicke_to_full,
@@ -142,16 +141,6 @@ class TestCollectiveOpDicke:
         jy = collective_op_dicke("y", 5).entries
         jz = collective_op_dicke("z", 5).entries
         assert np.max(np.abs(jx @ jy - jy @ jx - 1j * jz)) <= 1e-13
-
-
-class TestAnticommutator:
-    @pytest.mark.parametrize("atom,pair", [(1, ("x", "y")), (2, ("y", "z")), (3, ("z", "x"))])
-    def test_distinct_components_anticommute(self, atom, pair):
-        assert anticommutator_check(atom, pair[0], pair[1], 3) == 0.0
-
-    def test_same_axis_rejected(self):
-        with pytest.raises(ValueError):
-            anticommutator_check(1, "x", "x", 3)
 
 
 class TestMatrixFreeApply:

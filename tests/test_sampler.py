@@ -147,7 +147,7 @@ class TestEstimateMoments:
     def test_third_moment_estimate_covers_exact_value(self, pinned_entangled_coeffs):
         state = symmetric_state(3, pinned_entangled_coeffs)
         angles = rotation_angles(mean_spin(state))
-        op_xp = rotated_ops(angles, 3, "dicke")[0]
+        op_xp = rotated_ops(angles, 3)[0]
         exact = central_moment(state, op_xp, 3)
         record = projective_sample(state, op_xp, 100000, seed=7, operator_tag="jx_prime")
         est = estimate_moments(record)

@@ -92,8 +92,6 @@ class TestDickeToFull:
         big = random_symmetric_state(FULL_SPACE_ATOM_CAP + 1, seed=0)
         with pytest.raises(InvalidStateError):
             dicke_to_full(big)
-        full = dicke_to_full(big, allow_large=True)
-        assert full.amplitudes.size == 1 << (FULL_SPACE_ATOM_CAP + 1)
 
 
 class TestProductToFull:
@@ -121,6 +119,53 @@ class TestProductToFull:
         for seed in range(20):
             state = random_product_state(4, seed)
             as_symmetric(state)  # must not raise
+
+
+def _two_path_verdicts(rows):
+    """(closed-form ladder or None, 2**N path ladder or None) for product rows.
+
+    ``None`` marks a ``NotSymmetricError``.
+    """
+    state = product_state(rows, normalize=True)
+    out = []
+    for convert in (as_symmetric, lambda s: full_to_dicke(product_to_full(s))):
+        try:
+            out.append(convert(state))
+        except NotSymmetricError:
+            out.append(None)
+    return out
+
+
+class TestProductToLadder:
+    @pytest.mark.parametrize("n_atoms", range(3, 13))
+    def test_closed_form_matches_2n_projection(self, n_atoms):
+        rng = np.random.default_rng(n_atoms)
+        qubit = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        qubit /= np.linalg.norm(qubit)
+        phased = np.exp(1j * rng.uniform(-np.pi, np.pi, n_atoms))[:, None] * qubit
+        for rows in (phased, [[1, 0]] * n_atoms, [[0, 1j]] * n_atoms):
+            state = product_state(rows)
+            ladder = as_symmetric(state)
+            reference = full_to_dicke(product_to_full(state))
+            np.testing.assert_allclose(ladder.coeffs, reference.coeffs, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n_atoms", [3, 5, 8])
+    @pytest.mark.parametrize("size,accepted", [(1e-12, True), (1e-8, False)])
+    def test_perturbed_rows_get_the_2n_verdict(self, n_atoms, size, accepted):
+        rng = np.random.default_rng(17)
+        qubit = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        noise = rng.standard_normal((n_atoms, 2)) + 1j * rng.standard_normal((n_atoms, 2))
+        rows = qubit / np.linalg.norm(qubit) + size * noise
+        closed, full = _two_path_verdicts(rows)
+        assert (closed is not None) == (full is not None) == accepted
+        if accepted:
+            np.testing.assert_allclose(closed.coeffs, full.coeffs, rtol=0, atol=1e-13)
+
+    def test_orthogonal_rows_rejected_like_2n_path(self):
+        qubit = np.array([0.6, 0.8j])
+        orthogonal = np.array([0.8, -0.6j])  # <qubit|orthogonal> = 0 exactly
+        for rows in ([[1, 0], [0, 1], [1, 0]], [qubit, qubit, orthogonal, qubit]):
+            assert _two_path_verdicts(rows) == [None, None]
 
 
 class TestFullToDicke:
