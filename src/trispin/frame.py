@@ -26,7 +26,7 @@ from .operators import (
     SINGLE,
     OperatorMatrix,
     apply_collective,
-    apply_ladder,
+    apply_ladder_axes,
     collective_op_dicke,
     ladder_vectors,
 )
@@ -39,10 +39,6 @@ EPSILON_FRAME = 1e-9
 
 # Relative: scaled by (1 + N/2), the size of a collective spin component.
 _HERMITICITY_IMAG_TOL = 1e-12
-
-# (x, y, z) weights selecting one collective component in ``apply_ladder``.
-UNIT_WEIGHTS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-
 
 @dataclass(frozen=True)
 class MeanSpin:
@@ -83,8 +79,8 @@ def mean_spin(state):
     """
     if isinstance(state, SymmetricState):
         vec = state.coeffs
-        ladder = ladder_vectors(state.n_atoms)
-        comps = [np.vdot(vec, apply_ladder(vec, w, ladder)) for w in UNIT_WEIGHTS]
+        applied = apply_ladder_axes(vec, ladder_vectors(state.n_atoms))
+        comps = [np.vdot(vec, row) for row in applied]
     elif isinstance(state, FullState):
         vec = state.amplitudes
         comps = [

@@ -14,8 +14,13 @@ where each pattern value is the sum over ordered triples of distinct atoms
 * the *sum* route: the ten-term (four-term for y') weighted correlator sums,
   kept as a machine check of the cancellation result.
 
-For symmetric states both routes run on the (N+1)-level ladder in O(N); the
-explicit sum over atom triples in the 2**N space stays as the reference.
+For symmetric states both routes run on the (N+1)-level ladder in O(N).  The
+direct route applies the rotated components with ``apply_ladder``.  The sum
+route takes two batched passes of ``apply_ladder_axes`` to the moment
+tensors <J_a>, <J_a J_b> and <J_a J_b J_c>, and one constant 10 x 43 table,
+built at import from the spin-1/2 product rule, maps them to the ten pattern
+sums.  The explicit sum over atom triples in the 2**N space stays as the
+reference.
 
 S is half the root of the sum of squared third moments, computed from the
 direct route.  The two routes must agree to ``ROUTE_REL_TOL`` (with an
@@ -33,14 +38,19 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .frame import (
     EPSILON_FRAME,
-    UNIT_WEIGHTS,
     MeanSpin,
     RotationAngles,
     mean_spin,
     rotation_angles,
     rotation_matrix,
 )
-from .operators import AXES, apply_ladder, apply_single_atom, ladder_vectors
+from .operators import (
+    AXES,
+    apply_ladder,
+    apply_ladder_axes,
+    apply_single_atom,
+    ladder_vectors,
+)
 from .states import (
     FullState,
     ProductState,
@@ -219,52 +229,82 @@ _SITE_WORDS = {
 }
 
 
-def _ladder_correlators(state):
-    """The ten distinct-triple sums of a symmetric state, in O(N).
+def _correlator_table():
+    """The 10 x 43 map from moment features to the ten distinct-triple sums.
 
-    Inclusion-exclusion over coincident atom indices gives, per pattern abc,
+    The features are ``[N, N*j1, j1, j2, j3]``, where j1 = <J_a>,
+    j2 = <J_a J_b> and j3 = <J_a J_b J_c> are flattened row-major.  Row
+    ``abc`` is the inclusion-exclusion over coincident atom indices
 
         D = <Ja Jb Jc> - S(p=q) - S(q=r) - S(p=r) + 2 S(p=q=r),
 
-    where each S sums over the triples whose marked indices coincide.  The
-    one-atom products in S reduce through ``_site_word`` to collective first
-    and second moments; for p = r the middle factor first moves past the
-    last one, which adds the one-atom commutator ``j^a [j^b, j^c]``.
+    where each S sums over the triples whose marked indices coincide and its
+    one-atom products reduce through ``_site_word`` to a polynomial in
+    (1, j_p).  For p = r the middle factor first moves past the last one,
+    which adds the one-atom commutator ``j^a [j^b, j^c]``.
+    """
+    n_col, nj1_col, j1_col, j2_col, j3_col = 0, 1, 4, 7, 16
+    table = np.zeros((len(PATTERNS), 43), dtype=complex)
+
+    def add_sum(row, poly):  # + <sum_p poly(j_p)>
+        row[n_col] += poly[0]
+        row[j1_col:j1_col + 3] += poly[1:]
+
+    def subtract_sum_beside(row, poly, e, poly_first):
+        # - <sum_p poly(j_p) J_e>, or - <J_e sum_p poly(j_p)>
+        row[nj1_col + e] -= poly[0]
+        for d in range(3):
+            row[j2_col + (3 * d + e if poly_first else 3 * e + d)] -= poly[1 + d]
+
+    for row, pattern in zip(table, PATTERNS):
+        first, middle, last = pattern
+        a, b, c = (AXES.index(axis) for axis in pattern)
+        row[j3_col + 9 * a + 3 * b + c] += 1.0  # <Ja Jb Jc>
+        subtract_sum_beside(row, _SITE_WORDS[first + middle], c, True)  # S(p=q)
+        subtract_sum_beside(row, _SITE_WORDS[middle + last], a, False)  # S(q=r)
+        # S(p=r) with J_b moved last: the commutator term takes one S(p=q=r)
+        # off the 2 S(p=q=r) and gives back sum_p j^a j^c j^b
+        subtract_sum_beside(row, _SITE_WORDS[first + last], b, True)
+        add_sum(row, _SITE_WORDS[pattern])
+        add_sum(row, _SITE_WORDS[first + last + middle])
+    table.setflags(write=False)
+    return table
+
+
+_CORRELATOR_TABLE = _correlator_table()
+
+
+def _pattern_sums(n_atoms, j1, j2, j3):
+    """The ten pattern sums, complex and in ``PATTERNS`` order.
+
+    ``j1``, ``j2`` and ``j3`` hold <J_a>, <J_a J_b> and <J_a J_b J_c>, with
+    the axis indices in row-major order.
+    """
+    features = np.concatenate(([n_atoms], n_atoms * j1, j1, np.ravel(j2), np.ravel(j3)))
+    return _CORRELATOR_TABLE @ features
+
+
+def _ladder_correlators(state):
+    """The ten distinct-triple sums of a symmetric state, in O(N).
+
+    The moment tensors come from two batched ladder passes, on psi and on
+    the three J_c psi; ``_pattern_sums`` maps them to the ten sums.
     """
     n = state.n_atoms
     ladder = ladder_vectors(n)
     psi = state.coeffs
-    once = np.stack([apply_ladder(psi, w, ladder) for w in UNIT_WEIGHTS])
-    j1 = (once @ psi.conj()).tolist()  # <J_a>
+    once = apply_ladder_axes(psi, ladder)  # once[c] = J_c psi
+    twice = apply_ladder_axes(once, ladder).reshape(9, n + 1)  # J_b J_c psi
     bra = once.conj()
-    j2 = (bra @ once.T).tolist()  # <J_a J_b>
-    # j3[b][a][c] = <J_a J_b J_c>, from J_b applied to every J_c psi
-    j3 = [(bra @ apply_ladder(once, w, ladder).T).tolist() for w in UNIT_WEIGHTS]
-
-    def collective(poly):  # <sum_p poly(j_p)>
-        return poly[0] * n + sum(poly[1 + d] * j1[d] for d in range(3))
-
-    def collective_then(poly, c):  # <sum_p poly(j_p) J_c>
-        return poly[0] * n * j1[c] + sum(poly[1 + d] * j2[d][c] for d in range(3))
-
-    def then_collective(a, poly):  # <J_a sum_p poly(j_p)>
-        return poly[0] * n * j1[a] + sum(poly[1 + d] * j2[a][d] for d in range(3))
-
-    values = {}
-    for pattern in PATTERNS:
-        first, middle, last = pattern
-        a, b, c = (AXES.index(axis) for axis in pattern)
-        triple = collective(_SITE_WORDS[pattern])
-        p_eq_q = collective_then(_SITE_WORDS[first + middle], c)
-        q_eq_r = then_collective(a, _SITE_WORDS[middle + last])
-        p_eq_r = (
-            collective_then(_SITE_WORDS[first + last], b)
-            + triple
-            - collective(_SITE_WORDS[first + last + middle])
+    values = _pattern_sums(n, once @ psi.conj(), bra @ once.T, bra @ twice.T)
+    bad = np.abs(values.imag) > _IMAG_TOL * (1.0 + n / 2.0) ** 3
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise RuntimeError(
+            f"internal error: correlator {PATTERNS[k]} has imaginary part "
+            f"{values[k].imag:.3e}"
         )
-        distinct = j3[b][a][c] - p_eq_q - q_eq_r - p_eq_r + 2.0 * triple
-        values[pattern] = _real(distinct, f"correlator {pattern}", n, 3)
-    return TripleCorrelatorSet(**values)
+    return TripleCorrelatorSet(**dict(zip(PATTERNS, values.real.tolist())))
 
 
 def _triple_value(amplitudes, atoms, axes, n_atoms):

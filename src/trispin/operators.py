@@ -4,17 +4,17 @@ Conventions (fixed globally, see ``states``): atom 1 owns the most
 significant bit of a product-basis index, bit value 0 is the upper level, and
 the ladder space orders levels from the top (``m = N/2``) downwards.
 
-S runs on the ladder: the moments use ``apply_ladder`` (O(N), from the two
-vectors of ``ladder_vectors``), the sampler diagonalises dense ladder
-matrices.  The dense 2**N matrices and the matrix-free ``apply_*`` actions on
-2**N amplitudes are small-N references for the identity checks and the
-explicit triple-correlator sum.
+S runs on the ladder: the moments use ``apply_ladder`` and
+``apply_ladder_axes`` (O(N), from the two vectors of ``ladder_vectors``), the
+sampler diagonalises dense ladder matrices.  The dense 2**N matrices and the
+matrix-free ``apply_*`` actions on 2**N amplitudes are small-N references for
+the identity checks and the explicit triple-correlator sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -22,6 +22,9 @@ from .errors import InvalidStateError
 from .states import check_full_space_size
 
 AXES = ("x", "y", "z")
+
+# (x, y, z) weights selecting one collective component in ``apply_ladder``.
+UNIT_WEIGHTS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 # Single spin-1/2 blocks, upper level first (these are half the Pauli matrices).
 SINGLE = {
@@ -115,20 +118,26 @@ def collective_op(axis, n_atoms):
     return OperatorMatrix(1 << n_atoms, total, hermitian=True, space_tag="full")
 
 
+@lru_cache(maxsize=16)
 def ladder_vectors(n_atoms):
     """The two vectors that define every collective operator on the ladder.
 
     Returns ``(m, raising)``: the Jz eigenvalues ``m = N/2 - k`` for levels
     ``k = 0..N`` (top of the ladder first), and the N raising-operator
     elements ``sqrt(j(j+1) - m(m+1))`` with ``j = N/2``, where
-    ``raising[k]`` links level ``k+1`` to level ``k``.
+    ``raising[k]`` links level ``k+1`` to level ``k``.  Both arrays are
+    read-only and cached for the last few N, since every moment of a state
+    needs them.
     """
     if n_atoms < 1:
         raise InvalidStateError(f"need at least 1 atom, got {n_atoms}")
     j = n_atoms / 2.0
     m = j - np.arange(n_atoms + 1)
     m_src = m[1:]
-    return m, np.sqrt(j * (j + 1) - m_src * (m_src + 1))
+    raising = np.sqrt(j * (j + 1) - m_src * (m_src + 1))
+    m.setflags(write=False)
+    raising.setflags(write=False)
+    return m, raising
 
 
 def apply_ladder(coeffs, weights, ladder):
@@ -144,6 +153,27 @@ def apply_ladder(coeffs, weights, ladder):
     out = (wz * m) * np.asarray(coeffs, dtype=complex)
     out[..., :-1] += (0.5 * (wx - 1j * wy)) * (raising * coeffs[..., 1:])
     out[..., 1:] += (0.5 * (wx + 1j * wy)) * (raising * coeffs[..., :-1])
+    return out
+
+
+def apply_ladder_axes(coeffs, ladder):
+    """Apply Jx, Jy and Jz together to ladder coefficients in O(N).
+
+    Returns shape ``(3, *coeffs.shape)``; entry ``a`` holds the same values
+    as ``apply_ladder(coeffs, UNIT_WEIGHTS[a], ladder)`` (exact zeros may
+    differ in sign).  The two shifted products ``raising * coeffs`` (the J+
+    and J- parts) are formed once and shared by Jx and Jy.
+    """
+    m, raising = ladder
+    coeffs = np.asarray(coeffs, dtype=complex)
+    up = 0.5 * (raising * coeffs[..., 1:])  # J+/2: level k+1 to level k
+    down = 0.5 * (raising * coeffs[..., :-1])  # J-/2: level k to level k+1
+    out = np.zeros((3, *coeffs.shape), dtype=complex)
+    out[0, ..., :-1] = up
+    out[0, ..., 1:] += down
+    out[1, ..., :-1] = -1j * up
+    out[1, ..., 1:] += 1j * down
+    out[2] = m * coeffs
     return out
 
 

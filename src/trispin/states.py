@@ -14,10 +14,10 @@ Three representations of the same pure state are supported:
     All ``2**N`` amplitudes in the product basis.  Basis index ``b`` assigns
     atom 1 the most significant bit, and bit value 0 marks the upper level.
 
-Every constructor validates normalization to ``NORM_TOL``.  The factory
-helpers (``symmetric_state`` etc.) accept ``normalize=True`` for noisy
-hand-written input.  States are immutable after construction (arrays are made
-read-only) and safe to share between threads.
+Every constructor rejects non-finite amplitudes and validates normalization
+to ``NORM_TOL``.  The factory helpers (``symmetric_state`` etc.) accept
+``normalize=True`` for noisy hand-written input.  States are immutable after
+construction (arrays are made read-only) and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -86,6 +86,7 @@ class ProductState:
             raise InvalidStateError(
                 f"expected an (N, 2) array of qubit amplitudes, got shape {arr.shape}"
             )
+        _check_finite(arr)
         norms = np.abs(arr[:, 0]) ** 2 + np.abs(arr[:, 1]) ** 2
         worst = np.max(np.abs(norms - 1.0))
         if worst > NORM_TOL:
@@ -116,7 +117,14 @@ class FullState:
         _check_unit_norm(arr)
 
 
+def _check_finite(arr):
+    # NaN fails every comparison, so a norm check alone would accept it
+    if not np.all(np.isfinite(arr)):
+        raise InvalidStateError("amplitudes must be finite numbers")
+
+
 def _check_unit_norm(arr):
+    _check_finite(arr)
     total = float(np.sum(np.abs(arr) ** 2))
     if abs(total - 1.0) > NORM_TOL:
         raise InvalidStateError(
@@ -125,6 +133,7 @@ def _check_unit_norm(arr):
 
 
 def _normalized(arr):
+    _check_finite(arr)
     nrm = np.linalg.norm(arr)
     if nrm == 0.0:
         raise InvalidStateError("cannot normalize a zero vector")
@@ -143,6 +152,7 @@ def product_state(qubits, normalize=False):
     """Build a ``ProductState`` from per-atom ``(amp_up, amp_down)`` pairs."""
     arr = np.asarray(qubits, dtype=complex)
     if normalize and arr.ndim == 2 and arr.shape[1] == 2:
+        _check_finite(arr)
         norms = np.linalg.norm(arr, axis=1)
         if np.any(norms == 0.0):
             raise InvalidStateError("cannot normalize a zero qubit amplitude pair")

@@ -281,11 +281,17 @@ def _collective(axis, n_atoms):
     return collective_op(axis, n_atoms).entries
 
 
+@lru_cache(maxsize=None)
 def _term_matrix(factors, n_atoms=3):
-    """Dense product of single-atom operators; empty factors give identity."""
+    """Dense product of single-atom operators; empty factors give identity.
+
+    ``factors`` is a tuple of ``(atom, axis)`` pairs; the result is cached
+    and read-only, since every cancellation trial reuses the same terms.
+    """
     out = np.eye(1 << n_atoms, dtype=complex)
     for atom, axis in factors:
         out = out @ _atom_op(atom, axis, n_atoms)
+    out.setflags(write=False)
     return out
 
 

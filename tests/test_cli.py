@@ -129,6 +129,18 @@ class TestCompute:
         assert doc["error"]["code"] == "invalid_input"
         assert doc["input_sha256"] == hashlib.sha256(b"{not json").hexdigest()
 
+    @pytest.mark.parametrize("representation, coeffs", [
+        ("dicke", [[math.nan, 0], [0, 0], [0, 0], [0, 0]]),
+        ("product", [[[math.nan, 0], [0, 0]], [[1, 0], [0, 0]], [[1, 0], [0, 0]]]),
+    ])
+    def test_nan_amplitude_exits_2(self, tmp_path, representation, coeffs):
+        path = write_state(tmp_path, "nan.json", coeffs, representation=representation)
+        out = tmp_path / "out.json"
+        assert main(["compute", "--input", path, "--output", str(out)]) == 2
+        text = out.read_text()
+        assert "NaN" not in text
+        assert json.loads(text)["error"]["code"] == "invalid_input"
+
     def test_tolerance_abs_reaches_route_check(self, pinned_state, tmp_path):
         docs = {}
         for floor in ("1e-12", "10.0"):

@@ -27,8 +27,8 @@ from trispin import (
     third_moment_sum_yp,
     triple_correlators,
 )
-from trispin.moments import PATTERNS, route_deviation
-from trispin.operators import OperatorMatrix, apply_single_atom
+from trispin.moments import _SITE_WORDS, PATTERNS, _pattern_sums, route_deviation
+from trispin.operators import AXES, OperatorMatrix, apply_single_atom
 from trispin.states import product_to_full
 
 
@@ -149,6 +149,51 @@ class TestTripleCorrelators:
         amps[0] = 1.0
         with pytest.raises(DimensionMismatchError):
             triple_correlators(FullState(2, amps))
+
+
+def closure_pattern_sums(n, j1, j2, j3):
+    """The ten pattern sums by inclusion-exclusion, one pattern at a time.
+
+    ``j3[b][a][c]`` here holds <J_a J_b J_c>; each coincident-index sum is
+    built from the one-atom reductions in ``_SITE_WORDS``.
+    """
+
+    def collective(poly):  # <sum_p poly(j_p)>
+        return poly[0] * n + sum(poly[1 + d] * j1[d] for d in range(3))
+
+    def collective_then(poly, c):  # <sum_p poly(j_p) J_c>
+        return poly[0] * n * j1[c] + sum(poly[1 + d] * j2[d][c] for d in range(3))
+
+    def then_collective(a, poly):  # <J_a sum_p poly(j_p)>
+        return poly[0] * n * j1[a] + sum(poly[1 + d] * j2[a][d] for d in range(3))
+
+    values = []
+    for pattern in PATTERNS:
+        first, middle, last = pattern
+        a, b, c = (AXES.index(axis) for axis in pattern)
+        triple = collective(_SITE_WORDS[pattern])
+        p_eq_q = collective_then(_SITE_WORDS[first + middle], c)
+        q_eq_r = then_collective(a, _SITE_WORDS[middle + last])
+        p_eq_r = (
+            collective_then(_SITE_WORDS[first + last], b)
+            + triple
+            - collective(_SITE_WORDS[first + last + middle])
+        )
+        values.append(j3[b][a][c] - p_eq_q - q_eq_r - p_eq_r + 2.0 * triple)
+    return np.array(values)
+
+
+@pytest.mark.parametrize("n_atoms", [3, 7, 1000])
+def test_correlator_table_matches_closure_formula(n_atoms):
+    rng = np.random.default_rng(n_atoms)
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    j1, j2, j3 = draw(3), draw(3, 3), draw(3, 3, 3)
+    want = closure_pattern_sums(n_atoms, j1, j2, np.swapaxes(j3, 0, 1))
+    got = _pattern_sums(n_atoms, j1, j2, j3)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * n_atoms)
 
 
 class TestSumRouteFormulas:

@@ -14,8 +14,10 @@ from trispin import (
 )
 from trispin.operators import (
     AXES,
+    UNIT_WEIGHTS,
     apply_collective,
     apply_ladder,
+    apply_ladder_axes,
     apply_single_atom,
     ladder_vectors,
 )
@@ -194,6 +196,22 @@ class TestLadderKernel:
         together = apply_ladder(stack, weights, ladder)
         for row, vec in zip(together, stack):
             np.testing.assert_array_equal(row, apply_ladder(vec, weights, ladder))
+
+    def test_vectors_are_read_only(self):
+        for vec in ladder_vectors(5):
+            with pytest.raises(ValueError):
+                vec[0] = 0.0
+
+    @pytest.mark.parametrize("n_atoms", [1, 3, 14, 1000])
+    def test_axes_kernel_equals_unit_weight_applies(self, n_atoms):
+        rng = np.random.default_rng(n_atoms)
+        ladder = ladder_vectors(n_atoms)
+        for shape in ((n_atoms + 1,), (3, n_atoms + 1)):
+            coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            applied = apply_ladder_axes(coeffs, ladder)
+            assert applied.shape == (3, *shape)
+            for row, weights in zip(applied, UNIT_WEIGHTS):
+                assert np.array_equal(row, apply_ladder(coeffs, weights, ladder))
 
 
 class TestOperatorMatrix:

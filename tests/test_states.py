@@ -48,6 +48,16 @@ class TestConstruction:
         with pytest.raises(InvalidStateError):
             product_state([[1.0, 1.0], [1.0, 0.0]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_rejects_non_finite_amplitudes(self, bad, normalize):
+        with pytest.raises(InvalidStateError):
+            symmetric_state(3, [bad, 0.0, 0.0, 0.0], normalize=normalize)
+        with pytest.raises(InvalidStateError):
+            product_state([[bad, 0.0], [1.0, 0.0], [1.0, 0.0]], normalize=normalize)
+        with pytest.raises(InvalidStateError):
+            full_state(1, [bad, 0.0], normalize=normalize)
+
     def test_full_state_checks_length(self):
         with pytest.raises(InvalidStateError):
             full_state(3, [1.0, 0.0])
