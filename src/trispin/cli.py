@@ -51,8 +51,7 @@ def _envelope(args, input_bytes):
     }
 
 
-def _emit(document, output_path):
-    text = json.dumps(document, indent=2) + "\n"
+def _write(text, output_path):
     if output_path and output_path != "-":
         with open(output_path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -60,10 +59,14 @@ def _emit(document, output_path):
         sys.stdout.write(text)
 
 
-def _emit_error(args, input_bytes, code, message, output_path=None):
+def _emit(document, output_path):
+    _write(json.dumps(document, indent=2) + "\n", output_path)
+
+
+def _emit_error(args, input_bytes, code, message):
     document = _envelope(args, input_bytes)
     document["error"] = {"code": code, "message": message}
-    _emit(document, output_path)
+    _emit(document, args.output)
 
 
 def _read_input(path):
@@ -87,15 +90,15 @@ def _load_state(args):
 def _cmd_compute(args):
     raw, state, error = _load_state(args)
     if error is not None:
-        _emit_error(args, raw, "invalid_input", str(error), args.output)
+        _emit_error(args, raw, "invalid_input", str(error))
         return EXIT_INVALID_INPUT
     try:
         report = entanglement_s(state)
     except FrameUndefinedError as exc:
-        _emit_error(args, raw, "frame_undefined", str(exc), args.output)
+        _emit_error(args, raw, "frame_undefined", str(exc))
         return EXIT_FRAME_UNDEFINED
     except TrispinError as exc:
-        _emit_error(args, raw, "invalid_input", str(exc), args.output)
+        _emit_error(args, raw, "invalid_input", str(exc))
         return EXIT_INVALID_INPUT
     document = _envelope(args, raw)
     document["report"] = report.to_dict()
@@ -190,7 +193,7 @@ def _scan_row(index, alpha, state):
 
 def _cmd_scan(args):
     if not args.grid:
-        _emit_error(args, b"", "invalid_input", "scan needs --grid", args.output)
+        _emit_error(args, b"", "invalid_input", "scan needs --grid")
         return EXIT_INVALID_INPUT
     grid_bytes = args.grid.encode("utf-8")
     try:
@@ -206,7 +209,7 @@ def _cmd_scan(args):
             state = symmetric_state(n_atoms, coeffs, normalize=True)
             rows.append(_scan_row(index, alpha, state))
     except TrispinError as exc:
-        _emit_error(args, grid_bytes, "invalid_input", str(exc), args.output)
+        _emit_error(args, grid_bytes, "invalid_input", str(exc))
         return EXIT_INVALID_INPUT
 
     buffer = io.StringIO()
@@ -225,27 +228,22 @@ def _cmd_scan(args):
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(_SCAN_COLUMNS)
     writer.writerows(rows)
-    text = buffer.getvalue()
-    if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(buffer.getvalue(), args.output)
     return EXIT_OK
 
 
 def _cmd_sample(args):
     raw, state, error = _load_state(args)
     if error is not None:
-        _emit_error(args, raw, "invalid_input", str(error), args.output)
+        _emit_error(args, raw, "invalid_input", str(error))
         return EXIT_INVALID_INPUT
     try:
         estimate = estimate_s_from_samples(state, args.shots, args.seed)
     except FrameUndefinedError as exc:
-        _emit_error(args, raw, "frame_undefined", str(exc), args.output)
+        _emit_error(args, raw, "frame_undefined", str(exc))
         return EXIT_FRAME_UNDEFINED
     except TrispinError as exc:
-        _emit_error(args, raw, "invalid_input", str(exc), args.output)
+        _emit_error(args, raw, "invalid_input", str(exc))
         return EXIT_INVALID_INPUT
     document = _envelope(args, raw)
     record_xp = estimate.record_xp.to_dict()
@@ -271,49 +269,55 @@ def build_parser():
         ),
     )
     parser.add_argument("--version", action="version", version=__version__)
+    # every subcommand accepts only the options it reads; the ones without
+    # route tolerances still record the module defaults in their envelope
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--input", default="-", help="state JSON path or '-' for stdin"
-    )
     common.add_argument("--output", default=None, help="output path (default stdout)")
     common.add_argument("--seed", type=int, default=0, help="random seed (recorded)")
-    common.add_argument("--trials", type=int, default=100, help="sweep trial count")
-    common.add_argument("--shots", type=int, default=100000, help="measurement shots")
-    common.add_argument("--grid", default=None, help="inline grid JSON for scan")
-    common.add_argument("--n", type=int, default=None, help="atom count override")
-    common.add_argument(
+    state_input = argparse.ArgumentParser(add_help=False)
+    state_input.add_argument(
+        "--input", default="-", help="state JSON path or '-' for stdin"
+    )
+    state_input.add_argument(
         "--normalize", action="store_true",
         help="renormalize state input instead of rejecting noisy norms",
     )
-    common.add_argument(
+    recorded = {"tolerance_rel": ROUTE_REL_TOL, "tolerance_abs": ROUTE_ABS_FLOOR}
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_compute = sub.add_parser(
+        "compute", parents=[common, state_input],
+        help="moment report and S for one state",
+    )
+    p_compute.add_argument(
         "--tolerance-rel", type=float, default=ROUTE_REL_TOL,
         help="route-equivalence relative tolerance",
     )
-    common.add_argument(
+    p_compute.add_argument(
         "--tolerance-abs", type=float, default=ROUTE_ABS_FLOOR,
         help="route-equivalence absolute floor",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    p_compute = sub.add_parser(
-        "compute", parents=[common], help="moment report and S for one state"
     )
     p_compute.set_defaults(func=_cmd_compute)
     p_verify = sub.add_parser(
         "verify", parents=[common], help="identity suite and randomized sweeps"
     )
+    p_verify.add_argument("--trials", type=int, default=100, help="sweep trial count")
+    p_verify.add_argument("--n", type=int, default=None, help="atom count override")
     p_verify.add_argument(
         "--corrupt-identity", default=None, metavar="ID",
         help="debug: flip one identity's right-hand side to prove failures surface",
     )
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify.set_defaults(func=_cmd_verify, **recorded)
     p_scan = sub.add_parser(
         "scan", parents=[common], help="CSV sweep over a one-parameter state family"
     )
-    p_scan.set_defaults(func=_cmd_scan)
+    p_scan.add_argument("--grid", default=None, help="inline grid JSON")
+    p_scan.set_defaults(func=_cmd_scan, **recorded)
     p_sample = sub.add_parser(
-        "sample", parents=[common], help="Monte Carlo measurement estimate of S"
+        "sample", parents=[common, state_input],
+        help="Monte Carlo measurement estimate of S",
     )
-    p_sample.set_defaults(func=_cmd_sample)
+    p_sample.add_argument("--shots", type=int, default=100000, help="measurement shots")
+    p_sample.set_defaults(func=_cmd_sample, **recorded)
     return parser
 
 

@@ -11,8 +11,14 @@ where each pattern value is the sum over ordered triples of distinct atoms
 
 * the *direct* route: central moments of the explicitly rotated collective
   operators (fewer cancellation sites; the source of truth for S), and
-* the *sum* route: the ten-term (four-term for y') weighted correlator sums,
-  kept as a machine check of the cancellation result.
+* the *sum* route: the weighted correlator sums, kept as a machine check of
+  the cancellation result.
+
+Along a transverse unit axis n, (n.J)^3 = ((3N-2)/4) n.J plus the sum over
+distinct atoms of (n.j_p)(n.j_q)(n.j_r), and <n.J> = 0 there.  So both third
+moments come from one weight rule, ``pattern_weights``: pattern abc weighs
+orderings * n_a n_b n_c, with n a row of ``rotation_matrix``.  The x' row
+gives ten terms; the y' row has no z component, which leaves four nonzero.
 
 For symmetric states both routes run on the (N+1)-level ladder in O(N).  The
 direct route applies the rotated components with ``apply_ladder``.  The sum
@@ -30,14 +36,14 @@ absolute floor ``ROUTE_ABS_FLOOR``) on every state with a defined frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations, product
+from operator import attrgetter, mul
 
 import math
 import numpy as np
 
 from .errors import DimensionMismatchError
 from .frame import (
-    EPSILON_FRAME,
     MeanSpin,
     RotationAngles,
     mean_spin,
@@ -354,80 +360,38 @@ def triple_correlators(state, use_fast_path=True):
     return TripleCorrelatorSet(**values)
 
 
-def correlator_weights_xp(cos_theta, sin_theta, cos_phi, sin_phi):
-    """Angle-form weights of the ten patterns in the x' third moment."""
-    ct, st, cp, sp = cos_theta, sin_theta, cos_phi, sin_phi
-    return {
-        "xxx": ct**3 * cp**3,
-        "yyy": ct**3 * sp**3,
-        "zzz": -(st**3),
-        "xyz": -6.0 * st * ct**2 * sp * cp,
-        "xxy": 3.0 * ct**3 * sp * cp**2,
-        "xxz": -3.0 * st * ct**2 * cp**2,
-        "xyy": 3.0 * ct**3 * sp**2 * cp,
-        "yyz": -3.0 * st * ct**2 * sp**2,
-        "xzz": 3.0 * st**2 * ct * cp,
-        "yzz": 3.0 * st**2 * ct * sp,
-    }
+# Per pattern: its number of ordered axis words (1 for xxx, 6 for xyz, 3 for
+# the rest) and the axis index of each slot.
+_PATTERN_TERMS = tuple(
+    (len(set(permutations(pattern))), tuple(AXES.index(axis) for axis in pattern))
+    for pattern in PATTERNS
+)
+_pattern_values = attrgetter(*PATTERNS)
 
 
-def correlator_weights_yp(cos_phi, sin_phi):
-    """Angle-form weights of the four patterns in the y' third moment."""
-    cp, sp = cos_phi, sin_phi
-    return {
-        "xxx": -(sp**3),
-        "yyy": cp**3,
-        "xxy": 3.0 * sp**2 * cp,
-        "xyy": -3.0 * sp * cp**2,
-    }
+def pattern_weights(axis):
+    """Weights of the ten patterns in the third moment along ``axis``.
 
-
-def third_moment_sum_xp(mean, angles, correlators):
-    """Third moment of Jx' from the ten-term tripartite correlator sum.
-
-    Takes the state's ``MeanSpin``.  Uses the mean-value weights when the
-    transverse mean spin is resolvable; with the mean spin along +-z that form
-    is 0/0, so the equivalent angle-form weights (regular in theta, phi) take
-    over.
+    Expanding (n.j_p)(n.j_q)(n.j_r) over distinct atoms gives
+    n_a n_b n_c <J_pa J_qb J_rc> for each axis word abc; the words of one
+    pattern give the same sum, so each weight is orderings * n_a n_b n_c.
     """
-    jx, jy, jz = mean.jx, mean.jy, mean.jz
-    t_sq = jx * jx + jy * jy
-    corr = correlators
-    if math.sqrt(t_sq) <= EPSILON_FRAME:
-        weights = correlator_weights_xp(
-            angles.cos_theta, angles.sin_theta, angles.cos_phi, angles.sin_phi
-        )
-        return sum(weights[p] * getattr(corr, p) for p in weights)
-    numerator = (
-        corr.xxx * jz**3 * jx**3
-        + corr.yyy * jz**3 * jy**3
-        - corr.zzz * (jx**6 + jy**6 + 3 * jx**4 * jy**2 + 3 * jx**2 * jy**4)
-        - 6.0 * corr.xyz * t_sq * jz**2 * jx * jy
-        + 3.0 * corr.xxy * jz**3 * jx**2 * jy
-        - 3.0 * corr.xxz * t_sq * jx**2 * jz**2
-        + 3.0 * corr.xyy * jz**3 * jx * jy**2
-        - 3.0 * corr.yyz * t_sq * jy**2 * jz**2
-        + 3.0 * corr.xzz * jx * jz * (jx**4 + jy**4 + 2 * jx**2 * jy**2)
-        + 3.0 * corr.yzz * jy * jz * (jx**4 + jy**4 + 2 * jx**2 * jy**2)
-    )
-    return numerator / (mean.magnitude**3 * t_sq**1.5)
+    n = np.asarray(axis).tolist()
+    return [count * n[a] * n[b] * n[c] for count, (a, b, c) in _PATTERN_TERMS]
 
 
-def third_moment_sum_yp(mean, angles, correlators):
-    """Third moment of Jy' from the four-term sum, given the ``MeanSpin``."""
-    jx, jy = mean.jx, mean.jy
-    t_sq = jx * jx + jy * jy
-    corr = correlators
-    if math.sqrt(t_sq) <= EPSILON_FRAME:
-        weights = correlator_weights_yp(angles.cos_phi, angles.sin_phi)
-        return sum(weights[p] * getattr(corr, p) for p in weights)
-    numerator = (
-        -corr.xxx * jy**3
-        + corr.yyy * jx**3
-        + 3.0 * corr.xxy * jx * jy**2
-        - 3.0 * corr.xyy * jx**2 * jy
-    )
-    return numerator / t_sq**1.5
+def _weighted_sum(axis, correlators):
+    return sum(map(mul, pattern_weights(axis), _pattern_values(correlators)))
+
+
+def third_moment_sum_xp(angles, correlators):
+    """Third moment of Jx' from the ten-term tripartite correlator sum."""
+    return _weighted_sum(rotation_matrix(angles)[0], correlators)
+
+
+def third_moment_sum_yp(angles, correlators):
+    """Third moment of Jy' from the correlator sum (four nonzero terms)."""
+    return _weighted_sum(rotation_matrix(angles)[1], correlators)
 
 
 def direct_moments(state):
@@ -464,8 +428,8 @@ def entanglement_s(state):
     sym = as_symmetric(state)
     mean, angles, var_xp, var_yp, m3_xp, m3_yp = direct_moments(sym)
     corr = triple_correlators(sym)
-    m3_xp_sum = third_moment_sum_xp(mean, angles, corr)
-    m3_yp_sum = third_moment_sum_yp(mean, angles, corr)
+    m3_xp_sum = third_moment_sum_xp(angles, corr)
+    m3_yp_sum = third_moment_sum_yp(angles, corr)
     s_value = 0.5 * math.hypot(m3_xp, m3_yp)
     return MomentReport(
         n_atoms=sym.n_atoms,

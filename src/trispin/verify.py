@@ -24,11 +24,12 @@ import math
 import numpy as np
 
 from .errors import FrameUndefinedError
-from .frame import mean_spin, rotation_angles, rotation_matrix
+from .frame import RotationAngles, mean_spin, rotation_angles, rotation_matrix
 from .moments import (
+    PATTERNS,
     ROUTE_REL_TOL,
     central_moment,
-    correlator_weights_xp,
+    pattern_weights,
     route_deviation,
     third_moment_sum_xp,
     third_moment_sum_yp,
@@ -359,8 +360,13 @@ def verify_identity_suite(corrupt_id=None):
 
     ``corrupt_id`` deliberately flips the sign of one encoded right-hand side
     so harness failures stay observable; the corrupted entry must come back
-    ``passed=False``.
+    ``passed=False``.  An ID that names no entry of ``IDENTITIES`` raises
+    ``ValueError``, so a typo cannot pass as a corrupted run.
     """
+    if corrupt_id is not None and corrupt_id not in {
+        entry.identity_id for entry in IDENTITIES
+    }:
+        raise ValueError(f"unknown identity {corrupt_id!r} to corrupt")
     results = []
     for entry in IDENTITIES:
         lhs = identity_lhs(entry)
@@ -380,6 +386,13 @@ def verify_identity_suite(corrupt_id=None):
 # Cancellation of the bipartite terms in the rotated cube
 # ---------------------------------------------------------------------------
 
+def _x_prime_axis(theta, phi):
+    """The x' row of the rotation for polar angle ``theta``, azimuth ``phi``."""
+    ct, st = math.cos(theta), math.sin(theta)
+    cp, sp = math.cos(phi), math.sin(phi)
+    return rotation_matrix(RotationAngles(theta, phi, ct, st, cp, sp))[0]
+
+
 def cancellation_terms(theta, phi):
     """Term list for the reduced form of Jx'^3 (three atoms).
 
@@ -387,14 +400,12 @@ def cancellation_terms(theta, phi):
     three-atom factors (the ten tripartite patterns over all ordered
     triples); by construction no bipartite product appears.
     """
-    ct, st = math.cos(theta), math.sin(theta)
-    cp, sp = math.cos(phi), math.sin(phi)
-    terms = []
-    for atom in (1, 2, 3):
-        terms.append((1.75 * ct * cp, ((atom, "x"),)))
-        terms.append((1.75 * ct * sp, ((atom, "y"),)))
-        terms.append((-1.75 * st, ((atom, "z"),)))
-    weights = correlator_weights_xp(ct, st, cp, sp)
+    axis = _x_prime_axis(theta, phi)
+    terms = [
+        (1.75 * weight, ((atom, name),))
+        for atom in (1, 2, 3)
+        for weight, name in zip(axis, AXES)
+    ]
     triples = [
         (p, q, r)
         for p in (1, 2, 3)
@@ -402,7 +413,7 @@ def cancellation_terms(theta, phi):
         for r in (1, 2, 3)
         if p != q and q != r and p != r
     ]
-    for pattern, weight in weights.items():
+    for pattern, weight in zip(PATTERNS, pattern_weights(axis)):
         for atoms in triples:
             terms.append((weight, tuple(zip(atoms, pattern))))
     return terms
@@ -410,13 +421,8 @@ def cancellation_terms(theta, phi):
 
 def verify_cancellation(theta, phi):
     """Compare the cube of the rotated component against the reduced form."""
-    ct, st = math.cos(theta), math.sin(theta)
-    cp, sp = math.cos(phi), math.sin(phi)
-    combo = (
-        ct * cp * _collective("x", 3)
-        + ct * sp * _collective("y", 3)
-        - st * _collective("z", 3)
-    )
+    axis = _x_prime_axis(theta, phi)
+    combo = sum(weight * _collective(name, 3) for weight, name in zip(axis, AXES))
     lhs = combo @ combo @ combo
     rhs = np.zeros_like(lhs)
     for coeff, factors in cancellation_terms(theta, phi):
@@ -494,8 +500,8 @@ def verify_sum_route(n_atoms, n_trials, seed, include_ghz=True):
         direct_xp = central_moment(full, op_xp, 3)
         direct_yp = central_moment(full, op_yp, 3)
         corr = triple_correlators(state)
-        sum_xp = third_moment_sum_xp(mean, angles, corr)
-        sum_yp = third_moment_sum_yp(mean, angles, corr)
+        sum_xp = third_moment_sum_xp(angles, corr)
+        sum_yp = third_moment_sum_yp(angles, corr)
         worst = max(
             worst,
             route_deviation(direct_xp, sum_xp),

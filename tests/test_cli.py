@@ -217,6 +217,26 @@ class TestVerify:
         assert main(["verify", "--trials", "5", "--n", "2"]) == 2
         capsys.readouterr()
 
+    def test_error_document_honours_output(self, tmp_path, capsys):
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--n", "2", "--output", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        doc = json.loads(out.read_text())
+        assert doc["error"]["code"] == "invalid_input"
+
+    def test_unknown_corrupt_identity_exits_2(self, tmp_path):
+        out = tmp_path / "verify.json"
+        argv = ["verify", "--trials", "5", "--corrupt-identity", "JxJxJq"]
+        assert main(argv + ["--output", str(out)]) == 2
+        doc = json.loads(out.read_text())
+        assert doc["error"]["code"] == "invalid_input"
+        assert "JxJxJq" in doc["error"]["message"]
+
+    def test_envelope_records_the_module_tolerances(self, tmp_path):
+        out = tmp_path / "verify.json"
+        main(["verify", "--trials", "5", "--n", "8", "--output", str(out)])
+        assert json.loads(out.read_text())["tolerances"] == {"rel": 1e-9, "abs": 1e-12}
+
 
 class TestScan:
     def test_endpoints_have_zero_s(self, tmp_path, capsys):
@@ -410,6 +430,44 @@ def test_s_paths_never_build_2n_vectors(tmp_path, monkeypatch, capsys):
 class TestParser:
     def test_build_parser_returns_a_fresh_parser(self):
         assert cli.build_parser() is not cli.build_parser()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--tolerance-rel", "0.5"],
+            ["compute", "--shots", "10"],
+            ["scan", "--input", "state.json"],
+            ["sample", "--grid", "{}"],
+        ],
+    )
+    def test_options_another_subcommand_reads_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_each_subcommand_lists_only_its_options(self):
+        parser = cli.build_parser()
+        subparsers = next(
+            action for action in parser._actions if action.choices
+        ).choices
+        options = {
+            name: {
+                opt
+                for action in sub._actions
+                for opt in action.option_strings
+                if opt.startswith("--") and opt != "--help"
+            }
+            for name, sub in subparsers.items()
+        }
+        shared = {"--output", "--seed"}
+        state = {"--input", "--normalize"}
+        assert options == {
+            "compute": shared | state | {"--tolerance-rel", "--tolerance-abs"},
+            "verify": shared | {"--trials", "--n", "--corrupt-identity"},
+            "scan": shared | {"--grid"},
+            "sample": shared | state | {"--shots"},
+        }
 
     def test_main_reuses_one_parser(self, top_state, capsys):
         main(["compute", "--input", top_state])

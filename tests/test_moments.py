@@ -27,7 +27,15 @@ from trispin import (
     third_moment_sum_yp,
     triple_correlators,
 )
-from trispin.moments import _SITE_WORDS, PATTERNS, _pattern_sums, route_deviation
+from trispin.frame import RotationAngles, rotation_matrix
+from trispin.moments import (
+    _SITE_WORDS,
+    PATTERNS,
+    ROUTE_REL_TOL,
+    _pattern_sums,
+    pattern_weights,
+    route_deviation,
+)
 from trispin.operators import AXES, OperatorMatrix, apply_single_atom
 from trispin.states import product_to_full
 
@@ -202,8 +210,8 @@ class TestSumRouteFormulas:
         mean = mean_spin(state)
         angles = rotation_angles(mean)
         corr = triple_correlators(state)
-        assert abs(third_moment_sum_xp(mean, angles, corr)) < 1e-12
-        assert abs(third_moment_sum_yp(mean, angles, corr)) < 1e-12
+        assert abs(third_moment_sum_xp(angles, corr)) < 1e-12
+        assert abs(third_moment_sum_yp(angles, corr)) < 1e-12
 
     def test_mean_along_z_reduces_to_polar_terms(self):
         # transverse mean spin vanishes for this superposition of the extreme
@@ -215,10 +223,10 @@ class TestSumRouteFormulas:
         assert mean.jz == pytest.approx((0.64 - 0.36) * 1.5, abs=1e-12)
         angles = rotation_angles(mean)
         corr = triple_correlators(state)
-        assert third_moment_sum_xp(mean, angles, corr) == pytest.approx(
+        assert third_moment_sum_xp(angles, corr) == pytest.approx(
             corr.xxx, abs=1e-14
         )
-        assert third_moment_sum_yp(mean, angles, corr) == pytest.approx(
+        assert third_moment_sum_yp(angles, corr) == pytest.approx(
             corr.yyy, abs=1e-14
         )
         assert corr.yyy == pytest.approx(-0.72, abs=1e-12)
@@ -235,7 +243,7 @@ class TestSumRouteFormulas:
         angles = rotation_angles(mean)
         corr = triple_correlators(state)
         expected = corr.yyy * math.copysign(1.0, mean.jx)
-        assert third_moment_sum_yp(mean, angles, corr) == pytest.approx(
+        assert third_moment_sum_yp(angles, corr) == pytest.approx(
             expected, abs=1e-12
         )
 
@@ -248,8 +256,85 @@ class TestSumRouteFormulas:
         op_xp, op_yp, _ = dense_rotated(angles, 4)
         direct_xp = central_moment(full, op_xp, 3)
         direct_yp = central_moment(full, op_yp, 3)
-        assert route_deviation(direct_xp, third_moment_sum_xp(mean, angles, corr)) <= 1e-9
-        assert route_deviation(direct_yp, third_moment_sum_yp(mean, angles, corr)) <= 1e-9
+        assert route_deviation(direct_xp, third_moment_sum_xp(angles, corr)) <= 1e-9
+        assert route_deviation(direct_yp, third_moment_sum_yp(angles, corr)) <= 1e-9
+
+    @pytest.mark.parametrize("transverse", [0.0, 1e-10, 1e-8])
+    @pytest.mark.parametrize(
+        "n_atoms, levels",
+        [
+            (3, {0: 0.8, 3: 0.6j}),
+            (4, {0: 0.6, 3: 0.8j}),
+            (6, {0: 0.6, 3: 0.48j, 6: 0.64}),
+        ],
+    )
+    def test_sum_route_near_the_pole(self, n_atoms, levels, transverse):
+        # a small level-1 amplitude tilts the mean spin off z by about
+        # `transverse`, on both sides of EPSILON_FRAME = 1e-9.  The frame is
+        # built here with sin(theta) = |J_t|/|J|: rotation_angles takes
+        # sqrt(1 - cos^2 theta), which near the pole resolves theta only to
+        # about 1e-8, and the moments would then belong to a tilted axis.
+        coeffs = np.zeros(n_atoms + 1, dtype=complex)
+        for level, amplitude in levels.items():
+            coeffs[level] = amplitude
+        coeffs[1] = transverse
+        state = symmetric_state(n_atoms, coeffs, normalize=True)
+        mean = mean_spin(state)
+        t = math.hypot(mean.jx, mean.jy)
+        assert t == 0.0 if transverse == 0.0 else 0.5 < t / transverse < 2.0
+        ct, st = mean.jz / mean.magnitude, t / mean.magnitude
+        cp, sp = (mean.jx / t, mean.jy / t) if t else (1.0, 0.0)
+        angles = RotationAngles(
+            math.atan2(st, ct), math.atan2(sp, cp), ct, st, cp, sp
+        )
+        corr = triple_correlators(state)
+        vec = bf.expand_ladder(state.coeffs)
+        op_xp, op_yp, _ = bf.rotated_operators(n_atoms, ct, st, cp, sp)
+        for op, summed in (
+            (op_xp, third_moment_sum_xp(angles, corr)),
+            (op_yp, third_moment_sum_yp(angles, corr)),
+        ):
+            oracle = bf.central_moment(vec, op, 3)
+            assert route_deviation(oracle, summed) <= ROUTE_REL_TOL
+
+
+def angle_form_weights(ct, st, cp, sp):
+    """The x' and y' pattern weights written out in the frame angles."""
+    x_prime = {
+        "xxx": ct**3 * cp**3,
+        "yyy": ct**3 * sp**3,
+        "zzz": -(st**3),
+        "xyz": -6.0 * st * ct**2 * sp * cp,
+        "xxy": 3.0 * ct**3 * sp * cp**2,
+        "xxz": -3.0 * st * ct**2 * cp**2,
+        "xyy": 3.0 * ct**3 * sp**2 * cp,
+        "yyz": -3.0 * st * ct**2 * sp**2,
+        "xzz": 3.0 * st**2 * ct * cp,
+        "yzz": 3.0 * st**2 * ct * sp,
+    }
+    y_prime = {"xxx": -(sp**3), "yyy": cp**3, "xxy": 3.0 * sp**2 * cp,
+               "xyy": -3.0 * sp * cp**2}
+    return (
+        [x_prime[p] for p in PATTERNS],
+        [y_prime.get(p, 0.0) for p in PATTERNS],
+    )
+
+
+def test_pattern_weights_match_the_angle_form():
+    rng = np.random.default_rng(5)
+    for theta, phi in [(0.0, 0.0), (math.pi, 0.0), (math.pi / 2, math.pi / 2)] + [
+        (rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi)) for _ in range(50)
+    ]:
+        trig = (math.cos(theta), math.sin(theta), math.cos(phi), math.sin(phi))
+        rows = rotation_matrix(RotationAngles(theta, phi, *trig))
+        want_xp, want_yp = angle_form_weights(*trig)
+        np.testing.assert_allclose(pattern_weights(rows[0]), want_xp, atol=1e-15)
+        weights_yp = pattern_weights(rows[1])
+        np.testing.assert_allclose(weights_yp, want_yp, atol=1e-15)
+        # the y' row has no z component: only xxx, yyy, xxy and xyy remain
+        assert all(
+            w == 0.0 for p, w in zip(PATTERNS, weights_yp) if "z" in p
+        )
 
 
 class TestEntanglementS:

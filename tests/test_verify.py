@@ -73,6 +73,11 @@ class TestIdentityTable:
         assert not by_id["JzJzJy"].passed
         assert sum(not r.passed for r in results) == 1
 
+    @pytest.mark.parametrize("corrupt_id", ["JxJxJq", "atom_square", ""])
+    def test_unknown_corruption_id_is_rejected(self, corrupt_id):
+        with pytest.raises(ValueError, match="unknown identity"):
+            verify_identity_suite(corrupt_id=corrupt_id)
+
     def test_rhs_matches_independent_oracle_terms(self):
         # spot-check one identity against matrices built by the test oracle
         entry = next(e for e in IDENTITIES if e.identity_id == "JxJxJy")
