@@ -260,6 +260,25 @@ def _cmd_sample(args):
     return EXIT_OK
 
 
+def _checked(convert, valid, expected):
+    """argparse type: ``convert`` the text, then require ``valid(value)``."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+_tolerance_arg = _checked(
+    float, lambda v: 0.0 < v < math.inf, "a finite positive number"
+)
+_seed_arg = _checked(int, lambda v: v >= 0, "a non-negative integer")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="trispin",
@@ -273,7 +292,9 @@ def build_parser():
     # route tolerances still record the module defaults in their envelope
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", default=None, help="output path (default stdout)")
-    common.add_argument("--seed", type=int, default=0, help="random seed (recorded)")
+    common.add_argument(
+        "--seed", type=_seed_arg, default=0, help="random seed (recorded)"
+    )
     state_input = argparse.ArgumentParser(add_help=False)
     state_input.add_argument(
         "--input", default="-", help="state JSON path or '-' for stdin"
@@ -289,11 +310,11 @@ def build_parser():
         help="moment report and S for one state",
     )
     p_compute.add_argument(
-        "--tolerance-rel", type=float, default=ROUTE_REL_TOL,
+        "--tolerance-rel", type=_tolerance_arg, default=ROUTE_REL_TOL,
         help="route-equivalence relative tolerance",
     )
     p_compute.add_argument(
-        "--tolerance-abs", type=float, default=ROUTE_ABS_FLOOR,
+        "--tolerance-abs", type=_tolerance_arg, default=ROUTE_ABS_FLOOR,
         help="route-equivalence absolute floor",
     )
     p_compute.set_defaults(func=_cmd_compute)

@@ -23,14 +23,12 @@ import numpy as np
 from .errors import FrameUndefinedError
 from .operators import (
     AXES,
-    SINGLE,
     OperatorMatrix,
-    apply_collective,
     apply_ladder_axes,
     collective_op_dicke,
     ladder_vectors,
 )
-from .states import FullState, ProductState, SymmetricState
+from .states import as_symmetric
 
 # Below this mean-spin magnitude the frame (and hence the S parameter) is
 # declared undefined; the rotation divides by |<J>| and third moments amplify
@@ -73,27 +71,16 @@ def _real_expectation(value, what, n_atoms):
 def mean_spin(state):
     """Mean spin vector of a state in any representation.
 
-    Symmetric states are evaluated on the (N+1)-dimensional ladder in O(N),
-    full states matrix-free in the product basis, and product states atom by
-    atom; all paths agree to rounding.
+    The state is first brought to the ladder (``as_symmetric``, a no-op for
+    a ``SymmetricState``); one ``apply_ladder_axes`` pass then gives all
+    three components in O(N).
     """
-    if isinstance(state, SymmetricState):
-        vec = state.coeffs
-        applied = apply_ladder_axes(vec, ladder_vectors(state.n_atoms))
-        comps = [np.vdot(vec, row) for row in applied]
-    elif isinstance(state, FullState):
-        vec = state.amplitudes
-        comps = [
-            np.vdot(vec, apply_collective(vec, axis, state.n_atoms)) for axis in AXES
-        ]
-    elif isinstance(state, ProductState):
-        comps = [
-            sum(np.vdot(q, SINGLE[axis] @ q) for q in state.qubits) for axis in AXES
-        ]
-    else:
-        raise TypeError(f"not a state: {type(state).__name__}")
+    sym = as_symmetric(state)
+    vec = sym.coeffs
+    applied = apply_ladder_axes(vec, ladder_vectors(sym.n_atoms))
     jx, jy, jz = (
-        _real_expectation(c, f"<J{a}>", state.n_atoms) for c, a in zip(comps, AXES)
+        _real_expectation(np.vdot(vec, row), f"<J{a}>", sym.n_atoms)
+        for row, a in zip(applied, AXES)
     )
     return MeanSpin(jx, jy, jz, math.sqrt(jx * jx + jy * jy + jz * jz))
 

@@ -20,13 +20,14 @@ moments come from one weight rule, ``pattern_weights``: pattern abc weighs
 orderings * n_a n_b n_c, with n a row of ``rotation_matrix``.  The x' row
 gives ten terms; the y' row has no z component, which leaves four nonzero.
 
-For symmetric states both routes run on the (N+1)-level ladder in O(N).  The
-direct route applies the rotated components with ``apply_ladder``.  The sum
-route takes two batched passes of ``apply_ladder_axes`` to the moment
-tensors <J_a>, <J_a J_b> and <J_a J_b J_c>, and one constant 10 x 43 table,
-built at import from the spin-1/2 product rule, maps them to the ten pattern
-sums.  The explicit sum over atom triples in the 2**N space stays as the
-reference.
+Every input is first brought to the (N+1)-level ladder (``as_symmetric``),
+and both routes run there in O(N).  The direct route applies the rotated
+components with ``apply_ladder``.  The sum route takes two batched passes of
+``apply_ladder_axes`` to the moment tensors <J_a>, <J_a J_b> and
+<J_a J_b J_c>, and one constant 10 x 43 table, built at import from the
+spin-1/2 product rule, maps them to the ten pattern sums.  The explicit sum
+over atom triples in the 2**N space is a test oracle only
+(``tests/bruteforce.py``).
 
 S is half the root of the sum of squared third moments, computed from the
 direct route.  The two routes must agree to ``ROUTE_REL_TOL`` (with an
@@ -50,21 +51,8 @@ from .frame import (
     rotation_angles,
     rotation_matrix,
 )
-from .operators import (
-    AXES,
-    apply_ladder,
-    apply_ladder_axes,
-    apply_single_atom,
-    ladder_vectors,
-)
-from .states import (
-    FullState,
-    ProductState,
-    SymmetricState,
-    as_symmetric,
-    dicke_to_full,
-    product_to_full,
-)
+from .operators import AXES, apply_ladder, apply_ladder_axes, ladder_vectors
+from .states import FullState, SymmetricState, as_symmetric
 
 ROUTE_REL_TOL = 1e-9
 ROUTE_ABS_FLOOR = 1e-12
@@ -290,15 +278,17 @@ def _pattern_sums(n_atoms, j1, j2, j3):
     return _CORRELATOR_TABLE @ features
 
 
-def _ladder_correlators(state):
-    """The ten distinct-triple sums of a symmetric state, in O(N).
+def triple_correlators(state):
+    """Correlator sums over all ordered triples of distinct atoms, in O(N).
 
-    The moment tensors come from two batched ladder passes, on psi and on
-    the three J_c psi; ``_pattern_sums`` maps them to the ten sums.
+    The state is first brought to the ladder (``as_symmetric``).  The moment
+    tensors come from two batched ladder passes, on psi and on the three
+    J_c psi; ``_pattern_sums`` maps them to the ten sums.
     """
-    n = state.n_atoms
+    sym = as_symmetric(state)
+    n = sym.n_atoms
     ladder = ladder_vectors(n)
-    psi = state.coeffs
+    psi = sym.coeffs
     once = apply_ladder_axes(psi, ladder)  # once[c] = J_c psi
     twice = apply_ladder_axes(once, ladder).reshape(9, n + 1)  # J_b J_c psi
     bra = once.conj()
@@ -311,53 +301,6 @@ def _ladder_correlators(state):
             f"{values[k].imag:.3e}"
         )
     return TripleCorrelatorSet(**dict(zip(PATTERNS, values.real.tolist())))
-
-
-def _triple_value(amplitudes, atoms, axes, n_atoms):
-    """<J_pa J_qb J_rc> for one ordered atom triple (rightmost applied first)."""
-    work = amplitudes
-    for atom, axis in zip(reversed(atoms), reversed(axes)):
-        work = apply_single_atom(work, atom, axis, n_atoms)
-    return np.vdot(amplitudes, work)
-
-
-def triple_correlators(state, use_fast_path=True):
-    """Correlator sums over all ordered triples of distinct atoms.
-
-    Symmetric input takes the fast path: the sums follow from collective
-    moments on the ladder in O(N), with no cap on N.  Product and full-space
-    input, and ``use_fast_path=False``, take the explicit sum over all
-    N(N-1)(N-2) triples in the 2**N space (the validation reference for the
-    fast path).
-    """
-    if isinstance(state, SymmetricState) and use_fast_path:
-        return _ladder_correlators(state)
-    if isinstance(state, ProductState):
-        full = product_to_full(state)
-    elif isinstance(state, SymmetricState):
-        full = dicke_to_full(state)
-    elif isinstance(state, FullState):
-        full = state
-    else:
-        raise TypeError(f"not a state: {type(state).__name__}")
-    n = full.n_atoms
-    if n < 3:
-        raise DimensionMismatchError(f"triple correlators need N >= 3, got N={n}")
-
-    triples = [
-        (p, q, r)
-        for p in range(1, n + 1)
-        for q in range(1, n + 1)
-        for r in range(1, n + 1)
-        if p != q and q != r and p != r
-    ]
-    values = {}
-    for pattern in PATTERNS:
-        total = 0.0 + 0.0j
-        for atoms in triples:
-            total += _triple_value(full.amplitudes, atoms, pattern, n)
-        values[pattern] = _real(total, f"correlator {pattern}", n, 3)
-    return TripleCorrelatorSet(**values)
 
 
 # Per pattern: its number of ordered axis words (1 for xxx, 6 for xyz, 3 for

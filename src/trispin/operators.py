@@ -6,9 +6,8 @@ the ladder space orders levels from the top (``m = N/2``) downwards.
 
 S runs on the ladder: the moments use ``apply_ladder`` and
 ``apply_ladder_axes`` (O(N), from the two vectors of ``ladder_vectors``), the
-sampler diagonalises dense ladder matrices.  The dense 2**N matrices and the
-matrix-free ``apply_*`` actions on 2**N amplitudes are small-N references for
-the identity checks and the explicit triple-correlator sum.
+sampler diagonalises dense ladder matrices.  The dense 2**N matrices are
+small-N references for the identity checks in ``verify``.
 """
 
 from __future__ import annotations
@@ -195,24 +194,3 @@ def collective_op_dicke(axis, n_atoms):
         else:
             entries = -0.5j * (raising - raising.conj().T)
     return OperatorMatrix(n_atoms + 1, entries, hermitian=True, space_tag="dicke")
-
-
-# ---------------------------------------------------------------------------
-# Matrix-free actions on full-space amplitude vectors
-# ---------------------------------------------------------------------------
-
-def apply_single_atom(amplitudes, atom, axis, n_atoms):
-    """Apply one atom's spin component to a 2**N amplitude vector."""
-    if not 1 <= atom <= n_atoms:
-        raise IndexError(f"atom index {atom} outside 1..{n_atoms}")
-    psi = np.asarray(amplitudes).reshape((2,) * n_atoms)
-    out = np.tensordot(_axis_block(axis), psi, axes=(1, atom - 1))
-    return np.moveaxis(out, 0, atom - 1).reshape(-1)
-
-
-def apply_collective(amplitudes, axis, n_atoms):
-    """Apply the collective spin component without forming the matrix."""
-    out = np.zeros(1 << n_atoms, dtype=complex)
-    for atom in range(1, n_atoms + 1):
-        out += apply_single_atom(amplitudes, atom, axis, n_atoms)
-    return out

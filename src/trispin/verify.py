@@ -564,6 +564,8 @@ def run_verification(trials=100, seed=13, n_atoms=None, corrupt_identity=None):
     dense sum-route comparison only exists for 3 <= N <= 6 and is skipped
     outside that window.
     """
+    if trials < 1:
+        raise ValueError(f"verification sweeps need at least 1 trial, got {trials}")
     if n_atoms is not None and n_atoms < 3:
         raise ValueError(f"verification sweeps need N >= 3, got {n_atoms}")
     identities = verify_identity_suite(corrupt_identity)

@@ -107,6 +107,37 @@ def correlator_sum(vec, n_atoms, pattern):
     return total
 
 
+def apply_atom(vec, n_atoms, atom, axis):
+    """One atom's spin block applied to a 2**N vector, without a dense matrix.
+
+    The vector is viewed as a (2,)*N tensor whose axis ``atom - 1`` belongs
+    to that atom (1-based, atom 1 on the most significant bit).
+    """
+    psi = np.reshape(vec, (2,) * n_atoms)
+    out = np.tensordot(SPIN[axis], psi, axes=(1, atom - 1))
+    return np.moveaxis(out, 0, atom - 1).reshape(-1)
+
+
+def triple_sum(vec, n_atoms, pattern):
+    """``correlator_sum`` matrix-free: the same triple sum, by ``apply_atom``.
+
+    Each term is <j_pa psi | j_qb j_rc psi>, using that j_pa is hermitian.
+    """
+    atoms = range(1, n_atoms + 1)
+    bras = [apply_atom(vec, n_atoms, p, pattern[0]) for p in atoms]
+    total = 0.0 + 0.0j
+    for r in atoms:
+        right = apply_atom(vec, n_atoms, r, pattern[2])
+        for q in atoms:
+            if q == r:
+                continue
+            ket = apply_atom(right, n_atoms, q, pattern[1])
+            for p in atoms:
+                if p != q and p != r:
+                    total += np.vdot(bras[p - 1], ket)
+    return total
+
+
 def dicke_level_vector(n_atoms, k):
     """Full-space vector of the ladder level with k lower-level atoms."""
     dim = 1 << n_atoms

@@ -1,8 +1,10 @@
+import ast
 import hashlib
 import json
 import math
 import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -113,6 +115,19 @@ class TestCompute:
         assert set(doc["tolerances"]) == {"rel", "abs"}
         assert re.fullmatch(r"[0-9a-f]{64}", doc["input_sha256"])
 
+    @pytest.mark.parametrize("option", ["--tolerance-rel", "--tolerance-abs"])
+    @pytest.mark.parametrize("value", ["0", "-1e-9", "nan", "inf", "-inf", "tight"])
+    def test_tolerance_must_be_finite_and_positive(
+        self, tmp_path, capsys, option, value
+    ):
+        # m3_yp of this state is exactly 0, where a zero floor divided by zero
+        coeffs = [[0.6, 0], [0.8, 0], [0, 0], [0, 0]]
+        state = write_state(tmp_path, "two_level.json", coeffs)
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--input", state, f"{option}={value}"])
+        assert exc.value.code == 2
+        assert "finite positive" in capsys.readouterr().err
+
     def test_product_representation_accepted(self, product_file, tmp_path):
         out = tmp_path / "out.json"
         assert main(["compute", "--input", product_file, "--output", str(out)]) == 0
@@ -216,6 +231,14 @@ class TestVerify:
     def test_too_small_atom_count_exits_2(self, capsys):
         assert main(["verify", "--trials", "5", "--n", "2"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_exits_2(self, tmp_path, capsys, trials):
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--trials", trials, "--output", str(out)]) == 2
+        doc = json.loads(out.read_text())
+        assert doc["error"]["code"] == "invalid_input"
+        assert "verification" not in doc
 
     def test_error_document_honours_output(self, tmp_path, capsys):
         out = tmp_path / "verify.json"
@@ -427,9 +450,48 @@ def test_s_paths_never_build_2n_vectors(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+S_MODULES = ("frame.py", "moments.py")
+FULL_SPACE_BUILDERS = {
+    "dicke_to_full", "product_to_full", "full_to_dicke", "single_atom_op",
+    "collective_op", "apply_single_atom", "apply_collective",
+}
+
+
+@pytest.mark.parametrize("module", S_MODULES)
+def test_s_modules_never_name_2n_builders(module):
+    source = Path(cli.__file__).with_name(module).read_text(encoding="utf-8")
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update((node.name, node.asname))
+    assert not names & FULL_SPACE_BUILDERS
+
+
 class TestParser:
     def test_build_parser_returns_a_fresh_parser(self):
         assert cli.build_parser() is not cli.build_parser()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--input", "state.json"],
+            ["verify"],
+            ["scan", "--grid", PAIR_MIX_GRID],
+            ["sample", "--input", "state.json"],
+        ],
+    )
+    @pytest.mark.parametrize("seed", ["-1", "1.5"])
+    def test_every_subcommand_takes_only_non_negative_integer_seeds(
+        self, argv, seed, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", seed])
+        assert exc.value.code == 2
+        assert "non-negative integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

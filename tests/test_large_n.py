@@ -4,8 +4,10 @@ The reference works on the N+1 ladder coefficients with its own operator
 construction (J+ elements as sqrt((j - m)(j + m + 1))) and raw-moment
 formulas, so it shares no kernel code with the package.  Product input is
 checked against coherent-state coefficients built here by a level-to-level
-recurrence.  The explicit 2**N triple sum is the reference for the ladder
-correlators at small N.
+recurrence.  The matrix-free 2**N triple sum of ``bruteforce`` is the
+reference for the ladder correlators at small N.  The paper's identity along
+any axis, (n.J)^3 = ((3N-2)/4) n.J + the tripartite sum, is checked on the
+ladder up to N = 10**4.
 """
 
 import cmath
@@ -17,9 +19,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trispin import entanglement_s, product_state, symmetric_state, triple_correlators
+import bruteforce as bf
+from trispin import (
+    as_symmetric,
+    entanglement_s,
+    mean_spin,
+    product_state,
+    random_product_state,
+    symmetric_state,
+    triple_correlators,
+)
 from trispin.cli import main
-from trispin.moments import PATTERNS, ROUTE_REL_TOL
+from trispin.moments import PATTERNS, ROUTE_REL_TOL, pattern_weights
+from trispin.operators import apply_ladder, ladder_vectors
 
 LARGE_N = (100, 1000, 10_000)
 
@@ -148,10 +160,57 @@ def _random_ladder_state(n_atoms, seed):
 def test_ladder_correlators_equal_explicit_triple_sum(n_atoms, seed):
     state = _random_ladder_state(n_atoms, seed)
     fast = triple_correlators(state)
-    slow = triple_correlators(state, use_fast_path=False)
+    vec = bf.expand_ladder(state.coeffs)
     scale = (1.0 + n_atoms / 2) ** 3
     for pattern in PATTERNS:
-        assert abs(getattr(fast, pattern) - getattr(slow, pattern)) <= 1e-13 * scale
+        slow = bf.triple_sum(vec, n_atoms, pattern)
+        assert abs(getattr(fast, pattern) - slow) <= 1e-13 * scale
+
+
+def identity_residual(state, axis):
+    """|<(n.J)^3> - ((3N-2)/4)<n.J> - sum_p w_p(n) pattern_p| / (1 + N/2)**3.
+
+    The left side takes three ``apply_ladder`` passes; the right side takes
+    the pattern sums of ``triple_correlators`` on the state as given.
+    """
+    sym = as_symmetric(state)
+    n_atoms, psi = sym.n_atoms, sym.coeffs
+    ladder = ladder_vectors(n_atoms)
+    once = apply_ladder(psi, axis, ladder)
+    thrice = apply_ladder(apply_ladder(once, axis, ladder), axis, ladder)
+    corr = triple_correlators(state)
+    tripartite = sum(
+        w * getattr(corr, p) for w, p in zip(pattern_weights(axis), PATTERNS)
+    )
+    linear = (3 * n_atoms - 2) / 4 * np.vdot(psi, once).real
+    return abs(np.vdot(psi, thrice).real - linear - tripartite) / (1 + n_atoms / 2) ** 3
+
+
+def identity_axes(state, rng):
+    """The z axis, the mean spin direction and five random unit axes."""
+    mean = mean_spin(state)
+    axes = rng.standard_normal((5, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    return [
+        np.array([0.0, 0.0, 1.0]),
+        np.array([mean.jx, mean.jy, mean.jz]) / mean.magnitude,
+        *axes,
+    ]
+
+
+@pytest.mark.parametrize(
+    "n_atoms, draw",
+    [(n, _random_ladder_state) for n in (3, 8, 100, 1000, 10_000)]
+    + [(1000, random_product_state)],
+)
+def test_cube_along_any_axis_is_linear_plus_tripartite(n_atoms, draw):
+    # the paper's cancellation claim: no bipartite term survives in (n.J)^3,
+    # for every unit n, transverse to the mean spin or not
+    rng = np.random.default_rng(n_atoms)
+    for seed in range(3):
+        state = draw(n_atoms, seed)
+        for axis in identity_axes(state, rng):
+            assert identity_residual(state, axis) <= 1e-15
 
 
 def test_cli_compute_at_n_1000(tmp_path):

@@ -10,6 +10,7 @@ from trispin import (
     DimensionMismatchError,
     FrameUndefinedError,
     FullState,
+    InvalidStateError,
     NotSymmetricError,
     central_moment,
     collective_op_dicke,
@@ -36,7 +37,7 @@ from trispin.moments import (
     pattern_weights,
     route_deviation,
 )
-from trispin.operators import AXES, OperatorMatrix, apply_single_atom
+from trispin.operators import AXES, OperatorMatrix
 from trispin.states import product_to_full
 
 
@@ -137,13 +138,23 @@ class TestTripleCorrelators:
     def test_fast_path_matches_explicit_sum(self, n_atoms):
         state = random_symmetric_state(n_atoms, seed=n_atoms)
         fast = triple_correlators(state)
-        slow = triple_correlators(state, use_fast_path=False)
+        vec = bf.expand_ladder(state.coeffs)
         for pattern in PATTERNS:
-            assert getattr(fast, pattern) == pytest.approx(
-                getattr(slow, pattern), abs=1e-12
-            )
+            slow = bf.triple_sum(vec, n_atoms, pattern)
+            assert getattr(fast, pattern) == pytest.approx(slow.real, abs=1e-12)
 
-    def test_full_state_input_uses_explicit_sum(self):
+    @pytest.mark.parametrize("n_atoms", [15, 1000])
+    def test_identical_product_factorizes_past_the_full_space_cap(self, n_atoms):
+        state = random_product_state(n_atoms, seed=n_atoms)
+        qubit = state.qubits[0]
+        means = {a: np.vdot(qubit, bf.SPIN[a] @ qubit).real for a in "xyz"}
+        count = n_atoms * (n_atoms - 1) * (n_atoms - 2)
+        corr = triple_correlators(state)
+        for pattern in PATTERNS:
+            want = count * means[pattern[0]] * means[pattern[1]] * means[pattern[2]]
+            assert abs(getattr(corr, pattern) - want) <= 1e-13 * (1 + n_atoms / 2) ** 3
+
+    def test_full_state_input_matches_symmetric_input(self):
         state = random_symmetric_state(4, seed=9)
         via_full = triple_correlators(dicke_to_full(state))
         via_sym = triple_correlators(state)
@@ -155,7 +166,7 @@ class TestTripleCorrelators:
     def test_too_few_atoms_rejected(self):
         amps = np.zeros(4, dtype=complex)
         amps[0] = 1.0
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(InvalidStateError):
             triple_correlators(FullState(2, amps))
 
 
@@ -390,7 +401,7 @@ class TestEntanglementS:
             vec = dicke_to_full(state).amplitudes
             for axis in "xyz":
                 per_atom = [
-                    np.vdot(vec, apply_single_atom(vec, atom, axis, n_atoms)).real
+                    bf.expectation(vec, bf.atom_operator(n_atoms, {atom: axis})).real
                     for atom in range(1, n_atoms + 1)
                 ]
                 assert np.max(per_atom) - np.min(per_atom) <= 1e-12

@@ -15,10 +15,8 @@ from trispin import (
 from trispin.operators import (
     AXES,
     UNIT_WEIGHTS,
-    apply_collective,
     apply_ladder,
     apply_ladder_axes,
-    apply_single_atom,
     ladder_vectors,
 )
 
@@ -143,27 +141,6 @@ class TestCollectiveOpDicke:
         jy = collective_op_dicke("y", 5).entries
         jz = collective_op_dicke("z", 5).entries
         assert np.max(np.abs(jx @ jy - jy @ jx - 1j * jz)) <= 1e-13
-
-
-class TestMatrixFreeApply:
-    def test_single_atom_matches_dense(self):
-        rng = np.random.default_rng(0)
-        vec = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        for atom in range(1, 6):
-            for axis in AXES:
-                dense = single_atom_op(atom, axis, 5).entries @ vec
-                fast = apply_single_atom(vec, atom, axis, 5)
-                np.testing.assert_allclose(fast, dense, atol=1e-13)
-
-    def test_collective_matches_dense(self):
-        rng = np.random.default_rng(1)
-        vec = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        for axis in AXES:
-            dense = collective_op(axis, 4).entries @ vec
-            np.testing.assert_allclose(
-                apply_collective(vec, axis, 4), dense, atol=1e-13
-            )
-
 
 
 class TestLadderKernel:
