@@ -4,13 +4,18 @@ Simulates ideal collective-observable measurements: the operator is
 eigendecomposed, exactly degenerate eigenvalues are merged, outcome
 probabilities follow the Born rule, and shots are drawn with a seeded PCG64
 generator (``numpy.random.default_rng``), so a record is replayable
-bit-exactly from its stored seed.
+bit-exactly from its stored seed.  Shots are tallied in one pass: the M
+uniforms are sorted and counted below each entry of the cumulative
+distribution.  These are the same uniforms and the same comparisons as
+``Generator.choice``, so the counts equal a tally of its draws.
 
 Standard errors of the empirical central moments come from a multinomial
 bootstrap of the recorded counts (closed-form errors for third central
 moments are fragile).  The bootstrap stream is derived from the record seed
 via ``SeedSequence(seed, spawn_key=(1,))`` and is therefore reproducible as
-well.
+well.  All resamples are drawn from it in one ``multinomial`` call, which
+yields the same stream as drawing them one by one, and one moments function
+serves the point estimate and every resample.
 
 ``estimate_s_from_samples`` brings every input to the (N+1)-level ladder
 (``as_symmetric``) and samples dense ladder operators there, whatever
@@ -118,6 +123,23 @@ def _merged_spectrum(entries):
     return groups, evecs
 
 
+def _tally(probs, m_shots, seed):
+    """Outcome counts of ``m_shots`` iid draws from ``probs``.
+
+    Equal, bit for bit, to ``np.bincount(rng.choice(len(probs), m_shots,
+    p=probs), minlength=len(probs))`` with ``rng = default_rng(seed)``:
+    ``Generator.choice`` draws the same uniforms and places each one by
+    ``searchsorted(cdf, u, side="right")``.  Counting the sorted uniforms
+    below each cdf entry makes the same exact comparisons without a search
+    per shot.
+    """
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    uniforms = np.random.default_rng(seed).random(m_shots)
+    uniforms.sort()
+    return np.diff(np.searchsorted(uniforms, cdf, side="left"), prepend=0)
+
+
 def projective_sample(state, op, m_shots, seed, operator_tag="operator"):
     """Draw ``m_shots`` projective outcomes of a hermitian operator.
 
@@ -147,25 +169,28 @@ def projective_sample(state, op, m_shots, seed, operator_tag="operator"):
     )
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
-    rng = np.random.default_rng(seed)
-    outcomes = rng.choice(len(values), size=m_shots, p=probs)
-    counts = np.bincount(outcomes, minlength=len(values))
     return MeasurementRecord(
         operator_tag=operator_tag,
         eigenvalues=values,
-        counts=counts,
+        counts=_tally(probs, m_shots, seed),
         m_shots=int(m_shots),
         seed=int(seed),
     )
 
 
-def _central_moments_from_counts(values, counts, m_shots):
+def _central_moments(values, counts, m_shots):
+    """Mean and 2nd/3rd central moments of each row of stacked ``counts``.
+
+    Returns an ``(rows, 3)`` array.  ``np.vecdot`` runs the same BLAS dot per
+    row as ``np.dot`` on one row, so a row's moments do not depend on how
+    many rows are stacked with it (a matrix product would reorder the sums).
+    """
     weights = counts / m_shots
-    mean = float(np.dot(weights, values))
-    centered = values - mean
-    m2 = float(np.dot(weights, centered**2))
-    m3 = float(np.dot(weights, centered**3))
-    return mean, m2, m3
+    mean = np.vecdot(weights, values)
+    centered = values - mean[:, None]
+    m2 = np.vecdot(weights, centered**2)
+    m3 = np.vecdot(weights, centered**3)
+    return np.stack([mean, m2, m3], axis=1)
 
 
 def estimate_moments(record, n_boot=BOOTSTRAP_RESAMPLES):
@@ -176,17 +201,18 @@ def estimate_moments(record, n_boot=BOOTSTRAP_RESAMPLES):
             f"got {record.m_shots}"
         )
     values = record.eigenvalues
-    mean, m2, m3 = _central_moments_from_counts(values, record.counts, record.m_shots)
+    mean, m2, m3 = _central_moments(values, record.counts[None, :], record.m_shots)[0]
     probs = record.counts / record.m_shots
     rng = np.random.default_rng(
         np.random.SeedSequence(record.seed, spawn_key=(1,))
     )
-    stats = np.empty((n_boot, 3))
-    for b in range(n_boot):
-        resampled = rng.multinomial(record.m_shots, probs)
-        stats[b] = _central_moments_from_counts(values, resampled, record.m_shots)
+    resampled = rng.multinomial(record.m_shots, probs, size=n_boot)
+    stats = _central_moments(values, resampled, record.m_shots)
     se_mean, se_m2, se_m3 = np.std(stats, axis=0, ddof=1)
-    return MomentEstimates(mean, m2, m3, float(se_mean), float(se_m2), float(se_m3))
+    return MomentEstimates(
+        float(mean), float(m2), float(m3),
+        float(se_mean), float(se_m2), float(se_m3),
+    )
 
 
 def estimate_s_from_samples(state, m_shots, seed, n_boot=BOOTSTRAP_RESAMPLES):

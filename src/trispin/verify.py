@@ -35,7 +35,7 @@ from .moments import (
     third_moment_sum_yp,
     triple_correlators,
 )
-from .operators import AXES, SINGLE, OperatorMatrix, collective_op, single_atom_op
+from .operators import AXES, OperatorMatrix, collective_op, single_atom_op
 from .states import (
     dicke_to_full,
     random_product_state,
@@ -45,7 +45,6 @@ from .states import (
 
 RESIDUAL_TOL = 1e-12
 PRODUCT_S_TOL = 1e-10
-FACTORIZATION_TOL = 1e-12
 
 _I = 1j
 
@@ -515,26 +514,6 @@ def verify_sum_route(n_atoms, n_trials, seed, include_ghz=True):
         tolerance=ROUTE_REL_TOL,
         passed=worst <= ROUTE_REL_TOL,
     )
-
-
-def factorization_deviation(state):
-    """Worst gap between correlator sums and products of one-atom means.
-
-    For an identical-qubit product state every pattern must factorize into
-    the product of single-atom expectations (times the triple count).
-    """
-    qubit = state.qubits[0]
-    means = {
-        axis: float(np.vdot(qubit, SINGLE[axis] @ qubit).real) for axis in AXES
-    }
-    n = state.n_atoms
-    count = n * (n - 1) * (n - 2)
-    corr = triple_correlators(state)
-    worst = 0.0
-    for pattern, value in corr.as_dict().items():
-        product = count * means[pattern[0]] * means[pattern[1]] * means[pattern[2]]
-        worst = max(worst, abs(value - product))
-    return worst
 
 
 def verify_product_vanishing(n_atoms, n_trials, seed):

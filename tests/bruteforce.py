@@ -37,6 +37,24 @@ def expectation(vec, mat):
     return complex(np.vdot(vec, mat @ vec))
 
 
+FACTORIZATION_TOL = 1e-12
+
+
+def factorization_deviation(qubit, n_atoms, correlators):
+    """Worst gap between triple correlator sums and products of one-atom means.
+
+    For N copies of one qubit every pattern abc must equal the number of
+    ordered distinct triples times <a><b><c>; ``correlators`` maps each
+    pattern word to the sum under test.
+    """
+    means = {axis: expectation(qubit, block).real for axis, block in SPIN.items()}
+    count = n_atoms * (n_atoms - 1) * (n_atoms - 2)
+    return max(
+        abs(value - count * means[a] * means[b] * means[c])
+        for (a, b, c), value in correlators.items()
+    )
+
+
 def mean_spin_vector(vec, n_atoms):
     return np.array(
         [expectation(vec, collective(n_atoms, a)).real for a in "xyz"]

@@ -12,6 +12,8 @@ from trispin import cli
 from trispin.cli import main
 from trispin.moments import route_deviation
 
+DATA_DIR = Path(__file__).parent / "data"
+
 PAIR_MIX_GRID = json.dumps(
     {
         "family": "pair_mix",
@@ -378,6 +380,19 @@ class TestSample:
         spread = math.hypot(results[0]["s_se"], results[1]["s_se"])
         assert gap <= 5 * spread
 
+    def test_seeded_output_matches_the_golden_pin(self, tmp_path):
+        pin = json.loads((DATA_DIR / "sample_pin.json").read_text())
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(pin["state"]))
+        out = tmp_path / "sample.json"
+        assert main(
+            [
+                "sample", "--input", str(path), "--shots", str(pin["shots"]),
+                "--seed", str(pin["seed"]), "--output", str(out),
+            ]
+        ) == 0
+        assert json.loads(out.read_text())["sampling"] == pin["sampling"]
+
     def test_too_few_shots_exits_2(self, product_file, capsys):
         assert main(["sample", "--input", product_file, "--shots", "10"]) == 2
         doc = json.loads(capsys.readouterr().out)
@@ -507,6 +522,23 @@ class TestParser:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--seed", "-1"],
+            ["compute", "--tolerance-rel", "0"],
+            ["sample", "--shots", "10", "--grid", "{}"],
+        ],
+    )
+    def test_parser_rejections_write_no_file_at_output(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--output", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage:")
+        assert not out.exists()
 
     def test_each_subcommand_lists_only_its_options(self):
         parser = cli.build_parser()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from trispin import (
     rotation_angles,
     symmetric_state,
 )
+from trispin import sampler
 from trispin.operators import AXES, OperatorMatrix
 
 
@@ -203,3 +205,80 @@ class TestEstimateS:
             entanglement_s(state)
         with pytest.raises(NotSymmetricError):
             estimate_s_from_samples(state, 2000, seed=3)
+
+
+def reference_counts(probs, m_shots, seed):
+    """The per-shot draw: one ``Generator.choice`` index per shot, tallied."""
+    rng = np.random.default_rng(seed)
+    outcomes = rng.choice(len(probs), size=m_shots, p=probs)
+    return np.bincount(outcomes, minlength=len(probs))
+
+
+def reference_estimates(record, n_boot):
+    """The per-resample bootstrap loop, with one ``np.dot`` per moment."""
+
+    def moments(counts):
+        weights = counts / record.m_shots
+        mean = float(np.dot(weights, record.eigenvalues))
+        centered = record.eigenvalues - mean
+        m2 = float(np.dot(weights, centered**2))
+        m3 = float(np.dot(weights, centered**3))
+        return mean, m2, m3
+
+    probs = record.counts / record.m_shots
+    rng = np.random.default_rng(
+        np.random.SeedSequence(record.seed, spawn_key=(1,))
+    )
+    stats = np.empty((n_boot, 3))
+    for b in range(n_boot):
+        stats[b] = moments(rng.multinomial(record.m_shots, probs))
+    se_mean, se_m2, se_m3 = np.std(stats, axis=0, ddof=1)
+    return (*moments(record.counts), float(se_mean), float(se_m2), float(se_m3))
+
+
+class TestSeededStream:
+    """Seeded records and estimates equal the per-shot and per-resample draws."""
+
+    @staticmethod
+    def probabilities(k, holes, seed):
+        rng = np.random.default_rng(seed)
+        probs = rng.random(k) ** 3
+        if holes:
+            # zero outcomes first, last (odd k) and in between
+            probs[::2] = 0.0
+        return probs / probs.sum()
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 15, 16, 17, 100, 1001])
+    @pytest.mark.parametrize("holes", [False, True])
+    def test_tally_and_bootstrap_equal_the_loops(self, k, holes):
+        for seed in range(6):
+            probs = self.probabilities(k, holes, seed)
+            values = np.cumsum(np.random.default_rng(seed).random(k) + 0.05) - k / 3
+            for m_shots in (100, 100_000):
+                counts = reference_counts(probs, m_shots, seed)
+                assert np.array_equal(sampler._tally(probs, m_shots, seed), counts)
+                record = MeasurementRecord("operator", values, counts, m_shots, seed)
+                assert np.array_equal(
+                    dataclasses.astuple(estimate_moments(record)),
+                    reference_estimates(record, sampler.BOOTSTRAP_RESAMPLES),
+                )
+
+    def test_projective_sample_counts_equal_the_per_shot_draw(self, monkeypatch):
+        seen = []
+        tally = sampler._tally
+
+        def spy(probs, m_shots, seed):
+            seen.append(probs.copy())
+            return tally(probs, m_shots, seed)
+
+        monkeypatch.setattr(sampler, "_tally", spy)
+        cases = [
+            (symmetric_state(4, [0, 0, 1, 0, 0]), collective_op_dicke("z", 4)),
+            (random_symmetric_state(9, seed=3), collective_op_dicke("x", 9)),
+            (random_symmetric_state(14, seed=4), collective_op_dicke("y", 14)),
+        ]
+        for seed, (state, op) in enumerate(cases):
+            for m_shots in (100, 100_000):
+                record = projective_sample(state, op, m_shots, seed)
+                expected = reference_counts(seen[-1], m_shots, seed)
+                assert np.array_equal(record.counts, expected)

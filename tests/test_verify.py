@@ -14,11 +14,9 @@ from trispin import (
     verify_sum_route,
 )
 from trispin.verify import (
-    FACTORIZATION_TOL,
     IDENTITIES,
     RESIDUAL_TOL,
     cancellation_terms,
-    factorization_deviation,
     identity_lhs,
     identity_rhs,
     run_verification,
@@ -151,11 +149,13 @@ class TestProductVanishing:
         assert report.s_parameter <= 1e-12
 
     def test_factorization_conditions_hold_numerically(self):
-        from trispin import random_product_state
+        from trispin import random_product_state, triple_correlators
 
         for seed in range(20):
             state = random_product_state(4, seed)
-            assert factorization_deviation(state) <= FACTORIZATION_TOL
+            correlators = triple_correlators(state).as_dict()
+            deviation = bf.factorization_deviation(state.qubits[0], 4, correlators)
+            assert deviation <= bf.FACTORIZATION_TOL
 
 
 class TestRunVerification:
