@@ -25,7 +25,7 @@ from .errors import FrameUndefinedError, InvalidStateError, TrispinError
 from .frame import mean_spin
 from .moments import ROUTE_ABS_FLOOR, ROUTE_REL_TOL, entanglement_s
 from .sampler import estimate_s_from_samples
-from .states import state_from_dict, symmetric_state
+from .states import _integer_field, state_from_dict, symmetric_state
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -51,55 +51,47 @@ def _envelope(args, input_bytes):
     }
 
 
-def _write(text, output_path):
-    if output_path and output_path != "-":
-        with open(output_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _json_text(document):
+    return json.dumps(document, indent=2) + "\n"
 
 
-def _emit(document, output_path):
-    _write(json.dumps(document, indent=2) + "\n", output_path)
+def _error_text(args, raw, code, exc):
+    document = _envelope(args, raw)
+    document["error"] = {"code": code, "message": str(exc)}
+    return _json_text(document)
 
 
-def _emit_error(args, input_bytes, code, message):
-    document = _envelope(args, input_bytes)
-    document["error"] = {"code": code, "message": message}
-    _emit(document, args.output)
+# Readers return the raw bytes a subcommand works on; the envelope hashes
+# them, and an error raised while decoding them still reports their hash.
 
-
-def _read_input(path):
-    if path == "-":
+def _read_input(args):
+    if args.input == "-":
         return sys.stdin.read().encode("utf-8")
-    with open(path, "rb") as handle:
+    with open(args.input, "rb") as handle:
         return handle.read()
 
 
-def _load_state(args):
-    """``(raw bytes, state, None)``, or ``(bytes read, None, error)``."""
-    raw = b""
-    try:
-        raw = _read_input(args.input)
-        data = json.loads(raw.decode("utf-8"))
-        return raw, state_from_dict(data, auto_normalize=args.normalize), None
-    except (OSError, ValueError, TrispinError) as exc:
-        return raw, None, exc
+def _read_grid(args):
+    if not args.grid:
+        raise InvalidStateError("scan needs --grid")
+    return args.grid.encode("utf-8")
 
 
-def _cmd_compute(args):
-    raw, state, error = _load_state(args)
-    if error is not None:
-        _emit_error(args, raw, "invalid_input", str(error))
-        return EXIT_INVALID_INPUT
-    try:
-        report = entanglement_s(state)
-    except FrameUndefinedError as exc:
-        _emit_error(args, raw, "frame_undefined", str(exc))
-        return EXIT_FRAME_UNDEFINED
-    except TrispinError as exc:
-        _emit_error(args, raw, "invalid_input", str(exc))
-        return EXIT_INVALID_INPUT
+def _read_nothing(args):
+    return b""
+
+
+def _decode_state(args, raw):
+    data = json.loads(raw.decode("utf-8"))
+    return state_from_dict(data, auto_normalize=args.normalize)
+
+
+# Commands take the parsed arguments and the bytes their reader returned, and
+# give back (artifact text, exit code); bad input raises, and ``main`` turns
+# the exception into an error document.
+
+def _cmd_compute(args, raw):
+    report = entanglement_s(_decode_state(args, raw))
     document = _envelope(args, raw)
     document["report"] = report.to_dict()
     max_rel_dev = report.max_rel_dev(args.tolerance_rel, args.tolerance_abs)
@@ -108,25 +100,20 @@ def _cmd_compute(args):
         "tolerance_rel": args.tolerance_rel,
         "passed": max_rel_dev <= args.tolerance_rel,
     }
-    _emit(document, args.output)
-    return EXIT_OK
+    return _json_text(document), EXIT_OK
 
 
-def _cmd_verify(args):
-    try:
-        report = run_verification(
-            trials=args.trials,
-            seed=args.seed,
-            n_atoms=args.n,
-            corrupt_identity=args.corrupt_identity,
-        )
-    except (ValueError, TrispinError) as exc:
-        _emit_error(args, b"", "invalid_input", str(exc))
-        return EXIT_INVALID_INPUT
-    document = _envelope(args, b"")
+def _cmd_verify(args, raw):
+    report = run_verification(
+        trials=args.trials,
+        seed=args.seed,
+        n_atoms=args.n,
+        corrupt_identity=args.corrupt_identity,
+    )
+    document = _envelope(args, raw)
     document["verification"] = report
-    _emit(document, args.output)
-    return EXIT_OK if report["passed"] else EXIT_VERIFICATION_FAILED
+    code = EXIT_OK if report["passed"] else EXIT_VERIFICATION_FAILED
+    return _json_text(document), code
 
 
 def _parse_grid(text):
@@ -141,13 +128,13 @@ def _parse_grid(text):
             f"unknown grid family {grid.get('family')!r} (supported: 'pair_mix')"
         )
     try:
-        n_atoms = int(grid["n_atoms"])
-        index_a = int(grid.get("index_a", 0))
-        index_b = int(grid.get("index_b", 1))
+        n_atoms = _integer_field(grid["n_atoms"], "n_atoms")
+        index_a = _integer_field(grid.get("index_a", 0), "index_a")
+        index_b = _integer_field(grid.get("index_b", 1), "index_b")
         start = float(grid.get("start", 0.0))
         stop = float(grid["stop"])
-        points = int(grid["points"])
-    except (KeyError, TypeError, ValueError) as exc:
+        points = _integer_field(grid["points"], "points")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidStateError(f"missing or malformed grid field: {exc}") from exc
     if points < 1:
         raise InvalidStateError(f"grid needs at least 1 point, got {points}")
@@ -155,6 +142,8 @@ def _parse_grid(text):
         raise InvalidStateError("grid level indices outside 0..N")
     if index_a == index_b:
         raise InvalidStateError("grid level indices must differ")
+    if not math.isfinite((stop - start) * (points - 1)):
+        raise InvalidStateError("grid angles must be finite from start to stop")
     return n_atoms, index_a, index_b, start, stop, points
 
 
@@ -191,34 +180,23 @@ def _scan_row(index, alpha, state):
     ]
 
 
-def _cmd_scan(args):
-    if not args.grid:
-        _emit_error(args, b"", "invalid_input", "scan needs --grid")
-        return EXIT_INVALID_INPUT
-    grid_bytes = args.grid.encode("utf-8")
-    try:
-        n_atoms, index_a, index_b, start, stop, points = _parse_grid(args.grid)
-        rows = []
-        for index in range(points):
-            alpha = (
-                start if points == 1 else start + (stop - start) * index / (points - 1)
-            )
-            coeffs = [0.0] * (n_atoms + 1)
-            coeffs[index_a] = math.cos(alpha)
-            coeffs[index_b] = math.sin(alpha)
-            state = symmetric_state(n_atoms, coeffs, normalize=True)
-            rows.append(_scan_row(index, alpha, state))
-    except TrispinError as exc:
-        _emit_error(args, grid_bytes, "invalid_input", str(exc))
-        return EXIT_INVALID_INPUT
-
+def _cmd_scan(args, raw):
+    n_atoms, index_a, index_b, start, stop, points = _parse_grid(raw.decode("utf-8"))
+    rows = []
+    for index in range(points):
+        alpha = start if points == 1 else start + (stop - start) * index / (points - 1)
+        coeffs = [0.0] * (n_atoms + 1)
+        coeffs[index_a] = math.cos(alpha)
+        coeffs[index_b] = math.sin(alpha)
+        state = symmetric_state(n_atoms, coeffs, normalize=True)
+        rows.append(_scan_row(index, alpha, state))
     buffer = io.StringIO()
     buffer.write(f"# trispin scan v{__version__}\n")
     buffer.write(f"# seed: {args.seed}\n")
     buffer.write(
         f"# tolerances: rel={args.tolerance_rel!r} abs={args.tolerance_abs!r}\n"
     )
-    buffer.write(f"# input_sha256: {hashlib.sha256(grid_bytes).hexdigest()}\n")
+    buffer.write(f"# input_sha256: {hashlib.sha256(raw).hexdigest()}\n")
     buffer.write(f"# timestamp: {_timestamp()}\n")
     buffer.write(
         "# columns: grid_index, alpha (mixing angle), mean spin (jx, jy, jz),\n"
@@ -228,23 +206,11 @@ def _cmd_scan(args):
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(_SCAN_COLUMNS)
     writer.writerows(rows)
-    _write(buffer.getvalue(), args.output)
-    return EXIT_OK
+    return buffer.getvalue(), EXIT_OK
 
 
-def _cmd_sample(args):
-    raw, state, error = _load_state(args)
-    if error is not None:
-        _emit_error(args, raw, "invalid_input", str(error))
-        return EXIT_INVALID_INPUT
-    try:
-        estimate = estimate_s_from_samples(state, args.shots, args.seed)
-    except FrameUndefinedError as exc:
-        _emit_error(args, raw, "frame_undefined", str(exc))
-        return EXIT_FRAME_UNDEFINED
-    except TrispinError as exc:
-        _emit_error(args, raw, "invalid_input", str(exc))
-        return EXIT_INVALID_INPUT
+def _cmd_sample(args, raw):
+    estimate = estimate_s_from_samples(_decode_state(args, raw), args.shots, args.seed)
     document = _envelope(args, raw)
     record_xp = estimate.record_xp.to_dict()
     record_xp["estimates"] = estimate.estimates_xp.to_dict()
@@ -256,8 +222,7 @@ def _cmd_sample(args):
         "s_se": estimate.s_se,
         "records": [record_xp, record_yp],
     }
-    _emit(document, args.output)
-    return EXIT_OK
+    return _json_text(document), EXIT_OK
 
 
 def _checked(convert, valid, expected):
@@ -317,7 +282,7 @@ def build_parser():
         "--tolerance-abs", type=_tolerance_arg, default=ROUTE_ABS_FLOOR,
         help="route-equivalence absolute floor",
     )
-    p_compute.set_defaults(func=_cmd_compute)
+    p_compute.set_defaults(func=_cmd_compute, read=_read_input)
     p_verify = sub.add_parser(
         "verify", parents=[common], help="identity suite and randomized sweeps"
     )
@@ -327,18 +292,18 @@ def build_parser():
         "--corrupt-identity", default=None, metavar="ID",
         help="debug: flip one identity's right-hand side to prove failures surface",
     )
-    p_verify.set_defaults(func=_cmd_verify, **recorded)
+    p_verify.set_defaults(func=_cmd_verify, read=_read_nothing, **recorded)
     p_scan = sub.add_parser(
         "scan", parents=[common], help="CSV sweep over a one-parameter state family"
     )
     p_scan.add_argument("--grid", default=None, help="inline grid JSON")
-    p_scan.set_defaults(func=_cmd_scan, **recorded)
+    p_scan.set_defaults(func=_cmd_scan, read=_read_grid, **recorded)
     p_sample = sub.add_parser(
         "sample", parents=[common, state_input],
         help="Monte Carlo measurement estimate of S",
     )
     p_sample.add_argument("--shots", type=int, default=100000, help="measurement shots")
-    p_sample.set_defaults(func=_cmd_sample, **recorded)
+    p_sample.set_defaults(func=_cmd_sample, read=_read_input, **recorded)
     return parser
 
 
@@ -349,8 +314,31 @@ def _parser():
 
 
 def main(argv=None):
+    """Run one subcommand and write its artifact; returns the exit code.
+
+    The one place that maps exceptions to exit codes: an undefined frame
+    gives 3, and any other input error (unreadable or malformed input, a
+    value the library refuses) gives 2.  Both write an error document where
+    the artifact would have gone.  Running out of memory and internal faults
+    are not input errors and propagate.
+    """
     args = _parser().parse_args(argv)
-    return args.func(args)
+    raw = b""
+    try:
+        raw = args.read(args)
+        text, code = args.func(args, raw)
+    except FrameUndefinedError as exc:
+        text = _error_text(args, raw, "frame_undefined", exc)
+        code = EXIT_FRAME_UNDEFINED
+    except (OSError, ValueError, TrispinError) as exc:
+        text = _error_text(args, raw, "invalid_input", exc)
+        code = EXIT_INVALID_INPUT
+    if args.output and args.output != "-":
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+    return code
 
 
 def run():

@@ -23,6 +23,7 @@ construction (arrays are made read-only) and safe to share between threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,6 +321,24 @@ def random_product_state(n_atoms, seed):
 # {"n_atoms": N, "representation": "product", "coeffs": [[[re, im], [re, im]], ...]}
 # ---------------------------------------------------------------------------
 
+def _integer_field(value, where):
+    """An integer field of outside JSON, as an int.
+
+    Accepts what ``int()`` reads exactly (integers, integral floats such as
+    ``3.0``, integer strings) and refuses fractional or non-finite numbers
+    and magnitudes past ``sys.maxsize``, which no count or index reaches.
+    """
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: infinity
+        number = None
+    if number is None or (isinstance(value, float) and number != value):
+        raise InvalidStateError(f"{where}: expected an integer, got {value!r}")
+    if abs(number) > sys.maxsize:
+        raise InvalidStateError(f"{where}: magnitude past the limit {sys.maxsize}")
+    return number
+
+
 def _complex_from_pair(pair, where):
     if (
         not isinstance(pair, (list, tuple))
@@ -327,7 +346,10 @@ def _complex_from_pair(pair, where):
         or not all(isinstance(v, (int, float)) for v in pair)
     ):
         raise InvalidStateError(f"{where}: expected a [re, im] pair, got {pair!r}")
-    return complex(pair[0], pair[1])
+    try:
+        return complex(pair[0], pair[1])
+    except OverflowError as exc:  # an integer past the double range
+        raise InvalidStateError(f"{where}: value outside the double range") from exc
 
 
 def state_from_dict(data, auto_normalize=False):
@@ -335,11 +357,12 @@ def state_from_dict(data, auto_normalize=False):
     if not isinstance(data, dict):
         raise InvalidStateError("state document must be a JSON object")
     try:
-        n_atoms = int(data["n_atoms"])
+        n_atoms = data["n_atoms"]
         rep = data["representation"]
         coeffs = data["coeffs"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise InvalidStateError(f"missing or malformed state field: {exc}") from exc
+    n_atoms = _integer_field(n_atoms, "n_atoms")
     if not isinstance(coeffs, list):
         raise InvalidStateError("'coeffs' must be a list")
     if rep == "dicke":

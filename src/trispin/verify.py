@@ -17,7 +17,7 @@ against the dense oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import math
@@ -282,47 +282,46 @@ def _collective(axis, n_atoms):
 
 
 @lru_cache(maxsize=None)
-def _term_matrix(factors, n_atoms=3):
-    """Dense product of single-atom operators; empty factors give identity.
+def _term_matrix(factors):
+    """Dense three-atom product of single-atom operators.
 
-    ``factors`` is a tuple of ``(atom, axis)`` pairs; the result is cached
-    and read-only, since every cancellation trial reuses the same terms.
+    ``factors`` is a tuple of ``(atom, axis)`` pairs (none give the
+    identity); the result is cached and read-only, since every cancellation
+    trial reuses the same terms.
     """
-    out = np.eye(1 << n_atoms, dtype=complex)
+    out = np.eye(8, dtype=complex)
     for atom, axis in factors:
-        out = out @ _atom_op(atom, axis, n_atoms)
+        out = out @ _atom_op(atom, axis, 3)
     out.setflags(write=False)
     return out
 
 
-def identity_lhs(entry, n_atoms=3):
-    """Dense collective product for the identity's axis word."""
-    out = np.eye(1 << n_atoms, dtype=complex)
+def identity_lhs(entry):
+    """Dense 8x8 collective product for the identity's axis word."""
+    out = np.eye(8, dtype=complex)
     for axis in entry.word:
-        out = out @ _collective(axis, n_atoms)
+        out = out @ _collective(axis, 3)
     return out
 
 
-def identity_rhs(entry, n_atoms=3):
-    """Dense matrix of the encoded term list."""
-    dim = 1 << n_atoms
-    out = entry.const * np.eye(dim, dtype=complex)
+def identity_rhs(entry):
+    """Dense 8x8 matrix of the encoded term list."""
+    out = entry.const * np.eye(8, dtype=complex)
     if entry.singles is not None:
         coeff, axis = entry.singles
         for atom in (1, 2, 3):
-            out = out + coeff * _term_matrix(((atom, axis),), n_atoms)
+            out = out + coeff * _term_matrix(((atom, axis),))
     for coeff, first, second in entry.pairs:
-        out = out + coeff * _term_matrix((first, second), n_atoms)
+        out = out + coeff * _term_matrix((first, second))
     for coeff, word in entry.triples:
         factors = tuple(zip((1, 2, 3), word))
-        out = out + coeff * _term_matrix(factors, n_atoms)
+        out = out + coeff * _term_matrix(factors)
     return out
 
 
-def _single_atom_relation_results(n_atoms=3):
-    """Residuals of the one-atom product reductions as 2**N identities."""
-    dim = 1 << n_atoms
-    eye = np.eye(dim, dtype=complex)
+def _single_atom_relation_results():
+    """Residuals of the one-atom product reductions on three atoms."""
+    eye = np.eye(8, dtype=complex)
     checks = {
         "atom_square": [],
         "atom_cube": [],
@@ -332,8 +331,8 @@ def _single_atom_relation_results(n_atoms=3):
         "atom_anticommute": [],
     }
     cyclic = {"x": ("y", "z"), "y": ("z", "x"), "z": ("x", "y")}
-    for atom in range(1, n_atoms + 1):
-        ops = {axis: _atom_op(atom, axis, n_atoms) for axis in AXES}
+    for atom in (1, 2, 3):
+        ops = {axis: _atom_op(atom, axis, 3) for axis in AXES}
         for axis in AXES:
             checks["atom_square"].append(ops[axis] @ ops[axis] - 0.25 * eye)
             checks["atom_cube"].append(
@@ -350,7 +349,7 @@ def _single_atom_relation_results(n_atoms=3):
     results = []
     for check_id, residuals in checks.items():
         worst = max(float(np.max(np.abs(r))) for r in residuals)
-        results.append(IdentityResult(check_id, worst, dim, worst <= RESIDUAL_TOL))
+        results.append(IdentityResult(check_id, worst, 8, worst <= RESIDUAL_TOL))
     return results
 
 
@@ -460,7 +459,7 @@ def _ghz_like(n_atoms):
     return symmetric_state(n_atoms, coeffs)
 
 
-def verify_sum_route(n_atoms, n_trials, seed, include_ghz=True):
+def verify_sum_route(n_atoms, n_trials, seed):
     """Both third-moment routes on random symmetric states, dense oracle side.
 
     The direct side is computed with dense rotated operators in the full
@@ -470,8 +469,7 @@ def verify_sum_route(n_atoms, n_trials, seed, include_ghz=True):
     if not 3 <= n_atoms <= 6:
         raise ValueError(f"dense sum-route sweep needs 3 <= N <= 6, got {n_atoms}")
     rng = np.random.default_rng(seed)
-    states = [_ghz_like(n_atoms)] if include_ghz else []
-    states += [
+    states = [_ghz_like(n_atoms)] + [
         random_symmetric_state(n_atoms, int(rng.integers(2**63)))
         for _ in range(n_trials)
     ]
@@ -559,25 +557,7 @@ def run_verification(trials=100, seed=13, n_atoms=None, corrupt_identity=None):
     sweeps = [cancellation] + sum_routes + vanishing
     passed = all(r.passed for r in identities) and all(s.passed for s in sweeps)
     return {
-        "identities": [
-            {
-                "identity_id": r.identity_id,
-                "max_abs_residual": r.max_abs_residual,
-                "dim": r.dim,
-                "passed": r.passed,
-            }
-            for r in identities
-        ],
-        "sweeps": [
-            {
-                "check_id": s.check_id,
-                "n_trials": s.n_trials,
-                "n_skipped": s.n_skipped,
-                "worst": s.worst,
-                "tolerance": s.tolerance,
-                "passed": s.passed,
-            }
-            for s in sweeps
-        ],
+        "identities": [asdict(r) for r in identities],
+        "sweeps": [asdict(s) for s in sweeps],
         "passed": passed,
     }

@@ -443,6 +443,128 @@ class TestSample:
         assert doc["input_sha256"] == hashlib.sha256(b'{"n_atoms": 3}').hexdigest()
 
 
+def state_bytes(n_atoms="3", coeffs="[[1, 0], [0, 0], [0, 0], [0, 0]]",
+                representation="dicke"):
+    """A state document spelled out as text, so JSON numbers stay literal."""
+    return (
+        f'{{"n_atoms": {n_atoms}, "representation": "{representation}", '
+        f'"coeffs": {coeffs}}}'
+    ).encode()
+
+
+def grid_text(**fields):
+    grid = {"family": "pair_mix", "n_atoms": 3, "stop": 1.0, "points": 3}
+    grid.update(fields)
+    return json.dumps(grid)
+
+
+R = 1 / math.sqrt(2)
+HUGE_COEFF = "[[1" + "0" * 400 + ", 0], [0, 0], [0, 0], [0, 0]]"
+UP_DOWN_UP = "[[[1, 0], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, 0]]]"
+STATE_CASES = {
+    "n_atoms_1e999": state_bytes(n_atoms="1e999"),
+    "n_atoms_3.9": state_bytes(n_atoms="3.9"),
+    "coefficient_10e400": state_bytes(coeffs=HUGE_COEFF),
+    "invalid_json": b"{not json",
+    "invalid_utf8": b"\xff{}",
+    "missing_fields": b'{"n_atoms": 3}',
+    "nan_amplitude": state_bytes(coeffs="[[NaN, 0], [0, 0], [0, 0], [0, 0]]"),
+    "unnormalized": state_bytes(coeffs="[[1, 0], [1, 0], [0, 0], [0, 0]]"),
+    "too_few_atoms": state_bytes(n_atoms="2", coeffs="[[1, 0], [0, 0], [0, 0]]"),
+    "non_symmetric_product": state_bytes(coeffs=UP_DOWN_UP, representation="product"),
+}
+GRID_CASES = {
+    "n_atoms_1e999": '{"family": "pair_mix", "n_atoms": 1e999, "stop": 1.0, '
+                     '"points": 3}',
+    "stop_1e308": grid_text(stop=1e308),
+    "n_atoms_3.9": grid_text(n_atoms=3.9),
+    "index_0.5": grid_text(index_a=0.5),
+    "points_1e999": '{"family": "pair_mix", "n_atoms": 3, "stop": 1.0, '
+                    '"points": 1e999}',
+    "stop_10e400": grid_text(stop=10**400),
+    "stop_nan": grid_text(stop=math.nan),
+    "not_json": "not json",
+    "not_an_object": "[]",
+    "unknown_family": json.dumps({"family": "mystery"}),
+    "missing_stop": json.dumps({"family": "pair_mix", "n_atoms": 3, "points": 3}),
+    "no_points": grid_text(points=0),
+    "index_outside": grid_text(index_a=9),
+    "equal_indices": grid_text(index_a=1, index_b=1),
+    "too_few_atoms": grid_text(n_atoms=2),
+}
+
+
+def bad_inputs():
+    """(argv, bytes at --input or None, bytes the reader returns, exit code)."""
+    for command in ("compute", "sample"):
+        for name, data in STATE_CASES.items():
+            yield pytest.param([command], data, data, 2, id=f"{command}-{name}")
+        ghz = state_bytes(coeffs=f"[[{R}, 0], [0, 0], [0, 0], [{R}, 0]]")
+        yield pytest.param([command], ghz, ghz, 3, id=f"{command}-ghz")
+        yield pytest.param([command, "--input", "missing.json"], None, b"", 2,
+                           id=f"{command}-unreadable")
+    yield pytest.param(["sample", "--shots", "10"], state_bytes(), state_bytes(), 2,
+                       id="sample-too_few_shots")
+    for name, grid in GRID_CASES.items():
+        yield pytest.param(["scan", "--grid", grid], None, grid.encode(), 2,
+                           id=f"scan-{name}")
+    yield pytest.param(["scan"], None, b"", 2, id="scan-missing_grid")
+    yield pytest.param(["scan", "--grid", "\udcff"], None, b"", 2,
+                       id="scan-unencodable_grid")
+    for extra in (["--n", "2"], ["--trials", "0"], ["--corrupt-identity", "JxJxJq"]):
+        yield pytest.param(["verify", "--trials", "5"] + extra, None, b"", 2,
+                           id=f"verify-{extra[0][2:]}")
+
+
+class TestErrorBoundary:
+    """Every subcommand maps bad input to an error document, never a traceback."""
+
+    @pytest.mark.parametrize("argv, data, read, exit_code", bad_inputs())
+    def test_bad_input_gives_an_error_document(
+        self, argv, data, read, exit_code, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        if data is not None:
+            (tmp_path / "state.json").write_bytes(data)
+            argv = argv + ["--input", "state.json"]
+        assert main(argv + ["--output", "out.json"]) == exit_code
+        assert capsys.readouterr().out == ""
+        doc = json.loads((tmp_path / "out.json").read_text())
+        code = "frame_undefined" if exit_code == 3 else "invalid_input"
+        assert doc["error"]["code"] == code
+        assert doc["input_sha256"] == hashlib.sha256(read).hexdigest()
+
+    def test_undecodable_stdin_hashes_no_bytes(self, monkeypatch, capsys):
+        import io
+
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff{}"), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert main(["compute", "--input", "-"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["error"]["code"] == "invalid_input"
+        assert doc["input_sha256"] == hashlib.sha256(b"").hexdigest()
+
+    def test_sample_cap_gives_an_error_document(self, tmp_path, monkeypatch):
+        from trispin import sampler
+
+        # a small cap keeps the register small: N=4 is one atom past it
+        monkeypatch.setattr(sampler, "MAX_SAMPLE_ATOMS", 3)
+        path = write_state(tmp_path, "four.json", [[1, 0]] + [[0, 0]] * 4, n_atoms=4)
+        out = tmp_path / "out.json"
+        assert main(["sample", "--input", path, "--output", str(out)]) == 2
+        error = json.loads(out.read_text())["error"]
+        assert error["code"] == "invalid_input"
+        assert "capped at N=3" in error["message"]
+
+    def test_internal_faults_are_not_input_errors(self, top_state, monkeypatch):
+        def fault(state):
+            raise RuntimeError("internal fault")
+
+        monkeypatch.setattr(cli, "entanglement_s", fault)
+        with pytest.raises(RuntimeError, match="internal fault"):
+            main(["compute", "--input", top_state])
+
+
 def test_s_paths_never_build_2n_vectors(tmp_path, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("2^N vector built on an S path")

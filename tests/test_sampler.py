@@ -6,6 +6,7 @@ import pytest
 
 from trispin import (
     InsufficientShotsError,
+    InvalidStateError,
     MeasurementRecord,
     NotSymmetricError,
     central_moment,
@@ -205,6 +206,19 @@ class TestEstimateS:
             entanglement_s(state)
         with pytest.raises(NotSymmetricError):
             estimate_s_from_samples(state, 2000, seed=3)
+
+
+    def test_register_past_the_cap_rejected_before_building_operators(
+        self, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("operators built past the sampling cap")
+
+        monkeypatch.setattr(sampler, "rotated_ops", refuse)
+        qubit = [0.6, 0.8j]
+        state = product_state([qubit] * (sampler.MAX_SAMPLE_ATOMS + 1))
+        with pytest.raises(InvalidStateError, match="capped at N=2000"):
+            estimate_s_from_samples(state, 2000, seed=5)
 
 
 def reference_counts(probs, m_shots, seed):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from trispin import (
     state_to_dict,
     symmetric_state,
 )
-from trispin.states import FULL_SPACE_ATOM_CAP
+from trispin.states import FULL_SPACE_ATOM_CAP, _integer_field
 
 
 class TestConstruction:
@@ -258,3 +259,44 @@ class TestJsonSchema:
     def test_malformed_documents_rejected(self, doc):
         with pytest.raises(InvalidStateError):
             state_from_dict(doc)
+
+    @pytest.mark.parametrize("n_atoms", [3, 3.0, "3"])
+    def test_integral_atom_counts_accepted(self, n_atoms):
+        doc = {"n_atoms": n_atoms, "representation": "dicke",
+               "coeffs": [[1, 0], [0, 0], [0, 0], [0, 0]]}
+        assert state_from_dict(doc).n_atoms == 3
+
+    @pytest.mark.parametrize(
+        "n_atoms", [3.9, math.inf, -math.inf, math.nan, 1e300, 10**400, None, [3]]
+    )
+    def test_non_integral_or_out_of_range_atom_counts_rejected(self, n_atoms):
+        doc = {"n_atoms": n_atoms, "representation": "dicke",
+               "coeffs": [[1, 0], [0, 0], [0, 0], [0, 0]]}
+        with pytest.raises(InvalidStateError, match="n_atoms"):
+            state_from_dict(doc)
+
+    @pytest.mark.parametrize("value", [10**400, -(10**400)])
+    def test_coefficient_past_the_double_range_rejected(self, value):
+        doc = {"n_atoms": 3, "representation": "dicke",
+               "coeffs": [[value, 0], [0, 0], [0, 0], [0, 0]]}
+        with pytest.raises(InvalidStateError, match=r"coeffs\[0\]"):
+            state_from_dict(doc)
+        product = {"n_atoms": 3, "representation": "product",
+                   "coeffs": [[[1, 0], [0, value]]] * 3}
+        with pytest.raises(InvalidStateError, match=r"coeffs\[0\]\[1\]"):
+            state_from_dict(product)
+
+
+class TestIntegerField:
+    @pytest.mark.parametrize("value, expected", [
+        (0, 0), (-5, -5), (7.0, 7), ("12", 12), (True, 1), (sys.maxsize, sys.maxsize),
+    ])
+    def test_integral_values_read_exactly(self, value, expected):
+        assert _integer_field(value, "field") == expected
+
+    @pytest.mark.parametrize("value", [
+        0.5, math.inf, math.nan, sys.maxsize + 1, 1e19, 10**400, "3.0", "x", None, {},
+    ])
+    def test_other_values_raise_invalid_state(self, value):
+        with pytest.raises(InvalidStateError, match="field"):
+            _integer_field(value, "field")
