@@ -1,6 +1,6 @@
 """Command-line entry point: compute, verify, scan, sample.
 
-Every artifact embeds the tool version, the seed, the active tolerances, a
+Every artifact embeds the tool version, the seed, the route tolerances, a
 SHA-256 checksum of the raw input, and a timestamp; reruns with identical
 inputs are byte-identical apart from the timestamp field.
 
@@ -33,6 +33,12 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_FRAME_UNDEFINED = 3
 
+# Most ladder levels, points x (N + 1), one scan grid may span.  At the limit
+# a scan took 0.6-0.7 s whatever the shape, and 393 MB peak RSS for a single
+# N=999999 point (36 MB for 1000 points at N=999; one in-process run each, one
+# BLAS thread on a 2-vCPU Xeon), near the memory of `sample` at its atom cap.
+MAX_SCAN_LEVELS = 10**6
+
 
 def _timestamp():
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -43,10 +49,7 @@ def _envelope(args, input_bytes):
         "tool": {"name": "trispin", "version": __version__},
         "timestamp": _timestamp(),
         "seed": args.seed,
-        "tolerances": {
-            "rel": args.tolerance_rel,
-            "abs": args.tolerance_abs,
-        },
+        "tolerances": {"rel": ROUTE_REL_TOL, "abs": ROUTE_ABS_FLOOR},
         "input_sha256": hashlib.sha256(input_bytes).hexdigest(),
     }
 
@@ -94,11 +97,11 @@ def _cmd_compute(args, raw):
     report = entanglement_s(_decode_state(args, raw))
     document = _envelope(args, raw)
     document["report"] = report.to_dict()
-    max_rel_dev = report.max_rel_dev(args.tolerance_rel, args.tolerance_abs)
+    max_rel_dev = report.max_rel_dev()
     document["route_check"] = {
         "max_rel_dev": max_rel_dev,
-        "tolerance_rel": args.tolerance_rel,
-        "passed": max_rel_dev <= args.tolerance_rel,
+        "tolerance_rel": ROUTE_REL_TOL,
+        "passed": max_rel_dev <= ROUTE_REL_TOL,
     }
     return _json_text(document), EXIT_OK
 
@@ -138,6 +141,11 @@ def _parse_grid(text):
         raise InvalidStateError(f"missing or malformed grid field: {exc}") from exc
     if points < 1:
         raise InvalidStateError(f"grid needs at least 1 point, got {points}")
+    if points * (n_atoms + 1) > MAX_SCAN_LEVELS:
+        raise InvalidStateError(
+            f"grid of {points} points x {n_atoms + 1} levels is past the limit "
+            f"of {MAX_SCAN_LEVELS} ladder levels"
+        )
     if not (0 <= index_a <= n_atoms and 0 <= index_b <= n_atoms):
         raise InvalidStateError("grid level indices outside 0..N")
     if index_a == index_b:
@@ -193,9 +201,7 @@ def _cmd_scan(args, raw):
     buffer = io.StringIO()
     buffer.write(f"# trispin scan v{__version__}\n")
     buffer.write(f"# seed: {args.seed}\n")
-    buffer.write(
-        f"# tolerances: rel={args.tolerance_rel!r} abs={args.tolerance_abs!r}\n"
-    )
+    buffer.write(f"# tolerances: rel={ROUTE_REL_TOL!r} abs={ROUTE_ABS_FLOOR!r}\n")
     buffer.write(f"# input_sha256: {hashlib.sha256(raw).hexdigest()}\n")
     buffer.write(f"# timestamp: {_timestamp()}\n")
     buffer.write(
@@ -238,9 +244,6 @@ def _checked(convert, valid, expected):
     return parse
 
 
-_tolerance_arg = _checked(
-    float, lambda v: 0.0 < v < math.inf, "a finite positive number"
-)
 _seed_arg = _checked(int, lambda v: v >= 0, "a non-negative integer")
 
 
@@ -253,8 +256,7 @@ def build_parser():
         ),
     )
     parser.add_argument("--version", action="version", version=__version__)
-    # every subcommand accepts only the options it reads; the ones without
-    # route tolerances still record the module defaults in their envelope
+    # every subcommand accepts only the options it reads
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", default=None, help="output path (default stdout)")
     common.add_argument(
@@ -268,19 +270,10 @@ def build_parser():
         "--normalize", action="store_true",
         help="renormalize state input instead of rejecting noisy norms",
     )
-    recorded = {"tolerance_rel": ROUTE_REL_TOL, "tolerance_abs": ROUTE_ABS_FLOOR}
     sub = parser.add_subparsers(dest="command", required=True)
     p_compute = sub.add_parser(
         "compute", parents=[common, state_input],
         help="moment report and S for one state",
-    )
-    p_compute.add_argument(
-        "--tolerance-rel", type=_tolerance_arg, default=ROUTE_REL_TOL,
-        help="route-equivalence relative tolerance",
-    )
-    p_compute.add_argument(
-        "--tolerance-abs", type=_tolerance_arg, default=ROUTE_ABS_FLOOR,
-        help="route-equivalence absolute floor",
     )
     p_compute.set_defaults(func=_cmd_compute, read=_read_input)
     p_verify = sub.add_parser(
@@ -292,18 +285,18 @@ def build_parser():
         "--corrupt-identity", default=None, metavar="ID",
         help="debug: flip one identity's right-hand side to prove failures surface",
     )
-    p_verify.set_defaults(func=_cmd_verify, read=_read_nothing, **recorded)
+    p_verify.set_defaults(func=_cmd_verify, read=_read_nothing)
     p_scan = sub.add_parser(
         "scan", parents=[common], help="CSV sweep over a one-parameter state family"
     )
     p_scan.add_argument("--grid", default=None, help="inline grid JSON")
-    p_scan.set_defaults(func=_cmd_scan, read=_read_grid, **recorded)
+    p_scan.set_defaults(func=_cmd_scan, read=_read_grid)
     p_sample = sub.add_parser(
         "sample", parents=[common, state_input],
         help="Monte Carlo measurement estimate of S",
     )
     p_sample.add_argument("--shots", type=int, default=100000, help="measurement shots")
-    p_sample.set_defaults(func=_cmd_sample, read=_read_input, **recorded)
+    p_sample.set_defaults(func=_cmd_sample, read=_read_input)
     return parser
 
 
@@ -319,8 +312,9 @@ def main(argv=None):
     The one place that maps exceptions to exit codes: an undefined frame
     gives 3, and any other input error (unreadable or malformed input, a
     value the library refuses) gives 2.  Both write an error document where
-    the artifact would have gone.  Running out of memory and internal faults
-    are not input errors and propagate.
+    the artifact would have gone.  An ``--output`` path that cannot be
+    written also gives 2, with one line on stderr.  Running out of memory and
+    internal faults are not input errors and propagate.
     """
     args = _parser().parse_args(argv)
     raw = b""
@@ -334,8 +328,13 @@ def main(argv=None):
         text = _error_text(args, raw, "invalid_input", exc)
         code = EXIT_INVALID_INPUT
     if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"trispin: cannot write {args.output}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return EXIT_INVALID_INPUT
     else:
         sys.stdout.write(text)
     return code

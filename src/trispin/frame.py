@@ -26,7 +26,6 @@ from .operators import (
     OperatorMatrix,
     apply_ladder_axes,
     collective_op_dicke,
-    ladder_vectors,
 )
 from .states import as_symmetric
 
@@ -77,7 +76,7 @@ def mean_spin(state):
     """
     sym = as_symmetric(state)
     vec = sym.coeffs
-    applied = apply_ladder_axes(vec, ladder_vectors(sym.n_atoms))
+    applied = apply_ladder_axes(vec)
     jx, jy, jz = (
         _real_expectation(np.vdot(vec, row), f"<J{a}>", sym.n_atoms)
         for row, a in zip(applied, AXES)
@@ -142,7 +141,6 @@ def rotated_ops(angles, n_atoms):
         OperatorMatrix(
             n_atoms + 1,
             sum(w * mat for w, mat in zip(row, base)),
-            hermitian=True,
             space_tag="dicke",
         )
         for row in rotation_matrix(angles)

@@ -51,7 +51,7 @@ from .frame import (
     rotation_angles,
     rotation_matrix,
 )
-from .operators import AXES, apply_ladder, apply_ladder_axes, ladder_vectors
+from .operators import AXES, apply_ladder, apply_ladder_axes
 from .states import FullState, SymmetricState, as_symmetric
 
 ROUTE_REL_TOL = 1e-9
@@ -102,11 +102,11 @@ class MomentReport:
     m3_yp_sum: float
     s_parameter: float
 
-    def max_rel_dev(self, rel=ROUTE_REL_TOL, floor=ROUTE_ABS_FLOOR):
+    def max_rel_dev(self):
         """Worst scaled route deviation across the two axes."""
         return max(
-            route_deviation(self.m3_xp_direct, self.m3_xp_sum, rel, floor),
-            route_deviation(self.m3_yp_direct, self.m3_yp_sum, rel, floor),
+            route_deviation(self.m3_xp_direct, self.m3_xp_sum),
+            route_deviation(self.m3_yp_direct, self.m3_yp_sum),
         )
 
     def to_dict(self):
@@ -134,17 +134,20 @@ class MomentReport:
         }
 
 
-def route_deviation(direct, summed, rel=ROUTE_REL_TOL, floor=ROUTE_ABS_FLOOR):
+def route_deviation(direct, summed):
     """Scaled relative deviation between the two routes.
 
-    A value at most ``rel`` is equivalent to
-    ``|direct - summed| <= max(rel*|direct|, floor)``.
+    A value at most ``ROUTE_REL_TOL`` is equivalent to
+    ``|direct - summed| <= max(ROUTE_REL_TOL*|direct|, ROUTE_ABS_FLOOR)``.
     """
-    return abs(direct - summed) / max(abs(direct), floor / rel)
+    floor = ROUTE_ABS_FLOOR / ROUTE_REL_TOL
+    return abs(direct - summed) / max(abs(direct), floor)
 
 
-def _real(value, what, n_atoms, order):
+def _real(value, n_atoms, order):
+    """An order-``order`` moment as a float; a large imaginary part is a fault."""
     if abs(value.imag) > _IMAG_TOL * (1.0 + n_atoms / 2.0) ** order:
+        what = "<A>" if order == 1 else f"<(A-<A>)^{order}>"
         raise RuntimeError(f"internal error: {what} has imaginary part {value.imag:.3e}")
     return float(value.real)
 
@@ -165,36 +168,28 @@ def _matching_vector(state, op):
     )
 
 
-def central_moment(state, op, order):
-    """``<(A - <A>)**order>`` for a hermitian operator, order 2 or 3.
+def _shifted_moments(vec, apply, n_atoms, top):
+    """``[<(A - <A>)**k> for k = 2..top]``, with ``apply(v) = A v``.
 
-    The mean is always subtracted; nothing assumes ``<A> = 0``.
+    The shifted-power recurrence: one application for the mean, then one per
+    order.  The mean is always subtracted; nothing assumes ``<A> = 0``.
     """
+    applied = apply(vec)
+    mean = _real(np.vdot(vec, applied), n_atoms, 1)
+    shifted = applied - mean * vec
+    moments = []
+    for order in range(2, top + 1):
+        shifted = apply(shifted) - mean * shifted
+        moments.append(_real(np.vdot(vec, shifted), n_atoms, order))
+    return moments
+
+
+def central_moment(state, op, order):
+    """``<(A - <A>)**order>`` for a dense operator, order 2 or 3."""
     if order not in (2, 3):
         raise ValueError(f"order must be 2 or 3, got {order}")
-    if not op.hermitian:
-        raise ValueError("central moments need a hermitian operator")
     vec = _matching_vector(state, op)
-    n_atoms = op.n_atoms()
-    mean = _real(np.vdot(vec, op.entries @ vec), "<A>", n_atoms, 1)
-    shifted = vec
-    for _ in range(order):
-        shifted = op.entries @ shifted - mean * shifted
-    return _real(np.vdot(vec, shifted), f"<(A-<A>)^{order}>", n_atoms, order)
-
-
-def _ladder_central_moments(state, weights, ladder):
-    """Second and third central moments of ``wx*Jx + wy*Jy + wz*Jz``, O(N)."""
-    vec, n_atoms = state.coeffs, state.n_atoms
-    applied = apply_ladder(vec, weights, ladder)
-    mean = _real(np.vdot(vec, applied), "<A>", n_atoms, 1)
-    once = applied - mean * vec
-    twice = apply_ladder(once, weights, ladder) - mean * once
-    thrice = apply_ladder(twice, weights, ladder) - mean * twice
-    return (
-        _real(np.vdot(vec, twice), "<(A-<A>)^2>", n_atoms, 2),
-        _real(np.vdot(vec, thrice), "<(A-<A>)^3>", n_atoms, 3),
-    )
+    return _shifted_moments(vec, lambda v: op.entries @ v, state.n_atoms, order)[-1]
 
 
 def _site_word(word):
@@ -287,10 +282,9 @@ def triple_correlators(state):
     """
     sym = as_symmetric(state)
     n = sym.n_atoms
-    ladder = ladder_vectors(n)
     psi = sym.coeffs
-    once = apply_ladder_axes(psi, ladder)  # once[c] = J_c psi
-    twice = apply_ladder_axes(once, ladder).reshape(9, n + 1)  # J_b J_c psi
+    once = apply_ladder_axes(psi)  # once[c] = J_c psi
+    twice = apply_ladder_axes(once).reshape(9, n + 1)  # J_b J_c psi
     bra = once.conj()
     values = _pattern_sums(n, once @ psi.conj(), bra @ once.T, bra @ twice.T)
     bad = np.abs(values.imag) > _IMAG_TOL * (1.0 + n / 2.0) ** 3
@@ -347,10 +341,10 @@ def direct_moments(state):
     sym = as_symmetric(state)
     mean = mean_spin(sym)
     angles = rotation_angles(mean)
-    rot = rotation_matrix(angles)
-    ladder = ladder_vectors(sym.n_atoms)
-    var_xp, m3_xp = _ladder_central_moments(sym, rot[0], ladder)
-    var_yp, m3_yp = _ladder_central_moments(sym, rot[1], ladder)
+    vec, n_atoms = sym.coeffs, sym.n_atoms
+    x_row, y_row = rotation_matrix(angles)[:2]
+    var_xp, m3_xp = _shifted_moments(vec, lambda v: apply_ladder(v, x_row), n_atoms, 3)
+    var_yp, m3_yp = _shifted_moments(vec, lambda v: apply_ladder(v, y_row), n_atoms, 3)
     return mean, angles, var_xp, var_yp, m3_xp, m3_yp
 
 

@@ -5,9 +5,11 @@ significant bit of a product-basis index, bit value 0 is the upper level, and
 the ladder space orders levels from the top (``m = N/2``) downwards.
 
 S runs on the ladder: the moments use ``apply_ladder`` and
-``apply_ladder_axes`` (O(N), from the two vectors of ``ladder_vectors``), the
-sampler diagonalises dense ladder matrices.  The dense 2**N matrices are
-small-N references for the identity checks in ``verify``.
+``apply_ladder_axes``, which act in O(N) through the two cached vectors of
+``ladder_vectors`` for the coefficients' own N; the sampler diagonalises dense
+ladder matrices.  The dense 2**N matrices are small-N references for the
+identity checks in ``verify``.  Every ``OperatorMatrix`` is hermitian: its
+entries are checked against their conjugate transpose when it is built.
 """
 
 from __future__ import annotations
@@ -38,16 +40,15 @@ _ID2 = np.eye(2, dtype=complex)
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense operator with hermiticity metadata.
+    """Dense hermitian operator on one space.
 
     ``space_tag`` is ``"full"`` (dimension 2**N) or ``"dicke"`` (dimension
-    N+1).  When the ``hermitian`` flag is set the entries are checked against
-    the conjugate transpose at construction time.
+    N+1).  The entries are checked against their conjugate transpose at
+    construction time.
     """
 
     dim: int
     entries: np.ndarray
-    hermitian: bool
     space_tag: str
 
     def __post_init__(self):
@@ -60,21 +61,9 @@ class OperatorMatrix:
             )
         if self.space_tag not in ("full", "dicke"):
             raise InvalidStateError(f"unknown space tag {self.space_tag!r}")
-        if self.hermitian:
-            dev = float(np.max(np.abs(arr - arr.conj().T)))
-            if dev > HERMITICITY_TOL:
-                raise InvalidStateError(
-                    f"operator flagged hermitian deviates by {dev:.3e}"
-                )
-
-    def n_atoms(self):
-        """Atom count implied by the dimension and space tag."""
-        if self.space_tag == "dicke":
-            return self.dim - 1
-        n = self.dim.bit_length() - 1
-        if (1 << n) != self.dim:
-            raise InvalidStateError(f"full-space dim {self.dim} is not a power of 2")
-        return n
+        dev = float(np.max(np.abs(arr - arr.conj().T)))
+        if dev > HERMITICITY_TOL:
+            raise InvalidStateError(f"operator is not hermitian: deviates by {dev:.3e}")
 
 
 def _axis_block(axis):
@@ -102,7 +91,7 @@ def single_atom_op(atom, axis, n_atoms):
     block = _axis_block(axis)
     factors = [block if i == atom else _ID2 for i in range(1, n_atoms + 1)]
     entries = reduce(np.kron, factors)
-    return OperatorMatrix(1 << n_atoms, entries, hermitian=True, space_tag="full")
+    return OperatorMatrix(1 << n_atoms, entries, space_tag="full")
 
 
 def collective_op(axis, n_atoms):
@@ -114,7 +103,7 @@ def collective_op(axis, n_atoms):
         single_atom_op(atom, axis, n_atoms).entries
         for atom in range(1, n_atoms + 1)
     )
-    return OperatorMatrix(1 << n_atoms, total, hermitian=True, space_tag="full")
+    return OperatorMatrix(1 << n_atoms, total, space_tag="full")
 
 
 @lru_cache(maxsize=16)
@@ -139,32 +128,31 @@ def ladder_vectors(n_atoms):
     return m, raising
 
 
-def apply_ladder(coeffs, weights, ladder):
+def apply_ladder(coeffs, weights):
     """Apply ``wx*Jx + wy*Jy + wz*Jz`` to ladder coefficients in O(N).
 
-    ``weights`` is ordered (x, y, z) and ``ladder`` is ``ladder_vectors(N)``;
-    ``coeffs`` may stack several states along leading axes.  With ``J+``
-    moving level k to k-1, the transverse part is
-    ``(wx - i wy)/2 J+ + (wx + i wy)/2 J-``.
+    ``weights`` is ordered (x, y, z); ``coeffs`` may stack several states of
+    N+1 levels along leading axes.  With ``J+`` moving level k to k-1, the
+    transverse part is ``(wx - i wy)/2 J+ + (wx + i wy)/2 J-``.
     """
     wx, wy, wz = weights
-    m, raising = ladder
+    m, raising = ladder_vectors(coeffs.shape[-1] - 1)
     out = (wz * m) * np.asarray(coeffs, dtype=complex)
     out[..., :-1] += (0.5 * (wx - 1j * wy)) * (raising * coeffs[..., 1:])
     out[..., 1:] += (0.5 * (wx + 1j * wy)) * (raising * coeffs[..., :-1])
     return out
 
 
-def apply_ladder_axes(coeffs, ladder):
+def apply_ladder_axes(coeffs):
     """Apply Jx, Jy and Jz together to ladder coefficients in O(N).
 
     Returns shape ``(3, *coeffs.shape)``; entry ``a`` holds the same values
-    as ``apply_ladder(coeffs, UNIT_WEIGHTS[a], ladder)`` (exact zeros may
-    differ in sign).  The two shifted products ``raising * coeffs`` (the J+
-    and J- parts) are formed once and shared by Jx and Jy.
+    as ``apply_ladder(coeffs, UNIT_WEIGHTS[a])`` (exact zeros may differ in
+    sign).  The two shifted products ``raising * coeffs`` (the J+ and J-
+    parts) are formed once and shared by Jx and Jy.
     """
-    m, raising = ladder
     coeffs = np.asarray(coeffs, dtype=complex)
+    m, raising = ladder_vectors(coeffs.shape[-1] - 1)
     up = 0.5 * (raising * coeffs[..., 1:])  # J+/2: level k+1 to level k
     down = 0.5 * (raising * coeffs[..., :-1])  # J-/2: level k to level k+1
     out = np.zeros((3, *coeffs.shape), dtype=complex)
@@ -193,4 +181,4 @@ def collective_op_dicke(axis, n_atoms):
             entries = 0.5 * (raising + raising.conj().T)
         else:
             entries = -0.5j * (raising - raising.conj().T)
-    return OperatorMatrix(n_atoms + 1, entries, hermitian=True, space_tag="dicke")
+    return OperatorMatrix(n_atoms + 1, entries, space_tag="dicke")

@@ -45,6 +45,10 @@ BOOTSTRAP_RESAMPLES = 200
 # with 10^5 shots (one BLAS thread on a 2-vCPU Xeon); memory grows as N^2, so
 # a larger N would end in an out-of-memory kill rather than an error.
 MAX_SAMPLE_ATOMS = 2000
+# Most shots one record takes.  The tally holds M float64 uniforms at once,
+# 8 bytes a shot: at N=10 a run took 0.35 s and 113 MB peak RSS with 10^7
+# shots (0.044 s and 45 MB with 10^6), and 10^9 shots would need 8 GB.
+MAX_SHOTS = 10**7
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,21 +143,19 @@ def _tally(probs, m_shots, seed):
 
 
 def projective_sample(state, op, m_shots, seed, operator_tag="operator"):
-    """Draw ``m_shots`` projective outcomes of a hermitian operator.
+    """Draw ``m_shots`` (1..``MAX_SHOTS``) projective outcomes of an operator.
 
     Outcome probabilities are the squared projections of the state onto the
     (merged) eigenspaces; draws are iid from the seeded generator, so equal
     seeds reproduce the record exactly.
     """
-    if not op.hermitian:
-        raise ValueError("projective sampling needs a hermitian operator")
-    if m_shots < 1:
-        raise ValueError(f"shot count must be positive, got {m_shots}")
+    if not 1 <= m_shots <= MAX_SHOTS:
+        raise ValueError(f"shot count must be in 1..{MAX_SHOTS}, got {m_shots}")
     vec = _matching_vector(state, op)
     groups, evecs = _merged_spectrum(op.entries)
     values = np.array([value for value, _ in groups])
     # records tally component measurements, whose outcomes live on +-N/2
-    bound = op.n_atoms() / 2 + 1e-9
+    bound = state.n_atoms / 2 + 1e-9
     if np.any(np.abs(values) > bound):
         raise ValueError(
             f"operator spectrum leaves the collective spin range +-{bound:.6g}; "

@@ -489,7 +489,6 @@ def verify_sum_route(n_atoms, n_trials, seed):
             OperatorMatrix(
                 full_dim,
                 sum(w * mat for w, mat in zip(row, base)),
-                hermitian=True,
                 space_tag="full",
             )
             for row in rotation_matrix(angles)[:2]

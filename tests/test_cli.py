@@ -10,7 +10,6 @@ import pytest
 
 from trispin import cli
 from trispin.cli import main
-from trispin.moments import route_deviation
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -117,19 +116,6 @@ class TestCompute:
         assert set(doc["tolerances"]) == {"rel", "abs"}
         assert re.fullmatch(r"[0-9a-f]{64}", doc["input_sha256"])
 
-    @pytest.mark.parametrize("option", ["--tolerance-rel", "--tolerance-abs"])
-    @pytest.mark.parametrize("value", ["0", "-1e-9", "nan", "inf", "-inf", "tight"])
-    def test_tolerance_must_be_finite_and_positive(
-        self, tmp_path, capsys, option, value
-    ):
-        # m3_yp of this state is exactly 0, where a zero floor divided by zero
-        coeffs = [[0.6, 0], [0.8, 0], [0, 0], [0, 0]]
-        state = write_state(tmp_path, "two_level.json", coeffs)
-        with pytest.raises(SystemExit) as exc:
-            main(["compute", "--input", state, f"{option}={value}"])
-        assert exc.value.code == 2
-        assert "finite positive" in capsys.readouterr().err
-
     def test_product_representation_accepted(self, product_file, tmp_path):
         out = tmp_path / "out.json"
         assert main(["compute", "--input", product_file, "--output", str(out)]) == 0
@@ -158,22 +144,15 @@ class TestCompute:
         assert "NaN" not in text
         assert json.loads(text)["error"]["code"] == "invalid_input"
 
-    def test_tolerance_abs_reaches_route_check(self, pinned_state, tmp_path):
-        docs = {}
-        for floor in ("1e-12", "10.0"):
-            out = tmp_path / f"out{floor}.json"
-            argv = ["compute", "--input", pinned_state, "--output", str(out)]
-            assert main(argv + ["--tolerance-abs", floor]) == 0
-            docs[floor] = json.loads(out.read_text())
-        for floor, doc in docs.items():
-            routes = doc["report"]["routes"]
-            expected = max(
-                route_deviation(routes["direct"][a], routes["sum"][a], 1e-9, float(floor))
-                for a in ("xp", "yp")
-            )
-            assert doc["route_check"]["max_rel_dev"] == expected
-        # the report itself does not depend on the tolerances
-        assert docs["1e-12"]["report"] == docs["10.0"]["report"]
+    @pytest.mark.parametrize("case", [0, 1])
+    def test_artifact_matches_the_golden_pin(self, case, tmp_path):
+        pin = json.loads((DATA_DIR / "compute_pin.json").read_text())
+        entry = pin["compute"][case]
+        path = tmp_path / f"{entry['name']}.json"
+        path.write_text(entry["input"])
+        out = tmp_path / "out.json"
+        assert main(["compute", "--input", str(path), "--output", str(out)]) == 0
+        assert scrub_timestamp(out.read_text()) == entry["artifact"]
 
     def test_reads_state_from_stdin(self, top_state, monkeypatch, capsys):
         import io
@@ -302,6 +281,12 @@ class TestScan:
         assert best == pin["argmax_index"]
         assert s_values[best] == pytest.approx(pin["max_s"], abs=1e-12)
         assert alphas[best] == pytest.approx(pin["argmax_alpha"], abs=1e-12)
+
+    def test_csv_matches_the_golden_pin(self, tmp_path):
+        pin = json.loads((DATA_DIR / "compute_pin.json").read_text())["scan"]
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--grid", pin["grid"], "--output", str(out)]) == 0
+        assert scrub_timestamp(out.read_text()) == pin["csv"]
 
     def test_full_round_trip_floats(self, tmp_path):
         out = tmp_path / "scan.csv"
@@ -491,6 +476,9 @@ GRID_CASES = {
     "index_outside": grid_text(index_a=9),
     "equal_indices": grid_text(index_a=1, index_b=1),
     "too_few_atoms": grid_text(n_atoms=2),
+    "n_atoms_2^62": '{"family": "pair_mix", "n_atoms": 4611686018427387904, '
+                    '"stop": 1.0, "points": 3}',
+    "levels_past_cap": grid_text(n_atoms=999, points=1001),
 }
 
 
@@ -505,6 +493,9 @@ def bad_inputs():
                            id=f"{command}-unreadable")
     yield pytest.param(["sample", "--shots", "10"], state_bytes(), state_bytes(), 2,
                        id="sample-too_few_shots")
+    for shots in ("10000001", "1000000000000"):
+        yield pytest.param(["sample", "--shots", shots], state_bytes(),
+                           state_bytes(), 2, id=f"sample-shots_{shots}")
     for name, grid in GRID_CASES.items():
         yield pytest.param(["scan", "--grid", grid], None, grid.encode(), 2,
                            id=f"scan-{name}")
@@ -555,6 +546,23 @@ class TestErrorBoundary:
         error = json.loads(out.read_text())["error"]
         assert error["code"] == "invalid_input"
         assert "capped at N=3" in error["message"]
+
+    @pytest.mark.parametrize("argv, exit_code", [
+        (["verify", "--trials", "1", "--n", "3"], 0),
+        (["scan", "--grid", "[]"], 2),
+    ])
+    def test_unwritable_output_exits_2_with_one_line(
+        self, argv, exit_code, tmp_path, capsys
+    ):
+        target = tmp_path / "missing" / "out.json"
+        assert main(argv) == exit_code
+        capsys.readouterr()
+        assert main(argv + ["--output", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"trispin: cannot write {target}: ")
+        assert captured.err.count("\n") == 1
+        assert not target.exists()
 
     def test_internal_faults_are_not_input_errors(self, top_state, monkeypatch):
         def fault(state):
@@ -633,7 +641,7 @@ class TestParser:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["verify", "--tolerance-rel", "0.5"],
+            ["verify", "--normalize"],
             ["compute", "--shots", "10"],
             ["scan", "--input", "state.json"],
             ["sample", "--grid", "{}"],
@@ -679,7 +687,7 @@ class TestParser:
         shared = {"--output", "--seed"}
         state = {"--input", "--normalize"}
         assert options == {
-            "compute": shared | state | {"--tolerance-rel", "--tolerance-abs"},
+            "compute": shared | state,
             "verify": shared | {"--trials", "--n", "--corrupt-identity"},
             "scan": shared | {"--grid"},
             "sample": shared | state | {"--shots"},

@@ -31,7 +31,7 @@ from trispin import (
 )
 from trispin.cli import main
 from trispin.moments import PATTERNS, ROUTE_REL_TOL, pattern_weights
-from trispin.operators import apply_ladder, ladder_vectors
+from trispin.operators import apply_ladder
 
 LARGE_N = (100, 1000, 10_000)
 
@@ -175,9 +175,8 @@ def identity_residual(state, axis):
     """
     sym = as_symmetric(state)
     n_atoms, psi = sym.n_atoms, sym.coeffs
-    ladder = ladder_vectors(n_atoms)
-    once = apply_ladder(psi, axis, ladder)
-    thrice = apply_ladder(apply_ladder(once, axis, ladder), axis, ladder)
+    once = apply_ladder(psi, axis)
+    thrice = apply_ladder(apply_ladder(once, axis), axis)
     corr = triple_correlators(state)
     tripartite = sum(
         w * getattr(corr, p) for w, p in zip(pattern_weights(axis), PATTERNS)

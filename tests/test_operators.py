@@ -161,18 +161,17 @@ class TestLadderKernel:
             w * collective_op_dicke(a, n_atoms).entries for w, a in zip(weights, AXES)
         )
         np.testing.assert_allclose(
-            apply_ladder(vec, weights, ladder_vectors(n_atoms)), dense @ vec,
+            apply_ladder(vec, weights), dense @ vec,
             atol=1e-13,
         )
 
     def test_stacked_states_act_row_by_row(self):
         rng = np.random.default_rng(5)
         stack = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
-        ladder = ladder_vectors(5)
         weights = (0.0, 1.0, -0.5)
-        together = apply_ladder(stack, weights, ladder)
+        together = apply_ladder(stack, weights)
         for row, vec in zip(together, stack):
-            np.testing.assert_array_equal(row, apply_ladder(vec, weights, ladder))
+            np.testing.assert_array_equal(row, apply_ladder(vec, weights))
 
     def test_vectors_are_read_only(self):
         for vec in ladder_vectors(5):
@@ -182,25 +181,20 @@ class TestLadderKernel:
     @pytest.mark.parametrize("n_atoms", [1, 3, 14, 1000])
     def test_axes_kernel_equals_unit_weight_applies(self, n_atoms):
         rng = np.random.default_rng(n_atoms)
-        ladder = ladder_vectors(n_atoms)
         for shape in ((n_atoms + 1,), (3, n_atoms + 1)):
             coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            applied = apply_ladder_axes(coeffs, ladder)
+            applied = apply_ladder_axes(coeffs)
             assert applied.shape == (3, *shape)
             for row, weights in zip(applied, UNIT_WEIGHTS):
-                assert np.array_equal(row, apply_ladder(coeffs, weights, ladder))
+                assert np.array_equal(row, apply_ladder(coeffs, weights))
 
 
 class TestOperatorMatrix:
     def test_hermitian_flag_is_checked(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(InvalidStateError):
-            OperatorMatrix(2, bad, hermitian=True, space_tag="full")
+            OperatorMatrix(2, bad, space_tag="full")
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidStateError):
-            OperatorMatrix(3, np.eye(2), hermitian=True, space_tag="full")
-
-    def test_atom_count_inference(self):
-        assert collective_op("x", 3).n_atoms() == 3
-        assert collective_op_dicke("x", 6).n_atoms() == 6
+            OperatorMatrix(3, np.eye(2), space_tag="full")

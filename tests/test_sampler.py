@@ -100,22 +100,28 @@ class TestProjectiveSample:
     def test_out_of_range_spectrum_rejected(self):
         state = random_symmetric_state(4, seed=12)
         doubled = 2.0 * collective_op_dicke("z", 4).entries
-        op = OperatorMatrix(5, doubled, hermitian=True, space_tag="dicke")
+        op = OperatorMatrix(5, doubled, space_tag="dicke")
         with pytest.raises(ValueError):
             projective_sample(state, op, 100, seed=2)
 
     def test_rejects_non_hermitian_and_bad_shot_count(self):
         state = random_symmetric_state(3, seed=1)
         raising = np.diag(np.ones(3), 1).astype(complex)
-        with pytest.raises(ValueError):
-            projective_sample(
-                state,
-                OperatorMatrix(4, raising, hermitian=False, space_tag="dicke"),
-                100,
-                seed=0,
-            )
+        # a non-hermitian operator is refused when it is built
+        with pytest.raises(InvalidStateError):
+            OperatorMatrix(4, raising, space_tag="dicke")
         with pytest.raises(ValueError):
             projective_sample(state, collective_op_dicke("z", 3), 0, seed=0)
+
+    @pytest.mark.parametrize("m_shots", [sampler.MAX_SHOTS + 1, 10**12])
+    def test_shots_past_the_cap_never_reach_the_tally(self, m_shots, monkeypatch):
+        def tally(*args):
+            raise AssertionError("_tally reached past MAX_SHOTS")
+
+        monkeypatch.setattr(sampler, "_tally", tally)
+        state = random_symmetric_state(3, seed=1)
+        with pytest.raises(ValueError, match="shot count"):
+            projective_sample(state, collective_op_dicke("z", 3), m_shots, seed=0)
 
 
 class TestEstimateMoments:
