@@ -25,8 +25,10 @@ from .frame import MeanSpin, RotationAngles, mean_spin, rotated_ops, rotation_an
 from .moments import (
     MomentReport,
     TripleCorrelatorSet,
+    UndefinedFrame,
     central_moment,
     entanglement_s,
+    moment_reports,
     third_moment_sum_xp,
     third_moment_sum_yp,
     triple_correlators,
@@ -112,6 +114,8 @@ __all__ = [
     "third_moment_sum_xp",
     "third_moment_sum_yp",
     "entanglement_s",
+    "UndefinedFrame",
+    "moment_reports",
     "IdentityResult",
     "SweepSummary",
     "verify_identity_suite",

@@ -11,6 +11,12 @@ and y' expose the genuine inter-atom correlations.  The rotation is
 with cos(t) = <Jz>/|<J>| and cos(p) = <Jx>/sqrt(<Jx>^2 + <Jy>^2).  States
 with |<J>| below ``EPSILON_FRAME`` do not define the frame and raise
 ``FrameUndefinedError``.
+
+``mean_spin_rows`` reads <J> for every row of a ``(K, N+1)`` ladder stack
+from one ``apply_ladder_axes`` pass that the caller supplies, so the moments
+module can reuse that pass as the first pass of the correlators;
+``mean_spin`` is that function on a stack of one.  The angles are scalar
+work and stay per state.
 """
 
 from __future__ import annotations
@@ -64,7 +70,24 @@ def _real_expectation(value, what, n_atoms):
         raise RuntimeError(
             f"internal error: {what} has imaginary part {value.imag:.3e}"
         )
-    return float(value.real)
+    return value.real
+
+
+def mean_spin_rows(psi, applied, n_atoms):
+    """Mean spin of each row of a ``(K, N+1)`` stack of ladder states.
+
+    ``applied`` is ``apply_ladder_axes(psi)``, shape ``(3, K, N+1)``.  Each
+    component is the conjugated dot product of a row with its J row, as for
+    a single state; its imaginary part is checked per row.
+    """
+    means = []
+    for row in np.vecdot(psi, applied).T.tolist():  # row[a] = <psi_k| J_a psi_k>
+        jx, jy, jz = (
+            _real_expectation(value, f"<J{a}>", n_atoms)
+            for value, a in zip(row, AXES)
+        )
+        means.append(MeanSpin(jx, jy, jz, math.sqrt(jx * jx + jy * jy + jz * jz)))
+    return means
 
 
 def mean_spin(state):
@@ -72,16 +95,11 @@ def mean_spin(state):
 
     The state is first brought to the ladder (``as_symmetric``, a no-op for
     a ``SymmetricState``); one ``apply_ladder_axes`` pass then gives all
-    three components in O(N).
+    three components in O(N), through ``mean_spin_rows`` on a stack of one.
     """
     sym = as_symmetric(state)
-    vec = sym.coeffs
-    applied = apply_ladder_axes(vec)
-    jx, jy, jz = (
-        _real_expectation(np.vdot(vec, row), f"<J{a}>", sym.n_atoms)
-        for row, a in zip(applied, AXES)
-    )
-    return MeanSpin(jx, jy, jz, math.sqrt(jx * jx + jy * jy + jz * jz))
+    psi = sym.coeffs[None]
+    return mean_spin_rows(psi, apply_ladder_axes(psi), sym.n_atoms)[0]
 
 
 def rotation_angles(mean):

@@ -21,12 +21,19 @@ orderings * n_a n_b n_c, with n a row of ``rotation_matrix``.  The x' row
 gives ten terms; the y' row has no z component, which leaves four nonzero.
 
 Every input is first brought to the (N+1)-level ladder (``as_symmetric``),
-and both routes run there in O(N).  The direct route applies the rotated
-components with ``apply_ladder``.  The sum route takes two batched passes of
-``apply_ladder_axes`` to the moment tensors <J_a>, <J_a J_b> and
-<J_a J_b J_c>, and one constant 10 x 43 table, built at import from the
-spin-1/2 product rule, maps them to the ten pattern sums.  The explicit sum
-over atom triples in the 2**N space is a test oracle only
+and both routes run there in O(N), on a ``(K, N+1)`` stack of states that
+share N (``moment_reports``).  One ``apply_ladder_axes`` pass over the stack
+gives every mean spin (``frame.mean_spin_rows``) and is reused as the first
+pass of the correlators.  The direct route runs the x' and y' rows of all
+framed states as one 2K-row stack through one shifted-power recurrence, with
+per-row weights in ``apply_ladder``.  The sum route takes a second batched
+pass to the moment tensors <J_a>, <J_a J_b> and <J_a J_b J_c>, and one
+constant 10 x 43 table, built at import from the spin-1/2 product rule, maps
+them to the ten pattern sums.  Frame angles, imaginary-part checks and the
+pattern weights are scalar work and run per row; every row is bit-identical
+to that state evaluated alone.  ``entanglement_s``, ``direct_moments`` and
+``triple_correlators`` are the same code on a stack of one.  The explicit
+sum over atom triples in the 2**N space is a test oracle only
 (``tests/bruteforce.py``).
 
 S is half the root of the sum of squared third moments, computed from the
@@ -43,11 +50,11 @@ from operator import attrgetter, mul
 import math
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, FrameUndefinedError
 from .frame import (
     MeanSpin,
     RotationAngles,
-    mean_spin,
+    mean_spin_rows,
     rotation_angles,
     rotation_matrix,
 )
@@ -144,12 +151,20 @@ def route_deviation(direct, summed):
     return abs(direct - summed) / max(abs(direct), floor)
 
 
-def _real(value, n_atoms, order):
-    """An order-``order`` moment as a float; a large imaginary part is a fault."""
-    if abs(value.imag) > _IMAG_TOL * (1.0 + n_atoms / 2.0) ** order:
-        what = "<A>" if order == 1 else f"<(A-<A>)^{order}>"
-        raise RuntimeError(f"internal error: {what} has imaginary part {value.imag:.3e}")
-    return float(value.real)
+def _check_real(table, n_atoms):
+    """Fail on a large imaginary part; ``table[k - 1]`` lists order-k moments.
+
+    Each order lists one moment, or one per row of a stack; every moment of
+    order k is checked against ``_IMAG_TOL * (1 + N/2)**k``.
+    """
+    for order, moments in enumerate(table, start=1):
+        tol = _IMAG_TOL * (1.0 + n_atoms / 2.0) ** order
+        for value in moments:
+            if abs(value.imag) > tol:
+                what = "<A>" if order == 1 else f"<(A-<A>)^{order}>"
+                raise RuntimeError(
+                    f"internal error: {what} has imaginary part {value.imag:.3e}"
+                )
 
 
 def _matching_vector(state, op):
@@ -173,15 +188,20 @@ def _shifted_moments(vec, apply, n_atoms, top):
 
     The shifted-power recurrence: one application for the mean, then one per
     order.  The mean is always subtracted; nothing assumes ``<A> = 0``.
+    ``vec`` is one state or a stack of states along leading axes, with
+    ``apply`` acting on each row; each order comes back as a list of floats,
+    one per row (one entry for a single state).
     """
     applied = apply(vec)
-    mean = _real(np.vdot(vec, applied), n_atoms, 1)
+    values = [np.vecdot(vec, applied)]
+    mean = values[0].real[..., None]
     shifted = applied - mean * vec
-    moments = []
-    for order in range(2, top + 1):
+    for _ in range(2, top + 1):
         shifted = apply(shifted) - mean * shifted
-        moments.append(_real(np.vdot(vec, shifted), n_atoms, order))
-    return moments
+        values.append(np.vecdot(vec, shifted))
+    table = np.array(values).reshape(top, -1).tolist()
+    _check_real(table, n_atoms)
+    return [[value.real for value in moments] for moments in table[1:]]
 
 
 def central_moment(state, op, order):
@@ -189,7 +209,7 @@ def central_moment(state, op, order):
     if order not in (2, 3):
         raise ValueError(f"order must be 2 or 3, got {order}")
     vec = _matching_vector(state, op)
-    return _shifted_moments(vec, lambda v: op.entries @ v, state.n_atoms, order)[-1]
+    return _shifted_moments(vec, lambda v: op.entries @ v, state.n_atoms, order)[-1][0]
 
 
 def _site_word(word):
@@ -267,34 +287,59 @@ def _pattern_sums(n_atoms, j1, j2, j3):
     """The ten pattern sums, complex and in ``PATTERNS`` order.
 
     ``j1``, ``j2`` and ``j3`` hold <J_a>, <J_a J_b> and <J_a J_b J_c>, with
-    the axis indices in row-major order.
+    the axis indices in row-major order last; leading axes stack states, and
+    the result has shape ``(*leading, 10)``.
     """
-    features = np.concatenate(([n_atoms], n_atoms * j1, j1, np.ravel(j2), np.ravel(j3)))
-    return _CORRELATOR_TABLE @ features
+    lead = j1.shape[:-1]
+    features = np.empty((*lead, 43), dtype=complex)
+    features[..., 0] = n_atoms
+    np.multiply(n_atoms, j1, out=features[..., 1:4])
+    features[..., 4:7] = j1
+    features[..., 7:16] = j2.reshape(*lead, 9)
+    features[..., 16:] = j3.reshape(*lead, 27)
+    return (_CORRELATOR_TABLE @ features[..., None])[..., 0]
+
+
+def _correlator_rows(n_atoms, psi, once):
+    """``TripleCorrelatorSet`` of each row of a ``(K, N+1)`` ladder stack.
+
+    ``once`` is ``apply_ladder_axes(psi)``, the J pass that also gives the
+    mean spin; one more batched pass on it gives J_b J_c psi.  The moment
+    tensors are per-row products of ``(3, N+1)`` and ``(9, N+1)`` blocks,
+    which ``_pattern_sums`` maps to the ten sums.
+    """
+    twice = apply_ladder_axes(once).reshape(9, len(psi), n_atoms + 1)  # J_b J_c psi
+    kets = once.transpose(1, 0, 2)  # kets[k, c] = J_c psi_k
+    bras = kets.conj()
+    values = _pattern_sums(
+        n_atoms,
+        np.matvec(kets, psi.conj()),
+        bras @ once.transpose(1, 2, 0),
+        bras @ twice.transpose(1, 2, 0),
+    )
+    tol = _IMAG_TOL * (1.0 + n_atoms / 2.0) ** 3
+    sets = []
+    for row in values.tolist():
+        for pattern, value in zip(PATTERNS, row):
+            if abs(value.imag) > tol:
+                raise RuntimeError(
+                    f"internal error: correlator {pattern} has imaginary part "
+                    f"{value.imag:.3e}"
+                )
+        sets.append(TripleCorrelatorSet(*[value.real for value in row]))
+    return sets
 
 
 def triple_correlators(state):
     """Correlator sums over all ordered triples of distinct atoms, in O(N).
 
-    The state is first brought to the ladder (``as_symmetric``).  The moment
-    tensors come from two batched ladder passes, on psi and on the three
-    J_c psi; ``_pattern_sums`` maps them to the ten sums.
+    The state is first brought to the ladder (``as_symmetric``); two batched
+    ladder passes, on psi and on the three J_c psi, give the moment tensors
+    (``_correlator_rows`` on a stack of one).
     """
     sym = as_symmetric(state)
-    n = sym.n_atoms
-    psi = sym.coeffs
-    once = apply_ladder_axes(psi)  # once[c] = J_c psi
-    twice = apply_ladder_axes(once).reshape(9, n + 1)  # J_b J_c psi
-    bra = once.conj()
-    values = _pattern_sums(n, once @ psi.conj(), bra @ once.T, bra @ twice.T)
-    bad = np.abs(values.imag) > _IMAG_TOL * (1.0 + n / 2.0) ** 3
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise RuntimeError(
-            f"internal error: correlator {PATTERNS[k]} has imaginary part "
-            f"{values[k].imag:.3e}"
-        )
-    return TripleCorrelatorSet(**dict(zip(PATTERNS, values.real.tolist())))
+    psi = sym.coeffs[None]
+    return _correlator_rows(sym.n_atoms, psi, apply_ladder_axes(psi))[0]
 
 
 # Per pattern: its number of ordered axis words (1 for xxx, 6 for xyz, 3 for
@@ -331,21 +376,122 @@ def third_moment_sum_yp(angles, correlators):
     return _weighted_sum(rotation_matrix(angles)[1], correlators)
 
 
+@dataclass(frozen=True)
+class UndefinedFrame:
+    """A row of a stack whose mean spin is too short to orient the frame.
+
+    ``error`` is the ``FrameUndefinedError`` that ``rotation_angles`` raised
+    for it; the single-state functions raise it.
+    """
+
+    mean_spin: MeanSpin
+    error: FrameUndefinedError
+
+
+def _raise_undefined(row):
+    if isinstance(row, UndefinedFrame):
+        raise row.error
+    return row
+
+
+def _direct_rows(n_atoms, psi):
+    """One J pass over a ``(K, N+1)`` stack, then the direct route per row.
+
+    Returns ``(once, framed, rows)``: the J pass, the indices of the rows
+    whose frame is defined, and per row either ``(mean, angles, var_xp,
+    var_yp, m3_xp, m3_yp)`` or an ``UndefinedFrame``.  The x' and y' rows of
+    the framed states run as one 2K-row stack through a single shifted-power
+    recurrence, with per-row weights in ``apply_ladder``.
+    """
+    once = apply_ladder_axes(psi)
+    rows, framed, x_rows, y_rows = [], [], [], []
+    for k, mean in enumerate(mean_spin_rows(psi, once, n_atoms)):
+        try:
+            angles = rotation_angles(mean)
+        except FrameUndefinedError as exc:
+            rows.append(UndefinedFrame(mean, exc))
+            continue
+        rows.append((mean, angles))
+        framed.append(k)
+        x_row, y_row, _ = rotation_matrix(angles)
+        x_rows.append(x_row)
+        y_rows.append(y_row)
+    if framed:
+        count = len(framed)
+        kets = psi if count == len(psi) else psi[framed]
+        weights = np.array(x_rows + y_rows)
+        var, m3 = _shifted_moments(
+            np.concatenate((kets, kets)),
+            lambda v: apply_ladder(v, weights),
+            n_atoms,
+            3,
+        )
+        for i, k in enumerate(framed):
+            rows[k] += (var[i], var[count + i], m3[i], m3[count + i])
+    return once, framed, rows
+
+
 def direct_moments(state):
     """Mean spin, frame angles, and the direct-route central moments.
 
     Returns ``(mean, angles, var_xp, var_yp, m3_xp, m3_yp)``.  Every input is
     first brought to the ladder (``as_symmetric``), where the rotated
-    components act through ``apply_ladder`` in O(N).
+    components act through ``apply_ladder`` in O(N) (``_direct_rows`` on a
+    stack of one).
+
+    Raises
+    ------
+    FrameUndefinedError
+        For zero mean spin.
     """
     sym = as_symmetric(state)
-    mean = mean_spin(sym)
-    angles = rotation_angles(mean)
-    vec, n_atoms = sym.coeffs, sym.n_atoms
-    x_row, y_row = rotation_matrix(angles)[:2]
-    var_xp, m3_xp = _shifted_moments(vec, lambda v: apply_ladder(v, x_row), n_atoms, 3)
-    var_yp, m3_yp = _shifted_moments(vec, lambda v: apply_ladder(v, y_row), n_atoms, 3)
-    return mean, angles, var_xp, var_yp, m3_xp, m3_yp
+    return _raise_undefined(_direct_rows(sym.n_atoms, sym.coeffs[None])[2][0])
+
+
+def moment_reports(states):
+    """``MomentReport`` of each state of a sequence that shares one N.
+
+    The states are brought to the ladder and evaluated as one ``(K, N+1)``
+    stack: one J pass gives every mean spin and is reused by the
+    correlators, and the direct route runs x' and y' of all rows through one
+    recurrence.  Each row is bit-identical to that state evaluated alone.
+    A state whose frame is undefined gives an ``UndefinedFrame`` with its
+    mean spin in place of a report.
+
+    Raises
+    ------
+    DimensionMismatchError
+        If the states do not all have the same number of atoms.
+    NotSymmetricError
+        If a product or full-space input leaves the symmetric subspace.
+    """
+    syms = [as_symmetric(state) for state in states]
+    if not syms:
+        return []
+    n_atoms = syms[0].n_atoms
+    if any(sym.n_atoms != n_atoms for sym in syms):
+        raise DimensionMismatchError("stacked states must share one number of atoms")
+    psi = syms[0].coeffs[None] if len(syms) == 1 else np.stack([s.coeffs for s in syms])
+    once, framed, rows = _direct_rows(n_atoms, psi)
+    if not framed:
+        return rows
+    if len(framed) < len(psi):
+        psi, once = psi[framed], once[:, framed]
+    for k, corr in zip(framed, _correlator_rows(n_atoms, psi, once)):
+        mean, angles, var_xp, var_yp, m3_xp, m3_yp = rows[k]
+        rows[k] = MomentReport(
+            n_atoms=n_atoms,
+            mean_spin=mean,
+            angles=angles,
+            var_xp=var_xp,
+            var_yp=var_yp,
+            m3_xp_direct=m3_xp,
+            m3_yp_direct=m3_yp,
+            m3_xp_sum=third_moment_sum_xp(angles, corr),
+            m3_yp_sum=third_moment_sum_yp(angles, corr),
+            s_parameter=0.5 * math.hypot(m3_xp, m3_yp),
+        )
+    return rows
 
 
 def entanglement_s(state):
@@ -353,7 +499,7 @@ def entanglement_s(state):
 
     S is half the root-mean-square combination of the two third moments and
     is computed from the direct route; the correlator-sum route is carried
-    along as a cross check.
+    along as a cross check.  This is ``moment_reports`` on a stack of one.
 
     Raises
     ------
@@ -362,21 +508,4 @@ def entanglement_s(state):
     NotSymmetricError
         If a product or full-space input leaves the symmetric subspace.
     """
-    sym = as_symmetric(state)
-    mean, angles, var_xp, var_yp, m3_xp, m3_yp = direct_moments(sym)
-    corr = triple_correlators(sym)
-    m3_xp_sum = third_moment_sum_xp(angles, corr)
-    m3_yp_sum = third_moment_sum_yp(angles, corr)
-    s_value = 0.5 * math.hypot(m3_xp, m3_yp)
-    return MomentReport(
-        n_atoms=sym.n_atoms,
-        mean_spin=mean,
-        angles=angles,
-        var_xp=var_xp,
-        var_yp=var_yp,
-        m3_xp_direct=m3_xp,
-        m3_yp_direct=m3_yp,
-        m3_xp_sum=m3_xp_sum,
-        m3_yp_sum=m3_yp_sum,
-        s_parameter=s_value,
-    )
+    return _raise_undefined(moment_reports([state])[0])

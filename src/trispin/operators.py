@@ -113,16 +113,18 @@ def ladder_vectors(n_atoms):
     Returns ``(m, raising)``: the Jz eigenvalues ``m = N/2 - k`` for levels
     ``k = 0..N`` (top of the ladder first), and the N raising-operator
     elements ``sqrt(j(j+1) - m(m+1))`` with ``j = N/2``, where
-    ``raising[k]`` links level ``k+1`` to level ``k``.  Both arrays are
-    read-only and cached for the last few N, since every moment of a state
-    needs them.
+    ``raising[k]`` links level ``k+1`` to level ``k``.  ``m`` is a float
+    array; ``raising`` is stored as complex, the values a complex product
+    casts it to, so the O(N) kernels skip that cast on every call (its real
+    part is the float vector).  Both are read-only and cached for the last
+    few N, since every moment of a state needs them.
     """
     if n_atoms < 1:
         raise InvalidStateError(f"need at least 1 atom, got {n_atoms}")
     j = n_atoms / 2.0
     m = j - np.arange(n_atoms + 1)
     m_src = m[1:]
-    raising = np.sqrt(j * (j + 1) - m_src * (m_src + 1))
+    raising = np.sqrt(j * (j + 1) - m_src * (m_src + 1)).astype(complex)
     m.setflags(write=False)
     raising.setflags(write=False)
     return m, raising
@@ -132,10 +134,14 @@ def apply_ladder(coeffs, weights):
     """Apply ``wx*Jx + wy*Jy + wz*Jz`` to ladder coefficients in O(N).
 
     ``weights`` is ordered (x, y, z); ``coeffs`` may stack several states of
-    N+1 levels along leading axes.  With ``J+`` moving level k to k-1, the
-    transverse part is ``(wx - i wy)/2 J+ + (wx + i wy)/2 J-``.
+    N+1 levels along leading axes.  Weights of shape ``(K, 3)`` give each row
+    of a ``(K, N+1)`` stack its own operator; every row then gets the same
+    elementwise arithmetic as a call on that row alone, so its result is
+    bit-identical.  With ``J+`` moving level k to k-1, the transverse part is
+    ``(wx - i wy)/2 J+ + (wx + i wy)/2 J-``.
     """
-    wx, wy, wz = weights
+    # (K, 3) weights give (K, 1) columns; a single (x, y, z) triple, (1,) arrays
+    wx, wy, wz = np.asarray(weights, dtype=float).T[..., None]
     m, raising = ladder_vectors(coeffs.shape[-1] - 1)
     out = (wz * m) * np.asarray(coeffs, dtype=complex)
     out[..., :-1] += (0.5 * (wx - 1j * wy)) * (raising * coeffs[..., 1:])

@@ -230,11 +230,18 @@ def estimate_s_from_samples(state, m_shots, seed):
         ``entanglement_s``.
     InvalidStateError
         If the register has more than ``MAX_SAMPLE_ATOMS`` atoms.
+    ValueError
+        If ``m_shots`` is past ``MAX_SHOTS``; checked first, after the
+        ``MIN_SHOTS_S`` floor.
     """
     if m_shots < MIN_SHOTS_S:
         raise InsufficientShotsError(
             f"S estimation needs at least {MIN_SHOTS_S} shots, got {m_shots}"
         )
+    # before the state is mapped or any operator built, so a refused count
+    # costs nothing
+    if not 1 <= m_shots <= MAX_SHOTS:
+        raise ValueError(f"shot count must be in 1..{MAX_SHOTS}, got {m_shots}")
     state = as_symmetric(state)
     if state.n_atoms > MAX_SAMPLE_ATOMS:
         raise InvalidStateError(

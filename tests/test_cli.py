@@ -283,10 +283,34 @@ class TestScan:
         assert alphas[best] == pytest.approx(pin["argmax_alpha"], abs=1e-12)
 
     def test_csv_matches_the_golden_pin(self, tmp_path):
-        pin = json.loads((DATA_DIR / "compute_pin.json").read_text())["scan"]
+        # the 5-point grid, then the three bench grids (N=4 x 9 has a
+        # frame-undefined middle point)
+        data = json.loads((DATA_DIR / "compute_pin.json").read_text())
         out = tmp_path / "scan.csv"
-        assert main(["scan", "--grid", pin["grid"], "--output", str(out)]) == 0
-        assert scrub_timestamp(out.read_text()) == pin["csv"]
+        for pin in [data["scan"], *data["scan_bench_grids"]]:
+            assert main(["scan", "--grid", pin["grid"], "--output", str(out)]) == 0
+            assert scrub_timestamp(out.read_text()) == pin["csv"], pin["grid"]
+
+    def test_points_are_evaluated_as_one_stack(self, monkeypatch, capsys):
+        from trispin import frame, moments
+
+        stacks = []
+        stacked = cli.moment_reports
+
+        def counting(states):
+            stacks.append(len(states))
+            return stacked(states)
+
+        def per_point(*args):
+            raise AssertionError("scan evaluated a point on its own")
+
+        monkeypatch.setattr(cli, "moment_reports", counting)
+        monkeypatch.setattr(cli, "entanglement_s", per_point)
+        monkeypatch.setattr(moments, "entanglement_s", per_point)
+        monkeypatch.setattr(frame, "mean_spin", per_point)
+        assert main(["scan", "--grid", PAIR_MIX_GRID]) == 0
+        assert stacks == [101]
+        capsys.readouterr()
 
     def test_full_round_trip_floats(self, tmp_path):
         out = tmp_path / "scan.csv"

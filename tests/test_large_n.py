@@ -7,12 +7,14 @@ checked against coherent-state coefficients built here by a level-to-level
 recurrence.  The matrix-free 2**N triple sum of ``bruteforce`` is the
 reference for the ladder correlators at small N.  The paper's identity along
 any axis, (n.J)^3 = ((3N-2)/4) n.J + the tripartite sum, is checked on the
-ladder up to N = 10**4.
+ladder up to N = 10**4, and a stacked evaluation is checked row by row
+against each state alone.
 """
 
 import cmath
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,9 +23,12 @@ from hypothesis import strategies as st
 
 import bruteforce as bf
 from trispin import (
+    FrameUndefinedError,
+    UndefinedFrame,
     as_symmetric,
     entanglement_s,
     mean_spin,
+    moment_reports,
     product_state,
     random_product_state,
     symmetric_state,
@@ -110,6 +115,25 @@ def assert_matches_reference(report, coeffs):
 def test_report_matches_ladder_reference(n_atoms):
     for state in large_states(n_atoms):
         assert_matches_reference(entanglement_s(state), state.coeffs)
+
+
+@pytest.mark.parametrize("n_atoms", [100, 1000])
+def test_stacked_rows_equal_rows_alone(n_atoms):
+    undefined = np.zeros(n_atoms + 1)
+    undefined[0] = undefined[-1] = 1.0
+    states = [
+        *large_states(n_atoms),
+        symmetric_state(n_atoms, undefined, normalize=True),
+        random_product_state(n_atoms, 5),
+    ]
+    rows = moment_reports(states)
+    assert isinstance(rows[3], UndefinedFrame)
+    assert repr(rows[3].mean_spin) == repr(mean_spin(states[3]))
+    with pytest.raises(FrameUndefinedError, match=re.escape(str(rows[3].error))):
+        entanglement_s(states[3])
+    for k in (0, 1, 2, 4):
+        # repr compares every float, signed zeros included
+        assert repr(rows[k]) == repr(entanglement_s(states[k]))
 
 
 def recurrence_coherent_coeffs(n_atoms, a_up, a_down):

@@ -12,11 +12,13 @@ from trispin import (
     FullState,
     InvalidStateError,
     NotSymmetricError,
+    UndefinedFrame,
     central_moment,
     collective_op_dicke,
     dicke_to_full,
     entanglement_s,
     mean_spin,
+    moment_reports,
     permute_atoms,
     product_state,
     random_product_state,
@@ -34,6 +36,7 @@ from trispin.moments import (
     PATTERNS,
     ROUTE_REL_TOL,
     _pattern_sums,
+    direct_moments,
     pattern_weights,
     route_deviation,
 )
@@ -410,6 +413,28 @@ class TestEntanglementS:
         ghz = symmetric_state(3, [1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2)])
         with pytest.raises(FrameUndefinedError):
             entanglement_s(ghz)
+
+    def test_direct_moments_raise_for_zero_mean_spin(self):
+        ghz = symmetric_state(3, [1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2)])
+        with pytest.raises(FrameUndefinedError, match="leaves the frame undefined"):
+            direct_moments(ghz)
+
+    def test_stack_marks_frame_undefined_rows(self):
+        ghz = symmetric_state(3, [1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2)])
+        entangled = random_symmetric_state(3, seed=2)
+        product = random_product_state(3, seed=3)
+        reports = moment_reports([entangled, ghz, product])
+        assert isinstance(reports[1], UndefinedFrame)
+        assert reports[1].mean_spin == mean_spin(ghz)
+        assert isinstance(reports[1].error, FrameUndefinedError)
+        assert reports[0] == entanglement_s(entangled)
+        assert reports[2] == entanglement_s(product)
+
+    def test_stack_needs_one_number_of_atoms(self):
+        assert moment_reports([]) == []
+        mixed = [random_symmetric_state(3, seed=1), random_symmetric_state(4, seed=1)]
+        with pytest.raises(DimensionMismatchError):
+            moment_reports(mixed)
 
     def test_not_symmetric_rejected_at_ingestion(self):
         amps = np.zeros(8, dtype=complex)

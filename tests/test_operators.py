@@ -173,6 +173,21 @@ class TestLadderKernel:
         for row, vec in zip(together, stack):
             np.testing.assert_array_equal(row, apply_ladder(vec, weights))
 
+    def test_per_row_weights_match_each_row_alone(self):
+        rng = np.random.default_rng(6)
+        stack = rng.standard_normal((4, 7)) + 1j * rng.standard_normal((4, 7))
+        # rows of a rotation, with the signed zeros real states produce
+        weights = np.array(
+            [[0.6, 0.0, -0.8], [-0.0, 1.0, 0.0], [0.3, -1.2, 0.7], [1.0, 0.0, 0.0]]
+        )
+        together = apply_ladder(stack, weights)
+        for row, vec, w in zip(together, stack, weights):
+            alone = apply_ladder(vec, w)
+            np.testing.assert_array_equal(row, alone)
+            np.testing.assert_array_equal(
+                np.signbit(row.view(float)), np.signbit(alone.view(float))
+            )
+
     def test_vectors_are_read_only(self):
         for vec in ladder_vectors(5):
             with pytest.raises(ValueError):

@@ -2,18 +2,28 @@
 
 Each test draws its states from hypothesis with ``derandomize=True``, so a
 run is reproducible: the two moment routes agree, a global phase leaves S
-unchanged, and coherent spin states (identical-qubit products) carry no
-tripartite correlation.
+unchanged, coherent spin states (identical-qubit products) carry no
+tripartite correlation, and a stack of states gives each row exactly what
+that state gives alone.
 """
 
 import cmath
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trispin import entanglement_s, product_state, symmetric_state
+from trispin import (
+    FrameUndefinedError,
+    UndefinedFrame,
+    entanglement_s,
+    mean_spin,
+    moment_reports,
+    product_state,
+    symmetric_state,
+)
 from trispin.moments import ROUTE_REL_TOL
 from trispin.verify import PRODUCT_S_TOL
 
@@ -50,3 +60,48 @@ def test_coherent_spin_states_have_zero_s(n_atoms, theta, phi):
     qubit = [math.cos(theta / 2), cmath.exp(1j * phi) * math.sin(theta / 2)]
     report = entanglement_s(product_state([qubit] * n_atoms))
     assert report.s_parameter <= PRODUCT_S_TOL
+
+
+def assert_rows_equal_rows_alone(states):
+    """Each row of one stacked call is exactly that state evaluated alone.
+
+    ``repr`` compares every float of the report, signed zeros included.
+    """
+    for state, row in zip(states, moment_reports(states), strict=True):
+        if isinstance(row, UndefinedFrame):
+            assert repr(row.mean_spin) == repr(mean_spin(state))
+            with pytest.raises(FrameUndefinedError) as alone:
+                entanglement_s(state)
+            assert str(alone.value) == str(row.error)
+        else:
+            assert repr(row) == repr(entanglement_s(state))
+
+
+def undefined_frame_state(n_atoms):
+    """Levels 0 and N in equal parts: the mean spin vanishes."""
+    coeffs = np.zeros(n_atoms + 1)
+    coeffs[0] = coeffs[-1] = 1.0
+    return symmetric_state(n_atoms, coeffs, normalize=True)
+
+
+def pair_mix_state(n_atoms, alpha):
+    """cos(alpha)|0> + sin(alpha)|1>, a real state as ``scan`` builds."""
+    coeffs = np.zeros(n_atoms + 1)
+    coeffs[0], coeffs[1] = math.cos(alpha), math.sin(alpha)
+    return symmetric_state(n_atoms, coeffs, normalize=True)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n_atoms=ATOMS,
+    seeds=st.lists(SEEDS, min_size=1, max_size=8),
+    undefined=st.integers(-1, 7),
+    alpha=ANGLES,
+)
+def test_stacked_rows_equal_rows_alone(n_atoms, seeds, undefined, alpha):
+    states = [random_ladder_state(n_atoms, seed) for seed in seeds]
+    if len(states) > 1:
+        states[-1] = pair_mix_state(n_atoms, alpha)
+    if 0 <= undefined < len(states):
+        states[undefined] = undefined_frame_state(n_atoms)
+    assert_rows_equal_rows_alone(states)

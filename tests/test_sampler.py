@@ -205,6 +205,15 @@ class TestEstimateS:
         with pytest.raises(InsufficientShotsError):
             estimate_s_from_samples(state, 999, seed=0)
 
+    def test_shot_cap_is_checked_before_any_operator_is_built(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("rotated_ops built past MAX_SHOTS")
+
+        monkeypatch.setattr(sampler, "rotated_ops", build)
+        state = product_state([[0.6, 0.8]] * 2000)
+        with pytest.raises(ValueError, match="shot count"):
+            estimate_s_from_samples(state, sampler.MAX_SHOTS + 1, seed=0)
+
     def test_non_symmetric_product_rejected_like_compute(self):
         # |up down up> leaves the symmetric subspace: S is not defined for it
         state = product_state([[1, 0], [0, 1], [1, 0]])
