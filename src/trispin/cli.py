@@ -25,6 +25,7 @@ from .errors import FrameUndefinedError, InvalidStateError, TrispinError
 from .moments import (
     ROUTE_ABS_FLOOR,
     ROUTE_REL_TOL,
+    STACK_LEVELS,
     UndefinedFrame,
     entanglement_s,
     moment_reports,
@@ -43,11 +44,6 @@ EXIT_FRAME_UNDEFINED = 3
 # points at N=999 (one fresh process each, one BLAS thread on a 2-vCPU Xeon),
 # near the memory of `sample` at its atom cap.
 MAX_SCAN_LEVELS = 10**6
-
-# Most ladder levels, points x (N + 1), a scan evaluates as one stack; a
-# stack holds at least one point.  A stack's arrays then take a few MB, and
-# 1000 points at N=999 stay within 3% of their point-by-point peak RSS.
-SCAN_CHUNK_LEVELS = 4096
 
 
 def _timestamp():
@@ -209,7 +205,9 @@ def _cmd_scan(args, raw):
         start if points == 1 else start + (stop - start) * index / (points - 1)
         for index in range(points)
     ]
-    per_stack = max(1, SCAN_CHUNK_LEVELS // (n_atoms + 1))
+    # one moment_reports stack at a time, so states and reports never span
+    # the whole grid
+    per_stack = max(1, STACK_LEVELS // (n_atoms + 1))
     rows = []
     for first in range(0, points, per_stack):
         chunk = alphas[first:first + per_stack]

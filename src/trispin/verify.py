@@ -11,8 +11,10 @@ On top of the per-word identities, ``verify_cancellation`` checks the key
 cancellation result: the cube of the rotated component Jx' equals a term list
 containing only single-atom and tripartite factors (no bipartite products
 survive), for arbitrary rotation angles.  ``verify_sum_route`` and
-``verify_product_vanishing`` are randomized sweeps of the moment formulas
-against the dense oracle.
+``verify_product_vanishing`` are randomized sweeps of the moment formulas.
+Each sweep evaluates its states with one ``moment_reports`` call: ladder side
+stacked, dense side per state.  The sum-route sweep checks that stack against
+an independent direct route, built per state from dense 2**N operators.
 """
 
 from __future__ import annotations
@@ -23,17 +25,16 @@ from functools import lru_cache
 import math
 import numpy as np
 
-from .errors import FrameUndefinedError
-from .frame import RotationAngles, mean_spin, rotation_angles, rotation_matrix
+from .frame import RotationAngles, rotation_matrix
 from .moments import (
     PATTERNS,
     ROUTE_REL_TOL,
+    UndefinedFrame,
+    _raise_undefined,
     central_moment,
+    moment_reports,
     pattern_weights,
     route_deviation,
-    third_moment_sum_xp,
-    third_moment_sum_yp,
-    triple_correlators,
 )
 from .operators import AXES, OperatorMatrix, collective_op, single_atom_op
 from .states import (
@@ -462,9 +463,11 @@ def _ghz_like(n_atoms):
 def verify_sum_route(n_atoms, n_trials, seed):
     """Both third-moment routes on random symmetric states, dense oracle side.
 
-    The direct side is computed with dense rotated operators in the full
-    2**N space (hence the 3 <= N <= 6 window); frame-undefined draws are
-    skipped and counted.
+    Ladder side stacked, dense side per state: one ``moment_reports`` call
+    gives every state's frame and sum-route moments, and the direct side of
+    each state is computed with dense rotated operators in the full 2**N
+    space (hence the 3 <= N <= 6 window).  Frame-undefined draws are skipped
+    and counted.
     """
     if not 3 <= n_atoms <= 6:
         raise ValueError(f"dense sum-route sweep needs 3 <= N <= 6, got {n_atoms}")
@@ -477,11 +480,8 @@ def verify_sum_route(n_atoms, n_trials, seed):
     full_dim = 1 << n_atoms
     worst = 0.0
     skipped = 0
-    for state in states:
-        mean = mean_spin(state)
-        try:
-            angles = rotation_angles(mean)
-        except FrameUndefinedError:
+    for state, report in zip(states, moment_reports(states)):
+        if isinstance(report, UndefinedFrame):
             skipped += 1
             continue
         full = dicke_to_full(state)
@@ -491,17 +491,14 @@ def verify_sum_route(n_atoms, n_trials, seed):
                 sum(w * mat for w, mat in zip(row, base)),
                 space_tag="full",
             )
-            for row in rotation_matrix(angles)[:2]
+            for row in rotation_matrix(report.angles)[:2]
         )
         direct_xp = central_moment(full, op_xp, 3)
         direct_yp = central_moment(full, op_yp, 3)
-        corr = triple_correlators(state)
-        sum_xp = third_moment_sum_xp(angles, corr)
-        sum_yp = third_moment_sum_yp(angles, corr)
         worst = max(
             worst,
-            route_deviation(direct_xp, sum_xp),
-            route_deviation(direct_yp, sum_yp),
+            route_deviation(direct_xp, report.m3_xp_sum),
+            route_deviation(direct_yp, report.m3_yp_sum),
         )
     return SweepSummary(
         check_id=f"sum_route_n{n_atoms}",
@@ -514,15 +511,18 @@ def verify_sum_route(n_atoms, n_trials, seed):
 
 
 def verify_product_vanishing(n_atoms, n_trials, seed):
-    """S on random identical-qubit product states (must sit at zero)."""
-    from .moments import entanglement_s
+    """S on random identical-qubit product states (must sit at zero).
 
+    The states are drawn as ``moment_reports`` builds its ladder stacks.
+    """
     rng = np.random.default_rng(seed)
+    states = (
+        random_product_state(n_atoms, int(rng.integers(2**63)))
+        for _ in range(n_trials)
+    )
     worst_s = 0.0
-    for _ in range(n_trials):
-        state = random_product_state(n_atoms, int(rng.integers(2**63)))
-        report = entanglement_s(state)
-        worst_s = max(worst_s, report.s_parameter)
+    for row in moment_reports(states):
+        worst_s = max(worst_s, _raise_undefined(row).s_parameter)
     return SweepSummary(
         check_id=f"product_vanishing_n{n_atoms}",
         n_trials=n_trials,

@@ -195,6 +195,13 @@ class TestVerify:
         doc = json.loads(out.read_text())
         assert not doc["verification"]["passed"]
 
+    @pytest.mark.parametrize("case", range(4))
+    def test_artifact_matches_the_golden_pin(self, case, tmp_path):
+        entry = json.loads((DATA_DIR / "verify_pin.json").read_text())["verify"][case]
+        out = tmp_path / "verify.json"
+        assert main(["verify", *entry["args"], "--output", str(out)]) == entry["exit_code"]
+        assert scrub_timestamp(out.read_text()) == entry["artifact"]
+
     def test_atom_count_override_narrows_sweeps(self, tmp_path):
         out = tmp_path / "verify.json"
         code = main(

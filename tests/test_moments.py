@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import gc
 import math
 
 import numpy as np
@@ -429,6 +430,49 @@ class TestEntanglementS:
         assert isinstance(reports[1].error, FrameUndefinedError)
         assert reports[0] == entanglement_s(entangled)
         assert reports[2] == entanglement_s(product)
+
+    def test_undefined_frame_leaves_no_cyclic_garbage(self):
+        # A stored error that kept its traceback would hold the frame that
+        # holds the row list, so the whole stack would wait for the cyclic GC.
+        ghz = symmetric_state(6, [1 / math.sqrt(2), 0, 0, 0, 0, 0, 1 / math.sqrt(2)])
+        stack = [random_symmetric_state(6, seed=seed) for seed in range(20)] + [ghz]
+        gc.collect()
+        gc.disable()
+        try:
+            rows = moment_reports(stack)
+            assert isinstance(rows[-1], UndefinedFrame)
+            del rows
+            for single in (entanglement_s, direct_moments):
+                try:
+                    single(ghz)
+                except FrameUndefinedError:
+                    pass
+                else:
+                    pytest.fail(f"{single.__name__} accepted a zero mean spin")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_long_input_is_evaluated_in_bounded_stacks(self, monkeypatch):
+        from trispin import moments
+
+        states = [random_symmetric_state(3, seed=seed) for seed in range(12)]
+        states[6] = symmetric_state(3, [1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2)])
+        stacks = []
+        evaluate = moments._stack_reports
+
+        def counting(n_atoms, syms):
+            stacks.append(len(syms))
+            return evaluate(n_atoms, syms)
+
+        monkeypatch.setattr(moments, "_stack_reports", counting)
+        monkeypatch.setattr(moments, "STACK_LEVELS", 21)  # 5 states of 4 levels
+        rows = moment_reports(state for state in states)
+        assert stacks == [5, 5, 2]
+        assert isinstance(rows[6], UndefinedFrame)
+        for state, row in zip(states, rows, strict=True):
+            if not isinstance(row, UndefinedFrame):
+                assert repr(row) == repr(entanglement_s(state))
 
     def test_stack_needs_one_number_of_atoms(self):
         assert moment_reports([]) == []

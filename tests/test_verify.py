@@ -1,21 +1,44 @@
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bruteforce as bf
 from trispin import (
+    FrameUndefinedError,
+    OperatorMatrix,
     cancellation_sweep,
+    central_moment,
+    collective_op,
+    dicke_to_full,
+    entanglement_s,
+    mean_spin,
     product_state,
+    random_product_state,
+    random_symmetric_state,
+    rotation_angles,
+    symmetric_state,
+    third_moment_sum_xp,
+    third_moment_sum_yp,
+    triple_correlators,
     verify_cancellation,
     verify_identity_suite,
     verify_product_vanishing,
     verify_sum_route,
 )
+from trispin import verify
+from trispin.frame import rotation_matrix
+from trispin.moments import ROUTE_REL_TOL, route_deviation
 from trispin.verify import (
     IDENTITIES,
+    PRODUCT_S_TOL,
     RESIDUAL_TOL,
+    SweepSummary,
     cancellation_terms,
     identity_lhs,
     identity_rhs,
@@ -178,3 +201,130 @@ class TestRunVerification:
     def test_corruption_fails_the_run(self):
         report = run_verification(trials=5, seed=2, corrupt_identity="JyJyJy")
         assert not report["passed"]
+
+
+# ---------------------------------------------------------------------------
+# The sweeps evaluated one state at a time: the oracle for the stacked sweeps
+# ---------------------------------------------------------------------------
+
+def per_state_sum_route(n_atoms, n_trials, seed):
+    """``verify_sum_route`` with every state's ladder side evaluated alone."""
+    rng = np.random.default_rng(seed)
+    ghz = np.zeros(n_atoms + 1, dtype=complex)
+    ghz[0] = ghz[-1] = 1.0 / math.sqrt(2.0)
+    states = [symmetric_state(n_atoms, ghz)] + [
+        random_symmetric_state(n_atoms, int(rng.integers(2**63)))
+        for _ in range(n_trials)
+    ]
+    base = [collective_op(axis, n_atoms).entries for axis in "xyz"]
+    full_dim = 1 << n_atoms
+    worst = 0.0
+    skipped = 0
+    for state in states:
+        mean = mean_spin(state)
+        try:
+            angles = rotation_angles(mean)
+        except FrameUndefinedError:
+            skipped += 1
+            continue
+        full = dicke_to_full(state)
+        op_xp, op_yp = (
+            OperatorMatrix(
+                full_dim,
+                sum(w * mat for w, mat in zip(row, base)),
+                space_tag="full",
+            )
+            for row in rotation_matrix(angles)[:2]
+        )
+        direct_xp = central_moment(full, op_xp, 3)
+        direct_yp = central_moment(full, op_yp, 3)
+        corr = triple_correlators(state)
+        sum_xp = third_moment_sum_xp(angles, corr)
+        sum_yp = third_moment_sum_yp(angles, corr)
+        worst = max(
+            worst,
+            route_deviation(direct_xp, sum_xp),
+            route_deviation(direct_yp, sum_yp),
+        )
+    return SweepSummary(
+        check_id=f"sum_route_n{n_atoms}",
+        n_trials=len(states),
+        n_skipped=skipped,
+        worst=worst,
+        tolerance=ROUTE_REL_TOL,
+        passed=worst <= ROUTE_REL_TOL,
+    )
+
+
+def per_state_product_vanishing(n_atoms, n_trials, seed):
+    """``verify_product_vanishing`` with one ``entanglement_s`` per state."""
+    rng = np.random.default_rng(seed)
+    worst_s = 0.0
+    for _ in range(n_trials):
+        state = random_product_state(n_atoms, int(rng.integers(2**63)))
+        worst_s = max(worst_s, entanglement_s(state).s_parameter)
+    return SweepSummary(
+        check_id=f"product_vanishing_n{n_atoms}",
+        n_trials=n_trials,
+        n_skipped=0,
+        worst=worst_s,
+        tolerance=PRODUCT_S_TOL,
+        passed=worst_s <= PRODUCT_S_TOL,
+    )
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+TRIALS = st.integers(1, 30)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n_atoms=st.integers(3, 6), n_trials=TRIALS, seed=SEEDS)
+def test_stacked_sum_route_equals_per_state_loop(n_atoms, n_trials, seed):
+    # the GHZ probe leads every sum-route stack, so each draw has a skipped row
+    stacked = verify_sum_route(n_atoms, n_trials, seed)
+    assert stacked.n_skipped >= 1
+    assert repr(stacked) == repr(per_state_sum_route(n_atoms, n_trials, seed))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n_atoms=st.sampled_from([3, 8, 20]), n_trials=TRIALS, seed=SEEDS)
+def test_stacked_product_vanishing_equals_per_state_loop(n_atoms, n_trials, seed):
+    assert repr(verify_product_vanishing(n_atoms, n_trials, seed)) == repr(
+        per_state_product_vanishing(n_atoms, n_trials, seed)
+    )
+
+
+@pytest.mark.parametrize(
+    "sweep, n_atoms",
+    [(verify_sum_route, 4), (verify_product_vanishing, 8)],
+)
+def test_each_sweep_makes_one_stacked_call(sweep, n_atoms, monkeypatch):
+    stacked = verify.moment_reports
+    calls = []
+
+    def spy(states):
+        calls.append(states)
+        return stacked(states)
+
+    monkeypatch.setattr(verify, "moment_reports", spy)
+    assert sweep(n_atoms, 12, seed=5).passed
+    assert len(calls) == 1
+
+
+PER_STATE_HELPERS = {
+    "mean_spin", "rotation_angles", "triple_correlators",
+    "third_moment_sum_xp", "third_moment_sum_yp", "entanglement_s",
+}
+
+
+def test_verify_never_names_per_state_helpers():
+    source = Path(verify.__file__).read_text(encoding="utf-8")
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update((node.name, node.asname))
+    assert not names & PER_STATE_HELPERS
