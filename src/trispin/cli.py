@@ -25,7 +25,6 @@ from .errors import FrameUndefinedError, InvalidStateError, TrispinError
 from .moments import (
     ROUTE_ABS_FLOOR,
     ROUTE_REL_TOL,
-    STACK_LEVELS,
     UndefinedFrame,
     entanglement_s,
     moment_reports,
@@ -40,9 +39,10 @@ EXIT_INVALID_INPUT = 2
 EXIT_FRAME_UNDEFINED = 3
 
 # Most ladder levels, points x (N + 1), one scan grid may span.  At the limit
-# a scan took 401 MB peak RSS for a single N=999999 point and 37 MB for 1000
-# points at N=999 (one fresh process each, one BLAS thread on a 2-vCPU Xeon),
-# near the memory of `sample` at its atom cap.
+# a scan took 401 MB peak RSS for a single N=999999 point, 36 MB for 1000
+# points at N=999 and 150 MB for 250000 points at N=3, most of it the CSV text
+# (one fresh process each, one BLAS thread on a 2-vCPU Xeon), near the memory
+# of `sample` at its atom cap.
 MAX_SCAN_LEVELS = 10**6
 
 
@@ -205,17 +205,6 @@ def _cmd_scan(args, raw):
         start if points == 1 else start + (stop - start) * index / (points - 1)
         for index in range(points)
     ]
-    # one moment_reports stack at a time, so states and reports never span
-    # the whole grid
-    per_stack = max(1, STACK_LEVELS // (n_atoms + 1))
-    rows = []
-    for first in range(0, points, per_stack):
-        chunk = alphas[first:first + per_stack]
-        reports = moment_reports(
-            [_pair_mix_state(n_atoms, index_a, index_b, alpha) for alpha in chunk]
-        )
-        for index, alpha, report in zip(range(first, points), chunk, reports):
-            rows.append(_scan_row(index, alpha, report))
     buffer = io.StringIO()
     buffer.write(f"# trispin scan v{__version__}\n")
     buffer.write(f"# seed: {args.seed}\n")
@@ -229,7 +218,13 @@ def _cmd_scan(args, raw):
     )
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(_SCAN_COLUMNS)
-    writer.writerows(rows)
+    # each row is written as its stack is evaluated, so states and reports
+    # never span the whole grid; the text does, since an error document must
+    # be able to replace it
+    reports = moment_reports(
+        _pair_mix_state(n_atoms, index_a, index_b, alpha) for alpha in alphas
+    )
+    writer.writerows(map(_scan_row, range(points), alphas, reports))
     return buffer.getvalue(), EXIT_OK
 
 

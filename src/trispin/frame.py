@@ -16,7 +16,9 @@ with |<J>| below ``EPSILON_FRAME`` do not define the frame and raise
 from one ``apply_ladder_axes`` pass that the caller supplies, so the moments
 module can reuse that pass as the first pass of the correlators;
 ``mean_spin`` is that function on a stack of one.  The angles are scalar
-work and stay per state.
+work and stay per state.  ``real_parts`` is the one imaginary-part check of
+the S pipeline, for the mean spin here and the moments and correlators in
+``moments``, each with its own tolerance.
 """
 
 from __future__ import annotations
@@ -65,12 +67,20 @@ class RotationAngles:
     sin_phi: float
 
 
-def _real_expectation(value, what, n_atoms):
-    if abs(value.imag) > _HERMITICITY_IMAG_TOL * (1.0 + n_atoms / 2.0):
-        raise RuntimeError(
-            f"internal error: {what} has imaginary part {value.imag:.3e}"
-        )
-    return value.real
+def real_parts(rows, tols, name):
+    """Real parts of rows of complex values.
+
+    An imaginary part past ``tols[j]`` in column ``j`` is an internal error,
+    raised with ``name(j)`` naming that column.
+    """
+    for row in rows:
+        for column, (value, tol) in enumerate(zip(row, tols)):
+            if abs(value.imag) > tol:
+                raise RuntimeError(
+                    f"internal error: {name(column)} has imaginary part "
+                    f"{value.imag:.3e}"
+                )
+    return [[value.real for value in row] for row in rows]
 
 
 def mean_spin_rows(psi, applied, n_atoms):
@@ -80,14 +90,15 @@ def mean_spin_rows(psi, applied, n_atoms):
     component is the conjugated dot product of a row with its J row, as for
     a single state; its imaginary part is checked per row.
     """
-    means = []
-    for row in np.vecdot(psi, applied).T.tolist():  # row[a] = <psi_k| J_a psi_k>
-        jx, jy, jz = (
-            _real_expectation(value, f"<J{a}>", n_atoms)
-            for value, a in zip(row, AXES)
-        )
-        means.append(MeanSpin(jx, jy, jz, math.sqrt(jx * jx + jy * jy + jz * jz)))
-    return means
+    rows = real_parts(
+        np.vecdot(psi, applied).T.tolist(),  # row[a] = <psi_k| J_a psi_k>
+        [_HERMITICITY_IMAG_TOL * (1.0 + n_atoms / 2.0)] * 3,
+        lambda a: f"<J{AXES[a]}>",
+    )
+    return [
+        MeanSpin(jx, jy, jz, math.sqrt(jx * jx + jy * jy + jz * jz))
+        for jx, jy, jz in rows
+    ]
 
 
 def mean_spin(state):
@@ -156,10 +167,6 @@ def rotated_ops(angles, n_atoms):
     """
     base = [collective_op_dicke(axis, n_atoms).entries for axis in AXES]
     return tuple(
-        OperatorMatrix(
-            n_atoms + 1,
-            sum(w * mat for w, mat in zip(row, base)),
-            space_tag="dicke",
-        )
+        OperatorMatrix(sum(w * mat for w, mat in zip(row, base)))
         for row in rotation_matrix(angles)
     )

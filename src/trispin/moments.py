@@ -21,18 +21,21 @@ orderings * n_a n_b n_c, with n a row of ``rotation_matrix``.  The x' row
 gives ten terms; the y' row has no z component, which leaves four nonzero.
 
 Every input is first brought to the (N+1)-level ladder (``as_symmetric``),
-and both routes run there in O(N), on a ``(K, N+1)`` stack of states that
-share N (``moment_reports``).  One ``apply_ladder_axes`` pass over the stack
-gives every mean spin (``frame.mean_spin_rows``) and is reused as the first
-pass of the correlators.  The direct route runs the x' and y' rows of all
-framed states as one 2K-row stack through one shifted-power recurrence, with
-per-row weights in ``apply_ladder``.  The sum route takes a second batched
-pass to the moment tensors <J_a>, <J_a J_b> and <J_a J_b J_c>, and one
-constant 10 x 43 table, built at import from the spin-1/2 product rule, maps
-them to the ten pattern sums.  Frame angles, imaginary-part checks and the
-pattern weights are scalar work and run per row; every row is bit-identical
-to that state evaluated alone.  ``entanglement_s``, ``direct_moments`` and
-``triple_correlators`` are the same code on a stack of one.  The explicit
+and both routes run there in O(N), on ``(K, N+1)`` stacks of states that
+share N: ``moment_reports`` cuts an iterable of states into stacks of at most
+``STACK_LEVELS`` ladder levels and yields the rows stack by stack.  One
+``apply_ladder_axes`` pass over a stack gives every mean spin
+(``frame.mean_spin_rows``) and is reused as the first pass of the
+correlators.  The direct route runs the x' and y' rows of all framed states
+as one 2K-row stack through one shifted-power recurrence, with per-row
+weights in ``apply_ladder``.  The sum route takes a second batched pass to
+the moment tensors <J_a>, <J_a J_b> and <J_a J_b J_c>, and one constant
+10 x 43 table, built at import from the spin-1/2 product rule, maps them to
+the ten pattern sums.  Frame angles, imaginary-part checks
+(``frame.real_parts``) and the pattern weights are scalar work and run per
+row; every row is bit-identical to that state evaluated alone.
+``entanglement_s`` and ``triple_correlators`` are the same code on a stack of
+one, and ``direct_moments`` reads its tuple from ``entanglement_s``.  The explicit
 sum over atom triples in the 2**N space is a test oracle only
 (``tests/bruteforce.py``).
 
@@ -55,11 +58,12 @@ from .frame import (
     MeanSpin,
     RotationAngles,
     mean_spin_rows,
+    real_parts,
     rotation_angles,
     rotation_matrix,
 )
-from .operators import AXES, apply_ladder, apply_ladder_axes
-from .states import FullState, SymmetricState, as_symmetric
+from .operators import AXES, apply_ladder, apply_ladder_axes, matching_vector
+from .states import as_symmetric
 
 ROUTE_REL_TOL = 1e-9
 ROUTE_ABS_FLOOR = 1e-12
@@ -157,46 +161,14 @@ def route_deviation(direct, summed):
     return abs(direct - summed) / max(abs(direct), floor)
 
 
-def _check_real(table, n_atoms):
-    """Fail on a large imaginary part; ``table[k - 1]`` lists order-k moments.
-
-    Each order lists one moment, or one per row of a stack; every moment of
-    order k is checked against ``_IMAG_TOL * (1 + N/2)**k``.
-    """
-    for order, moments in enumerate(table, start=1):
-        tol = _IMAG_TOL * (1.0 + n_atoms / 2.0) ** order
-        for value in moments:
-            if abs(value.imag) > tol:
-                what = "<A>" if order == 1 else f"<(A-<A>)^{order}>"
-                raise RuntimeError(
-                    f"internal error: {what} has imaginary part {value.imag:.3e}"
-                )
-
-
-def _matching_vector(state, op):
-    """State vector living in the operator's space, or a loud mismatch."""
-    if op.space_tag == "dicke":
-        if isinstance(state, SymmetricState) and state.n_atoms + 1 == op.dim:
-            return state.coeffs
-        raise DimensionMismatchError(
-            f"ladder-space operator of dim {op.dim} needs a symmetric state of "
-            f"{op.dim - 1} atoms, got {type(state).__name__}"
-        )
-    if isinstance(state, FullState) and (1 << state.n_atoms) == op.dim:
-        return state.amplitudes
-    raise DimensionMismatchError(
-        f"full-space operator of dim {op.dim} does not match {type(state).__name__}"
-    )
-
-
 def _shifted_moments(vec, apply, n_atoms, top):
-    """``[<(A - <A>)**k> for k = 2..top]``, with ``apply(v) = A v``.
+    """``[<(A - <A>)**k> for k = 2..top]`` per row, with ``apply(v) = A v``.
 
     The shifted-power recurrence: one application for the mean, then one per
     order.  The mean is always subtracted; nothing assumes ``<A> = 0``.
     ``vec`` is one state or a stack of states along leading axes, with
-    ``apply`` acting on each row; each order comes back as a list of floats,
-    one per row (one entry for a single state).
+    ``apply`` acting on each row; each row comes back as a list of floats
+    (one list for a single state).
     """
     applied = apply(vec)
     values = [np.vecdot(vec, applied)]
@@ -205,17 +177,22 @@ def _shifted_moments(vec, apply, n_atoms, top):
     for _ in range(2, top + 1):
         shifted = apply(shifted) - mean * shifted
         values.append(np.vecdot(vec, shifted))
-    table = np.array(values).reshape(top, -1).tolist()
-    _check_real(table, n_atoms)
-    return [[value.real for value in moments] for moments in table[1:]]
+    rows = np.array(values).reshape(top, -1).T.tolist()  # <A>, then orders 2..top
+    scale = 1.0 + n_atoms / 2.0
+    reals = real_parts(
+        rows,
+        [_IMAG_TOL * scale**k for k in range(1, top + 1)],
+        lambda j: "<A>" if j == 0 else f"<(A-<A>)^{j + 1}>",
+    )
+    return [row[1:] for row in reals]
 
 
 def central_moment(state, op, order):
     """``<(A - <A>)**order>`` for a dense operator, order 2 or 3."""
     if order not in (2, 3):
         raise ValueError(f"order must be 2 or 3, got {order}")
-    vec = _matching_vector(state, op)
-    return _shifted_moments(vec, lambda v: op.entries @ v, state.n_atoms, order)[-1][0]
+    vec = matching_vector(state, op)
+    return _shifted_moments(vec, lambda v: op.entries @ v, state.n_atoms, order)[0][-1]
 
 
 def _site_word(word):
@@ -307,12 +284,13 @@ def _pattern_sums(n_atoms, j1, j2, j3):
 
 
 def _correlator_rows(n_atoms, psi, once):
-    """``TripleCorrelatorSet`` of each row of a ``(K, N+1)`` ladder stack.
+    """The ten pattern sums of each row of a ``(K, N+1)`` ladder stack.
 
     ``once`` is ``apply_ladder_axes(psi)``, the J pass that also gives the
     mean spin; one more batched pass on it gives J_b J_c psi.  The moment
     tensors are per-row products of ``(3, N+1)`` and ``(9, N+1)`` blocks,
-    which ``_pattern_sums`` maps to the ten sums.
+    which ``_pattern_sums`` maps to the ten sums, one list in ``PATTERNS``
+    order per row.
     """
     twice = apply_ladder_axes(once).reshape(9, len(psi), n_atoms + 1)  # J_b J_c psi
     kets = once.transpose(1, 0, 2)  # kets[k, c] = J_c psi_k
@@ -323,17 +301,11 @@ def _correlator_rows(n_atoms, psi, once):
         bras @ once.transpose(1, 2, 0),
         bras @ twice.transpose(1, 2, 0),
     )
-    tol = _IMAG_TOL * (1.0 + n_atoms / 2.0) ** 3
-    sets = []
-    for row in values.tolist():
-        for pattern, value in zip(PATTERNS, row):
-            if abs(value.imag) > tol:
-                raise RuntimeError(
-                    f"internal error: correlator {pattern} has imaginary part "
-                    f"{value.imag:.3e}"
-                )
-        sets.append(TripleCorrelatorSet(*[value.real for value in row]))
-    return sets
+    return real_parts(
+        values.tolist(),
+        [_IMAG_TOL * (1.0 + n_atoms / 2.0) ** 3] * len(PATTERNS),
+        lambda j: f"correlator {PATTERNS[j]}",
+    )
 
 
 def triple_correlators(state):
@@ -345,7 +317,8 @@ def triple_correlators(state):
     """
     sym = as_symmetric(state)
     psi = sym.coeffs[None]
-    return _correlator_rows(sym.n_atoms, psi, apply_ladder_axes(psi))[0]
+    (sums,) = _correlator_rows(sym.n_atoms, psi, apply_ladder_axes(psi))
+    return TripleCorrelatorSet(*sums)
 
 
 # Per pattern: its number of ordered axis words (1 for xxx, 6 for xyz, 3 for
@@ -368,18 +341,19 @@ def pattern_weights(axis):
     return [count * n[a] * n[b] * n[c] for count, (a, b, c) in _PATTERN_TERMS]
 
 
-def _weighted_sum(axis, correlators):
-    return sum(map(mul, pattern_weights(axis), _pattern_values(correlators)))
+def _weighted_sum(axis, values):
+    """Third moment along ``axis`` from the ten pattern sums, in ``PATTERNS`` order."""
+    return sum(map(mul, pattern_weights(axis), values))
 
 
 def third_moment_sum_xp(angles, correlators):
     """Third moment of Jx' from the ten-term tripartite correlator sum."""
-    return _weighted_sum(rotation_matrix(angles)[0], correlators)
+    return _weighted_sum(rotation_matrix(angles)[0], _pattern_values(correlators))
 
 
 def third_moment_sum_yp(angles, correlators):
     """Third moment of Jy' from the correlator sum (four nonzero terms)."""
-    return _weighted_sum(rotation_matrix(angles)[1], correlators)
+    return _weighted_sum(rotation_matrix(angles)[1], _pattern_values(correlators))
 
 
 @dataclass(frozen=True)
@@ -402,17 +376,18 @@ def _raise_undefined(row):
     return row
 
 
-def _direct_rows(n_atoms, psi):
-    """One J pass over a ``(K, N+1)`` stack, then the direct route per row.
+def _stack_reports(n_atoms, syms):
+    """``moment_reports`` of ladder states ``syms`` evaluated as one stack.
 
-    Returns ``(once, framed, rows)``: the J pass, the indices of the rows
-    whose frame is defined, and per row either ``(mean, angles, var_xp,
-    var_yp, m3_xp, m3_yp)`` or an ``UndefinedFrame``.  The x' and y' rows of
-    the framed states run as one 2K-row stack through a single shifted-power
-    recurrence, with per-row weights in ``apply_ladder``.
+    One J pass over the ``(K, N+1)`` stack gives every mean spin and is
+    reused by the correlators.  Each framed row's x' and y' axes are built
+    once: the direct route runs them as one 2K-row stack through a single
+    shifted-power recurrence, with per-row weights in ``apply_ladder``, and
+    the sum route weighs the row's pattern sums along them.
     """
+    psi = syms[0].coeffs[None] if len(syms) == 1 else np.stack([s.coeffs for s in syms])
     once = apply_ladder_axes(psi)
-    rows, framed, x_rows, y_rows = [], [], [], []
+    rows, framed, x_axes, y_axes = [], [], [], []
     for k, mean in enumerate(mean_spin_rows(psi, once, n_atoms)):
         try:
             angles = rotation_angles(mean)
@@ -421,51 +396,22 @@ def _direct_rows(n_atoms, psi):
             continue
         rows.append((mean, angles))
         framed.append(k)
-        x_row, y_row, _ = rotation_matrix(angles)
-        x_rows.append(x_row)
-        y_rows.append(y_row)
-    if framed:
-        count = len(framed)
-        kets = psi if count == len(psi) else psi[framed]
-        weights = np.array(x_rows + y_rows)
-        var, m3 = _shifted_moments(
-            np.concatenate((kets, kets)),
-            lambda v: apply_ladder(v, weights),
-            n_atoms,
-            3,
-        )
-        for i, k in enumerate(framed):
-            rows[k] += (var[i], var[count + i], m3[i], m3[count + i])
-    return once, framed, rows
-
-
-def direct_moments(state):
-    """Mean spin, frame angles, and the direct-route central moments.
-
-    Returns ``(mean, angles, var_xp, var_yp, m3_xp, m3_yp)``.  Every input is
-    first brought to the ladder (``as_symmetric``), where the rotated
-    components act through ``apply_ladder`` in O(N) (``_direct_rows`` on a
-    stack of one).
-
-    Raises
-    ------
-    FrameUndefinedError
-        For zero mean spin.
-    """
-    sym = as_symmetric(state)
-    return _raise_undefined(_direct_rows(sym.n_atoms, sym.coeffs[None])[2][0])
-
-
-def _stack_reports(n_atoms, syms):
-    """``moment_reports`` of ladder states ``syms`` evaluated as one stack."""
-    psi = syms[0].coeffs[None] if len(syms) == 1 else np.stack([s.coeffs for s in syms])
-    once, framed, rows = _direct_rows(n_atoms, psi)
+        x_axis, y_axis, _ = rotation_matrix(angles)
+        x_axes.append(x_axis)
+        y_axes.append(y_axis)
     if not framed:
         return rows
-    if len(framed) < len(psi):
+    count = len(framed)
+    if count < len(psi):
         psi, once = psi[framed], once[:, framed]
-    for k, corr in zip(framed, _correlator_rows(n_atoms, psi, once)):
-        mean, angles, var_xp, var_yp, m3_xp, m3_yp = rows[k]
+    weights = np.array(x_axes + y_axes)
+    moments = _shifted_moments(
+        np.concatenate((psi, psi)), lambda v: apply_ladder(v, weights), n_atoms, 3
+    )
+    sums = _correlator_rows(n_atoms, psi, once)
+    for i, k in enumerate(framed):
+        mean, angles = rows[k]
+        (var_xp, m3_xp), (var_yp, m3_yp) = moments[i], moments[count + i]
         rows[k] = MomentReport(
             n_atoms=n_atoms,
             mean_spin=mean,
@@ -474,25 +420,23 @@ def _stack_reports(n_atoms, syms):
             var_yp=var_yp,
             m3_xp_direct=m3_xp,
             m3_yp_direct=m3_yp,
-            m3_xp_sum=third_moment_sum_xp(angles, corr),
-            m3_yp_sum=third_moment_sum_yp(angles, corr),
+            m3_xp_sum=_weighted_sum(x_axes[i], sums[i]),
+            m3_yp_sum=_weighted_sum(y_axes[i], sums[i]),
             s_parameter=0.5 * math.hypot(m3_xp, m3_yp),
         )
     return rows
 
 
 def moment_reports(states):
-    """``MomentReport`` of each state of an iterable that shares one N.
+    """Yield the ``MomentReport`` of each state of an iterable that shares one N.
 
     The states are brought to the ladder and evaluated as ``(K, N+1)``
-    stacks of at most ``STACK_LEVELS`` ladder levels (one state at least),
-    drawn from ``states`` only as each stack is built, so the working arrays
-    follow the stack rather than the number of states.  In a stack one J
-    pass gives every mean spin and is reused by the correlators, and the
-    direct route runs x' and y' of all rows through one recurrence.  Each
-    row is bit-identical to that state evaluated alone.  A state whose frame
-    is undefined gives an ``UndefinedFrame`` with its mean spin in place of
-    a report.
+    stacks of at most ``STACK_LEVELS`` ladder levels (one state at least).
+    A stack is drawn from ``states`` only when its first row is asked for,
+    and its rows are yielded as they are used, so memory follows the stack
+    rather than the number of states.  Each row is bit-identical to that
+    state evaluated alone.  A state whose frame is undefined gives an
+    ``UndefinedFrame`` with its mean spin in place of a report.
 
     Raises
     ------
@@ -504,16 +448,14 @@ def moment_reports(states):
     syms = map(as_symmetric, states)
     first = next(syms, None)
     if first is None:
-        return []
+        return
     n_atoms = first.n_atoms
     syms = chain([first], syms)
     per_stack = max(1, STACK_LEVELS // (n_atoms + 1))
-    rows = []
     while stack := list(islice(syms, per_stack)):
         if any(sym.n_atoms != n_atoms for sym in stack):
             raise DimensionMismatchError("stacked states must share one number of atoms")
-        rows += _stack_reports(n_atoms, stack)
-    return rows
+        yield from _stack_reports(n_atoms, stack)
 
 
 def entanglement_s(state):
@@ -530,4 +472,26 @@ def entanglement_s(state):
     NotSymmetricError
         If a product or full-space input leaves the symmetric subspace.
     """
-    return _raise_undefined(moment_reports([state])[0])
+    return _raise_undefined(next(moment_reports([state])))
+
+
+def direct_moments(state):
+    """Mean spin, frame angles, and the direct-route central moments.
+
+    Returns ``(mean, angles, var_xp, var_yp, m3_xp, m3_yp)``, read from
+    ``entanglement_s``.
+
+    Raises
+    ------
+    FrameUndefinedError
+        For zero mean spin.
+    """
+    report = entanglement_s(state)
+    return (
+        report.mean_spin,
+        report.angles,
+        report.var_xp,
+        report.var_yp,
+        report.m3_xp_direct,
+        report.m3_yp_direct,
+    )

@@ -19,13 +19,10 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import InvalidStateError
-from .states import check_full_space_size
+from .errors import DimensionMismatchError, InvalidStateError
+from .states import FullState, SymmetricState, check_full_space_size
 
 AXES = ("x", "y", "z")
-
-# (x, y, z) weights selecting one collective component in ``apply_ladder``.
-UNIT_WEIGHTS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 # Single spin-1/2 blocks, upper level first (these are half the Pauli matrices).
 SINGLE = {
@@ -40,30 +37,42 @@ _ID2 = np.eye(2, dtype=complex)
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense hermitian operator on one space.
+    """Dense hermitian operator, on the ladder (N+1 levels) or the full space.
 
-    ``space_tag`` is ``"full"`` (dimension 2**N) or ``"dicke"`` (dimension
-    N+1).  The entries are checked against their conjugate transpose at
-    construction time.
+    The entries are checked to be square and equal to their conjugate
+    transpose at construction time.
     """
 
-    dim: int
     entries: np.ndarray
-    space_tag: str
 
     def __post_init__(self):
         arr = np.array(self.entries, dtype=complex)
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
-        if arr.shape != (self.dim, self.dim):
-            raise InvalidStateError(
-                f"operator entries shape {arr.shape} does not match dim {self.dim}"
-            )
-        if self.space_tag not in ("full", "dicke"):
-            raise InvalidStateError(f"unknown space tag {self.space_tag!r}")
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise InvalidStateError(f"operator entries shape {arr.shape} is not square")
         dev = float(np.max(np.abs(arr - arr.conj().T)))
         if dev > HERMITICITY_TOL:
             raise InvalidStateError(f"operator is not hermitian: deviates by {dev:.3e}")
+
+    @property
+    def dim(self):
+        return self.entries.shape[0]
+
+
+def matching_vector(state, op):
+    """State vector living in the operator's space, or a loud mismatch.
+
+    The dimension picks the space: a ``SymmetricState`` has N+1 levels (N >= 3)
+    and a ``FullState`` has 2**N.
+    """
+    if isinstance(state, SymmetricState) and state.n_atoms + 1 == op.dim:
+        return state.coeffs
+    if isinstance(state, FullState) and (1 << state.n_atoms) == op.dim:
+        return state.amplitudes
+    raise DimensionMismatchError(
+        f"operator of dim {op.dim} does not match {type(state).__name__}"
+    )
 
 
 def _axis_block(axis):
@@ -91,7 +100,7 @@ def single_atom_op(atom, axis, n_atoms):
     block = _axis_block(axis)
     factors = [block if i == atom else _ID2 for i in range(1, n_atoms + 1)]
     entries = reduce(np.kron, factors)
-    return OperatorMatrix(1 << n_atoms, entries, space_tag="full")
+    return OperatorMatrix(entries)
 
 
 def collective_op(axis, n_atoms):
@@ -103,7 +112,7 @@ def collective_op(axis, n_atoms):
         single_atom_op(atom, axis, n_atoms).entries
         for atom in range(1, n_atoms + 1)
     )
-    return OperatorMatrix(1 << n_atoms, total, space_tag="full")
+    return OperatorMatrix(total)
 
 
 @lru_cache(maxsize=16)
@@ -153,8 +162,8 @@ def apply_ladder_axes(coeffs):
     """Apply Jx, Jy and Jz together to ladder coefficients in O(N).
 
     Returns shape ``(3, *coeffs.shape)``; entry ``a`` holds the same values
-    as ``apply_ladder(coeffs, UNIT_WEIGHTS[a])`` (exact zeros may differ in
-    sign).  The two shifted products ``raising * coeffs`` (the J+ and J-
+    as ``apply_ladder`` with unit weight on axis ``a`` (exact zeros may differ
+    in sign).  The two shifted products ``raising * coeffs`` (the J+ and J-
     parts) are formed once and shared by Jx and Jy.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
@@ -187,4 +196,4 @@ def collective_op_dicke(axis, n_atoms):
             entries = 0.5 * (raising + raising.conj().T)
         else:
             entries = -0.5j * (raising - raising.conj().T)
-    return OperatorMatrix(n_atoms + 1, entries, space_tag="dicke")
+    return OperatorMatrix(entries)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import InsufficientShotsError, InvalidStateError
 from .frame import mean_spin, rotated_ops, rotation_angles
-from .moments import _matching_vector
+from .operators import matching_vector
 from .states import as_symmetric
 
 DEGENERACY_TOL = 1e-10
@@ -151,7 +151,7 @@ def projective_sample(state, op, m_shots, seed, operator_tag="operator"):
     """
     if not 1 <= m_shots <= MAX_SHOTS:
         raise ValueError(f"shot count must be in 1..{MAX_SHOTS}, got {m_shots}")
-    vec = _matching_vector(state, op)
+    vec = matching_vector(state, op)
     groups, evecs = _merged_spectrum(op.entries)
     values = np.array([value for value, _ in groups])
     # records tally component measurements, whose outcomes live on +-N/2

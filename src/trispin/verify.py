@@ -12,15 +12,17 @@ cancellation result: the cube of the rotated component Jx' equals a term list
 containing only single-atom and tripartite factors (no bipartite products
 survive), for arbitrary rotation angles.  ``verify_sum_route`` and
 ``verify_product_vanishing`` are randomized sweeps of the moment formulas.
-Each sweep evaluates its states with one ``moment_reports`` call: ladder side
-stacked, dense side per state.  The sum-route sweep checks that stack against
-an independent direct route, built per state from dense 2**N operators.
+Each sweep streams its states through one ``moment_reports`` call and uses
+each row as it is yielded: ladder side stacked, dense side per state.  The
+sum-route sweep checks the stacked rows against an independent direct route,
+built per state from dense 2**N operators.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from itertools import chain, tee
 
 import math
 import numpy as np
@@ -463,34 +465,30 @@ def _ghz_like(n_atoms):
 def verify_sum_route(n_atoms, n_trials, seed):
     """Both third-moment routes on random symmetric states, dense oracle side.
 
-    Ladder side stacked, dense side per state: one ``moment_reports`` call
-    gives every state's frame and sum-route moments, and the direct side of
-    each state is computed with dense rotated operators in the full 2**N
-    space (hence the 3 <= N <= 6 window).  Frame-undefined draws are skipped
-    and counted.
+    Ladder side stacked, dense side per state: the GHZ-like state and the
+    seeded draws stream through ``moment_reports``, which gives each state's
+    frame and sum-route moments, and the direct side of each state is
+    computed with dense rotated operators in the full 2**N space (hence the
+    3 <= N <= 6 window).  Frame-undefined draws are skipped and counted.
     """
     if not 3 <= n_atoms <= 6:
         raise ValueError(f"dense sum-route sweep needs 3 <= N <= 6, got {n_atoms}")
     rng = np.random.default_rng(seed)
-    states = [_ghz_like(n_atoms)] + [
+    draws = (
         random_symmetric_state(n_atoms, int(rng.integers(2**63)))
         for _ in range(n_trials)
-    ]
+    )
+    ladder, dense = tee(chain([_ghz_like(n_atoms)], draws))
     base = [_collective(axis, n_atoms) for axis in AXES]
-    full_dim = 1 << n_atoms
     worst = 0.0
     skipped = 0
-    for state, report in zip(states, moment_reports(states)):
+    for state, report in zip(dense, moment_reports(ladder)):
         if isinstance(report, UndefinedFrame):
             skipped += 1
             continue
         full = dicke_to_full(state)
         op_xp, op_yp = (
-            OperatorMatrix(
-                full_dim,
-                sum(w * mat for w, mat in zip(row, base)),
-                space_tag="full",
-            )
+            OperatorMatrix(sum(w * mat for w, mat in zip(row, base)))
             for row in rotation_matrix(report.angles)[:2]
         )
         direct_xp = central_moment(full, op_xp, 3)
@@ -502,7 +500,7 @@ def verify_sum_route(n_atoms, n_trials, seed):
         )
     return SweepSummary(
         check_id=f"sum_route_n{n_atoms}",
-        n_trials=len(states),
+        n_trials=n_trials + 1,
         n_skipped=skipped,
         worst=worst,
         tolerance=ROUTE_REL_TOL,
@@ -513,7 +511,8 @@ def verify_sum_route(n_atoms, n_trials, seed):
 def verify_product_vanishing(n_atoms, n_trials, seed):
     """S on random identical-qubit product states (must sit at zero).
 
-    The states are drawn as ``moment_reports`` builds its ladder stacks.
+    The states are drawn as ``moment_reports`` builds its ladder stacks, and
+    each row is folded into ``worst_s`` as it is yielded.
     """
     rng = np.random.default_rng(seed)
     states = (

@@ -302,21 +302,46 @@ class TestScan:
         from trispin import frame, moments
 
         stacks = []
-        stacked = cli.moment_reports
+        evaluate = moments._stack_reports
 
-        def counting(states):
-            stacks.append(len(states))
-            return stacked(states)
+        def counting(n_atoms, syms):
+            stacks.append(len(syms))
+            return evaluate(n_atoms, syms)
 
         def per_point(*args):
             raise AssertionError("scan evaluated a point on its own")
 
-        monkeypatch.setattr(cli, "moment_reports", counting)
+        monkeypatch.setattr(moments, "_stack_reports", counting)
         monkeypatch.setattr(cli, "entanglement_s", per_point)
         monkeypatch.setattr(moments, "entanglement_s", per_point)
         monkeypatch.setattr(frame, "mean_spin", per_point)
         assert main(["scan", "--grid", PAIR_MIX_GRID]) == 0
         assert stacks == [101]
+        capsys.readouterr()
+
+    def test_points_stream_through_bounded_stacks(self, monkeypatch, capsys):
+        from trispin import moments
+
+        monkeypatch.setattr(moments, "STACK_LEVELS", 20)  # 5 points of 4 levels
+        counts = {"drawn": 0, "used": 0}
+        ahead = []
+        make_state, make_row = cli._pair_mix_state, cli._scan_row
+
+        def drawing(*args):
+            counts["drawn"] += 1
+            return make_state(*args)
+
+        def using(*args):
+            counts["used"] += 1
+            ahead.append(counts["drawn"] - counts["used"])
+            return make_row(*args)
+
+        monkeypatch.setattr(cli, "_pair_mix_state", drawing)
+        monkeypatch.setattr(cli, "_scan_row", using)
+        assert main(["scan", "--grid", PAIR_MIX_GRID]) == 0
+        assert counts == {"drawn": 101, "used": 101}
+        # never more than two stacks of points drawn ahead of the rows written
+        assert max(ahead) <= 2 * 5
         capsys.readouterr()
 
     def test_full_round_trip_floats(self, tmp_path):

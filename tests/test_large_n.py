@@ -126,7 +126,7 @@ def test_stacked_rows_equal_rows_alone(n_atoms):
         symmetric_state(n_atoms, undefined, normalize=True),
         random_product_state(n_atoms, 5),
     ]
-    rows = moment_reports(states)
+    rows = list(moment_reports(states))
     assert isinstance(rows[3], UndefinedFrame)
     assert repr(rows[3].mean_spin) == repr(mean_spin(states[3]))
     with pytest.raises(FrameUndefinedError, match=re.escape(str(rows[3].error))):

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import gc
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,12 +32,14 @@ from trispin import (
     third_moment_sum_yp,
     triple_correlators,
 )
+from trispin import frame, moments
 from trispin.frame import RotationAngles, rotation_matrix
 from trispin.moments import (
     _SITE_WORDS,
     PATTERNS,
     ROUTE_REL_TOL,
     _pattern_sums,
+    _shifted_moments,
     direct_moments,
     pattern_weights,
     route_deviation,
@@ -54,7 +57,7 @@ def dense_rotated(angles, n_atoms):
     """Full-space (Jx', Jy', Jz') from the dense oracle, as operator objects."""
     trig = (angles.cos_theta, angles.sin_theta, angles.cos_phi, angles.sin_phi)
     return tuple(
-        OperatorMatrix(1 << n_atoms, mat, space_tag="full")
+        OperatorMatrix(mat)
         for mat in bf.rotated_operators(n_atoms, *trig)
     )
 
@@ -108,7 +111,7 @@ class TestCentralMoment:
         # moment can be taken of it
         raising = np.diag(np.ones(3), 1).astype(complex)
         with pytest.raises(InvalidStateError):
-            OperatorMatrix(4, raising, space_tag="dicke")
+            OperatorMatrix(raising)
 
     def test_dimension_mismatch(self):
         state = symmetric_state(3, [1, 0, 0, 0])
@@ -369,7 +372,26 @@ class TestEntanglementS:
         # the parity of this state kills both transverse third moments, so S
         # vanishes even though the state is genuinely tripartite entangled
         report = entanglement_s(symmetric_state(3, [0, 1, 0, 0]))
-        assert report.s_parameter == pytest.approx(0.0, abs=1e-12)
+        assert report.s_parameter == 0.0
+
+    @pytest.mark.parametrize("n_atoms, level", [(4, 1), (6, 2)])
+    def test_dicke_states_are_blind_spots(self, n_atoms, level):
+        # a Dicke level is invariant up to a phase under a pi rotation about z,
+        # which flips both transverse third moments, so S = 0 exactly
+        coeffs = np.zeros(n_atoms + 1)
+        coeffs[level] = 1.0
+        assert entanglement_s(symmetric_state(n_atoms, coeffs)).s_parameter == 0.0
+
+    @pytest.mark.parametrize("n_atoms", [3, 8, 20])
+    @pytest.mark.parametrize("mu", [0.3, 1.0])
+    def test_one_axis_twisted_states_are_blind_spots(self, n_atoms, mu):
+        # exp(-i mu Jz^2 / 2) on the coherent state along x: the pi rotation
+        # about x maps it to itself up to a phase, so S vanishes up to rounding
+        m = n_atoms / 2 - np.arange(n_atoms + 1)
+        binomial = np.array([math.comb(n_atoms, k) for k in range(n_atoms + 1)])
+        coeffs = np.sqrt(binomial) / 2 ** (n_atoms / 2) * np.exp(-0.5j * mu * m**2)
+        report = entanglement_s(symmetric_state(n_atoms, coeffs))
+        assert report.s_parameter <= 1e-16 * (1 + n_atoms / 2) ** 3
 
     def test_report_self_consistency(self):
         for seed in range(20):
@@ -424,7 +446,7 @@ class TestEntanglementS:
         ghz = symmetric_state(3, [1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2)])
         entangled = random_symmetric_state(3, seed=2)
         product = random_product_state(3, seed=3)
-        reports = moment_reports([entangled, ghz, product])
+        reports = list(moment_reports([entangled, ghz, product]))
         assert isinstance(reports[1], UndefinedFrame)
         assert reports[1].mean_spin == mean_spin(ghz)
         assert isinstance(reports[1].error, FrameUndefinedError)
@@ -439,7 +461,7 @@ class TestEntanglementS:
         gc.collect()
         gc.disable()
         try:
-            rows = moment_reports(stack)
+            rows = list(moment_reports(stack))
             assert isinstance(rows[-1], UndefinedFrame)
             del rows
             for single in (entanglement_s, direct_moments):
@@ -467,7 +489,7 @@ class TestEntanglementS:
 
         monkeypatch.setattr(moments, "_stack_reports", counting)
         monkeypatch.setattr(moments, "STACK_LEVELS", 21)  # 5 states of 4 levels
-        rows = moment_reports(state for state in states)
+        rows = list(moment_reports(state for state in states))
         assert stacks == [5, 5, 2]
         assert isinstance(rows[6], UndefinedFrame)
         for state, row in zip(states, rows, strict=True):
@@ -475,10 +497,10 @@ class TestEntanglementS:
                 assert repr(row) == repr(entanglement_s(state))
 
     def test_stack_needs_one_number_of_atoms(self):
-        assert moment_reports([]) == []
+        assert list(moment_reports([])) == []
         mixed = [random_symmetric_state(3, seed=1), random_symmetric_state(4, seed=1)]
         with pytest.raises(DimensionMismatchError):
-            moment_reports(mixed)
+            list(moment_reports(mixed))
 
     def test_not_symmetric_rejected_at_ingestion(self):
         amps = np.zeros(8, dtype=complex)
@@ -501,3 +523,73 @@ class TestEntanglementS:
         # below ROUTE_ABS_FLOOR / ROUTE_REL_TOL = 1e-3 the deviation is scaled
         # by the floor
         assert report.max_rel_dev() == pytest.approx(1e-10, rel=1e-12)
+
+
+class TestImaginaryPartGuard:
+    """Each site refuses an imaginary part just past its tolerance only."""
+
+    @pytest.mark.parametrize("factor, raises", [(1.01, True), (0.99, False)])
+    @pytest.mark.parametrize("axis", range(3))
+    def test_mean_spin(self, monkeypatch, axis, factor, raises):
+        n_atoms = 6
+        imag = factor * 1e-12 * (1 + n_atoms / 2)
+        state = random_symmetric_state(n_atoms, seed=3)
+        want = mean_spin(state)
+        kernel = frame.apply_ladder_axes
+
+        def tilted(coeffs):  # <J_axis> gains i * imag on a unit-norm state
+            out = kernel(coeffs)
+            out[axis] += 1j * imag * coeffs
+            return out
+
+        monkeypatch.setattr(frame, "apply_ladder_axes", tilted)
+        if raises:
+            message = f"internal error: <J{AXES[axis]}> has imaginary part"
+            with pytest.raises(RuntimeError, match=re.escape(message)):
+                mean_spin(state)
+        else:
+            got = mean_spin(state)
+            assert [got.jx, got.jy, got.jz] == pytest.approx(
+                [want.jx, want.jy, want.jz], abs=1e-15
+            )
+
+    @pytest.mark.parametrize("factor, raises", [(1.01, True), (0.99, False)])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_shifted_moment(self, order, factor, raises):
+        # A cycles the basis vectors, with 1 + i*imag on the step back to e0,
+        # so <A^k> on e0 is 1 + i*imag at k = order and vanishes below it
+        n_atoms = 4
+        imag = factor * 1e-10 * (1 + n_atoms / 2) ** order
+        op = np.roll(np.eye(order, dtype=complex), 1, axis=0)
+        op[0, order - 1] *= 1 + 1j * imag
+        vec = np.eye(order, dtype=complex)[0]
+        if raises:
+            what = "<A>" if order == 1 else f"<(A-<A>)^{order}>"
+            message = f"internal error: {what} has imaginary part {imag:.3e}"
+            with pytest.raises(RuntimeError, match=re.escape(message)):
+                _shifted_moments(vec, lambda v: op @ v, n_atoms, 3)
+        else:
+            [(var, m3)] = _shifted_moments(vec, lambda v: op @ v, n_atoms, 3)
+            assert m3 == (1.0 if order == 3 else 0.0)
+
+    @pytest.mark.parametrize("factor, raises", [(1.01, True), (0.99, False)])
+    @pytest.mark.parametrize("pattern", ["xxx", "xyz", "yzz"])
+    def test_correlator(self, monkeypatch, pattern, factor, raises):
+        n_atoms = 5
+        imag = factor * 1e-10 * (1 + n_atoms / 2) ** 3
+        state = random_symmetric_state(n_atoms, seed=8)
+        want = triple_correlators(state)
+        kernel = moments._pattern_sums
+
+        def tilted(*args):
+            values = kernel(*args)
+            values[..., PATTERNS.index(pattern)] += 1j * imag
+            return values
+
+        monkeypatch.setattr(moments, "_pattern_sums", tilted)
+        if raises:
+            message = f"internal error: correlator {pattern} has imaginary part"
+            with pytest.raises(RuntimeError, match=re.escape(message)):
+                triple_correlators(state)
+        else:
+            assert triple_correlators(state) == want

@@ -14,11 +14,13 @@ from trispin import (
 )
 from trispin.operators import (
     AXES,
-    UNIT_WEIGHTS,
     apply_ladder,
     apply_ladder_axes,
     ladder_vectors,
 )
+
+# (x, y, z) weights selecting one collective component in ``apply_ladder``.
+UNIT_WEIGHTS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
 def dicke_embedding(n_atoms):
@@ -208,8 +210,8 @@ class TestOperatorMatrix:
     def test_hermitian_flag_is_checked(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(InvalidStateError):
-            OperatorMatrix(2, bad, space_tag="full")
+            OperatorMatrix(bad)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidStateError):
-            OperatorMatrix(3, np.eye(2), space_tag="full")
+            OperatorMatrix(np.eye(3)[:, :2])

@@ -100,7 +100,7 @@ class TestProjectiveSample:
     def test_out_of_range_spectrum_rejected(self):
         state = random_symmetric_state(4, seed=12)
         doubled = 2.0 * collective_op_dicke("z", 4).entries
-        op = OperatorMatrix(5, doubled, space_tag="dicke")
+        op = OperatorMatrix(doubled)
         with pytest.raises(ValueError):
             projective_sample(state, op, 100, seed=2)
 
@@ -109,7 +109,7 @@ class TestProjectiveSample:
         raising = np.diag(np.ones(3), 1).astype(complex)
         # a non-hermitian operator is refused when it is built
         with pytest.raises(InvalidStateError):
-            OperatorMatrix(4, raising, space_tag="dicke")
+            OperatorMatrix(raising)
         with pytest.raises(ValueError):
             projective_sample(state, collective_op_dicke("z", 3), 0, seed=0)
 

@@ -217,7 +217,6 @@ def per_state_sum_route(n_atoms, n_trials, seed):
         for _ in range(n_trials)
     ]
     base = [collective_op(axis, n_atoms).entries for axis in "xyz"]
-    full_dim = 1 << n_atoms
     worst = 0.0
     skipped = 0
     for state in states:
@@ -229,11 +228,7 @@ def per_state_sum_route(n_atoms, n_trials, seed):
             continue
         full = dicke_to_full(state)
         op_xp, op_yp = (
-            OperatorMatrix(
-                full_dim,
-                sum(w * mat for w, mat in zip(row, base)),
-                space_tag="full",
-            )
+            OperatorMatrix(sum(w * mat for w, mat in zip(row, base)))
             for row in rotation_matrix(angles)[:2]
         )
         direct_xp = central_moment(full, op_xp, 3)
@@ -328,3 +323,53 @@ def test_verify_never_names_per_state_helpers():
         elif isinstance(node, ast.alias):
             names.update((node.name, node.asname))
     assert not names & PER_STATE_HELPERS
+
+
+@pytest.mark.parametrize(
+    "sweep, draw, use",
+    [
+        # the sum-route sweep draws a GHZ-like state first, outside the count;
+        # each framed row reaches the dense side through dicke_to_full
+        (verify_sum_route, "random_symmetric_state", "dicke_to_full"),
+        (verify_product_vanishing, "random_product_state", "_raise_undefined"),
+    ],
+)
+def test_sweeps_stream_through_bounded_stacks(sweep, draw, use, monkeypatch):
+    from trispin import moments
+
+    monkeypatch.setattr(moments, "STACK_LEVELS", 20)  # 5 states of 4 levels
+    counts = {"drawn": 0, "used": 0}
+    ahead = []
+    drawn_fn, used_fn = getattr(verify, draw), getattr(verify, use)
+
+    def drawing(*args):
+        counts["drawn"] += 1
+        return drawn_fn(*args)
+
+    def using(*args):
+        counts["used"] += 1
+        ahead.append(counts["drawn"] - counts["used"])
+        return used_fn(*args)
+
+    monkeypatch.setattr(verify, draw, drawing)
+    monkeypatch.setattr(verify, use, using)
+    assert sweep(3, 50, seed=7).passed
+    assert counts == {"drawn": 50, "used": 50}
+    # never more than two stacks of states drawn ahead of the rows used
+    assert max(ahead) <= 2 * 5
+
+
+def test_one_chunker():
+    # only moment_reports cuts an iterable of states into stacks
+    package = Path(verify.__file__).parent
+    for module in ("cli.py", "verify.py"):
+        source = (package / module).read_text(encoding="utf-8")
+        names = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update((node.name, node.asname))
+        assert not names & {"STACK_LEVELS", "islice"}, module
