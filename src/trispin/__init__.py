@@ -34,6 +34,7 @@ from .moments import (
     triple_correlators,
 )
 from .operators import (
+    LadderOperator,
     OperatorMatrix,
     collective_op,
     collective_op_dicke,
@@ -98,6 +99,7 @@ __all__ = [
     "random_product_state",
     "state_from_dict",
     "state_to_dict",
+    "LadderOperator",
     "OperatorMatrix",
     "single_atom_op",
     "collective_op",

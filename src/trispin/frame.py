@@ -31,7 +31,7 @@ import numpy as np
 from .errors import FrameUndefinedError
 from .operators import (
     AXES,
-    OperatorMatrix,
+    LadderOperator,
     apply_ladder_axes,
     collective_op_dicke,
 )
@@ -167,6 +167,6 @@ def rotated_ops(angles, n_atoms):
     """
     base = [collective_op_dicke(axis, n_atoms).entries for axis in AXES]
     return tuple(
-        OperatorMatrix(sum(w * mat for w, mat in zip(row, base)))
+        LadderOperator(sum(w * mat for w, mat in zip(row, base)))
         for row in rotation_matrix(angles)
     )

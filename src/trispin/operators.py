@@ -37,10 +37,11 @@ _ID2 = np.eye(2, dtype=complex)
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense hermitian operator, on the ladder (N+1 levels) or the full space.
+    """Dense hermitian operator on the full space (2**N levels).
 
-    The entries are checked to be square and equal to their conjugate
-    transpose at construction time.
+    ``LadderOperator`` marks one on the ladder (N+1 levels).  The entries
+    are checked to be square and equal to their conjugate transpose at
+    construction time.
     """
 
     entries: np.ndarray
@@ -60,18 +61,32 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
 
+class LadderOperator(OperatorMatrix):
+    """An ``OperatorMatrix`` on the (N+1)-level ladder of N atoms.
+
+    The class marks the space: N+1 alone cannot, since it equals 2**M for
+    some M whenever N = 2**M - 1.
+    """
+
+
 def matching_vector(state, op):
     """State vector living in the operator's space, or a loud mismatch.
 
-    The dimension picks the space: a ``SymmetricState`` has N+1 levels (N >= 3)
-    and a ``FullState`` has 2**N.
+    A ``LadderOperator`` needs a ``SymmetricState`` of N+1 levels; any other
+    ``OperatorMatrix`` acts on the full space and needs a ``FullState`` of
+    2**N amplitudes.
     """
-    if isinstance(state, SymmetricState) and state.n_atoms + 1 == op.dim:
-        return state.coeffs
+    if isinstance(op, LadderOperator):
+        if isinstance(state, SymmetricState) and state.n_atoms + 1 == op.dim:
+            return state.coeffs
+        raise DimensionMismatchError(
+            f"ladder-space operator of dim {op.dim} needs a symmetric state of "
+            f"{op.dim - 1} atoms, got {type(state).__name__}"
+        )
     if isinstance(state, FullState) and (1 << state.n_atoms) == op.dim:
         return state.amplitudes
     raise DimensionMismatchError(
-        f"operator of dim {op.dim} does not match {type(state).__name__}"
+        f"full-space operator of dim {op.dim} does not match {type(state).__name__}"
     )
 
 
@@ -196,4 +211,4 @@ def collective_op_dicke(axis, n_atoms):
             entries = 0.5 * (raising + raising.conj().T)
         else:
             entries = -0.5j * (raising - raising.conj().T)
-    return OperatorMatrix(entries)
+    return LadderOperator(entries)

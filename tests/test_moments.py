@@ -16,6 +16,7 @@ from trispin import (
     NotSymmetricError,
     UndefinedFrame,
     central_moment,
+    collective_op,
     collective_op_dicke,
     dicke_to_full,
     entanglement_s,
@@ -118,6 +119,14 @@ class TestCentralMoment:
         op = collective_op_dicke("z", 4)
         with pytest.raises(DimensionMismatchError):
             central_moment(state, op, 2)
+
+    @pytest.mark.parametrize("axis", AXES)
+    def test_space_is_not_read_from_the_dimension(self, axis):
+        # the 8-level ladder of N=7 has the dimension of 3 atoms' full space
+        with pytest.raises(DimensionMismatchError):
+            central_moment(product_to_full(coherent_x(3)), collective_op_dicke(axis, 7), 3)
+        with pytest.raises(DimensionMismatchError):
+            central_moment(random_symmetric_state(7, seed=2), collective_op(axis, 3), 3)
 
 
 class TestTripleCorrelators:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from trispin import (
+    DimensionMismatchError,
     InsufficientShotsError,
     InvalidStateError,
     MeasurementRecord,
@@ -26,7 +27,7 @@ from trispin import (
     symmetric_state,
 )
 from trispin import sampler
-from trispin.operators import AXES, OperatorMatrix
+from trispin.operators import AXES, LadderOperator, OperatorMatrix
 
 
 class TestProjectiveSample:
@@ -100,9 +101,18 @@ class TestProjectiveSample:
     def test_out_of_range_spectrum_rejected(self):
         state = random_symmetric_state(4, seed=12)
         doubled = 2.0 * collective_op_dicke("z", 4).entries
-        op = OperatorMatrix(doubled)
+        op = LadderOperator(doubled)
         with pytest.raises(ValueError):
             projective_sample(state, op, 100, seed=2)
+
+    def test_space_is_not_read_from_the_dimension(self):
+        # 3 atoms' full space has the dimension of the N=7 ladder
+        ladder = random_symmetric_state(7, seed=1)
+        with pytest.raises(DimensionMismatchError):
+            projective_sample(ladder, collective_op("z", 3), 10, seed=0)
+        full = product_to_full(random_product_state(3, seed=1))
+        with pytest.raises(DimensionMismatchError):
+            projective_sample(full, collective_op_dicke("z", 7), 10, seed=0)
 
     def test_rejects_non_hermitian_and_bad_shot_count(self):
         state = random_symmetric_state(3, seed=1)

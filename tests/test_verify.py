@@ -312,8 +312,9 @@ PER_STATE_HELPERS = {
 }
 
 
-def test_verify_never_names_per_state_helpers():
-    source = Path(verify.__file__).read_text(encoding="utf-8")
+def _names(module):
+    """Every Name, Attribute and import alias in one module of the package."""
+    source = (Path(verify.__file__).parent / module).read_text(encoding="utf-8")
     names = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
@@ -322,7 +323,17 @@ def test_verify_never_names_per_state_helpers():
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.update((node.name, node.asname))
-    assert not names & PER_STATE_HELPERS
+    return names
+
+
+def test_verify_never_names_per_state_helpers():
+    assert not _names("verify.py") & PER_STATE_HELPERS
+
+
+@pytest.mark.parametrize("module", ["cli.py", "verify.py"])
+def test_one_chunker(module):
+    # only moment_reports cuts an iterable of states into stacks
+    assert not _names(module) & {"STACK_LEVELS", "islice"}
 
 
 @pytest.mark.parametrize(
@@ -357,19 +368,3 @@ def test_sweeps_stream_through_bounded_stacks(sweep, draw, use, monkeypatch):
     assert counts == {"drawn": 50, "used": 50}
     # never more than two stacks of states drawn ahead of the rows used
     assert max(ahead) <= 2 * 5
-
-
-def test_one_chunker():
-    # only moment_reports cuts an iterable of states into stacks
-    package = Path(verify.__file__).parent
-    for module in ("cli.py", "verify.py"):
-        source = (package / module).read_text(encoding="utf-8")
-        names = set()
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.update((node.name, node.asname))
-        assert not names & {"STACK_LEVELS", "islice"}, module
