@@ -38,12 +38,22 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_FRAME_UNDEFINED = 3
 
-# Most ladder levels, points x (N + 1), one scan grid may span.  At the limit
-# a scan took 401 MB peak RSS for a single N=999999 point, 36 MB for 1000
-# points at N=999 and 150 MB for 250000 points at N=3, most of it the CSV text
-# (one fresh process each, one BLAS thread on a 2-vCPU Xeon), near the memory
-# of `sample` at its atom cap.
-MAX_SCAN_LEVELS = 10**6
+# Most ladder levels one command may span: N + 1 for a `compute` or `sample`
+# document or `verify --n`, points x (N + 1) for a scan grid.  At the limit a
+# scan took 401 MB peak RSS for a single N=999999 point, 36 MB for 1000 points
+# at N=999 and 150 MB for 250000 points at N=3, most of it the CSV text (one
+# fresh process each, one BLAS thread on a 2-vCPU Xeon), near the memory of
+# `sample` at its atom cap; `verify --n 999999 --trials 1` took 451 MB.  The
+# memory grows linearly with N, so past the limit a command would risk an
+# out-of-memory kill rather than an error.
+MAX_LADDER_LEVELS = 10**6
+
+
+def _check_levels(levels, what):
+    if levels > MAX_LADDER_LEVELS:
+        raise InvalidStateError(
+            f"{what} is past the limit of {MAX_LADDER_LEVELS} ladder levels"
+        )
 
 
 def _timestamp():
@@ -92,7 +102,9 @@ def _read_nothing(args):
 
 def _decode_state(args, raw):
     data = json.loads(raw.decode("utf-8"))
-    return state_from_dict(data, auto_normalize=args.normalize)
+    state = state_from_dict(data, auto_normalize=args.normalize)
+    _check_levels(state.n_atoms + 1, f"a state of {state.n_atoms} atoms")
+    return state
 
 
 # Commands take the parsed arguments and the bytes their reader returned, and
@@ -113,6 +125,8 @@ def _cmd_compute(args, raw):
 
 
 def _cmd_verify(args, raw):
+    if args.n is not None:
+        _check_levels(args.n + 1, f"--n {args.n}")
     report = run_verification(
         trials=args.trials,
         seed=args.seed,
@@ -147,11 +161,8 @@ def _parse_grid(text):
         raise InvalidStateError(f"missing or malformed grid field: {exc}") from exc
     if points < 1:
         raise InvalidStateError(f"grid needs at least 1 point, got {points}")
-    if points * (n_atoms + 1) > MAX_SCAN_LEVELS:
-        raise InvalidStateError(
-            f"grid of {points} points x {n_atoms + 1} levels is past the limit "
-            f"of {MAX_SCAN_LEVELS} ladder levels"
-        )
+    _check_levels(points * (n_atoms + 1),
+                  f"grid of {points} points x {n_atoms + 1} levels")
     if not (0 <= index_a <= n_atoms and 0 <= index_b <= n_atoms):
         raise InvalidStateError("grid level indices outside 0..N")
     if index_a == index_b:

@@ -216,7 +216,7 @@ def _site_word(word):
 
 _SITE_WORDS = {
     "".join(word): _site_word(word)
-    for length in (2, 3)
+    for length in (1, 2, 3)
     for word in product(AXES, repeat=length)
 }
 

@@ -250,7 +250,10 @@ def _product_to_dicke(state):
     phases = np.divide(overlaps, sizes, out=np.ones_like(overlaps), where=sizes > 0)
     aligned = rows * phases.conj()[:, None]
     qubit = aligned.mean(axis=0)
-    residual = float(np.linalg.norm(aligned - qubit))
+    # the same norm, centred on row 0: identical rows give exactly 0, where
+    # the inexact mean of many equal rows would not
+    drift = aligned - aligned[0]
+    residual = float(np.linalg.norm(drift - drift.mean(axis=0)))
     if residual > SYMMETRY_TOL:
         raise NotSymmetricError(
             f"product rows differ beyond a global phase: non-symmetric weight "

@@ -3,9 +3,11 @@
 Every three-factor product of collective components (27 axis words) reduces,
 for three atoms, to a combination of single-atom operators, two-atom
 ("bipartite") products, three-atom ("tripartite") products, and at most a
-constant.  ``IDENTITIES`` encodes those reductions as explicit term lists so
-each one can be audited line by line; the suite rebuilds both sides as dense
-8x8 matrices and compares entrywise.
+constant.  ``IDENTITIES`` holds those reductions as term lists derived by
+``reduced_terms`` from the one-atom product rule that the sum route's
+correlator table is built from, so the suite checks that rule itself;
+``reduced_terms("xyz")`` shows one list for audit.  The suite rebuilds both
+sides as dense 8x8 matrices and compares entrywise.
 
 On top of the per-word identities, ``verify_cancellation`` checks the key
 cancellation result: the cube of the rotated component Jx' equals a term list
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from itertools import chain, tee
+from itertools import chain, product, tee
 
 import math
 import numpy as np
@@ -32,6 +34,7 @@ from .moments import (
     PATTERNS,
     ROUTE_REL_TOL,
     UndefinedFrame,
+    _SITE_WORDS,
     _raise_undefined,
     central_moment,
     moment_reports,
@@ -49,24 +52,19 @@ from .states import (
 RESIDUAL_TOL = 1e-12
 PRODUCT_S_TOL = 1e-10
 
-_I = 1j
-
 
 @dataclass(frozen=True)
 class OperatorIdentity:
-    """One reduction: collective product ``word`` = the listed terms.
+    """One reduction: collective product ``word`` = the sum of ``terms``.
 
-    ``singles`` is ``(coeff, axis)`` applied to each of the three atoms,
-    ``pairs`` are ``(coeff, (atom, axis), (atom, axis))`` bipartite products,
-    ``triples`` are ``(coeff, word)`` products over atoms 1, 2, 3 in order.
+    ``terms`` are ``(coeff, factors)`` pairs, ``factors`` being
+    ``(atom, axis)`` pairs in atom order (``()`` is the identity), as
+    ``reduced_terms`` gives them.
     """
 
     identity_id: str
     word: str
-    const: complex = 0.0
-    singles: tuple | None = None
-    pairs: tuple = ()
-    triples: tuple = ()
+    terms: tuple
 
 
 @dataclass(frozen=True)
@@ -87,188 +85,41 @@ class SweepSummary:
     passed: bool
 
 
-def _pairs(coeff, *atom_axis_pairs):
-    return tuple((coeff, pair[0], pair[1]) for pair in atom_axis_pairs)
+def reduced_terms(word):
+    """The collective product ``word`` on three atoms as one-atom terms.
+
+    Each factor J^a is j^a_1 + j^a_2 + j^a_3, so the product expands over the
+    27 placements of its three factors on atoms 1..3.  In each placement the
+    factors on one atom keep their order and reduce through the one-atom
+    rule (``_SITE_WORDS``, the table the sum route is built from) to a
+    polynomial in (1, j^x, j^y, j^z); the product of those polynomials is
+    expanded, and like terms are collected over all placements.  Returns
+    ``(coeff, factors)`` pairs with nonzero ``coeff``.
+    """
+    collected = {}
+    for placement in product((1, 2, 3), repeat=3):
+        partial = [(1.0, ())]
+        for atom in sorted(set(placement)):
+            site = "".join(a for a, at in zip(word, placement) if at == atom)
+            poly = _SITE_WORDS[site]
+            partial = [
+                (coeff * poly[k], factors + ((atom, AXES[k - 1]),) if k else factors)
+                for coeff, factors in partial
+                for k in range(4)
+                if poly[k]
+            ]
+        for coeff, factors in partial:
+            collected[factors] = collected.get(factors, 0.0) + coeff
+    return tuple((coeff, factors) for factors, coeff in collected.items() if coeff)
 
 
-IDENTITIES = (
-    OperatorIdentity(
-        "JxJxJx", "xxx", singles=(1.75, "x"), triples=((6.0, "xxx"),)
-    ),
-    OperatorIdentity(
-        "JxJxJy", "xxy", singles=(0.75, "y"),
-        pairs=_pairs(_I, ((1, "z"), (2, "x")), ((1, "x"), (2, "z")),
-                     ((1, "z"), (3, "x")), ((1, "x"), (3, "z")),
-                     ((2, "z"), (3, "x")), ((2, "x"), (3, "z"))),
-        triples=((2.0, "xxy"), (2.0, "xyx"), (2.0, "yxx")),
-    ),
-    OperatorIdentity(
-        "JxJxJz", "xxz", singles=(0.75, "z"),
-        pairs=_pairs(-_I, ((1, "y"), (2, "x")), ((1, "x"), (2, "y")),
-                     ((1, "y"), (3, "x")), ((1, "x"), (3, "y")),
-                     ((2, "y"), (3, "x")), ((2, "x"), (3, "y"))),
-        triples=((2.0, "xxz"), (2.0, "xzx"), (2.0, "zxx")),
-    ),
-    OperatorIdentity(
-        "JyJyJx", "yyx", singles=(0.75, "x"),
-        pairs=_pairs(-_I, ((1, "z"), (2, "y")), ((1, "y"), (2, "z")),
-                     ((1, "z"), (3, "y")), ((1, "y"), (3, "z")),
-                     ((2, "z"), (3, "y")), ((2, "y"), (3, "z"))),
-        triples=((2.0, "yyx"), (2.0, "yxy"), (2.0, "xyy")),
-    ),
-    OperatorIdentity(
-        "JyJyJy", "yyy", singles=(1.75, "y"), triples=((6.0, "yyy"),)
-    ),
-    OperatorIdentity(
-        "JyJyJz", "yyz", singles=(0.75, "z"),
-        pairs=_pairs(_I, ((1, "x"), (2, "y")), ((1, "y"), (2, "x")),
-                     ((1, "x"), (3, "y")), ((1, "y"), (3, "x")),
-                     ((2, "x"), (3, "y")), ((2, "y"), (3, "x"))),
-        triples=((2.0, "yyz"), (2.0, "yzy"), (2.0, "zyy")),
-    ),
-    OperatorIdentity(
-        "JzJzJx", "zzx", singles=(0.75, "x"),
-        pairs=_pairs(_I, ((1, "y"), (2, "z")), ((1, "y"), (3, "z")),
-                     ((2, "y"), (3, "z")), ((1, "z"), (2, "y")),
-                     ((1, "z"), (3, "y")), ((2, "z"), (3, "y"))),
-        triples=((2.0, "zzx"), (2.0, "zxz"), (2.0, "xzz")),
-    ),
-    OperatorIdentity(
-        "JzJzJy", "zzy", singles=(0.75, "y"),
-        pairs=_pairs(-_I, ((1, "x"), (2, "z")), ((1, "x"), (3, "z")),
-                     ((1, "z"), (2, "x")), ((1, "z"), (3, "x")),
-                     ((2, "x"), (3, "z")), ((2, "z"), (3, "x"))),
-        triples=((2.0, "yzz"), (2.0, "zzy"), (2.0, "zyz")),
-    ),
-    OperatorIdentity(
-        "JzJzJz", "zzz", singles=(1.75, "z"), triples=((6.0, "zzz"),)
-    ),
-    OperatorIdentity(
-        "JxJyJx", "xyx", singles=(0.25, "y"),
-        triples=((2.0, "xyx"), (2.0, "xxy"), (2.0, "yxx")),
-    ),
-    OperatorIdentity(
-        "JyJxJx", "yxx", singles=(0.75, "y"),
-        pairs=_pairs(-_I, ((1, "z"), (2, "x")), ((1, "z"), (3, "x")),
-                     ((1, "x"), (2, "z")), ((1, "x"), (3, "z")),
-                     ((2, "z"), (3, "x")), ((2, "x"), (3, "z"))),
-        triples=((2.0, "yxx"), (2.0, "xyx"), (2.0, "xxy")),
-    ),
-    OperatorIdentity(
-        "JxJyJy", "xyy", singles=(0.75, "x"),
-        pairs=_pairs(_I, ((1, "z"), (2, "y")), ((1, "z"), (3, "y")),
-                     ((1, "y"), (2, "z")), ((1, "y"), (3, "z")),
-                     ((2, "z"), (3, "y")), ((2, "y"), (3, "z"))),
-        triples=((2.0, "xyy"), (2.0, "yxy"), (2.0, "yyx")),
-    ),
-    OperatorIdentity(
-        "JyJxJy", "yxy", singles=(0.25, "x"),
-        triples=((2.0, "yxy"), (2.0, "yyx"), (2.0, "xyy")),
-    ),
-    OperatorIdentity(
-        "JxJyJz", "xyz", const=0.375j,
-        pairs=_pairs(_I, ((1, "z"), (2, "z")), ((1, "z"), (3, "z")),
-                     ((1, "x"), (2, "x")), ((1, "x"), (3, "x")),
-                     ((2, "z"), (3, "z")), ((2, "x"), (3, "x")))
-        + _pairs(-_I, ((1, "y"), (2, "y")), ((1, "y"), (3, "y")),
-                 ((2, "y"), (3, "y"))),
-        triples=((1.0, "xyz"), (1.0, "xzy"), (1.0, "yxz"),
-                 (1.0, "zxy"), (1.0, "yzx"), (1.0, "zyx")),
-    ),
-    OperatorIdentity(
-        "JyJxJz", "yxz", const=-0.375j,
-        pairs=_pairs(-_I, ((1, "z"), (2, "z")), ((1, "z"), (3, "z")),
-                     ((1, "y"), (2, "y")), ((1, "y"), (3, "y")),
-                     ((2, "z"), (3, "z")), ((2, "y"), (3, "y")))
-        + _pairs(_I, ((1, "x"), (2, "x")), ((1, "x"), (3, "x")),
-                 ((2, "x"), (3, "x"))),
-        triples=((1.0, "yxz"), (1.0, "yzx"), (1.0, "xyz"),
-                 (1.0, "zyx"), (1.0, "xzy"), (1.0, "zxy")),
-    ),
-    OperatorIdentity(
-        "JxJzJx", "xzx", singles=(0.25, "z"),
-        triples=((2.0, "xzx"), (2.0, "xxz"), (2.0, "zxx")),
-    ),
-    OperatorIdentity(
-        "JzJxJx", "zxx", singles=(0.75, "z"),
-        pairs=_pairs(_I, ((1, "y"), (2, "x")), ((1, "y"), (3, "x")),
-                     ((1, "x"), (2, "y")), ((2, "y"), (3, "x")),
-                     ((1, "x"), (3, "y")), ((2, "x"), (3, "y"))),
-        triples=((2.0, "xzx"), (2.0, "xxz"), (2.0, "zxx")),
-    ),
-    OperatorIdentity(
-        "JxJzJy", "xzy", const=-0.375j,
-        pairs=_pairs(-_I, ((1, "y"), (2, "y")), ((1, "y"), (3, "y")),
-                     ((1, "x"), (2, "x")), ((1, "x"), (3, "x")),
-                     ((2, "y"), (3, "y")), ((2, "x"), (3, "x")))
-        + _pairs(_I, ((1, "z"), (2, "z")), ((1, "z"), (3, "z")),
-                 ((2, "z"), (3, "z"))),
-        triples=((1.0, "xzy"), (1.0, "xyz"), (1.0, "zxy"),
-                 (1.0, "yxz"), (1.0, "zyx"), (1.0, "yzx")),
-    ),
-    OperatorIdentity(
-        "JzJxJy", "zxy", const=0.375j,
-        pairs=_pairs(_I, ((1, "y"), (2, "y")), ((1, "y"), (3, "y")),
-                     ((1, "z"), (2, "z")), ((1, "z"), (3, "z")),
-                     ((2, "y"), (3, "y")), ((2, "z"), (3, "z")))
-        + _pairs(-_I, ((1, "x"), (2, "x")), ((1, "x"), (3, "x")),
-                 ((2, "x"), (3, "x"))),
-        triples=((1.0, "zxy"), (1.0, "zyx"), (1.0, "xzy"),
-                 (1.0, "yzx"), (1.0, "xyz"), (1.0, "yxz")),
-    ),
-    OperatorIdentity(
-        "JxJzJz", "xzz", singles=(0.75, "x"),
-        pairs=_pairs(-_I, ((1, "y"), (2, "z")), ((1, "y"), (3, "z")),
-                     ((1, "z"), (2, "y")), ((2, "y"), (3, "z")),
-                     ((1, "z"), (3, "y")), ((2, "z"), (3, "y"))),
-        triples=((2.0, "xzz"), (2.0, "zxz"), (2.0, "zzx")),
-    ),
-    OperatorIdentity(
-        "JzJxJz", "zxz", singles=(0.25, "x"),
-        triples=((2.0, "zxz"), (2.0, "zzx"), (2.0, "xzz")),
-    ),
-    OperatorIdentity(
-        "JyJzJx", "yzx", const=0.375j,
-        pairs=_pairs(_I, ((1, "x"), (2, "x")), ((1, "x"), (3, "x")),
-                     ((1, "y"), (2, "y")), ((1, "y"), (3, "y")),
-                     ((2, "x"), (3, "x")), ((2, "y"), (3, "y")))
-        + _pairs(-_I, ((1, "z"), (2, "z")), ((1, "z"), (3, "z")),
-                 ((2, "z"), (3, "z"))),
-        triples=((1.0, "yzx"), (1.0, "yxz"), (1.0, "zyx"),
-                 (1.0, "xyz"), (1.0, "zxy"), (1.0, "xzy")),
-    ),
-    OperatorIdentity(
-        "JzJyJx", "zyx", const=-0.375j,
-        pairs=_pairs(-_I, ((1, "x"), (2, "x")), ((1, "x"), (3, "x")),
-                     ((1, "z"), (2, "z")), ((1, "z"), (3, "z")),
-                     ((2, "x"), (3, "x")), ((2, "z"), (3, "z")))
-        + _pairs(_I, ((1, "y"), (2, "y")), ((1, "y"), (3, "y")),
-                 ((2, "y"), (3, "y"))),
-        triples=((1.0, "zyx"), (1.0, "zxy"), (1.0, "yzx"),
-                 (1.0, "xzy"), (1.0, "yxz"), (1.0, "xyz")),
-    ),
-    OperatorIdentity(
-        "JyJzJy", "yzy", singles=(0.25, "z"),
-        triples=((2.0, "yzy"), (2.0, "yyz"), (2.0, "zyy")),
-    ),
-    OperatorIdentity(
-        "JzJyJy", "zyy", singles=(0.75, "z"),
-        pairs=_pairs(-_I, ((1, "x"), (2, "y")), ((1, "x"), (3, "y")),
-                     ((1, "y"), (2, "x")), ((2, "x"), (3, "y")),
-                     ((1, "y"), (3, "x")), ((2, "y"), (3, "x"))),
-        triples=((2.0, "zyy"), (2.0, "yzy"), (2.0, "yyz")),
-    ),
-    OperatorIdentity(
-        "JyJzJz", "yzz", singles=(0.75, "y"),
-        pairs=_pairs(_I, ((1, "x"), (2, "z")), ((1, "x"), (3, "z")),
-                     ((1, "z"), (2, "x")), ((2, "x"), (3, "z")),
-                     ((1, "z"), (3, "x")), ((2, "z"), (3, "x"))),
-        triples=((2.0, "yzz"), (2.0, "zyz"), (2.0, "zzy")),
-    ),
-    OperatorIdentity(
-        "JzJyJz", "zyz", singles=(0.25, "y"),
-        triples=((2.0, "zyz"), (2.0, "zzy"), (2.0, "yzz")),
-    ),
+IDENTITIES = tuple(
+    OperatorIdentity("J" + "J".join(word), word, reduced_terms(word))
+    for word in (
+        "xxx", "xxy", "xxz", "yyx", "yyy", "yyz", "zzx", "zzy", "zzz",
+        "xyx", "yxx", "xyy", "yxy", "xyz", "yxz", "xzx", "zxx", "xzy",
+        "zxy", "xzz", "zxz", "yzx", "zyx", "yzy", "zyy", "yzz", "zyz",
+    )
 )
 
 
@@ -307,19 +158,21 @@ def identity_lhs(entry):
     return out
 
 
-def identity_rhs(entry):
-    """Dense 8x8 matrix of the encoded term list."""
-    out = entry.const * np.eye(8, dtype=complex)
-    if entry.singles is not None:
-        coeff, axis = entry.singles
-        for atom in (1, 2, 3):
-            out = out + coeff * _term_matrix(((atom, axis),))
-    for coeff, first, second in entry.pairs:
-        out = out + coeff * _term_matrix((first, second))
-    for coeff, word in entry.triples:
-        factors = tuple(zip((1, 2, 3), word))
+def _terms_matrix(terms):
+    """Dense 8x8 sum of ``(coeff, factors)`` terms.
+
+    The terms are added from zero in list order; the cancellation sweep's
+    recorded ``worst`` depends on that order.
+    """
+    out = np.zeros((8, 8), dtype=complex)
+    for coeff, factors in terms:
         out = out + coeff * _term_matrix(factors)
     return out
+
+
+def identity_rhs(entry):
+    """Dense 8x8 matrix of the identity's reduced terms."""
+    return _terms_matrix(entry.terms)
 
 
 def _single_atom_relation_results():
@@ -359,7 +212,7 @@ def _single_atom_relation_results():
 def verify_identity_suite(corrupt_id=None):
     """Check all 27 collective-product identities plus the one-atom relations.
 
-    ``corrupt_id`` deliberately flips the sign of one encoded right-hand side
+    ``corrupt_id`` deliberately flips the sign of one derived right-hand side
     so harness failures stay observable; the corrupted entry must come back
     ``passed=False``.  An ID that names no entry of ``IDENTITIES`` raises
     ``ValueError``, so a typo cannot pass as a corrupted run.
@@ -425,10 +278,9 @@ def verify_cancellation(theta, phi):
     axis = _x_prime_axis(theta, phi)
     combo = sum(weight * _collective(name, 3) for weight, name in zip(axis, AXES))
     lhs = combo @ combo @ combo
-    rhs = np.zeros_like(lhs)
-    for coeff, factors in cancellation_terms(theta, phi):
-        assert len(factors) in (1, 3)  # reduced form carries no bipartite terms
-        rhs = rhs + coeff * _term_matrix(factors)
+    terms = cancellation_terms(theta, phi)
+    assert all(len(factors) in (1, 3) for _, factors in terms)  # no bipartite terms
+    rhs = _terms_matrix(terms)
     residual = float(np.max(np.abs(lhs - rhs)))
     return IdentityResult("cancellation", residual, lhs.shape[0],
                           residual <= RESIDUAL_TOL)

@@ -603,6 +603,44 @@ class TestErrorBoundary:
         assert error["code"] == "invalid_input"
         assert "capped at N=3" in error["message"]
 
+    @pytest.mark.parametrize("subcommand", ["compute", "sample"])
+    @pytest.mark.parametrize("representation", ["dicke", "product"])
+    def test_ladder_cap_covers_state_documents(
+        self, subcommand, representation, tmp_path, monkeypatch
+    ):
+        # a small cap keeps the register small: N=5 is one level past it
+        monkeypatch.setattr(cli, "MAX_LADDER_LEVELS", 5)
+        out = tmp_path / "out.json"
+        for n_atoms, code in ((4, 0), (5, 2)):
+            if representation == "dicke":
+                coeffs = [[1, 0]] + [[0, 0]] * n_atoms
+            else:
+                coeffs = [[[1, 0], [0, 0]]] * n_atoms
+            path = write_state(tmp_path, f"n{n_atoms}.json", coeffs,
+                               n_atoms=n_atoms, representation=representation)
+            argv = [subcommand, "--input", path, "--output", str(out)]
+            if subcommand == "sample":
+                argv += ["--shots", "1000"]
+            assert main(argv) == code
+            doc = json.loads(out.read_text())
+            if code:
+                assert doc["error"]["code"] == "invalid_input"
+                assert doc["error"]["message"] == (
+                    "a state of 5 atoms is past the limit of 5 ladder levels"
+                )
+
+    def test_ladder_cap_covers_verify_n(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_LADDER_LEVELS", 5)
+        out = tmp_path / "out.json"
+        argv = ["verify", "--trials", "1", "--output", str(out), "--n"]
+        assert main(argv + ["4"]) == 0
+        assert main(argv + ["5"]) == 2
+        error = json.loads(out.read_text())["error"]
+        assert error == {
+            "code": "invalid_input",
+            "message": "--n 5 is past the limit of 5 ladder levels",
+        }
+
     @pytest.mark.parametrize("argv, exit_code", [
         (["verify", "--trials", "1", "--n", "3"], 0),
         (["scan", "--grid", "[]"], 2),

@@ -179,6 +179,28 @@ class TestProductToLadder:
             assert _two_path_verdicts(rows) == [None, None]
 
 
+    @pytest.mark.parametrize("n_atoms", [3, 100_000])
+    def test_identical_rows_accepted_at_any_n(self, n_atoms):
+        # the mean of many equal rows is inexact; equal rows must still read
+        # as symmetric
+        rng = np.random.default_rng(n_atoms)
+        for _ in range(5):
+            qubit = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            qubit /= np.linalg.norm(qubit)
+            ladder = as_symmetric(product_state(np.tile(qubit, (n_atoms, 1))))
+            assert ladder.n_atoms == n_atoms
+
+    @pytest.mark.parametrize("n_atoms", [3, 100_000])
+    @pytest.mark.parametrize("tilted", [0, -1])
+    def test_one_tilted_row_rejected_at_any_n(self, n_atoms, tilted):
+        qubit = np.array([0.6, 0.8j])
+        orthogonal = np.array([0.8, -0.6j])  # <qubit|orthogonal> = 0 exactly
+        rows = np.tile(qubit, (n_atoms, 1))
+        rows[tilted] = math.cos(1e-9) * qubit + math.sin(1e-9) * orthogonal
+        with pytest.raises(NotSymmetricError):
+            as_symmetric(product_state(rows))
+
+
 class TestFullToDicke:
     def test_round_trip_many_random_states(self):
         for seed in range(100):

@@ -1,6 +1,8 @@
 import ast
 import itertools
 import math
+from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +35,10 @@ from trispin import (
 )
 from trispin import verify
 from trispin.frame import rotation_matrix
-from trispin.moments import ROUTE_REL_TOL, route_deviation
+from trispin.moments import PATTERNS, ROUTE_REL_TOL, pattern_weights, route_deviation
 from trispin.verify import (
     IDENTITIES,
+    OperatorIdentity,
     PRODUCT_S_TOL,
     RESIDUAL_TOL,
     SweepSummary,
@@ -44,6 +47,10 @@ from trispin.verify import (
     identity_rhs,
     run_verification,
 )
+
+
+def term_map(entry):
+    return {factors: coeff for coeff, factors in entry.terms}
 
 
 class TestIdentityTable:
@@ -58,19 +65,25 @@ class TestIdentityTable:
         cubes = [e for e in IDENTITIES if e.word in ("xxx", "yyy", "zzz")]
         assert len(cubes) == 3
         for entry in cubes:
-            assert entry.singles == (1.75, entry.word[0])
-            assert entry.pairs == ()
-            assert entry.triples == ((6.0, entry.word),)
+            axis = entry.word[0]
+            # three 1.75 singles, one 6.0 triple, no constant or two-atom term
+            assert term_map(entry) == {
+                ((1, axis),): 1.75,
+                ((2, axis),): 1.75,
+                ((3, axis),): 1.75,
+                ((1, axis), (2, axis), (3, axis)): 6.0,
+            }
 
     def test_mixed_xyz_words_carry_the_constant(self):
         for entry in IDENTITIES:
+            terms = term_map(entry)
             if sorted(entry.word) == ["x", "y", "z"]:
-                assert abs(entry.const) == 0.375
-                assert entry.singles is None
-                assert len(entry.pairs) == 9
-                assert len(entry.triples) == 6
+                assert terms[()] in (0.375j, -0.375j)
+                sizes = Counter(len(factors) for factors in terms)
+                # 9 two-atom terms, 6 triples and no singles
+                assert sizes == {0: 1, 2: 9, 3: 6}
             else:
-                assert entry.const == 0.0
+                assert () not in terms
 
     def test_suite_passes(self):
         results = verify_identity_suite()
@@ -88,11 +101,23 @@ class TestIdentityTable:
         by_id = {r.identity_id: r for r in verify_identity_suite()}
         assert by_id["JxJyJz"].max_abs_residual <= 1e-15
 
-    def test_corruption_is_detected(self):
-        results = verify_identity_suite(corrupt_id="JzJzJy")
-        by_id = {r.identity_id: r for r in results}
-        assert not by_id["JzJzJy"].passed
-        assert sum(not r.passed for r in results) == 1
+    @pytest.mark.parametrize(
+        "corrupt_id", ["J" + "J".join(w) for w in itertools.product("xyz", repeat=3)]
+    )
+    def test_corruption_is_detected(self, corrupt_id):
+        results = verify_identity_suite(corrupt_id=corrupt_id)
+        assert {r.identity_id for r in results if not r.passed} == {corrupt_id}
+
+    def test_term_lists_follow_the_one_atom_rule(self, monkeypatch):
+        # the identities are derived from the rule the sum route is built
+        # from, so a sign fault in it (here the epsilon term of
+        # j^x j^y = (i/2) j^z) must surface in the suite
+        flipped = dict(verify._SITE_WORDS)
+        flipped["xy"] = [-c if axis == 3 else c for axis, c in enumerate(flipped["xy"])]
+        monkeypatch.setattr(verify, "_SITE_WORDS", flipped)
+        entry = OperatorIdentity("JxJyJz", "xyz", verify.reduced_terms("xyz"))
+        residual = np.max(np.abs(identity_lhs(entry) - identity_rhs(entry)))
+        assert residual > RESIDUAL_TOL
 
     @pytest.mark.parametrize("corrupt_id", ["JxJxJq", "atom_square", ""])
     def test_unknown_corruption_id_is_rejected(self, corrupt_id):
@@ -143,6 +168,33 @@ class TestCancellation:
         assert summary.n_trials == 100
         assert summary.passed
         assert summary.worst <= RESIDUAL_TOL
+
+
+@lru_cache(maxsize=None)
+def pattern_matrices(n_atoms):
+    """The ten pattern sums over ordered distinct atom triples, 2**N dense."""
+    triples = list(itertools.permutations(range(1, n_atoms + 1), 3))
+    return tuple(
+        sum(bf.atom_operator(n_atoms, dict(zip(atoms, pattern))) for atoms in triples)
+        for pattern in PATTERNS
+    )
+
+
+@pytest.mark.parametrize("n_atoms", [4, 5, 6])
+def test_cube_along_any_axis_in_the_full_space(n_atoms):
+    # (n.J)^3 = ((3N-2)/4) n.J + sum_p w_p(n) pattern_p for every unit n, not
+    # only a frame row: no bipartite term survives past three atoms either
+    rng = np.random.default_rng(n_atoms)
+    for _ in range(5):
+        axis = rng.standard_normal(3)
+        axis /= np.linalg.norm(axis)
+        n_dot_j = sum(w * bf.collective(n_atoms, a) for w, a in zip(axis, "xyz"))
+        tripartite = sum(
+            w * mat for w, mat in zip(pattern_weights(axis), pattern_matrices(n_atoms))
+        )
+        linear = (3 * n_atoms - 2) / 4 * n_dot_j
+        residual = np.max(np.abs(n_dot_j @ n_dot_j @ n_dot_j - linear - tripartite))
+        assert residual <= RESIDUAL_TOL * (1 + n_atoms / 2) ** 3
 
 
 class TestSumRouteSweep:
