@@ -15,10 +15,12 @@ with |<J>| below ``EPSILON_FRAME`` do not define the frame and raise
 ``mean_spin_rows`` reads <J> for every row of a ``(K, N+1)`` ladder stack
 from one ``apply_ladder_axes`` pass that the caller supplies, so the moments
 module can reuse that pass as the first pass of the correlators;
-``mean_spin`` is that function on a stack of one.  The angles are scalar
-work and stay per state.  ``real_parts`` is the one imaginary-part check of
-the S pipeline, for the mean spin here and the moments and correlators in
-``moments``, each with its own tolerance.
+``mean_spin`` is that function on a stack of one.  ``rotation_angles`` is
+the one formula for the frame angles of a state, and ``primed_axes`` gives
+the x' and y' rows of ``rotation_matrix`` for a whole stack as one array.
+``real_parts`` is the one imaginary-part check of the S pipeline, for the
+mean spin here and the moments and correlators in ``moments``, each with its
+own tolerance; it checks a whole stack with one array comparison.
 """
 
 from __future__ import annotations
@@ -67,20 +69,24 @@ class RotationAngles:
     sin_phi: float
 
 
-def real_parts(rows, tols, name):
-    """Real parts of rows of complex values.
+def real_parts(values, tols, name):
+    """Real parts of a ``(rows, columns)`` array of complex values.
 
-    An imaginary part past ``tols[j]`` in column ``j`` is an internal error,
-    raised with ``name(j)`` naming that column.
+    An imaginary part past ``tols[j]`` in column ``j`` (or past a scalar
+    ``tols`` in any column) is an internal error, raised with ``name(j)``
+    naming that column; the first such entry in row-major order is reported.
+    One array comparison checks every entry, so a NaN part passes as it would
+    a scalar ``>``.
     """
-    for row in rows:
-        for column, (value, tol) in enumerate(zip(row, tols)):
-            if abs(value.imag) > tol:
-                raise RuntimeError(
-                    f"internal error: {name(column)} has imaginary part "
-                    f"{value.imag:.3e}"
-                )
-    return [[value.real for value in row] for row in rows]
+    imag = values.imag
+    bad = np.abs(imag) > tols
+    if np.count_nonzero(bad):
+        row, column = np.argwhere(bad)[0].tolist()
+        raise RuntimeError(
+            f"internal error: {name(column)} has imaginary part "
+            f"{imag[row, column]:.3e}"
+        )
+    return values.real
 
 
 def mean_spin_rows(psi, applied, n_atoms):
@@ -88,13 +94,13 @@ def mean_spin_rows(psi, applied, n_atoms):
 
     ``applied`` is ``apply_ladder_axes(psi)``, shape ``(3, K, N+1)``.  Each
     component is the conjugated dot product of a row with its J row, as for
-    a single state; its imaginary part is checked per row.
+    a single state; the imaginary parts of all K rows are checked at once.
     """
     rows = real_parts(
-        np.vecdot(psi, applied).T.tolist(),  # row[a] = <psi_k| J_a psi_k>
-        [_HERMITICITY_IMAG_TOL * (1.0 + n_atoms / 2.0)] * 3,
+        np.vecdot(psi, applied).T,  # rows[k, a] = <psi_k| J_a psi_k>
+        _HERMITICITY_IMAG_TOL * (1.0 + n_atoms / 2.0),
         lambda a: f"<J{AXES[a]}>",
-    )
+    ).tolist()
     return [
         MeanSpin(jx, jy, jz, math.sqrt(jx * jx + jy * jy + jz * jz))
         for jx, jy, jz in rows
@@ -146,17 +152,26 @@ def rotation_angles(mean):
     )
 
 
-def rotation_matrix(angles):
-    """3x3 matrix with rows (x', y', z') over columns (x, y, z)."""
+def _frame_rows(angles):
+    """Rows (x', y', z') over columns (x, y, z), as lists of floats."""
     ct, st = angles.cos_theta, angles.sin_theta
     cp, sp = angles.cos_phi, angles.sin_phi
-    return np.array(
-        [
-            [ct * cp, ct * sp, -st],
-            [-sp, cp, 0.0],
-            [st * cp, st * sp, ct],
-        ]
-    )
+    return [ct * cp, ct * sp, -st], [-sp, cp, 0.0], [st * cp, st * sp, ct]
+
+
+def rotation_matrix(angles):
+    """3x3 matrix with rows (x', y', z') over columns (x, y, z)."""
+    return np.array(_frame_rows(angles))
+
+
+def primed_axes(angles):
+    """The x' and y' rows of ``rotation_matrix`` for a sequence of K angles.
+
+    Returns one ``(2, K, 3)`` array: ``[0, k]`` is the x' row of ``angles[k]``
+    and ``[1, k]`` its y' row, with the same floats as ``rotation_matrix``.
+    """
+    rows = [_frame_rows(a)[:2] for a in angles]
+    return np.array([[x for x, _ in rows], [y for _, y in rows]])
 
 
 def rotated_ops(angles, n_atoms):

@@ -28,12 +28,16 @@ share N: ``moment_reports`` cuts an iterable of states into stacks of at most
 (``frame.mean_spin_rows``) and is reused as the first pass of the
 correlators.  The direct route runs the x' and y' rows of all framed states
 as one 2K-row stack through one shifted-power recurrence, with per-row
-weights in ``apply_ladder``.  The sum route takes a second batched pass to
-the moment tensors <J_a>, <J_a J_b> and <J_a J_b J_c>, and one constant
-10 x 43 table, built at import from the spin-1/2 product rule, maps them to
-the ten pattern sums.  Frame angles, imaginary-part checks
-(``frame.real_parts``) and the pattern weights are scalar work and run per
-row; every row is bit-identical to that state evaluated alone.
+weights bound once in ``ladder_action``.  The sum route takes a second
+batched pass to the moment tensors <J_a>, <J_a J_b> and <J_a J_b J_c>, and
+one constant 10 x 43 table, built at import from the spin-1/2 product rule,
+maps them to the ten pattern sums.  What follows the kernels runs on columns of the
+stack: one imaginary-part check per stage (``frame.real_parts``), the x'
+and y' rows of all framed states as one array (``frame.primed_axes``), all
+pattern weights as one product (``pattern_weights``) and the weighted sums
+as one sequential ``cumsum`` (``_weighted_sums``).  Only the frame angles
+(``frame.rotation_angles``) and the report objects are built per row.  Every
+row is bit-identical to that state evaluated alone.
 ``entanglement_s`` and ``triple_correlators`` are the same code on a stack of
 one, and ``direct_moments`` reads its tuple from ``entanglement_s``.  The explicit
 sum over atom triples in the 2**N space is a test oracle only
@@ -47,8 +51,9 @@ absolute floor ``ROUTE_ABS_FLOOR``) on every state with a defined frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, islice, permutations, product
-from operator import attrgetter, mul
+from operator import attrgetter
 
 import math
 import numpy as np
@@ -58,11 +63,12 @@ from .frame import (
     MeanSpin,
     RotationAngles,
     mean_spin_rows,
+    primed_axes,
     real_parts,
     rotation_angles,
     rotation_matrix,
 )
-from .operators import AXES, apply_ladder, apply_ladder_axes, matching_vector
+from .operators import AXES, apply_ladder_axes, ladder_action, matching_vector
 from .states import as_symmetric
 
 ROUTE_REL_TOL = 1e-9
@@ -161,14 +167,23 @@ def route_deviation(direct, summed):
     return abs(direct - summed) / max(abs(direct), floor)
 
 
+@lru_cache(maxsize=16)
+def _moment_tols(n_atoms, top):
+    """Imaginary-part tolerances of ``<A>`` and the orders 2..top."""
+    scale = 1.0 + n_atoms / 2.0
+    tols = np.array([_IMAG_TOL * scale**k for k in range(1, top + 1)])
+    tols.setflags(write=False)
+    return tols
+
+
 def _shifted_moments(vec, apply, n_atoms, top):
-    """``[<(A - <A>)**k> for k = 2..top]`` per row, with ``apply(v) = A v``.
+    """``<(A - <A>)**k>`` for k = 2..top, one row per state.
 
     The shifted-power recurrence: one application for the mean, then one per
     order.  The mean is always subtracted; nothing assumes ``<A> = 0``.
     ``vec`` is one state or a stack of states along leading axes, with
-    ``apply`` acting on each row; each row comes back as a list of floats
-    (one list for a single state).
+    ``apply`` acting on each row; the result is a float array with one row
+    per state (one row for a single state) and one column per order.
     """
     applied = apply(vec)
     values = [np.vecdot(vec, applied)]
@@ -177,14 +192,12 @@ def _shifted_moments(vec, apply, n_atoms, top):
     for _ in range(2, top + 1):
         shifted = apply(shifted) - mean * shifted
         values.append(np.vecdot(vec, shifted))
-    rows = np.array(values).reshape(top, -1).T.tolist()  # <A>, then orders 2..top
-    scale = 1.0 + n_atoms / 2.0
     reals = real_parts(
-        rows,
-        [_IMAG_TOL * scale**k for k in range(1, top + 1)],
+        np.array(values).reshape(top, -1).T,  # <A>, then orders 2..top
+        _moment_tols(n_atoms, top),
         lambda j: "<A>" if j == 0 else f"<(A-<A>)^{j + 1}>",
     )
-    return [row[1:] for row in reals]
+    return reals[:, 1:]
 
 
 def central_moment(state, op, order):
@@ -192,7 +205,8 @@ def central_moment(state, op, order):
     if order not in (2, 3):
         raise ValueError(f"order must be 2 or 3, got {order}")
     vec = matching_vector(state, op)
-    return _shifted_moments(vec, lambda v: op.entries @ v, state.n_atoms, order)[0][-1]
+    moments = _shifted_moments(vec, lambda v: op.entries @ v, state.n_atoms, order)
+    return moments[0, -1].item()
 
 
 def _site_word(word):
@@ -289,8 +303,8 @@ def _correlator_rows(n_atoms, psi, once):
     ``once`` is ``apply_ladder_axes(psi)``, the J pass that also gives the
     mean spin; one more batched pass on it gives J_b J_c psi.  The moment
     tensors are per-row products of ``(3, N+1)`` and ``(9, N+1)`` blocks,
-    which ``_pattern_sums`` maps to the ten sums, one list in ``PATTERNS``
-    order per row.
+    which ``_pattern_sums`` maps to the ten sums: a ``(K, 10)`` float array,
+    columns in ``PATTERNS`` order.
     """
     twice = apply_ladder_axes(once).reshape(9, len(psi), n_atoms + 1)  # J_b J_c psi
     kets = once.transpose(1, 0, 2)  # kets[k, c] = J_c psi_k
@@ -302,8 +316,8 @@ def _correlator_rows(n_atoms, psi, once):
         bras @ twice.transpose(1, 2, 0),
     )
     return real_parts(
-        values.tolist(),
-        [_IMAG_TOL * (1.0 + n_atoms / 2.0) ** 3] * len(PATTERNS),
+        values,
+        _IMAG_TOL * (1.0 + n_atoms / 2.0) ** 3,
         lambda j: f"correlator {PATTERNS[j]}",
     )
 
@@ -317,43 +331,59 @@ def triple_correlators(state):
     """
     sym = as_symmetric(state)
     psi = sym.coeffs[None]
-    (sums,) = _correlator_rows(sym.n_atoms, psi, apply_ladder_axes(psi))
+    (sums,) = _correlator_rows(sym.n_atoms, psi, apply_ladder_axes(psi)).tolist()
     return TripleCorrelatorSet(*sums)
 
 
 # Per pattern: its number of ordered axis words (1 for xxx, 6 for xyz, 3 for
-# the rest) and the axis index of each slot.
-_PATTERN_TERMS = tuple(
-    (len(set(permutations(pattern))), tuple(AXES.index(axis) for axis in pattern))
-    for pattern in PATTERNS
+# the rest), and per slot the axis index of each pattern, shape (3, 10).
+_PATTERN_COUNTS = np.array(
+    [len(set(permutations(pattern))) for pattern in PATTERNS], dtype=float
 )
+_PATTERN_SLOTS = np.array(
+    [[AXES.index(axis) for axis in pattern] for pattern in PATTERNS]
+).T
 _pattern_values = attrgetter(*PATTERNS)
 
 
-def pattern_weights(axis):
-    """Weights of the ten patterns in the third moment along ``axis``.
+def pattern_weights(axes):
+    """Weights of the ten patterns in the third moment along ``axes``.
 
     Expanding (n.j_p)(n.j_q)(n.j_r) over distinct atoms gives
     n_a n_b n_c <J_pa J_qb J_rc> for each axis word abc; the words of one
-    pattern give the same sum, so each weight is orderings * n_a n_b n_c.
+    pattern give the same sum, so each weight is orderings * n_a n_b n_c,
+    multiplied in that order.  ``axes`` is one axis or a stack of them along
+    leading axes, shape ``(..., 3)``; the result has shape ``(..., 10)``.
     """
-    n = np.asarray(axis).tolist()
-    return [count * n[a] * n[b] * n[c] for count, (a, b, c) in _PATTERN_TERMS]
+    slots = np.asarray(axes)[..., _PATTERN_SLOTS]
+    return ((_PATTERN_COUNTS * slots[..., 0, :]) * slots[..., 1, :]) * slots[..., 2, :]
 
 
-def _weighted_sum(axis, values):
-    """Third moment along ``axis`` from the ten pattern sums, in ``PATTERNS`` order."""
-    return sum(map(mul, pattern_weights(axis), values))
+def _weighted_sums(axes, values):
+    """Third moments along ``axes`` from the ten pattern sums ``values``.
+
+    ``axes`` has shape ``(..., 3)`` and ``values`` ``(..., 10)`` in
+    ``PATTERNS`` order; they broadcast over the leading axes.  Each moment is
+    the sequential sum of the ten products from a leading zero, in pattern
+    order, the additions of ``sum`` over the products: ``np.sum`` and matrix
+    products add in other orders and would move the last bits.
+    """
+    products = pattern_weights(axes) * values
+    terms = np.zeros((*products.shape[:-1], len(PATTERNS) + 1))
+    terms[..., 1:] = products
+    return terms.cumsum(axis=-1)[..., -1]
 
 
 def third_moment_sum_xp(angles, correlators):
     """Third moment of Jx' from the ten-term tripartite correlator sum."""
-    return _weighted_sum(rotation_matrix(angles)[0], _pattern_values(correlators))
+    values = np.array(_pattern_values(correlators))
+    return _weighted_sums(rotation_matrix(angles)[0], values).item()
 
 
 def third_moment_sum_yp(angles, correlators):
     """Third moment of Jy' from the correlator sum (four nonzero terms)."""
-    return _weighted_sum(rotation_matrix(angles)[1], _pattern_values(correlators))
+    values = np.array(_pattern_values(correlators))
+    return _weighted_sums(rotation_matrix(angles)[1], values).item()
 
 
 @dataclass(frozen=True)
@@ -380,49 +410,46 @@ def _stack_reports(n_atoms, syms):
     """``moment_reports`` of ladder states ``syms`` evaluated as one stack.
 
     One J pass over the ``(K, N+1)`` stack gives every mean spin and is
-    reused by the correlators.  Each framed row's x' and y' axes are built
-    once: the direct route runs them as one 2K-row stack through a single
-    shifted-power recurrence, with per-row weights in ``apply_ladder``, and
-    the sum route weighs the row's pattern sums along them.
+    reused by the correlators.  The x' and y' axes of all framed rows are one
+    ``(2, K, 3)`` array: the direct route runs them as one 2K-row stack
+    through a single shifted-power recurrence, with per-row weights bound
+    once in ``ladder_action``, and the sum route weighs every row's pattern
+    sums along them at once.  Per row there remain the frame angles and the
+    report objects.
     """
     psi = syms[0].coeffs[None] if len(syms) == 1 else np.stack([s.coeffs for s in syms])
     once = apply_ladder_axes(psi)
-    rows, framed, x_axes, y_axes = [], [], [], []
-    for k, mean in enumerate(mean_spin_rows(psi, once, n_atoms)):
+    means = mean_spin_rows(psi, once, n_atoms)
+    rows, framed, angles = [], [], []
+    for k, mean in enumerate(means):
         try:
-            angles = rotation_angles(mean)
+            angles.append(rotation_angles(mean))
         except FrameUndefinedError as exc:
             rows.append(UndefinedFrame(mean, exc.with_traceback(None)))
             continue
-        rows.append((mean, angles))
+        rows.append(None)
         framed.append(k)
-        x_axis, y_axis, _ = rotation_matrix(angles)
-        x_axes.append(x_axis)
-        y_axes.append(y_axis)
     if not framed:
         return rows
     count = len(framed)
     if count < len(psi):
         psi, once = psi[framed], once[:, framed]
-    weights = np.array(x_axes + y_axes)
+    axes = primed_axes(angles)
     moments = _shifted_moments(
-        np.concatenate((psi, psi)), lambda v: apply_ladder(v, weights), n_atoms, 3
+        np.concatenate((psi, psi)),
+        ladder_action(axes.reshape(2 * count, 3), n_atoms),
+        n_atoms,
+        3,
     )
-    sums = _correlator_rows(n_atoms, psi, once)
-    for i, k in enumerate(framed):
-        mean, angles = rows[k]
-        (var_xp, m3_xp), (var_yp, m3_yp) = moments[i], moments[count + i]
+    # [order][axis][row]: the x' rows come first in the 2K-row stack
+    (var_xp, var_yp), (m3_xp, m3_yp) = (
+        moments.reshape(2, count, 2).transpose(2, 0, 1).tolist()
+    )
+    sum_xp, sum_yp = _weighted_sums(axes, _correlator_rows(n_atoms, psi, once)).tolist()
+    columns = zip(framed, angles, var_xp, var_yp, m3_xp, m3_yp, sum_xp, sum_yp)
+    for k, angle, vx, vy, mx, my, sx, sy in columns:
         rows[k] = MomentReport(
-            n_atoms=n_atoms,
-            mean_spin=mean,
-            angles=angles,
-            var_xp=var_xp,
-            var_yp=var_yp,
-            m3_xp_direct=m3_xp,
-            m3_yp_direct=m3_yp,
-            m3_xp_sum=_weighted_sum(x_axes[i], sums[i]),
-            m3_yp_sum=_weighted_sum(y_axes[i], sums[i]),
-            s_parameter=0.5 * math.hypot(m3_xp, m3_yp),
+            n_atoms, means[k], angle, vx, vy, mx, my, sx, sy, 0.5 * math.hypot(mx, my)
         )
     return rows
 

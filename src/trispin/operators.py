@@ -4,12 +4,13 @@ Conventions (fixed globally, see ``states``): atom 1 owns the most
 significant bit of a product-basis index, bit value 0 is the upper level, and
 the ladder space orders levels from the top (``m = N/2``) downwards.
 
-S runs on the ladder: the moments use ``apply_ladder`` and
-``apply_ladder_axes``, which act in O(N) through the two cached vectors of
-``ladder_vectors`` for the coefficients' own N; the sampler diagonalises dense
-ladder matrices.  The dense 2**N matrices are small-N references for the
-identity checks in ``verify``.  Every ``OperatorMatrix`` is hermitian: its
-entries are checked against their conjugate transpose when it is built.
+S runs on the ladder: the moments use ``apply_ladder`` (``ladder_action``
+when one operator is applied repeatedly) and ``apply_ladder_axes``, which
+act in O(N) through the two cached vectors of ``ladder_vectors`` for the
+coefficients' own N; the sampler diagonalises dense ladder matrices.  The
+dense 2**N matrices are small-N references for the identity checks in
+``verify``.  Every ``OperatorMatrix`` is hermitian: its entries are checked
+against their conjugate transpose when it is built.
 """
 
 from __future__ import annotations
@@ -154,6 +155,30 @@ def ladder_vectors(n_atoms):
     return m, raising
 
 
+def ladder_action(weights, n_atoms):
+    """``apply_ladder`` with its weights bound, for repeated application.
+
+    The per-row factors of ``weights`` (``wz * m`` and the two transverse
+    coefficients) are formed once, so a recurrence that applies the same
+    operators several times pays for them once.  Each call does the same
+    elementwise arithmetic as ``apply_ladder`` on coefficients of N+1 levels,
+    so its result is bit-identical.
+    """
+    # (K, 3) weights give (K, 1) columns; a single (x, y, z) triple, (1,) arrays
+    wx, wy, wz = np.asarray(weights, dtype=float).T[..., None]
+    m, raising = ladder_vectors(n_atoms)
+    diagonal = wz * m
+    lower, upper = 0.5 * (wx - 1j * wy), 0.5 * (wx + 1j * wy)
+
+    def apply(coeffs):
+        out = diagonal * np.asarray(coeffs, dtype=complex)
+        out[..., :-1] += lower * (raising * coeffs[..., 1:])
+        out[..., 1:] += upper * (raising * coeffs[..., :-1])
+        return out
+
+    return apply
+
+
 def apply_ladder(coeffs, weights):
     """Apply ``wx*Jx + wy*Jy + wz*Jz`` to ladder coefficients in O(N).
 
@@ -164,13 +189,7 @@ def apply_ladder(coeffs, weights):
     bit-identical.  With ``J+`` moving level k to k-1, the transverse part is
     ``(wx - i wy)/2 J+ + (wx + i wy)/2 J-``.
     """
-    # (K, 3) weights give (K, 1) columns; a single (x, y, z) triple, (1,) arrays
-    wx, wy, wz = np.asarray(weights, dtype=float).T[..., None]
-    m, raising = ladder_vectors(coeffs.shape[-1] - 1)
-    out = (wz * m) * np.asarray(coeffs, dtype=complex)
-    out[..., :-1] += (0.5 * (wx - 1j * wy)) * (raising * coeffs[..., 1:])
-    out[..., 1:] += (0.5 * (wx + 1j * wy)) * (raising * coeffs[..., :-1])
-    return out
+    return ladder_action(weights, coeffs.shape[-1] - 1)(coeffs)
 
 
 def apply_ladder_axes(coeffs):

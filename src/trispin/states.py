@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -169,17 +170,24 @@ def full_state(n_atoms, amplitudes, normalize=False):
     return FullState(int(n_atoms), arr)
 
 
-def _down_counts(n_atoms):
-    """Number of lower-level atoms for every basis index."""
+@lru_cache(maxsize=16)
+def _ladder_spread(n_atoms):
+    """How the 2**N basis spreads over the ladder, cached per N and read-only.
+
+    Returns ``(counts, roots, divisor)``: the number of lower-level atoms of
+    every basis index, sqrt(C(N, k)) for k = 0..N, and ``roots[counts]``.
+    """
     idx = np.arange(1 << n_atoms, dtype=np.int64)
     counts = np.zeros(idx.shape, dtype=np.int64)
     for shift in range(n_atoms):
         counts += (idx >> shift) & 1
-    return counts
-
-
-def _binomials(n_atoms):
-    return np.array([math.comb(n_atoms, k) for k in range(n_atoms + 1)], dtype=float)
+    roots = np.sqrt(
+        np.array([math.comb(n_atoms, k) for k in range(n_atoms + 1)], dtype=float)
+    )
+    divisor = roots[counts]
+    for table in (counts, roots, divisor):
+        table.setflags(write=False)
+    return counts, roots, divisor
 
 
 def dicke_to_full(state):
@@ -191,10 +199,8 @@ def dicke_to_full(state):
     """
     n = state.n_atoms
     check_full_space_size(n)
-    counts = _down_counts(n)
-    weights = _binomials(n)
-    amps = state.coeffs[counts] / np.sqrt(weights[counts])
-    return FullState(n, amps)
+    counts, _, divisor = _ladder_spread(n)
+    return FullState(n, state.coeffs[counts] / divisor)
 
 
 def product_to_full(state):
@@ -217,20 +223,33 @@ def full_to_dicke(state):
         norm greater than ``SYMMETRY_TOL``.
     """
     n = state.n_atoms
-    counts = _down_counts(n)
-    weights = _binomials(n)
+    counts, roots, divisor = _ladder_spread(n)
     sums = np.zeros(n + 1, dtype=complex)
     np.add.at(sums, counts, state.amplitudes)
-    coeffs = sums / np.sqrt(weights)
+    coeffs = sums / roots
     # measure the leftover by explicit subtraction; a sqrt(1 - |inside|^2)
     # formulation would amplify rounding at machine epsilon to ~1e-8
-    symmetric_part = coeffs[counts] / np.sqrt(weights[counts])
+    symmetric_part = coeffs[counts] / divisor
     residual = float(np.linalg.norm(state.amplitudes - symmetric_part))
     if residual > SYMMETRY_TOL:
         raise NotSymmetricError(
             f"vector has non-symmetric weight of norm {residual:.3e}"
         )
     return SymmetricState(n, coeffs)
+
+
+@lru_cache(maxsize=16)
+def _half_log_binomials(n_atoms):
+    """log(C(N, k)) / 2 for k = 0..N from ``math.lgamma``, cached and read-only."""
+    lgamma = math.lgamma
+    table = 0.5 * np.array(
+        [
+            lgamma(n_atoms + 1) - lgamma(i + 1) - lgamma(n_atoms - i + 1)
+            for i in range(n_atoms + 1)
+        ]
+    )
+    table.setflags(write=False)
+    return table
 
 
 def _product_to_dicke(state):
@@ -260,13 +279,10 @@ def _product_to_dicke(state):
             f"of norm {residual:.3e}"
         )
     k = np.arange(n + 1)
-    lgamma = math.lgamma
-    log_mag = 0.5 * np.array(
-        [lgamma(n + 1) - lgamma(i + 1) - lgamma(n - i + 1) for i in k]
-    )
+    log_mag = _half_log_binomials(n)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0 * log(0) counts as 0
         for power, amp in ((n - k, qubit[0]), (k, qubit[1])):
-            log_mag += np.where(power > 0, power * np.log(abs(amp)), 0.0)
+            log_mag = log_mag + np.where(power > 0, power * np.log(abs(amp)), 0.0)
     phase = (n - k) * np.angle(qubit[0]) + k * np.angle(qubit[1])
     coeffs = np.prod(phases) * np.exp(log_mag + 1j * phase)
     return SymmetricState(n, coeffs / np.linalg.norm(coeffs))

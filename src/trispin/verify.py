@@ -7,7 +7,9 @@ constant.  ``IDENTITIES`` holds those reductions as term lists derived by
 ``reduced_terms`` from the one-atom product rule that the sum route's
 correlator table is built from, so the suite checks that rule itself;
 ``reduced_terms("xyz")`` shows one list for audit.  The suite rebuilds both
-sides as dense 8x8 matrices and compares entrywise.
+sides as dense 8x8 matrices and compares entrywise; a term list becomes one
+coefficient column over a cached stack of its term matrices, added in list
+order (``_terms_matrix``).
 
 On top of the per-word identities, ``verify_cancellation`` checks the key
 cancellation result: the cube of the rotated component Jx' equals a term list
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from itertools import chain, product, tee
+from itertools import chain, permutations, product, tee
 
 import math
 import numpy as np
@@ -158,21 +160,40 @@ def identity_lhs(entry):
     return out
 
 
-def _terms_matrix(terms):
-    """Dense 8x8 sum of ``(coeff, factors)`` terms.
+@lru_cache(maxsize=None)
+def _term_stack(factor_lists):
+    """A zero matrix, then the dense matrix of each term's factors.
 
-    The terms are added from zero in list order; the cancellation sweep's
-    recorded ``worst`` depends on that order.
+    Shape ``(1 + T, 8, 8)`` for T factor lists; cached per tuple of factor
+    lists and read-only, so every cancellation trial reuses one stack.
     """
-    out = np.zeros((8, 8), dtype=complex)
-    for coeff, factors in terms:
-        out = out + coeff * _term_matrix(factors)
-    return out
+    stack = np.zeros((1 + len(factor_lists), 8, 8), dtype=complex)
+    for row, factors in enumerate(factor_lists, start=1):
+        stack[row] = _term_matrix(factors)
+    stack.setflags(write=False)
+    return stack
+
+
+def _terms_matrix(coeffs, factor_lists):
+    """Dense 8x8 sum of the terms ``coeffs[i] * term(factor_lists[i])``.
+
+    The coefficient column, a zero first, multiplies the cached
+    ``_term_stack``, and ``cumsum`` along the terms adds the products one by
+    one from the zero matrix, in list order: the additions of a loop over
+    the terms.  The cancellation sweep's recorded ``worst`` depends on that
+    order, so the sum must stay sequential: ``cumsum`` is by definition,
+    while ``np.sum`` promises no order and ``matmul``, ``tensordot`` and
+    ``einsum`` add in their own, which would move it.
+    """
+    column = np.zeros(1 + len(factor_lists), dtype=complex)
+    column[1:] = coeffs
+    return (column[:, None, None] * _term_stack(factor_lists)).cumsum(axis=0)[-1]
 
 
 def identity_rhs(entry):
     """Dense 8x8 matrix of the identity's reduced terms."""
-    return _terms_matrix(entry.terms)
+    coeffs, factor_lists = zip(*entry.terms)
+    return _terms_matrix(coeffs, factor_lists)
 
 
 def _single_atom_relation_results():
@@ -247,6 +268,26 @@ def _x_prime_axis(theta, phi):
     return rotation_matrix(RotationAngles(theta, phi, ct, st, cp, sp))[0]
 
 
+# The factors of the reduced form of Jx'^3 on three atoms, the same for every
+# rotation: the one-atom factors (the 7/4 rotated single-atom part), then
+# each pattern over all ordered triples of distinct atoms.  No bipartite
+# product appears.
+_CANCELLATION_FACTORS = tuple(
+    ((atom, name),) for atom in (1, 2, 3) for name in AXES
+) + tuple(
+    tuple(zip(atoms, pattern))
+    for pattern in PATTERNS
+    for atoms in permutations((1, 2, 3))
+)
+
+
+def _cancellation_coeffs(axis):
+    """Coefficients of ``_CANCELLATION_FACTORS`` for the x' row ``axis``."""
+    return np.concatenate(
+        (np.tile(1.75 * axis, 3), np.repeat(pattern_weights(axis), 6))
+    )
+
+
 def cancellation_terms(theta, phi):
     """Term list for the reduced form of Jx'^3 (three atoms).
 
@@ -254,23 +295,8 @@ def cancellation_terms(theta, phi):
     three-atom factors (the ten tripartite patterns over all ordered
     triples); by construction no bipartite product appears.
     """
-    axis = _x_prime_axis(theta, phi)
-    terms = [
-        (1.75 * weight, ((atom, name),))
-        for atom in (1, 2, 3)
-        for weight, name in zip(axis, AXES)
-    ]
-    triples = [
-        (p, q, r)
-        for p in (1, 2, 3)
-        for q in (1, 2, 3)
-        for r in (1, 2, 3)
-        if p != q and q != r and p != r
-    ]
-    for pattern, weight in zip(PATTERNS, pattern_weights(axis)):
-        for atoms in triples:
-            terms.append((weight, tuple(zip(atoms, pattern))))
-    return terms
+    coeffs = _cancellation_coeffs(_x_prime_axis(theta, phi))
+    return list(zip(coeffs.tolist(), _CANCELLATION_FACTORS))
 
 
 def verify_cancellation(theta, phi):
@@ -278,9 +304,7 @@ def verify_cancellation(theta, phi):
     axis = _x_prime_axis(theta, phi)
     combo = sum(weight * _collective(name, 3) for weight, name in zip(axis, AXES))
     lhs = combo @ combo @ combo
-    terms = cancellation_terms(theta, phi)
-    assert all(len(factors) in (1, 3) for _, factors in terms)  # no bipartite terms
-    rhs = _terms_matrix(terms)
+    rhs = _terms_matrix(_cancellation_coeffs(axis), _CANCELLATION_FACTORS)
     residual = float(np.max(np.abs(lhs - rhs)))
     return IdentityResult("cancellation", residual, lhs.shape[0],
                           residual <= RESIDUAL_TOL)

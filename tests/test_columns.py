@@ -1,0 +1,230 @@
+"""The stack's per-row stage on columns, and the stacked term sums of verify.
+
+``moment_reports`` runs everything after the kernels on whole columns of a
+stack; ``tests/row_oracle.py`` keeps that stage one row at a time, and every
+row must match it by ``repr`` (every float, signed zeros included).  The
+cancellation and identity sums run over one cached term stack; they must
+give the term-by-term loop's matrices bit for bit.  The cached tables behind
+both refuse writes.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from row_oracle import stack_reports_by_row, terms_matrix_by_term
+from trispin import (
+    as_symmetric,
+    moment_reports,
+    product_state,
+    random_symmetric_state,
+    symmetric_state,
+)
+from trispin import frame, moments, states, verify
+from trispin.operators import AXES, ladder_vectors
+from trispin.verify import (
+    IDENTITIES,
+    cancellation_sweep,
+    cancellation_terms,
+    identity_lhs,
+    identity_rhs,
+    verify_cancellation,
+    verify_identity_suite,
+)
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def assert_rows_match_the_row_oracle(items):
+    syms = [as_symmetric(state) for state in items]
+    want = stack_reports_by_row(syms[0].n_atoms, syms)
+    got = list(moment_reports(items))
+    assert [repr(row) for row in got] == [repr(row) for row in want]
+
+
+def ghz(n_atoms):
+    """Levels 0 and N in equal parts: the mean spin vanishes."""
+    coeffs = np.zeros(n_atoms + 1)
+    coeffs[0] = coeffs[-1] = 1.0
+    return symmetric_state(n_atoms, coeffs, normalize=True)
+
+
+def pair_mix(n_atoms, alpha):
+    """cos(alpha)|0> + sin(alpha)|1>, a real state as ``scan`` builds."""
+    coeffs = np.zeros(n_atoms + 1)
+    coeffs[0], coeffs[1] = math.cos(alpha), math.sin(alpha)
+    return symmetric_state(n_atoms, coeffs, normalize=True)
+
+
+class TestColumnStageMatchesRows:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n_atoms=st.integers(3, 30),
+        seeds=st.lists(SEEDS, min_size=1, max_size=40),
+        undefined=st.lists(st.integers(0, 39), max_size=3),
+        alpha=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_random_stacks(self, n_atoms, seeds, undefined, alpha):
+        items = [random_symmetric_state(n_atoms, seed) for seed in seeds]
+        items[-1] = pair_mix(n_atoms, alpha)
+        for k in undefined:
+            if k < len(items):
+                items[k] = ghz(n_atoms)
+        assert_rows_match_the_row_oracle(items)
+
+    def test_frame_undefined_rows(self):
+        assert_rows_match_the_row_oracle([ghz(6)])
+        assert_rows_match_the_row_oracle(
+            [ghz(6), random_symmetric_state(6, 1), ghz(6), random_symmetric_state(6, 2)]
+        )
+
+    @pytest.mark.parametrize("epsilon", [1e-8, 1e-10, 0.0])
+    def test_near_the_pole(self, epsilon):
+        # 0.8|0> + 0.6|N> + eps|1>: theta resolves only in steps of ~1.5e-8
+        coeffs = np.zeros(9, dtype=complex)
+        coeffs[0], coeffs[-1], coeffs[1] = 0.8, 0.6, epsilon
+        state = symmetric_state(8, coeffs, normalize=True)
+        assert_rows_match_the_row_oracle([state, random_symmetric_state(8, 4), state])
+
+    @pytest.mark.parametrize("n_atoms", [3, 8, 50])
+    def test_product_inputs(self, n_atoms):
+        rng = np.random.default_rng(n_atoms)
+        items = []
+        for _ in range(6):
+            qubit = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            items.append(product_state([qubit / np.linalg.norm(qubit)] * n_atoms))
+        items.append(product_state([[1.0, 0.0]] * n_atoms))  # on the pole
+        assert_rows_match_the_row_oracle(items)
+
+    def test_large_n(self):
+        items = [random_symmetric_state(1000, seed) for seed in range(3)]
+        assert_rows_match_the_row_oracle(items + [pair_mix(1000, 0.3)])
+
+    def test_pair_mix_grid_through_the_pole(self):
+        # 2001 points over [0, pi]: more than one stack, and rows at the poles
+        grid = [pair_mix(3, math.pi * i / 2000) for i in range(2001)]
+        assert_rows_match_the_row_oracle(grid)
+
+
+def counting(monkeypatch, owner, name):
+    """Count calls of ``owner.name`` through every module that binds it."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for module in (frame, moments, verify):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_no_per_row_work_after_the_kernels(monkeypatch):
+    calls = {
+        name: counting(monkeypatch, owner, name)
+        for owner, name in [
+            (moments, "pattern_weights"),
+            (frame, "rotation_matrix"),
+            (frame, "real_parts"),
+        ]
+    }
+    items = [random_symmetric_state(5, seed) for seed in range(101)]
+    assert len(list(moment_reports(items))) == 101
+    # one stack: one check per stage, one weight product, no 3x3 matrices
+    assert {name: len(made) for name, made in calls.items()} == {
+        "pattern_weights": 1,
+        "rotation_matrix": 0,
+        "real_parts": 3,
+    }
+
+
+# ---------------------------------------------------------------------------
+# The stacked term sums keep the loop's order
+# ---------------------------------------------------------------------------
+
+def bits(matrix):
+    return np.ascontiguousarray(matrix).tobytes()
+
+
+def test_cancellation_sums_equal_the_term_loop():
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        theta, phi = rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi)
+        axis = verify._x_prime_axis(theta, phi)
+        stacked = verify._terms_matrix(
+            verify._cancellation_coeffs(axis), verify._CANCELLATION_FACTORS
+        )
+        loop = terms_matrix_by_term(cancellation_terms(theta, phi))
+        assert np.array_equal(stacked, loop)
+        assert bits(stacked) == bits(loop)
+        combo = sum(w * verify._collective(a, 3) for w, a in zip(axis, AXES))
+        residual = float(np.max(np.abs(combo @ combo @ combo - loop)))
+        assert repr(verify_cancellation(theta, phi).max_abs_residual) == repr(residual)
+
+
+@pytest.mark.parametrize("entry", IDENTITIES, ids=lambda e: e.identity_id)
+def test_identity_sums_equal_the_term_loop(entry):
+    stacked = identity_rhs(entry)
+    loop = terms_matrix_by_term(entry.terms)
+    assert bits(stacked) == bits(loop)
+    assert float(np.max(np.abs(identity_lhs(entry) - stacked))) == 0.0
+
+
+def test_cancellation_sweep_worst_is_pinned():
+    # recorded in tests/data/verify_pin.json's default run; a change of the
+    # summation order (a matrix product, np.sum) moves it
+    assert repr(cancellation_sweep(100, 13).worst) == "3.1086554460010254e-15"
+
+
+# max |lhs + rhs| with one right-hand side's sign flipped, as recorded
+CORRUPTED_RESIDUALS = {
+    "JxJxJx": 1.75, "JxJxJy": 1.75, "JxJxJz": 2.25, "JyJyJx": 1.75,
+    "JyJyJy": 1.75, "JyJyJz": 2.25, "JzJzJx": 2.25, "JzJzJy": 2.25,
+    "JzJzJz": 6.75, "JxJyJx": 1.5, "JyJxJx": 1.75, "JxJyJy": 1.75,
+    "JyJxJy": 1.5, "JxJyJz": 2.25, "JyJxJz": 2.25, "JxJzJx": 0.75,
+    "JzJxJx": 2.25, "JxJzJy": 1.25, "JzJxJy": 2.25, "JxJzJz": 2.25,
+    "JzJxJz": 0.75, "JyJzJx": 1.25, "JzJyJx": 2.25, "JyJzJy": 0.75,
+    "JzJyJy": 2.25, "JyJzJz": 2.25, "JzJyJz": 0.75,
+}
+
+
+def test_corrupted_residuals_are_pinned():
+    assert list(CORRUPTED_RESIDUALS) == [e.identity_id for e in IDENTITIES]
+    for identity_id, want in CORRUPTED_RESIDUALS.items():
+        (result,) = [
+            r for r in verify_identity_suite(identity_id) if r.identity_id == identity_id
+        ]
+        assert repr(result.max_abs_residual) == repr(want)
+
+
+# ---------------------------------------------------------------------------
+# Cached tables are read-only
+# ---------------------------------------------------------------------------
+
+CACHED_TABLES = {
+    "ladder_vectors": lambda: ladder_vectors(5),
+    "ladder_spread": lambda: states._ladder_spread(4),
+    "half_log_binomials": lambda: (states._half_log_binomials(6),),
+    "moment_tols": lambda: (moments._moment_tols(5, 3),),
+    "cancellation_stack": lambda: (verify._term_stack(verify._CANCELLATION_FACTORS),),
+    "identity_stack": lambda: (
+        verify._term_stack(tuple(factors for _, factors in IDENTITIES[13].terms)),
+    ),
+    "atom_op": lambda: (verify._atom_op(2, "y", 3),),
+    "collective": lambda: (verify._collective("z", 3),),
+    "term_matrix": lambda: (verify._term_matrix(((1, "x"), (3, "z"))),),
+}
+
+
+@pytest.mark.parametrize("tables", CACHED_TABLES.values(), ids=list(CACHED_TABLES))
+def test_cached_tables_refuse_writes(tables):
+    for table in tables():
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            table += 0
