@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 import math
+import operator
 import sys
 from datetime import datetime, timezone
 
@@ -154,8 +155,10 @@ def _parse_grid(text):
         n_atoms = _integer_field(grid["n_atoms"], "n_atoms")
         index_a = _integer_field(grid.get("index_a", 0), "index_a")
         index_b = _integer_field(grid.get("index_b", 1), "index_b")
-        start = float(grid.get("start", 0.0))
-        stop = float(grid["stop"])
+        start, stop = grid.get("start", 0.0), grid["stop"]
+        if isinstance(start, bool) or isinstance(stop, bool):
+            raise TypeError("start and stop must be numbers, not true or false")
+        start, stop = float(start), float(stop)
         points = _integer_field(grid["points"], "points")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidStateError(f"missing or malformed grid field: {exc}") from exc
@@ -179,28 +182,19 @@ _SCAN_COLUMNS = (
 )
 
 
+# the report values of the columns from theta to s, in column order
+_REPORT_VALUES = operator.attrgetter(
+    "angles.theta", "angles.phi", "var_xp", "var_yp",
+    "m3_xp_direct", "m3_yp_direct", "m3_xp_sum", "m3_yp_sum", "s_parameter",
+)
+
+
 def _scan_row(index, alpha, report):
+    mean = report.mean_spin
+    head = [index, repr(alpha), repr(mean.jx), repr(mean.jy), repr(mean.jz)]
     if isinstance(report, UndefinedFrame):
-        mean = report.mean_spin
-        head = [index, repr(alpha), repr(mean.jx), repr(mean.jy), repr(mean.jz)]
         return head + [""] * 9 + [1]
-    return [
-        index,
-        repr(alpha),
-        repr(report.mean_spin.jx),
-        repr(report.mean_spin.jy),
-        repr(report.mean_spin.jz),
-        repr(report.angles.theta),
-        repr(report.angles.phi),
-        repr(report.var_xp),
-        repr(report.var_yp),
-        repr(report.m3_xp_direct),
-        repr(report.m3_yp_direct),
-        repr(report.m3_xp_sum),
-        repr(report.m3_yp_sum),
-        repr(report.s_parameter),
-        0,
-    ]
+    return head + [repr(value) for value in _REPORT_VALUES(report)] + [0]
 
 
 def _pair_mix_state(n_atoms, index_a, index_b, alpha):
@@ -255,20 +249,17 @@ def _cmd_sample(args, raw):
     return _json_text(document), EXIT_OK
 
 
-def _checked(convert, valid, expected):
-    """argparse type: ``convert`` the text, then require ``valid(value)``."""
-    def parse(text):
-        try:
-            value = convert(text)
-        except ValueError:
-            value = None
-        if value is None or not valid(value):
-            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
-        return value
-    return parse
-
-
-_seed_arg = _checked(int, lambda v: v >= 0, "a non-negative integer")
+def _seed_arg(text):
+    """argparse type of ``--seed``: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        )
+    return value
 
 
 def build_parser():

@@ -4,13 +4,13 @@ Conventions (fixed globally, see ``states``): atom 1 owns the most
 significant bit of a product-basis index, bit value 0 is the upper level, and
 the ladder space orders levels from the top (``m = N/2``) downwards.
 
-S runs on the ladder: the moments use ``apply_ladder`` (``ladder_action``
-when one operator is applied repeatedly) and ``apply_ladder_axes``, which
-act in O(N) through the two cached vectors of ``ladder_vectors`` for the
-coefficients' own N; the sampler diagonalises dense ladder matrices.  The
-dense 2**N matrices are small-N references for the identity checks in
-``verify``.  Every ``OperatorMatrix`` is hermitian: its entries are checked
-against their conjugate transpose when it is built.
+S runs on the ladder: the moments use ``ladder_action`` and
+``apply_ladder_axes``, which act in O(N) through the two cached vectors of
+``ladder_vectors`` for the coefficients' own N; the sampler diagonalises
+dense ladder matrices.  The dense 2**N matrices are small-N references for
+the identity checks in ``verify``.  Every ``OperatorMatrix`` is hermitian:
+its entries are checked against their conjugate transpose when it is built,
+and a NaN or infinite entry fails that check.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class OperatorMatrix:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InvalidStateError(f"operator entries shape {arr.shape} is not square")
         dev = float(np.max(np.abs(arr - arr.conj().T)))
-        if dev > HERMITICITY_TOL:
+        if not dev <= HERMITICITY_TOL:  # a NaN or infinite entry gives NaN
             raise InvalidStateError(f"operator is not hermitian: deviates by {dev:.3e}")
 
     @property
@@ -156,13 +156,17 @@ def ladder_vectors(n_atoms):
 
 
 def ladder_action(weights, n_atoms):
-    """``apply_ladder`` with its weights bound, for repeated application.
+    """``wx*Jx + wy*Jy + wz*Jz`` on ladder coefficients of N+1 levels, in O(N).
 
-    The per-row factors of ``weights`` (``wz * m`` and the two transverse
-    coefficients) are formed once, so a recurrence that applies the same
-    operators several times pays for them once.  Each call does the same
-    elementwise arithmetic as ``apply_ladder`` on coefficients of N+1 levels,
-    so its result is bit-identical.
+    Returns a function of the coefficients, which may stack several states
+    along leading axes.  ``weights`` is one (x, y, z) triple, or ``(K, 3)``
+    weights that give each row of a ``(K, N+1)`` stack its own operator;
+    every row then gets the same elementwise arithmetic as a call on that row
+    alone, so its result is bit-identical.  The per-row factors (``wz * m``
+    and the two transverse coefficients) are formed once, so a recurrence
+    that applies the same operators several times pays for them once.  With
+    ``J+`` moving level k to k-1, the transverse part is
+    ``(wx - i wy)/2 J+ + (wx + i wy)/2 J-``.
     """
     # (K, 3) weights give (K, 1) columns; a single (x, y, z) triple, (1,) arrays
     wx, wy, wz = np.asarray(weights, dtype=float).T[..., None]
@@ -179,24 +183,11 @@ def ladder_action(weights, n_atoms):
     return apply
 
 
-def apply_ladder(coeffs, weights):
-    """Apply ``wx*Jx + wy*Jy + wz*Jz`` to ladder coefficients in O(N).
-
-    ``weights`` is ordered (x, y, z); ``coeffs`` may stack several states of
-    N+1 levels along leading axes.  Weights of shape ``(K, 3)`` give each row
-    of a ``(K, N+1)`` stack its own operator; every row then gets the same
-    elementwise arithmetic as a call on that row alone, so its result is
-    bit-identical.  With ``J+`` moving level k to k-1, the transverse part is
-    ``(wx - i wy)/2 J+ + (wx + i wy)/2 J-``.
-    """
-    return ladder_action(weights, coeffs.shape[-1] - 1)(coeffs)
-
-
 def apply_ladder_axes(coeffs):
     """Apply Jx, Jy and Jz together to ladder coefficients in O(N).
 
     Returns shape ``(3, *coeffs.shape)``; entry ``a`` holds the same values
-    as ``apply_ladder`` with unit weight on axis ``a`` (exact zeros may differ
+    as ``ladder_action`` with unit weight on axis ``a`` (exact zeros may differ
     in sign).  The two shifted products ``raising * coeffs`` (the J+ and J-
     parts) are formed once and shared by Jx and Jy.
     """

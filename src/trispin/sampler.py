@@ -1,7 +1,8 @@
 """Monte Carlo projective measurement and moment estimation.
 
 Simulates ideal collective-observable measurements: the operator is
-eigendecomposed, exactly degenerate eigenvalues are merged, outcome
+eigendecomposed, eigenvalues equal within ``DEGENERACY_TOL`` are merged in
+one array pass (``np.add.reduceat`` over the group starts), outcome
 probabilities follow the Born rule, and shots are drawn with a seeded PCG64
 generator (``numpy.random.default_rng``), so a record is replayable
 bit-exactly from its stored seed.  Shots are tallied in one pass: the M
@@ -113,18 +114,6 @@ class SamplingEstimate:
     seed: int
 
 
-def _merged_spectrum(entries):
-    """Eigen-decompose and merge eigenvalues equal within ``DEGENERACY_TOL``."""
-    evals, evecs = np.linalg.eigh(entries)
-    groups = []  # (eigenvalue sum, count, column indices)
-    start = 0
-    for i in range(1, len(evals) + 1):
-        if i == len(evals) or evals[i] - evals[i - 1] > DEGENERACY_TOL:
-            groups.append((float(np.mean(evals[start:i])), list(range(start, i))))
-            start = i
-    return groups, evecs
-
-
 def _tally(probs, m_shots, seed):
     """Outcome counts of ``m_shots`` iid draws from ``probs``.
 
@@ -146,14 +135,20 @@ def projective_sample(state, op, m_shots, seed, operator_tag="operator"):
     """Draw ``m_shots`` (1..``MAX_SHOTS``) projective outcomes of an operator.
 
     Outcome probabilities are the squared projections of the state onto the
-    (merged) eigenspaces; draws are iid from the seeded generator, so equal
-    seeds reproduce the record exactly.
+    eigenspaces; draws are iid from the seeded generator, so equal seeds
+    reproduce the record exactly.  Sorted eigenvalues at most
+    ``DEGENERACY_TOL`` above their predecessor join its group, whose value is
+    the group mean and whose probability sums the group's squared amplitudes
+    in order.  Every amplitude comes from one ``np.vecdot`` over contiguous
+    eigenvector rows, which gives a nondegenerate (ladder) spectrum the same
+    bits as a product with each eigenvector alone.
     """
     if not 1 <= m_shots <= MAX_SHOTS:
         raise ValueError(f"shot count must be in 1..{MAX_SHOTS}, got {m_shots}")
     vec = matching_vector(state, op)
-    groups, evecs = _merged_spectrum(op.entries)
-    values = np.array([value for value, _ in groups])
+    evals, evecs = np.linalg.eigh(op.entries)
+    starts = np.flatnonzero(np.diff(evals, prepend=-np.inf) > DEGENERACY_TOL)
+    values = np.add.reduceat(evals, starts) / np.diff(starts, append=len(evals))
     # records tally component measurements, whose outcomes live on +-N/2
     bound = state.n_atoms / 2 + 1e-9
     if np.any(np.abs(values) > bound):
@@ -161,13 +156,8 @@ def projective_sample(state, op, m_shots, seed, operator_tag="operator"):
             f"operator spectrum leaves the collective spin range +-{bound:.6g}; "
             "only spin-component measurements are supported"
         )
-    probs = np.array(
-        [
-            float(np.sum(np.abs(evecs[:, cols].conj().T @ vec) ** 2))
-            for _, cols in groups
-        ]
-    )
-    probs = np.clip(probs, 0.0, None)
+    amps = np.vecdot(np.ascontiguousarray(evecs.T), vec)
+    probs = np.add.reduceat(np.abs(amps) ** 2, starts)
     probs /= probs.sum()
     return MeasurementRecord(
         operator_tag=operator_tag,

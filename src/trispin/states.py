@@ -344,11 +344,12 @@ def _integer_field(value, where):
     """An integer field of outside JSON, as an int.
 
     Accepts what ``int()`` reads exactly (integers, integral floats such as
-    ``3.0``, integer strings) and refuses fractional or non-finite numbers
-    and magnitudes past ``sys.maxsize``, which no count or index reaches.
+    ``3.0``, integer strings) and refuses booleans (JSON ``true`` is no
+    count), fractional or non-finite numbers and magnitudes past
+    ``sys.maxsize``, which no count or index reaches.
     """
     try:
-        number = int(value)
+        number = None if isinstance(value, bool) else int(value)
     except (TypeError, ValueError, OverflowError):  # OverflowError: infinity
         number = None
     if number is None or (isinstance(value, float) and number != value):
@@ -362,7 +363,7 @@ def _complex_from_pair(pair, where):
     if (
         not isinstance(pair, (list, tuple))
         or len(pair) != 2
-        or not all(isinstance(v, (int, float)) for v in pair)
+        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in pair)
     ):
         raise InvalidStateError(f"{where}: expected a [re, im] pair, got {pair!r}")
     try:

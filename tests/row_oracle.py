@@ -4,12 +4,17 @@
 time, the form it had before it ran on columns: per-row imaginary-part loops,
 one ``rotation_matrix`` per row, the pattern weights of each axis as a list
 and each third moment as Python's ``sum`` over the ten products.  It shares
-the stack's kernels (``apply_ladder_axes``, ``apply_ladder``,
+the stack's kernels (``apply_ladder_axes``, ``ladder_action``,
 ``moments._pattern_sums``) and the frame angles, so every float it gives
 must equal the package's in every bit.
 
 ``terms_matrix_by_term`` is the term-by-term loop that the stacked
 ``verify._terms_matrix`` replaces: the same additions in the same order.
+
+``spectrum_by_group`` is the grouping loop and per-group product that
+``sampler.projective_sample`` ran before its one array pass: the merged
+eigenvalues are ``np.mean`` over each group and each probability is the
+squared norm of one matrix product per group.
 """
 
 import math
@@ -26,7 +31,8 @@ from trispin.moments import (
     UndefinedFrame,
     _pattern_sums,
 )
-from trispin.operators import AXES, apply_ladder, apply_ladder_axes
+from trispin.operators import AXES, apply_ladder_axes, ladder_action, matching_vector
+from trispin.sampler import DEGENERACY_TOL
 from trispin.verify import _term_matrix
 
 _IMAG_TOL = 1e-10
@@ -129,7 +135,7 @@ def stack_reports_by_row(n_atoms, syms):
         psi, once = psi[framed], once[:, framed]
     weights = np.array(x_axes + y_axes)
     moments = shifted_moments_by_row(
-        np.concatenate((psi, psi)), lambda v: apply_ladder(v, weights), n_atoms, 3
+        np.concatenate((psi, psi)), ladder_action(weights, n_atoms), n_atoms, 3
     )
     sums = correlator_rows_by_row(n_atoms, psi, once)
     for i, k in enumerate(framed):
@@ -156,3 +162,21 @@ def terms_matrix_by_term(terms):
     for coeff, factors in terms:
         out = out + coeff * _term_matrix(factors)
     return out
+
+
+def spectrum_by_group(state, op):
+    """Merged eigenvalues and normalized outcome probabilities, group by group."""
+    evals, evecs = np.linalg.eigh(op.entries)
+    vec = matching_vector(state, op)
+    groups = []
+    start = 0
+    for i in range(1, len(evals) + 1):
+        if i == len(evals) or evals[i] - evals[i - 1] > DEGENERACY_TOL:
+            groups.append((float(np.mean(evals[start:i])), list(range(start, i))))
+            start = i
+    values = np.array([value for value, _ in groups])
+    probs = np.array([
+        float(np.sum(np.abs(evecs[:, cols].conj().T @ vec) ** 2))
+        for _, cols in groups
+    ])
+    return values, probs / probs.sum()

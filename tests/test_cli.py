@@ -513,6 +513,14 @@ STATE_CASES = {
     "unnormalized": state_bytes(coeffs="[[1, 0], [1, 0], [0, 0], [0, 0]]"),
     "too_few_atoms": state_bytes(n_atoms="2", coeffs="[[1, 0], [0, 0], [0, 0]]"),
     "non_symmetric_product": state_bytes(coeffs=UP_DOWN_UP, representation="product"),
+    # JSON booleans are no numbers, though Python reads True as 1
+    "amplitude_true_false": state_bytes(
+        coeffs="[[true, false], [0, 0], [0, 0], [0, 0]]"
+    ),
+    "product_amplitude_true": state_bytes(
+        coeffs="[[[1, 0], [0, 0]], [[true, 0], [0, 0]], [[1, 0], [0, 0]]]",
+        representation="product",
+    ),
 }
 GRID_CASES = {
     "n_atoms_1e999": '{"family": "pair_mix", "n_atoms": 1e999, "stop": 1.0, '
@@ -535,6 +543,10 @@ GRID_CASES = {
     "n_atoms_2^62": '{"family": "pair_mix", "n_atoms": 4611686018427387904, '
                     '"stop": 1.0, "points": 3}',
     "levels_past_cap": grid_text(n_atoms=999, points=1001),
+    "points_true": grid_text(points=True),
+    "index_b_true": grid_text(index_b=True),
+    "start_true_stop_false": grid_text(start=True, stop=False),
+    "stop_true": grid_text(stop=True),
 }
 
 

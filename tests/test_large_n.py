@@ -8,7 +8,8 @@ recurrence.  The matrix-free 2**N triple sum of ``bruteforce`` is the
 reference for the ladder correlators at small N.  The paper's identity along
 any axis, (n.J)^3 = ((3N-2)/4) n.J + the tripartite sum, is checked on the
 ladder up to N = 10**4, and a stacked evaluation is checked row by row
-against each state alone.
+against each state alone.  At N = 10**4 and 10**5 Dicke levels and a coherent
+spin state are checked against their closed forms.
 """
 
 import cmath
@@ -36,7 +37,7 @@ from trispin import (
 )
 from trispin.cli import main
 from trispin.moments import PATTERNS, ROUTE_REL_TOL, pattern_weights
-from trispin.operators import apply_ladder
+from trispin.operators import ladder_action
 
 LARGE_N = (100, 1000, 10_000)
 
@@ -173,6 +174,46 @@ def test_routes_agree_and_phase_drops_out(n_atoms):
         assert abs(s_phased - report.s_parameter) <= 1e-12 * abs(report.s_parameter)
 
 
+CLOSED_FORM_N = (10_000, 100_000)
+
+
+@pytest.mark.parametrize("n_atoms", CLOSED_FORM_N)
+def test_dicke_levels_match_closed_form(n_atoms):
+    # |k> has <J> = (0, 0, m), <Jx^2> = <Jy^2> = (j(j+1) - m^2)/2, and every
+    # odd-order transverse moment 0, since J+- only link |k> to |k +- 1>
+    j = n_atoms / 2
+    for level in (0, 1, n_atoms // 3):
+        coeffs = np.zeros(n_atoms + 1)
+        coeffs[level] = 1.0
+        report = entanglement_s(symmetric_state(n_atoms, coeffs))
+        m = j - level
+        mean = report.mean_spin
+        assert (mean.jx, mean.jy, mean.jz) == (0.0, 0.0, m)
+        variance = (j * (j + 1) - m * m) / 2
+        for value in (report.var_xp, report.var_yp):
+            assert abs(value - variance) <= 1e-14 * variance
+        for value in (report.m3_xp_direct, report.m3_yp_direct,
+                      report.m3_xp_sum, report.m3_yp_sum, report.s_parameter):
+            assert value == 0.0
+
+
+@pytest.mark.parametrize("n_atoms", CLOSED_FORM_N)
+def test_coherent_state_matches_closed_form(n_atoms):
+    # N copies of the qubit along n have <J> = (N/2) n and transverse
+    # variances N/4.  S and the route check are not asserted: the absolute
+    # route floor fails a product state from N = 100 on
+    theta, phi = 1.1, 0.4
+    qubit = [math.cos(theta / 2), cmath.exp(1j * phi) * math.sin(theta / 2)]
+    report = entanglement_s(product_state(np.tile(qubit, (n_atoms, 1))))
+    axis = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
+            math.cos(theta))
+    mean = report.mean_spin
+    for got, want in zip((mean.jx, mean.jy, mean.jz), axis):
+        assert abs(got / (n_atoms / 2) - want) <= 1e-10
+    for value in (report.var_xp, report.var_yp):
+        assert abs(value - n_atoms / 4) <= 1e-10 * n_atoms / 4
+
+
 def _random_ladder_state(n_atoms, seed):
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal(n_atoms + 1) + 1j * rng.standard_normal(n_atoms + 1)
@@ -194,13 +235,14 @@ def test_ladder_correlators_equal_explicit_triple_sum(n_atoms, seed):
 def identity_residual(state, axis):
     """|<(n.J)^3> - ((3N-2)/4)<n.J> - sum_p w_p(n) pattern_p| / (1 + N/2)**3.
 
-    The left side takes three ``apply_ladder`` passes; the right side takes
+    The left side takes three ``ladder_action`` passes; the right side takes
     the pattern sums of ``triple_correlators`` on the state as given.
     """
     sym = as_symmetric(state)
     n_atoms, psi = sym.n_atoms, sym.coeffs
-    once = apply_ladder(psi, axis)
-    thrice = apply_ladder(apply_ladder(once, axis), axis)
+    along = ladder_action(axis, n_atoms)
+    once = along(psi)
+    thrice = along(along(once))
     corr = triple_correlators(state)
     tripartite = sum(
         w * getattr(corr, p) for w, p in zip(pattern_weights(axis), PATTERNS)

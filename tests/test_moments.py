@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import bruteforce as bf
 from trispin import (
@@ -401,6 +402,28 @@ class TestEntanglementS:
         coeffs = np.sqrt(binomial) / 2 ** (n_atoms / 2) * np.exp(-0.5j * mu * m**2)
         report = entanglement_s(symmetric_state(n_atoms, coeffs))
         assert report.s_parameter <= 1e-16 * (1 + n_atoms / 2) ** 3
+
+    def test_projected_random_states_are_blind_spots(self):
+        # P = (1 +- R/lambda)/2 projects onto an eigenspace of the pi rotation
+        # R = exp(i pi n.J); R^2 = (-1)^N, so lambda = 1 for even N and i for
+        # odd N.  The projected state is invariant up to a sign under R, which
+        # flips both transverse third moments, so S vanishes up to rounding
+        rng = np.random.default_rng(2004)
+        for k in range(60):
+            n_atoms = 3 + k % 18
+            axis = rng.standard_normal(3)
+            axis /= np.linalg.norm(axis)
+            n_dot_j = sum(
+                w * collective_op_dicke(a, n_atoms).entries for w, a in zip(axis, AXES)
+            )
+            turn = expm(1j * math.pi * n_dot_j) / (1j if n_atoms % 2 else 1.0)
+            sign = 1.0 if k % 2 else -1.0
+            state = random_symmetric_state(n_atoms, seed=k)
+            projected = 0.5 * (state.coeffs + sign * turn @ state.coeffs)
+            scale = (1 + n_atoms / 2) ** 3
+            assert entanglement_s(state).s_parameter >= 0.01
+            blind = symmetric_state(n_atoms, projected, normalize=True)
+            assert entanglement_s(blind).s_parameter <= 1e-12 * scale
 
     def test_report_self_consistency(self):
         for seed in range(20):

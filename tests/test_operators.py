@@ -14,12 +14,12 @@ from trispin import (
 )
 from trispin.operators import (
     AXES,
-    apply_ladder,
     apply_ladder_axes,
+    ladder_action,
     ladder_vectors,
 )
 
-# (x, y, z) weights selecting one collective component in ``apply_ladder``.
+# (x, y, z) weights selecting one collective component in ``ladder_action``.
 UNIT_WEIGHTS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
@@ -163,7 +163,7 @@ class TestLadderKernel:
             w * collective_op_dicke(a, n_atoms).entries for w, a in zip(weights, AXES)
         )
         np.testing.assert_allclose(
-            apply_ladder(vec, weights), dense @ vec,
+            ladder_action(weights, n_atoms)(vec), dense @ vec,
             atol=1e-13,
         )
 
@@ -171,9 +171,9 @@ class TestLadderKernel:
         rng = np.random.default_rng(5)
         stack = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
         weights = (0.0, 1.0, -0.5)
-        together = apply_ladder(stack, weights)
+        together = ladder_action(weights, 5)(stack)
         for row, vec in zip(together, stack):
-            np.testing.assert_array_equal(row, apply_ladder(vec, weights))
+            np.testing.assert_array_equal(row, ladder_action(weights, 5)(vec))
 
     def test_per_row_weights_match_each_row_alone(self):
         rng = np.random.default_rng(6)
@@ -182,9 +182,9 @@ class TestLadderKernel:
         weights = np.array(
             [[0.6, 0.0, -0.8], [-0.0, 1.0, 0.0], [0.3, -1.2, 0.7], [1.0, 0.0, 0.0]]
         )
-        together = apply_ladder(stack, weights)
+        together = ladder_action(weights, 6)(stack)
         for row, vec, w in zip(together, stack, weights):
-            alone = apply_ladder(vec, w)
+            alone = ladder_action(w, 6)(vec)
             np.testing.assert_array_equal(row, alone)
             np.testing.assert_array_equal(
                 np.signbit(row.view(float)), np.signbit(alone.view(float))
@@ -203,7 +203,7 @@ class TestLadderKernel:
             applied = apply_ladder_axes(coeffs)
             assert applied.shape == (3, *shape)
             for row, weights in zip(applied, UNIT_WEIGHTS):
-                assert np.array_equal(row, apply_ladder(coeffs, weights))
+                assert np.array_equal(row, ladder_action(weights, n_atoms)(coeffs))
 
 
 class TestOperatorMatrix:
@@ -211,6 +211,17 @@ class TestOperatorMatrix:
         bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(InvalidStateError):
             OperatorMatrix(bad)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_non_finite_entries_rejected(self, entry, where):
+        # a NaN deviation would pass a plain ``>`` check, and eigh would then
+        # return a spectrum the sampler cannot group
+        entries = np.diag([0.5, -0.5]).astype(complex)
+        entries[where] = entries[where[::-1]] = entry
+        with pytest.raises(InvalidStateError, match="not hermitian"):
+            OperatorMatrix(entries)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidStateError):

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from row_oracle import spectrum_by_group
 from trispin import (
     DimensionMismatchError,
     InsufficientShotsError,
     InvalidStateError,
+    MeanSpin,
     MeasurementRecord,
     NotSymmetricError,
     central_moment,
@@ -16,6 +18,7 @@ from trispin import (
     entanglement_s,
     estimate_moments,
     estimate_s_from_samples,
+    full_state,
     mean_spin,
     product_state,
     product_to_full,
@@ -246,6 +249,22 @@ class TestEstimateS:
             estimate_s_from_samples(state, 2000, seed=5)
 
 
+def spy_on_tally(monkeypatch):
+    """Copy every probability vector ``sampler._tally`` receives.
+
+    Returns the list of copies and the unpatched ``_tally``.
+    """
+    seen = []
+    tally = sampler._tally
+
+    def spy(probs, m_shots, seed):
+        seen.append(probs.copy())
+        return tally(probs, m_shots, seed)
+
+    monkeypatch.setattr(sampler, "_tally", spy)
+    return seen, tally
+
+
 def reference_counts(probs, m_shots, seed):
     """The per-shot draw: one ``Generator.choice`` index per shot, tallied."""
     rng = np.random.default_rng(seed)
@@ -303,14 +322,7 @@ class TestSeededStream:
                 )
 
     def test_projective_sample_counts_equal_the_per_shot_draw(self, monkeypatch):
-        seen = []
-        tally = sampler._tally
-
-        def spy(probs, m_shots, seed):
-            seen.append(probs.copy())
-            return tally(probs, m_shots, seed)
-
-        monkeypatch.setattr(sampler, "_tally", spy)
+        seen, _ = spy_on_tally(monkeypatch)
         cases = [
             (symmetric_state(4, [0, 0, 1, 0, 0]), collective_op_dicke("z", 4)),
             (random_symmetric_state(9, seed=3), collective_op_dicke("x", 9)),
@@ -321,3 +333,49 @@ class TestSeededStream:
                 record = projective_sample(state, op, m_shots, seed)
                 expected = reference_counts(seen[-1], m_shots, seed)
                 assert np.array_equal(record.counts, expected)
+
+
+class TestOnePassSpectrum:
+    """The one array pass against the per-group loop of ``row_oracle``."""
+
+    def test_ladder_records_equal_the_per_group_loop(self, monkeypatch):
+        seen, tally = spy_on_tally(monkeypatch)
+        rng = np.random.default_rng(15)
+        cases = []
+        for n_atoms in range(3, 61):
+            direction = rng.standard_normal(3)
+            mean = MeanSpin(*direction.tolist(), float(np.linalg.norm(direction)))
+            op_xp, op_yp, _ = rotated_ops(rotation_angles(mean), n_atoms)
+            state = random_symmetric_state(n_atoms, seed=n_atoms)
+            cases += [(state, op_xp), (state, op_yp)]
+        for n_atoms in (3, 8, 21, 60):
+            state = random_symmetric_state(n_atoms, seed=100 + n_atoms)
+            cases += [(state, collective_op_dicke(axis, n_atoms)) for axis in AXES]
+        for seed, (state, op) in enumerate(cases):
+            values, probs = spectrum_by_group(state, op)
+            record = projective_sample(state, op, 1000, seed)
+            assert record.eigenvalues.tobytes() == values.tobytes()
+            assert seen[-1].tobytes() == probs.tobytes()
+            assert record.counts.tobytes() == tally(probs, 1000, seed).tobytes()
+
+    @pytest.mark.parametrize("n_atoms", range(1, 9))
+    def test_degenerate_full_spectra_agree_to_rounding(self, n_atoms, monkeypatch):
+        # groups of several eigenvalues are summed in order, where np.mean
+        # sums pairwise, so only the last bits may move
+        seen, tally = spy_on_tally(monkeypatch)
+        rng = np.random.default_rng(n_atoms)
+        raw = rng.standard_normal(1 << n_atoms) + 1j * rng.standard_normal(1 << n_atoms)
+        states = [
+            full_state(n_atoms, raw, normalize=True),
+            product_to_full(random_product_state(n_atoms, seed=n_atoms)),
+        ]
+        for seed, (state, axis) in enumerate(
+            (state, axis) for state in states for axis in AXES
+        ):
+            op = collective_op(axis, n_atoms)
+            values, probs = spectrum_by_group(state, op)
+            record = projective_sample(state, op, 10_000, seed)
+            assert len(values) == n_atoms + 1
+            np.testing.assert_allclose(record.eigenvalues, values, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(seen[-1], probs, rtol=0, atol=1e-15)
+            assert np.array_equal(record.counts, tally(probs, 10_000, seed))

@@ -311,13 +311,14 @@ class TestJsonSchema:
 
 class TestIntegerField:
     @pytest.mark.parametrize("value, expected", [
-        (0, 0), (-5, -5), (7.0, 7), ("12", 12), (True, 1), (sys.maxsize, sys.maxsize),
+        (0, 0), (-5, -5), (7.0, 7), ("12", 12), (sys.maxsize, sys.maxsize),
     ])
     def test_integral_values_read_exactly(self, value, expected):
         assert _integer_field(value, "field") == expected
 
     @pytest.mark.parametrize("value", [
         0.5, math.inf, math.nan, sys.maxsize + 1, 1e19, 10**400, "3.0", "x", None, {},
+        True, False,
     ])
     def test_other_values_raise_invalid_state(self, value):
         with pytest.raises(InvalidStateError, match="field"):
