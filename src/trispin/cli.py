@@ -21,6 +21,8 @@ import operator
 import sys
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__
 from .errors import FrameUndefinedError, InvalidStateError, TrispinError
 from .moments import (
@@ -28,10 +30,11 @@ from .moments import (
     ROUTE_REL_TOL,
     UndefinedFrame,
     entanglement_s,
-    moment_reports,
+    stack_reports,
+    stacks_of,
 )
 from .sampler import estimate_s_from_samples
-from .states import _integer_field, state_from_dict, symmetric_state
+from .states import _integer_field, ladder_stack, state_from_dict
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -197,11 +200,17 @@ def _scan_row(index, alpha, report):
     return head + [repr(value) for value in _REPORT_VALUES(report)] + [0]
 
 
-def _pair_mix_state(n_atoms, index_a, index_b, alpha):
-    coeffs = [0.0] * (n_atoms + 1)
-    coeffs[index_a] = math.cos(alpha)
-    coeffs[index_b] = math.sin(alpha)
-    return symmetric_state(n_atoms, coeffs, normalize=True)
+def _pair_mix_grid(n_atoms, index_a, index_b, alphas):
+    """The grid points at ``alphas`` as one checked ``(K, N+1)`` ladder stack.
+
+    Row i is cos(alpha_i) on level ``index_a`` and sin(alpha_i) on level
+    ``index_b``, normalized: the coefficients ``symmetric_state`` gives that
+    point alone, with ``math.cos`` and ``math.sin`` taken per point.
+    """
+    rows = np.zeros((len(alphas), n_atoms + 1), dtype=complex)
+    rows[:, index_a] = list(map(math.cos, alphas))
+    rows[:, index_b] = list(map(math.sin, alphas))
+    return ladder_stack(n_atoms, rows, normalize=True)
 
 
 def _cmd_scan(args, raw):
@@ -223,13 +232,16 @@ def _cmd_scan(args, raw):
     )
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(_SCAN_COLUMNS)
-    # each row is written as its stack is evaluated, so states and reports
-    # never span the whole grid; the text does, since an error document must
-    # be able to replace it
-    reports = moment_reports(
-        _pair_mix_state(n_atoms, index_a, index_b, alpha) for alpha in alphas
+    # the grid is built and evaluated one stack at a time and each row is
+    # written as its stack is evaluated, so states and reports never span
+    # the whole grid (one array of it doubled the peak of 1000 points at
+    # N=999); the text does, since an error document must be able to
+    # replace it
+    grid = (
+        _pair_mix_grid(n_atoms, index_a, index_b, part)
+        for part in stacks_of(alphas, n_atoms + 1)
     )
-    writer.writerows(map(_scan_row, range(points), alphas, reports))
+    writer.writerows(map(_scan_row, range(points), alphas, stack_reports(grid)))
     return buffer.getvalue(), EXIT_OK
 
 

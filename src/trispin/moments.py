@@ -23,7 +23,9 @@ gives ten terms; the y' row has no z component, which leaves four nonzero.
 Every input is first brought to the (N+1)-level ladder (``as_symmetric``),
 and both routes run there in O(N), on ``(K, N+1)`` stacks of states that
 share N: ``moment_reports`` cuts an iterable of states into stacks of at most
-``STACK_LEVELS`` ladder levels and yields the rows stack by stack.  One
+``STACK_LEVELS`` ladder levels and yields the rows stack by stack, and
+``stack_reports`` does the same for stacks already checked as arrays
+(``states.ladder_stack``).  ``stacks_of`` is the one rule that cuts them.  One
 ``apply_ladder_axes`` pass over a stack gives every mean spin
 (``frame.mean_spin_rows``) and is reused as the first pass of the
 correlators.  The direct route runs the x' and y' rows of all framed states
@@ -406,18 +408,17 @@ def _raise_undefined(row):
     return row
 
 
-def _stack_reports(n_atoms, syms):
-    """``moment_reports`` of ladder states ``syms`` evaluated as one stack.
+def _stack_reports(n_atoms, psi):
+    """The reports of the rows of one checked ``(K, N+1)`` ladder stack ``psi``.
 
-    One J pass over the ``(K, N+1)`` stack gives every mean spin and is
-    reused by the correlators.  The x' and y' axes of all framed rows are one
+    One J pass over the stack gives every mean spin and is reused by the
+    correlators.  The x' and y' axes of all framed rows are one
     ``(2, K, 3)`` array: the direct route runs them as one 2K-row stack
     through a single shifted-power recurrence, with per-row weights bound
     once in ``ladder_action``, and the sum route weighs every row's pattern
     sums along them at once.  Per row there remain the frame angles and the
     report objects.
     """
-    psi = syms[0].coeffs[None] if len(syms) == 1 else np.stack([s.coeffs for s in syms])
     once = apply_ladder_axes(psi)
     means = mean_spin_rows(psi, once, n_atoms)
     rows, framed, angles = [], [], []
@@ -454,16 +455,47 @@ def _stack_reports(n_atoms, syms):
     return rows
 
 
+def stacks_of(items, row_size, budget=None):
+    """The one chunker: cut an iterable into stacks of a bounded cost.
+
+    A row costs ``row_size`` and a stack at most ``budget``, by default
+    ``STACK_LEVELS`` ladder levels; a stack holds one row at least.  The
+    stacks are lists, and each is drawn from ``items`` only when it is asked
+    for, so what the items hold follows the stack rather than their number.
+    """
+    per_stack = max(1, (STACK_LEVELS if budget is None else budget) // row_size)
+    items = iter(items)
+    return iter(lambda: list(islice(items, per_stack)), [])
+
+
+def stack_reports(stacks):
+    """Yield the ``MomentReport`` of each row of checked ladder stacks.
+
+    ``stacks`` is an iterable of ``(K, N+1)`` arrays as
+    ``states.ladder_stack`` returns them, each cut to at most
+    ``STACK_LEVELS`` ladder levels by ``stacks_of``; N may differ between
+    them.  Each is evaluated as one stack, and its rows are yielded as
+    ``moment_reports`` yields them: a stack is drawn when its first row is
+    asked for, each row is bit-identical to its state evaluated alone, and a
+    frame-undefined row is an ``UndefinedFrame``.
+    """
+    for psi in stacks:
+        yield from _stack_reports(psi.shape[1] - 1, psi)
+
+
 def moment_reports(states):
     """Yield the ``MomentReport`` of each state of an iterable that shares one N.
 
-    The states are brought to the ladder and evaluated as ``(K, N+1)``
-    stacks of at most ``STACK_LEVELS`` ladder levels (one state at least).
-    A stack is drawn from ``states`` only when its first row is asked for,
-    and its rows are yielded as they are used, so memory follows the stack
-    rather than the number of states.  Each row is bit-identical to that
-    state evaluated alone.  A state whose frame is undefined gives an
-    ``UndefinedFrame`` with its mean spin in place of a report.
+    The states are brought to the ladder, cut into stacks of at most
+    ``STACK_LEVELS`` ladder levels (one state at least) by ``stacks_of``
+    and evaluated as ``(K, N+1)`` arrays; a single state is a stack of one,
+    without a copy.  A stack is drawn from ``states`` only when its first row
+    is asked for, and its rows are yielded as they are used, so memory
+    follows the stack rather than the number of states.  Each row is
+    bit-identical to that state evaluated alone.  A state whose frame is
+    undefined gives an ``UndefinedFrame`` with its mean spin in place of a
+    report.  ``stack_reports`` is the entry point for stacks checked as
+    arrays.
 
     Raises
     ------
@@ -477,12 +509,14 @@ def moment_reports(states):
     if first is None:
         return
     n_atoms = first.n_atoms
-    syms = chain([first], syms)
-    per_stack = max(1, STACK_LEVELS // (n_atoms + 1))
-    while stack := list(islice(syms, per_stack)):
+    for stack in stacks_of(chain([first], syms), n_atoms + 1):
         if any(sym.n_atoms != n_atoms for sym in stack):
             raise DimensionMismatchError("stacked states must share one number of atoms")
-        yield from _stack_reports(n_atoms, stack)
+        if len(stack) == 1:
+            psi = stack[0].coeffs[None]
+        else:
+            psi = np.stack([sym.coeffs for sym in stack])
+        yield from _stack_reports(n_atoms, psi)
 
 
 def entanglement_s(state):

@@ -53,13 +53,23 @@ class OperatorMatrix:
         object.__setattr__(self, "entries", arr)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InvalidStateError(f"operator entries shape {arr.shape} is not square")
-        dev = float(np.max(np.abs(arr - arr.conj().T)))
-        if not dev <= HERMITICITY_TOL:  # a NaN or infinite entry gives NaN
-            raise InvalidStateError(f"operator is not hermitian: deviates by {dev:.3e}")
+        check_hermitian(arr)
 
     @property
     def dim(self):
         return self.entries.shape[0]
+
+
+def check_hermitian(entries):
+    """Refuse square entries that are not equal to their conjugate transpose.
+
+    ``entries`` is one operator or a stack of them along leading axes; the
+    largest deviation over all of them must stay within ``HERMITICITY_TOL``,
+    so a stack passes exactly when each of its operators would.
+    """
+    dev = float(np.max(np.abs(entries - np.swapaxes(entries.conj(), -1, -2))))
+    if not dev <= HERMITICITY_TOL:  # a NaN or infinite entry gives NaN
+        raise InvalidStateError(f"operator is not hermitian: deviates by {dev:.3e}")
 
 
 class LadderOperator(OperatorMatrix):

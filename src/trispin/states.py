@@ -125,21 +125,53 @@ def _check_finite(arr):
         raise InvalidStateError("amplitudes must be finite numbers")
 
 
-def _check_unit_norm(arr):
-    _check_finite(arr)
-    total = float(np.sum(np.abs(arr) ** 2))
-    if abs(total - 1.0) > NORM_TOL:
+def _row_norms(rows):
+    """``np.linalg.norm`` of each row of a 2-D complex array, in every bit.
+
+    ``np.linalg.norm`` of a complex vector is the root of
+    ``re.dot(re) + im.dot(im)`` on its strided ``.real`` and ``.imag`` views;
+    ``np.vecdot`` on the same views of a stack gives each row that sum (5600
+    of 5600 rows at N = 3..14, 50 and 200).  On contiguous copies of the
+    parts it does not (4507 of 5600), so the parts must stay views.
+    """
+    return np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
+
+
+def _check_unit_rows(rows):
+    """Refuse a non-finite entry, or a row of a 2-D array off unit norm.
+
+    A row is off when its sum of squared magnitudes is more than
+    ``NORM_TOL`` from 1; the first such row is reported.  Returns ``rows``.
+    """
+    _check_finite(rows)
+    totals = np.sum(np.abs(rows) ** 2, axis=-1)
+    off = np.abs(totals - 1.0) > NORM_TOL
+    if off.any():
+        total = float(totals[off.argmax()])
         raise InvalidStateError(
             f"state not normalized: sum of squared magnitudes is {total!r}"
         )
+    return rows
+
+
+def _normalized_rows(rows):
+    """Each row of a 2-D complex array divided by its norm (``_row_norms``).
+
+    Refuses a non-finite entry, and a zero row, which has no direction.
+    """
+    _check_finite(rows)
+    norms = _row_norms(rows)
+    if not norms.all():
+        raise InvalidStateError("cannot normalize a zero vector")
+    return rows / norms[:, None]
+
+
+def _check_unit_norm(arr):
+    _check_unit_rows(arr.reshape(1, -1))
 
 
 def _normalized(arr):
-    _check_finite(arr)
-    nrm = np.linalg.norm(arr)
-    if nrm == 0.0:
-        raise InvalidStateError("cannot normalize a zero vector")
-    return arr / nrm
+    return _normalized_rows(arr.reshape(1, -1)).reshape(arr.shape)
 
 
 def symmetric_state(n_atoms, coeffs, normalize=False):
@@ -148,6 +180,27 @@ def symmetric_state(n_atoms, coeffs, normalize=False):
     if normalize:
         arr = _normalized(arr)
     return SymmetricState(int(n_atoms), arr)
+
+
+def ladder_stack(n_atoms, rows, normalize=False):
+    """K symmetric states of ``n_atoms`` atoms as one checked ``(K, N+1)`` array.
+
+    The stack form of ``symmetric_state``: every row passes the rules a
+    ``SymmetricState`` applies (at least 3 atoms, N+1 coefficients, finite
+    values, unit norm to ``NORM_TOL``), checked once for the whole stack,
+    and ``normalize`` first divides each row by its norm, refusing a zero
+    row.  Each row holds the coefficients ``symmetric_state`` gives that row
+    alone, bit for bit (``_row_norms``).  ``moments.stack_reports`` takes
+    the result.
+    """
+    if n_atoms < 3:
+        raise InvalidStateError(f"symmetric states need at least 3 atoms, got {n_atoms}")
+    arr = np.ascontiguousarray(rows, dtype=complex)  # rows contiguous, as one state's
+    if arr.ndim != 2 or arr.shape[1] != n_atoms + 1:
+        raise InvalidStateError(
+            f"expected rows of {n_atoms + 1} coefficients, got shape {arr.shape}"
+        )
+    return _check_unit_rows(_normalized_rows(arr) if normalize else arr)
 
 
 def product_state(qubits, normalize=False):
@@ -203,6 +256,20 @@ def dicke_to_full(state):
     return FullState(n, state.coeffs[counts] / divisor)
 
 
+def full_rows(n_atoms, psi):
+    """``dicke_to_full`` of each row of a checked ``(K, N+1)`` ladder stack.
+
+    Returns the ``(K, 2**N)`` amplitudes: each row holds the values, and
+    passes the checks (the cap, finite entries, unit norm), of the
+    per-state expansion.
+    """
+    check_full_space_size(n_atoms)
+    counts, _, divisor = _ladder_spread(n_atoms)
+    # fancy indexing lays the rows out column-major; a strided row would
+    # take other BLAS paths than the contiguous vector of one state
+    return _check_unit_rows(np.ascontiguousarray(psi[:, counts]) / divisor)
+
+
 def product_to_full(state):
     """Tensor the per-atom amplitudes into the 2**N product basis."""
     n = state.n_atoms
@@ -252,40 +319,76 @@ def _half_log_binomials(n_atoms):
     return table
 
 
-def _product_to_dicke(state):
-    """Map an identical-qubit product onto the ladder without 2**N amplitudes.
+def _products_to_ladder(rows):
+    """Map K identical-qubit products onto the ladder without 2**N amplitudes.
 
-    Rows are phase-aligned to row 0 (a row orthogonal to it keeps phase 1)
-    and must match their mean to ``SYMMETRY_TOL`` in norm, the bound
+    ``rows`` has shape ``(K, N, 2)``, one ``(amp_up, amp_down)`` row per atom
+    of each product; the result is ``(K, N+1)``, not yet normalized.  Rows
+    are phase-aligned to row 0 (a row orthogonal to it keeps phase 1) and
+    must match their mean to ``SYMMETRY_TOL`` in norm, the bound
     ``full_to_dicke`` puts on the non-symmetric weight.  The coefficients are
     those of the coherent spin state of the mean qubit (a, b), i.e.
     sqrt(C(N, k)) a**(N-k) b**k (Arecchi et al., PRA 6, 2211 (1972)), times
     the product of the row phases.  Magnitudes are formed in log space, with
     C(N, k) from ``math.lgamma``, so large N neither overflows nor gives NaN.
+
+    Each product gets the operations of its own ``K = 1`` call, so every
+    float is the one it gets alone: the overlaps come from one 3-D
+    ``matmul``, which gives each product's ``rows @ rows[0].conj()``
+    (``np.vecdot`` and ``einsum`` do not), and ``abs`` is Python's on each
+    qubit amplitude, which ``np.abs`` of an array does not match in every
+    bit.
     """
-    rows, n = state.qubits, state.n_atoms
-    overlaps = rows @ rows[0].conj()
+    count, n = rows.shape[:2]
+    overlaps = (rows @ rows[:, 0, :, None].conj())[..., 0]
     sizes = np.abs(overlaps)
     phases = np.divide(overlaps, sizes, out=np.ones_like(overlaps), where=sizes > 0)
-    aligned = rows * phases.conj()[:, None]
-    qubit = aligned.mean(axis=0)
+    aligned = rows * phases.conj()[..., None]
+    qubits = aligned.mean(axis=1)
     # the same norm, centred on row 0: identical rows give exactly 0, where
     # the inexact mean of many equal rows would not
-    drift = aligned - aligned[0]
-    residual = float(np.linalg.norm(drift - drift.mean(axis=0)))
-    if residual > SYMMETRY_TOL:
+    drift = aligned - aligned[:, :1]
+    residuals = _row_norms((drift - drift.mean(axis=1, keepdims=True)).reshape(count, -1))
+    off = residuals > SYMMETRY_TOL
+    if off.any():
         raise NotSymmetricError(
             f"product rows differ beyond a global phase: non-symmetric weight "
-            f"of norm {residual:.3e}"
+            f"of norm {residuals[off.argmax()]:.3e}"
         )
     k = np.arange(n + 1)
     log_mag = _half_log_binomials(n)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0 * log(0) counts as 0
-        for power, amp in ((n - k, qubit[0]), (k, qubit[1])):
-            log_mag = log_mag + np.where(power > 0, power * np.log(abs(amp)), 0.0)
-    phase = (n - k) * np.angle(qubit[0]) + k * np.angle(qubit[1])
-    coeffs = np.prod(phases) * np.exp(log_mag + 1j * phase)
-    return SymmetricState(n, coeffs / np.linalg.norm(coeffs))
+        for power, amps in ((n - k, qubits[:, 0]), (k, qubits[:, 1])):
+            logs = np.log(list(map(abs, amps.tolist())))[:, None]
+            log_mag = log_mag + np.where(power > 0, power * logs, 0.0)
+    phase = (n - k) * np.angle(qubits[:, :1]) + k * np.angle(qubits[:, 1:])
+    return np.prod(phases, axis=1)[:, None] * np.exp(log_mag + 1j * phase)
+
+
+def _product_to_dicke(state):
+    """``_products_to_ladder`` of one product, normalized: its ladder state."""
+    coeffs = _normalized_rows(_products_to_ladder(state.qubits[None]))
+    return SymmetricState(state.n_atoms, coeffs[0])
+
+
+def coherent_stack(n_atoms, qubits):
+    """The checked ladder stack of K identical-qubit products of ``n_atoms``.
+
+    ``qubits`` holds K ``(amp_up, amp_down)`` pairs, each divided by its norm
+    first, as ``random_product_state`` normalizes its draw.  Row k is the
+    ladder state ``as_symmetric`` gives the product of ``n_atoms`` copies of
+    qubit k, bit for bit: the pairs pass the ``ProductState`` rules, the
+    copies go through ``_products_to_ladder`` together and the rows through
+    ``ladder_stack``.
+    """
+    if n_atoms < 3:
+        raise InvalidStateError(f"symmetric states need at least 3 atoms, got {n_atoms}")
+    pairs = np.asarray(qubits, dtype=complex)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise InvalidStateError(f"expected (K, 2) qubit amplitudes, got shape {pairs.shape}")
+    pairs = _check_unit_rows(_normalized_rows(pairs))
+    rows = np.repeat(pairs[:, None, :], n_atoms, axis=1)
+    return ladder_stack(n_atoms, _products_to_ladder(rows), normalize=True)
 
 
 def as_symmetric(state):
@@ -313,23 +416,28 @@ def permute_atoms(state, order):
     return FullState(n, psi.reshape(-1))
 
 
+def seeded_gaussians(size, seed):
+    """``size`` iid complex Gaussians from ``default_rng(seed)`` (PCG64).
+
+    The real parts are drawn first, then the imaginary parts.
+    """
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
 def random_symmetric_state(n_atoms, seed):
     """Draw ladder coefficients as iid complex Gaussians, then normalize.
 
-    Deterministic for a fixed seed (PCG64).
+    Deterministic for a fixed seed (``seeded_gaussians``).
     """
     if n_atoms < 3:
         raise InvalidStateError(f"symmetric states need at least 3 atoms, got {n_atoms}")
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal(n_atoms + 1) + 1j * rng.standard_normal(n_atoms + 1)
-    return SymmetricState(n_atoms, _normalized(raw))
+    return SymmetricState(n_atoms, _normalized(seeded_gaussians(n_atoms + 1, seed)))
 
 
 def random_product_state(n_atoms, seed):
     """Random identical-qubit product state (one Gaussian qubit, replicated)."""
-    rng = np.random.default_rng(seed)
-    qubit = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    qubit = _normalized(qubit)
+    qubit = _normalized(seeded_gaussians(2, seed))
     return ProductState(np.tile(qubit, (n_atoms, 1)))
 
 

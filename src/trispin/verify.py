@@ -15,11 +15,15 @@ On top of the per-word identities, ``verify_cancellation`` checks the key
 cancellation result: the cube of the rotated component Jx' equals a term list
 containing only single-atom and tripartite factors (no bipartite products
 survive), for arbitrary rotation angles.  ``verify_sum_route`` and
-``verify_product_vanishing`` are randomized sweeps of the moment formulas.
-Each sweep streams its states through one ``moment_reports`` call and uses
-each row as it is yielded: ladder side stacked, dense side per state.  The
-sum-route sweep checks the stacked rows against an independent direct route,
-built per state from dense 2**N operators.
+``verify_product_vanishing`` are randomized sweeps of the moment formulas,
+run on stacks from the seeded draw to the verdict: each draw keeps its own
+seeded generator, the draws are cut into ``(K, N+1)`` ladder stacks by
+``moments.stacks_of`` and checked once per stack (``states.ladder_stack``,
+``states.coherent_stack``), and the rows stream through one
+``stack_reports`` call and are used as they are yielded.  The sum-route
+sweep checks those rows against an independent direct route from dense 2**N
+operators, built and applied as small stacks of at most ``DENSE_ENTRIES``
+entries.  Every recorded float is the one the per-state functions give.
 """
 
 from __future__ import annotations
@@ -31,28 +35,31 @@ from itertools import chain, permutations, product, tee
 import math
 import numpy as np
 
-from .frame import RotationAngles, rotation_matrix
+from .frame import RotationAngles, primed_axes, rotation_matrix
 from .moments import (
     PATTERNS,
     ROUTE_REL_TOL,
     UndefinedFrame,
     _SITE_WORDS,
     _raise_undefined,
-    central_moment,
-    moment_reports,
+    _shifted_moments,
     pattern_weights,
     route_deviation,
+    stack_reports,
+    stacks_of,
 )
-from .operators import AXES, OperatorMatrix, collective_op, single_atom_op
-from .states import (
-    dicke_to_full,
-    random_product_state,
-    random_symmetric_state,
-    symmetric_state,
-)
+from .operators import AXES, check_hermitian, collective_op, single_atom_op
+from .states import coherent_stack, full_rows, ladder_stack, seeded_gaussians
 
 RESIDUAL_TOL = 1e-12
 PRODUCT_S_TOL = 1e-10
+
+# Most dense operator entries in one chunk of the sum-route sweep, 0.5 MiB of
+# complex entries: the x' and y' operators of 2**15 // (2 * 4**N) states.
+# Building and checking a chunk at N=6 took about 55 us per operator at this
+# size and 180 us at 1 MiB, where the arrays no longer stay in cache (one
+# BLAS thread of a 2-vCPU Xeon), so the bound stays this small.
+DENSE_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
@@ -310,8 +317,15 @@ def verify_cancellation(theta, phi):
                           residual <= RESIDUAL_TOL)
 
 
+def _check_trials(count):
+    # a sweep of no trials checks nothing, so it must not pass
+    if count < 1:
+        raise ValueError(f"verification sweeps need at least 1 trial, got {count}")
+
+
 def cancellation_sweep(n_pairs=100, seed=13):
-    """Random-angle sweep of the cancellation check."""
+    """Random-angle sweep of the cancellation check (at least one pair)."""
+    _check_trials(n_pairs)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_pairs):
@@ -332,52 +346,88 @@ def cancellation_sweep(n_pairs=100, seed=13):
 # Randomized sweeps of the moment formulas
 # ---------------------------------------------------------------------------
 
-def _ghz_like(n_atoms):
-    coeffs = np.zeros(n_atoms + 1, dtype=complex)
-    coeffs[0] = coeffs[-1] = 1.0 / math.sqrt(2.0)
-    return symmetric_state(n_atoms, coeffs)
+def _draws(size, count, seed):
+    """``count`` draws of ``size`` complex Gaussians, drawn as they are asked for.
+
+    Each has its own seed from ``default_rng(seed)``, as the per-state
+    ``random_symmetric_state`` and ``random_product_state`` are given theirs.
+    """
+    rng = np.random.default_rng(seed)
+    return (seeded_gaussians(size, int(rng.integers(2**63))) for _ in range(count))
+
+
+def _dense_deviations(worst, n_atoms, chunk):
+    """Fold a chunk of framed ``(ladder row, report)`` pairs into ``worst``.
+
+    The direct route of each row comes from dense 2**N operators, as
+    ``central_moment`` takes it state by state: the rows' 2**N vectors
+    (``full_rows``), the x' and y' operators built elementwise as
+    ``((0 + w_x Jx) + w_y Jy) + w_z Jz``, the additions of ``sum`` over the
+    three weighted components, checked for Hermiticity once per chunk, and
+    the third moments from ``_shifted_moments`` with one stacked ``matmul``,
+    which gives each operator's ``entries @ v`` in every bit.  The route
+    deviations against the reports' sum route are folded in row order.
+    """
+    rows, reports = zip(*chunk)
+    full = full_rows(n_atoms, np.array(rows))
+    # complex weights: the values numpy casts a float weight to in w * mat
+    weights = primed_axes([report.angles for report in reports]).astype(complex)
+    weights = weights.reshape(-1, 3, 1, 1)
+    jx, jy, jz = (_collective(axis, n_atoms) for axis in AXES)
+    ops = ((0 + weights[:, 0] * jx) + weights[:, 1] * jy) + weights[:, 2] * jz
+    check_hermitian(ops)
+    moments = _shifted_moments(
+        np.concatenate((full, full)), lambda v: (ops @ v[..., None])[..., 0], n_atoms, 3
+    )
+    # the x' operators of the chunk come first
+    direct_xp, direct_yp = moments[:, 1].reshape(2, -1).tolist()
+    for report, dx, dy in zip(reports, direct_xp, direct_yp):
+        worst = max(
+            worst,
+            route_deviation(dx, report.m3_xp_sum),
+            route_deviation(dy, report.m3_yp_sum),
+        )
+    return worst
 
 
 def verify_sum_route(n_atoms, n_trials, seed):
     """Both third-moment routes on random symmetric states, dense oracle side.
 
-    Ladder side stacked, dense side per state: the GHZ-like state and the
-    seeded draws stream through ``moment_reports``, which gives each state's
-    frame and sum-route moments, and the direct side of each state is
-    computed with dense rotated operators in the full 2**N space (hence the
-    3 <= N <= 6 window).  Frame-undefined draws are skipped and counted.
+    A GHZ-like state leads, then ``n_trials`` states drawn as
+    ``random_symmetric_state`` draws them, each from its own seeded
+    generator.  They are checked as ``(K, N+1)`` ladder stacks
+    (``ladder_stack``), whose rows stream through one ``stack_reports`` call
+    for each state's frame and sum-route moments.  The direct side of each
+    framed row is computed with dense rotated operators in the full 2**N
+    space (hence the 3 <= N <= 6 window), in chunks of at most
+    ``DENSE_ENTRIES`` operator entries (``_dense_deviations``).  Every
+    float is the one the state gets evaluated alone.  Frame-undefined rows
+    are skipped and counted.
     """
     if not 3 <= n_atoms <= 6:
         raise ValueError(f"dense sum-route sweep needs 3 <= N <= 6, got {n_atoms}")
-    rng = np.random.default_rng(seed)
-    draws = (
-        random_symmetric_state(n_atoms, int(rng.integers(2**63)))
-        for _ in range(n_trials)
+    _check_trials(n_trials)
+    # levels 0 and N normalize to exactly the 1/sqrt(2) of a GHZ state
+    ghz = np.zeros(n_atoms + 1)
+    ghz[0] = ghz[-1] = 1.0
+    ladder, dense = tee(
+        ladder_stack(n_atoms, rows, normalize=True)
+        for rows in stacks_of(chain([ghz], _draws(n_atoms + 1, n_trials, seed)), n_atoms + 1)
     )
-    ladder, dense = tee(chain([_ghz_like(n_atoms)], draws))
-    base = [_collective(axis, n_atoms) for axis in AXES]
+    framed = (
+        pair
+        for pair in zip(chain.from_iterable(dense), stack_reports(ladder))
+        if not isinstance(pair[1], UndefinedFrame)
+    )
     worst = 0.0
-    skipped = 0
-    for state, report in zip(dense, moment_reports(ladder)):
-        if isinstance(report, UndefinedFrame):
-            skipped += 1
-            continue
-        full = dicke_to_full(state)
-        op_xp, op_yp = (
-            OperatorMatrix(sum(w * mat for w, mat in zip(row, base)))
-            for row in rotation_matrix(report.angles)[:2]
-        )
-        direct_xp = central_moment(full, op_xp, 3)
-        direct_yp = central_moment(full, op_yp, 3)
-        worst = max(
-            worst,
-            route_deviation(direct_xp, report.m3_xp_sum),
-            route_deviation(direct_yp, report.m3_yp_sum),
-        )
+    used = 0
+    for chunk in stacks_of(framed, 2 * 4**n_atoms, DENSE_ENTRIES):
+        worst = _dense_deviations(worst, n_atoms, chunk)
+        used += len(chunk)
     return SweepSummary(
         check_id=f"sum_route_n{n_atoms}",
         n_trials=n_trials + 1,
-        n_skipped=skipped,
+        n_skipped=n_trials + 1 - used,
         worst=worst,
         tolerance=ROUTE_REL_TOL,
         passed=worst <= ROUTE_REL_TOL,
@@ -387,16 +437,18 @@ def verify_sum_route(n_atoms, n_trials, seed):
 def verify_product_vanishing(n_atoms, n_trials, seed):
     """S on random identical-qubit product states (must sit at zero).
 
-    The states are drawn as ``moment_reports`` builds its ladder stacks, and
-    each row is folded into ``worst_s`` as it is yielded.
+    The qubits are drawn as ``random_product_state`` draws them and mapped
+    to the ladder K at a time (``coherent_stack``); the rows stream through
+    one ``stack_reports`` call, and each is folded into ``worst_s`` as it is
+    yielded.
     """
-    rng = np.random.default_rng(seed)
-    states = (
-        random_product_state(n_atoms, int(rng.integers(2**63)))
-        for _ in range(n_trials)
-    )
+    if n_atoms < 3:
+        raise ValueError(f"verification sweeps need N >= 3, got {n_atoms}")
+    _check_trials(n_trials)
+    draws = _draws(2, n_trials, seed)
+    stacks = (coherent_stack(n_atoms, qubits) for qubits in stacks_of(draws, n_atoms + 1))
     worst_s = 0.0
-    for row in moment_reports(states):
+    for row in stack_reports(stacks):
         worst_s = max(worst_s, _raise_undefined(row).s_parameter)
     return SweepSummary(
         check_id=f"product_vanishing_n{n_atoms}",
@@ -415,8 +467,7 @@ def run_verification(trials=100, seed=13, n_atoms=None, corrupt_identity=None):
     dense sum-route comparison only exists for 3 <= N <= 6 and is skipped
     outside that window.
     """
-    if trials < 1:
-        raise ValueError(f"verification sweeps need at least 1 trial, got {trials}")
+    _check_trials(trials)
     if n_atoms is not None and n_atoms < 3:
         raise ValueError(f"verification sweeps need N >= 3, got {n_atoms}")
     identities = verify_identity_suite(corrupt_identity)

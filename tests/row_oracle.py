@@ -15,6 +15,11 @@ must equal the package's in every bit.
 ``sampler.projective_sample`` ran before its one array pass: the merged
 eigenvalues are ``np.mean`` over each group and each probability is the
 squared norm of one matrix product per group.
+
+``pair_mix_state`` builds one ``scan`` point as a state of its own, and
+``product_to_dicke_by_state`` maps one product onto the ladder with 2-D
+arrays and ``np.linalg.norm``: the forms that the checked stacks
+(``cli._pair_mix_grid``, ``states.coherent_stack``) replace, bit for bit.
 """
 
 import math
@@ -23,7 +28,7 @@ from operator import mul
 
 import numpy as np
 
-from trispin.errors import FrameUndefinedError
+from trispin.errors import FrameUndefinedError, NotSymmetricError
 from trispin.frame import MeanSpin, rotation_angles, rotation_matrix
 from trispin.moments import (
     PATTERNS,
@@ -33,6 +38,12 @@ from trispin.moments import (
 )
 from trispin.operators import AXES, apply_ladder_axes, ladder_action, matching_vector
 from trispin.sampler import DEGENERACY_TOL
+from trispin.states import (
+    SYMMETRY_TOL,
+    SymmetricState,
+    _half_log_binomials,
+    symmetric_state,
+)
 from trispin.verify import _term_matrix
 
 _IMAG_TOL = 1e-10
@@ -180,3 +191,36 @@ def spectrum_by_group(state, op):
         for _, cols in groups
     ])
     return values, probs / probs.sum()
+
+
+def pair_mix_state(n_atoms, index_a, index_b, alpha):
+    """One ``scan`` point: cos(alpha) on level a, sin(alpha) on level b."""
+    coeffs = [0.0] * (n_atoms + 1)
+    coeffs[index_a] = math.cos(alpha)
+    coeffs[index_b] = math.sin(alpha)
+    return symmetric_state(n_atoms, coeffs, normalize=True)
+
+
+def product_to_dicke_by_state(state):
+    """The ladder state of one identical-qubit ``ProductState``, mapped alone."""
+    rows, n = state.qubits, state.n_atoms
+    overlaps = rows @ rows[0].conj()
+    sizes = np.abs(overlaps)
+    phases = np.divide(overlaps, sizes, out=np.ones_like(overlaps), where=sizes > 0)
+    aligned = rows * phases.conj()[:, None]
+    qubit = aligned.mean(axis=0)
+    drift = aligned - aligned[0]
+    residual = float(np.linalg.norm(drift - drift.mean(axis=0)))
+    if residual > SYMMETRY_TOL:
+        raise NotSymmetricError(
+            f"product rows differ beyond a global phase: non-symmetric weight "
+            f"of norm {residual:.3e}"
+        )
+    k = np.arange(n + 1)
+    log_mag = _half_log_binomials(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for power, amp in ((n - k, qubit[0]), (k, qubit[1])):
+            log_mag = log_mag + np.where(power > 0, power * np.log(abs(amp)), 0.0)
+    phase = (n - k) * np.angle(qubit[0]) + k * np.angle(qubit[1])
+    coeffs = np.prod(phases) * np.exp(log_mag + 1j * phase)
+    return SymmetricState(n, coeffs / np.linalg.norm(coeffs))

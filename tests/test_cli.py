@@ -325,18 +325,18 @@ class TestScan:
         monkeypatch.setattr(moments, "STACK_LEVELS", 20)  # 5 points of 4 levels
         counts = {"drawn": 0, "used": 0}
         ahead = []
-        make_state, make_row = cli._pair_mix_state, cli._scan_row
+        make_grid, make_row = cli._pair_mix_grid, cli._scan_row
 
-        def drawing(*args):
-            counts["drawn"] += 1
-            return make_state(*args)
+        def drawing(n_atoms, index_a, index_b, alphas):
+            counts["drawn"] += len(alphas)
+            return make_grid(n_atoms, index_a, index_b, alphas)
 
         def using(*args):
             counts["used"] += 1
             ahead.append(counts["drawn"] - counts["used"])
             return make_row(*args)
 
-        monkeypatch.setattr(cli, "_pair_mix_state", drawing)
+        monkeypatch.setattr(cli, "_pair_mix_grid", drawing)
         monkeypatch.setattr(cli, "_scan_row", using)
         assert main(["scan", "--grid", PAIR_MIX_GRID]) == 0
         assert counts == {"drawn": 101, "used": 101}

@@ -9,21 +9,29 @@ both refuse writes.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from row_oracle import stack_reports_by_row, terms_matrix_by_term
+from row_oracle import (
+    pair_mix_state,
+    product_to_dicke_by_state,
+    stack_reports_by_row,
+    terms_matrix_by_term,
+)
 from trispin import (
+    NotSymmetricError,
     as_symmetric,
     moment_reports,
     product_state,
     random_symmetric_state,
     symmetric_state,
 )
-from trispin import frame, moments, states, verify
+from trispin import cli, frame, moments, states, verify
+from trispin.moments import stack_reports
 from trispin.operators import AXES, ladder_vectors
 from trispin.verify import (
     IDENTITIES,
@@ -107,6 +115,117 @@ class TestColumnStageMatchesRows:
         # 2001 points over [0, pi]: more than one stack, and rows at the poles
         grid = [pair_mix(3, math.pi * i / 2000) for i in range(2001)]
         assert_rows_match_the_row_oracle(grid)
+
+
+# ---------------------------------------------------------------------------
+# Stacks checked as arrays give each row the bits of its state alone
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("size", [*range(4, 16), 51, 201])
+def test_row_norms_equal_np_linalg_norm(size):
+    # the rule every normalized stack relies on: vecdot on the strided .real
+    # and .imag views adds as np.linalg.norm does for one vector
+    rng = np.random.default_rng(size)
+    rows = rng.standard_normal((300, size)) + 1j * rng.standard_normal((300, size))
+    got = states._row_norms(rows)
+    assert bits(got) == bits(np.array([np.linalg.norm(row) for row in rows]))
+
+
+def scan_alphas(start, stop, points):
+    return [
+        start if points == 1 else start + (stop - start) * i / (points - 1)
+        for i in range(points)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n_atoms, index_a, index_b, start, stop, points",
+    [
+        (4, 0, 4, 0.0, math.pi / 2, 9),  # the midpoint's frame is undefined
+        (3, 0, 1, 0.0, math.pi / 2, 101),
+        (20, 0, 1, 0.0, math.pi / 2, 11),
+        (4, 1, 2, 0.1, 1.2, 5),
+        (5, 5, 0, -3.0, 9.0, 1),
+        (999, 3, 998, 0.0, 1.0, 7),
+    ],
+)
+def test_scan_grid_rows_equal_the_point_oracle(n_atoms, index_a, index_b, start, stop,
+                                               points, monkeypatch):
+    monkeypatch.setattr(moments, "STACK_LEVELS", 3 * (n_atoms + 1))  # stack edges
+    alphas = scan_alphas(start, stop, points)
+    grid = (
+        cli._pair_mix_grid(n_atoms, index_a, index_b, part)
+        for part in moments.stacks_of(alphas, n_atoms + 1)
+    )
+    want = [
+        next(moment_reports([pair_mix_state(n_atoms, index_a, index_b, alpha)]))
+        for alpha in alphas
+    ]
+    got = list(stack_reports(grid))
+    assert [repr(row) for row in got] == [repr(row) for row in want]
+    undefined = [i for i, row in enumerate(got) if isinstance(row, moments.UndefinedFrame)]
+    assert undefined == ([4] if (n_atoms, points) == (4, 9) else [])
+
+
+def qubit_pairs(rng, count):
+    pairs = rng.standard_normal((count, 2)) + 1j * rng.standard_normal((count, 2))
+    pairs[0] = [0.3, 0.0]  # on the pole
+    pairs[1] = [0.0, 2.0 - 1.0j]  # on the other pole
+    return pairs
+
+
+@pytest.mark.parametrize("n_atoms", [3, 4, 8, 20, 333])
+def test_coherent_stack_rows_equal_each_product_alone(n_atoms):
+    rng = np.random.default_rng(n_atoms)
+    pairs = qubit_pairs(rng, 40)
+    stack = states.coherent_stack(n_atoms, pairs)
+    for pair, row in zip(pairs, stack, strict=True):
+        qubit = states._normalized(pair)
+        want = product_to_dicke_by_state(product_state([qubit] * n_atoms)).coeffs
+        assert bits(row) == bits(want)
+
+
+@pytest.mark.parametrize("n_atoms", [1, 3, 8, 50])
+def test_products_with_phased_rows_map_as_alone(n_atoms):
+    # _product_to_dicke is the stacked map on a stack of one; rows that
+    # differ by a phase, or are orthogonal to row 0, keep the oracle's bits
+    # and its refusal
+    rng = np.random.default_rng(100 + n_atoms)
+    for qubit in qubit_pairs(rng, 20):
+        qubit = qubit / np.linalg.norm(qubit)
+        phased = qubit * np.exp(1j * rng.uniform(-3.0, 3.0, (n_atoms, 1)))
+        for rows in (phased, np.tile(qubit, (n_atoms, 1))):
+            state = product_state(rows)
+            try:
+                want = product_to_dicke_by_state(state).coeffs
+            except Exception as exc:  # N < 3 is no symmetric state
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    states._product_to_dicke(state)
+                continue
+            assert bits(states._product_to_dicke(state).coeffs) == bits(want)
+    mixed = product_state([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(NotSymmetricError) as want:
+        product_to_dicke_by_state(mixed)
+    with pytest.raises(NotSymmetricError, match=re.escape(str(want.value))):
+        states._product_to_dicke(mixed)
+
+
+def test_ladder_stack_applies_the_state_rules():
+    good = np.array([random_symmetric_state(4, seed).coeffs for seed in range(3)])
+    assert bits(states.ladder_stack(4, good)) == bits(good)
+    for n_atoms, rows, normalize, message in [
+        (2, good[:, :3], False, "at least 3 atoms"),
+        (4, good[:, :4], False, "expected rows of 5 coefficients"),
+        (4, 2 * good, False, "not normalized"),
+        (4, np.where(good == good[1, 2], np.nan, good), True, "finite"),
+        (4, np.vstack([good, np.zeros(5)]), True, "zero vector"),
+    ]:
+        with pytest.raises(states.InvalidStateError, match=message):
+            states.ladder_stack(n_atoms, rows, normalize=normalize)
+    # each normalized row holds the coefficients symmetric_state gives it
+    raw = 3 * good + 0.5
+    want = [symmetric_state(4, row, normalize=True).coeffs for row in raw]
+    assert bits(states.ladder_stack(4, raw, normalize=True)) == bits(np.array(want))
 
 
 def counting(monkeypatch, owner, name):

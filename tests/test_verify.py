@@ -2,6 +2,7 @@ import ast
 import itertools
 import math
 from collections import Counter
+from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from trispin import (
     verify_product_vanishing,
     verify_sum_route,
 )
-from trispin import verify
+from trispin import moments, verify
 from trispin.frame import rotation_matrix
 from trispin.moments import PATTERNS, ROUTE_REL_TOL, pattern_weights, route_deviation
 from trispin.verify import (
@@ -211,10 +212,32 @@ class TestSumRouteSweep:
             verify_sum_route(2, 5, seed=1)
 
 
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda trials: verify_sum_route(3, trials, 1),
+        lambda trials: verify_product_vanishing(3, trials, 1),
+        cancellation_sweep,
+    ],
+    ids=["sum_route", "product_vanishing", "cancellation"],
+)
+@pytest.mark.parametrize("trials", [0, -1])
+def test_a_sweep_of_no_trials_is_refused(sweep, trials):
+    # with no trials a sweep checks nothing (the sum route's only row is the
+    # skipped GHZ probe), so it must not come back passed
+    with pytest.raises(ValueError, match="at least 1 trial"):
+        sweep(trials)
+
+
 class TestProductVanishing:
     def test_random_products(self):
         summary = verify_product_vanishing(3, 100, seed=3)
         assert summary.passed and summary.worst <= 1e-10
+
+    @pytest.mark.parametrize("n_atoms", [2, 0, -1])
+    def test_atom_count_below_three_refused(self, n_atoms):
+        with pytest.raises(ValueError, match="N >= 3"):
+            verify_product_vanishing(n_atoms, 5, seed=1)
 
     def test_spin_coherent_along_x(self):
         from trispin import entanglement_s
@@ -322,23 +345,47 @@ def per_state_product_vanishing(n_atoms, n_trials, seed):
 
 SEEDS = st.integers(0, 2**32 - 1)
 TRIALS = st.integers(1, 30)
+# rows per ladder stack and per dense chunk: None keeps the default bound,
+# small counts put stack and chunk edges inside a sweep
+ROWS = st.one_of(st.none(), st.integers(1, 7))
+
+
+@contextmanager
+def bounded_stacks(n_atoms, ladder_rows, dense_rows=None):
+    """Set ``STACK_LEVELS`` and ``DENSE_ENTRIES`` to hold that many rows."""
+    with pytest.MonkeyPatch.context() as patch:
+        if ladder_rows is not None:
+            patch.setattr(moments, "STACK_LEVELS", ladder_rows * (n_atoms + 1))
+        if dense_rows is not None:
+            patch.setattr(verify, "DENSE_ENTRIES", dense_rows * 2 * 4**n_atoms)
+        yield
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(n_atoms=st.integers(3, 6), n_trials=TRIALS, seed=SEEDS)
-def test_stacked_sum_route_equals_per_state_loop(n_atoms, n_trials, seed):
+@given(
+    n_atoms=st.integers(3, 6), n_trials=TRIALS, seed=SEEDS,
+    ladder_rows=ROWS, dense_rows=ROWS,
+)
+def test_stacked_sum_route_equals_per_state_loop(
+    n_atoms, n_trials, seed, ladder_rows, dense_rows
+):
     # the GHZ probe leads every sum-route stack, so each draw has a skipped row
-    stacked = verify_sum_route(n_atoms, n_trials, seed)
+    with bounded_stacks(n_atoms, ladder_rows, dense_rows):
+        stacked = verify_sum_route(n_atoms, n_trials, seed)
     assert stacked.n_skipped >= 1
     assert repr(stacked) == repr(per_state_sum_route(n_atoms, n_trials, seed))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(n_atoms=st.sampled_from([3, 8, 20]), n_trials=TRIALS, seed=SEEDS)
-def test_stacked_product_vanishing_equals_per_state_loop(n_atoms, n_trials, seed):
-    assert repr(verify_product_vanishing(n_atoms, n_trials, seed)) == repr(
-        per_state_product_vanishing(n_atoms, n_trials, seed)
-    )
+@given(
+    n_atoms=st.sampled_from([3, 8, 20]), n_trials=TRIALS, seed=SEEDS, ladder_rows=ROWS
+)
+def test_stacked_product_vanishing_equals_per_state_loop(
+    n_atoms, n_trials, seed, ladder_rows
+):
+    with bounded_stacks(n_atoms, ladder_rows):
+        stacked = verify_product_vanishing(n_atoms, n_trials, seed)
+    assert repr(stacked) == repr(per_state_product_vanishing(n_atoms, n_trials, seed))
 
 
 @pytest.mark.parametrize(
@@ -346,14 +393,14 @@ def test_stacked_product_vanishing_equals_per_state_loop(n_atoms, n_trials, seed
     [(verify_sum_route, 4), (verify_product_vanishing, 8)],
 )
 def test_each_sweep_makes_one_stacked_call(sweep, n_atoms, monkeypatch):
-    stacked = verify.moment_reports
+    stacked = verify.stack_reports
     calls = []
 
-    def spy(states):
-        calls.append(states)
-        return stacked(states)
+    def spy(stacks):
+        calls.append(stacks)
+        return stacked(stacks)
 
-    monkeypatch.setattr(verify, "moment_reports", spy)
+    monkeypatch.setattr(verify, "stack_reports", spy)
     assert sweep(n_atoms, 12, seed=5).passed
     assert len(calls) == 1
 
@@ -389,32 +436,34 @@ def test_one_chunker(module):
 
 
 @pytest.mark.parametrize(
-    "sweep, draw, use",
+    "sweep, use, rows_used",
     [
-        # the sum-route sweep draws a GHZ-like state first, outside the count;
-        # each framed row reaches the dense side through dicke_to_full
-        (verify_sum_route, "random_symmetric_state", "dicke_to_full"),
-        (verify_product_vanishing, "random_product_state", "_raise_undefined"),
+        # the sum-route sweep draws a GHZ-like row first, outside the count;
+        # each framed row reaches the dense side in a chunk of rows
+        (verify_sum_route, "_dense_deviations", lambda worst, n_atoms, chunk: len(chunk)),
+        (verify_product_vanishing, "_raise_undefined", lambda row: 1),
     ],
+    ids=["sum_route", "product_vanishing"],
 )
-def test_sweeps_stream_through_bounded_stacks(sweep, draw, use, monkeypatch):
-    from trispin import moments
-
+def test_sweeps_stream_through_bounded_stacks(sweep, use, rows_used, monkeypatch):
     monkeypatch.setattr(moments, "STACK_LEVELS", 20)  # 5 states of 4 levels
+    # dense chunks of 5 rows too: by default a chunk is never longer than a
+    # ladder stack at N = 3 (256 against 1024 rows)
+    monkeypatch.setattr(verify, "DENSE_ENTRIES", 5 * 2 * 4**3)
     counts = {"drawn": 0, "used": 0}
     ahead = []
-    drawn_fn, used_fn = getattr(verify, draw), getattr(verify, use)
+    drawn_fn, used_fn = verify.seeded_gaussians, getattr(verify, use)
 
     def drawing(*args):
         counts["drawn"] += 1
         return drawn_fn(*args)
 
     def using(*args):
-        counts["used"] += 1
+        counts["used"] += rows_used(*args)
         ahead.append(counts["drawn"] - counts["used"])
         return used_fn(*args)
 
-    monkeypatch.setattr(verify, draw, drawing)
+    monkeypatch.setattr(verify, "seeded_gaussians", drawing)
     monkeypatch.setattr(verify, use, using)
     assert sweep(3, 50, seed=7).passed
     assert counts == {"drawn": 50, "used": 50}
