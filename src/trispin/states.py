@@ -18,6 +18,10 @@ Every constructor rejects non-finite amplitudes and validates normalization
 to ``NORM_TOL``.  The factory helpers (``symmetric_state`` etc.) accept
 ``normalize=True`` for noisy hand-written input.  States are immutable after
 construction (arrays are made read-only) and safe to share between threads.
+
+The rules are written once, for stacks of rows (``ladder_stack``,
+``_normalized_rows``, ``_check_unit_rows``); a single state is checked as
+a stack of one, and ``dicke_to_full`` is ``full_rows`` of one row.
 """
 
 from __future__ import annotations
@@ -64,16 +68,7 @@ class SymmetricState:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.n_atoms < 3:
-            raise InvalidStateError(
-                f"symmetric states need at least 3 atoms, got {self.n_atoms}"
-            )
-        arr = _frozen_array(self, "coeffs", self.coeffs)
-        if arr.shape != (self.n_atoms + 1,):
-            raise InvalidStateError(
-                f"expected {self.n_atoms + 1} coefficients, got shape {arr.shape}"
-            )
-        _check_unit_norm(arr)
+        ladder_stack(self.n_atoms, _frozen_array(self, "coeffs", self.coeffs)[None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,9 +84,9 @@ class ProductState:
                 f"expected an (N, 2) array of qubit amplitudes, got shape {arr.shape}"
             )
         _check_finite(arr)
-        norms = np.abs(arr[:, 0]) ** 2 + np.abs(arr[:, 1]) ** 2
-        worst = np.max(np.abs(norms - 1.0))
-        if worst > NORM_TOL:
+        totals, off = _unit_totals(arr)
+        if off.any():
+            worst = np.max(np.abs(totals - 1.0))
             raise InvalidStateError(
                 f"atom amplitudes not normalized (worst deviation {worst:.3e})"
             )
@@ -116,7 +111,7 @@ class FullState:
             raise InvalidStateError(
                 f"expected {1 << self.n_atoms} amplitudes, got shape {arr.shape}"
             )
-        _check_unit_norm(arr)
+        _check_unit_rows(arr[None])
 
 
 def _check_finite(arr):
@@ -137,6 +132,12 @@ def _row_norms(rows):
     return np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
 
 
+def _unit_totals(rows):
+    """Each row's sum of squared magnitudes, and whether it is off 1 (NaN is)."""
+    totals = np.sum(np.abs(rows) ** 2, axis=-1)
+    return totals, ~(np.abs(totals - 1.0) <= NORM_TOL)
+
+
 def _check_unit_rows(rows):
     """Refuse a non-finite entry, or a row of a 2-D array off unit norm.
 
@@ -144,8 +145,7 @@ def _check_unit_rows(rows):
     ``NORM_TOL`` from 1; the first such row is reported.  Returns ``rows``.
     """
     _check_finite(rows)
-    totals = np.sum(np.abs(rows) ** 2, axis=-1)
-    off = np.abs(totals - 1.0) > NORM_TOL
+    totals, off = _unit_totals(rows)
     if off.any():
         total = float(totals[off.argmax()])
         raise InvalidStateError(
@@ -154,53 +154,72 @@ def _check_unit_rows(rows):
     return rows
 
 
-def _normalized_rows(rows):
-    """Each row of a 2-D complex array divided by its norm (``_row_norms``).
+def _normalized_rows(rows, row_norms=_row_norms):
+    """Each row of a 2-D complex array divided by its norm, ``row_norms(rows)``.
 
-    Refuses a non-finite entry, and a zero row, which has no direction.
+    Refuses a non-finite entry, and a zero row, which has no direction.  A
+    row whose squares leave the double range (entries past about 1e154, or
+    all below about 1e-154) comes out off unit norm; only such a row is
+    divided by its largest real or imaginary part first, so every other row
+    keeps its bits.
     """
     _check_finite(rows)
-    norms = _row_norms(rows)
-    if not norms.all():
-        raise InvalidStateError("cannot normalize a zero vector")
-    return rows / norms[:, None]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        norms = row_norms(rows)
+        out = rows / norms[:, None]
+    # squares can under- or overflow only in a row whose norm is far from 1
+    if not ((norms >= 2.0**-500) & (norms <= 2.0**500)).all():
+        off = _unit_totals(out)[1]
+        top = np.maximum(np.abs(rows.real), np.abs(rows.imag)).max(axis=-1)[off]
+        if not top.all():
+            raise InvalidStateError("cannot normalize a zero vector")
+        wide = rows[off] / top[:, None]
+        out[off] = wide / _row_norms(wide)[:, None]
+    return out
 
 
-def _check_unit_norm(arr):
-    _check_unit_rows(arr.reshape(1, -1))
-
-
-def _normalized(arr):
-    return _normalized_rows(arr.reshape(1, -1)).reshape(arr.shape)
-
-
-def symmetric_state(n_atoms, coeffs, normalize=False):
-    """Build a ``SymmetricState``, optionally renormalizing the input."""
-    arr = np.asarray(coeffs, dtype=complex)
-    if normalize:
-        arr = _normalized(arr)
-    return SymmetricState(int(n_atoms), arr)
-
-
-def ladder_stack(n_atoms, rows, normalize=False):
-    """K symmetric states of ``n_atoms`` atoms as one checked ``(K, N+1)`` array.
-
-    The stack form of ``symmetric_state``: every row passes the rules a
-    ``SymmetricState`` applies (at least 3 atoms, N+1 coefficients, finite
-    values, unit norm to ``NORM_TOL``), checked once for the whole stack,
-    and ``normalize`` first divides each row by its norm, refusing a zero
-    row.  Each row holds the coefficients ``symmetric_state`` gives that row
-    alone, bit for bit (``_row_norms``).  ``moments.stack_reports`` takes
-    the result.
-    """
+def _check_atom_count(n_atoms):
+    """Refuse fewer than 3 atoms, the least a symmetric state has."""
     if n_atoms < 3:
         raise InvalidStateError(f"symmetric states need at least 3 atoms, got {n_atoms}")
+
+
+def _ladder_rows(n_atoms, rows):
+    """``rows`` as a contiguous complex array, refused unless ``(K, N+1)``."""
+    _check_atom_count(n_atoms)
     arr = np.ascontiguousarray(rows, dtype=complex)  # rows contiguous, as one state's
     if arr.ndim != 2 or arr.shape[1] != n_atoms + 1:
         raise InvalidStateError(
             f"expected rows of {n_atoms + 1} coefficients, got shape {arr.shape}"
         )
+    return arr
+
+
+def ladder_stack(n_atoms, rows, normalize=False):
+    """K symmetric states of ``n_atoms`` atoms as one checked ``(K, N+1)`` array.
+
+    The rules of a ladder state, checked once for the whole stack: at least
+    3 atoms, N+1 coefficients, finite values, unit norm to ``NORM_TOL``;
+    ``normalize`` first divides each row by its norm, refusing a zero row.
+    A ``SymmetricState`` is checked here as a stack of one, so each row
+    holds what ``symmetric_state`` gives that row alone, bit for bit.
+    ``moments.stack_reports`` takes the result.
+    """
+    arr = _ladder_rows(n_atoms, rows)
     return _check_unit_rows(_normalized_rows(arr) if normalize else arr)
+
+
+def symmetric_state(n_atoms, coeffs, normalize=False):
+    """Build a ``SymmetricState``, optionally renormalizing the input.
+
+    ``normalize`` divides after the atom count and shape pass, as in
+    ``ladder_stack``; ``SymmetricState`` then checks the rest once.
+    """
+    n_atoms = int(n_atoms)
+    arr = np.asarray(coeffs, dtype=complex)
+    if normalize:
+        arr = _normalized_rows(_ladder_rows(n_atoms, arr[None]))[0]
+    return SymmetricState(n_atoms, arr)
 
 
 def product_state(qubits, normalize=False):
@@ -208,10 +227,11 @@ def product_state(qubits, normalize=False):
     arr = np.asarray(qubits, dtype=complex)
     if normalize and arr.ndim == 2 and arr.shape[1] == 2:
         _check_finite(arr)
-        norms = np.linalg.norm(arr, axis=1)
-        if np.any(norms == 0.0):
+        if not arr.any(axis=1).all():
             raise InvalidStateError("cannot normalize a zero qubit amplitude pair")
-        arr = arr / norms[:, None]
+        # not _row_norms, which differs in the last bit for some pairs and so
+        # would change the output of normalized product documents
+        arr = _normalized_rows(arr, lambda pairs: np.linalg.norm(pairs, axis=1))
     return ProductState(arr)
 
 
@@ -219,7 +239,7 @@ def full_state(n_atoms, amplitudes, normalize=False):
     """Build a ``FullState`` over the 2**N product basis."""
     arr = np.asarray(amplitudes, dtype=complex)
     if normalize:
-        arr = _normalized(arr)
+        arr = _normalized_rows(arr.reshape(1, -1)).reshape(arr.shape)
     return FullState(int(n_atoms), arr)
 
 
@@ -250,18 +270,14 @@ def dicke_to_full(state):
     ``coeffs[k] / sqrt(C(N, k))``, i.e. the ladder level spreads uniformly
     over its C(N, k) bit patterns.
     """
-    n = state.n_atoms
-    check_full_space_size(n)
-    counts, _, divisor = _ladder_spread(n)
-    return FullState(n, state.coeffs[counts] / divisor)
+    return FullState(state.n_atoms, full_rows(state.n_atoms, state.coeffs[None])[0])
 
 
 def full_rows(n_atoms, psi):
-    """``dicke_to_full`` of each row of a checked ``(K, N+1)`` ladder stack.
+    """The 2**N amplitudes of each row of a checked ``(K, N+1)`` ladder stack.
 
-    Returns the ``(K, 2**N)`` amplitudes: each row holds the values, and
-    passes the checks (the cap, finite entries, unit norm), of the
-    per-state expansion.
+    Returns the ``(K, 2**N)`` amplitudes (``dicke_to_full`` of each row),
+    after the cap and the finite and unit-norm checks of a ``FullState``.
     """
     check_full_space_size(n_atoms)
     counts, _, divisor = _ladder_spread(n_atoms)
@@ -381,8 +397,7 @@ def coherent_stack(n_atoms, qubits):
     copies go through ``_products_to_ladder`` together and the rows through
     ``ladder_stack``.
     """
-    if n_atoms < 3:
-        raise InvalidStateError(f"symmetric states need at least 3 atoms, got {n_atoms}")
+    _check_atom_count(n_atoms)
     pairs = np.asarray(qubits, dtype=complex)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise InvalidStateError(f"expected (K, 2) qubit amplitudes, got shape {pairs.shape}")
@@ -430,14 +445,13 @@ def random_symmetric_state(n_atoms, seed):
 
     Deterministic for a fixed seed (``seeded_gaussians``).
     """
-    if n_atoms < 3:
-        raise InvalidStateError(f"symmetric states need at least 3 atoms, got {n_atoms}")
-    return SymmetricState(n_atoms, _normalized(seeded_gaussians(n_atoms + 1, seed)))
+    _check_atom_count(n_atoms)  # before the draw, whose size must be a count
+    return symmetric_state(n_atoms, seeded_gaussians(n_atoms + 1, seed), normalize=True)
 
 
 def random_product_state(n_atoms, seed):
     """Random identical-qubit product state (one Gaussian qubit, replicated)."""
-    qubit = _normalized(seeded_gaussians(2, seed))
+    qubit = _normalized_rows(seeded_gaussians(2, seed)[None])[0]
     return ProductState(np.tile(qubit, (n_atoms, 1)))
 
 

@@ -6,6 +6,7 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from trispin import cli
@@ -100,6 +101,32 @@ class TestCompute:
             main(["compute", "--input", path, "--normalize", "--output", str(out)])
             == 0
         )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("representation, scale", [
+        ("dicke", 1e200),  # the squares overflow
+        ("dicke", 1e-170),  # the squares underflow to 0
+        ("dicke", 1e-158),  # the squares are subnormal
+        ("product", 1e200),
+        ("product", 1e-170),
+    ])
+    def test_normalize_takes_amplitudes_of_any_scale(
+        self, representation, scale, tmp_path, capsys
+    ):
+        if representation == "dicke":
+            coeffs = [[1, 0], [0.5, 0.25], [0.2, 0], [0.1, -0.3]]
+        else:
+            coeffs = [[[0.6, 0.1], [0.3, 0]]] * 3
+        scaled = (np.array(coeffs) * scale).tolist()
+        s_values = []
+        for name, data in (("unit.json", coeffs), ("scaled.json", scaled)):
+            path = write_state(tmp_path, name, data, representation=representation)
+            argv = ["compute", "--input", path, "--normalize"]
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            s_values.append(json.loads(captured.out)["report"]["s_parameter"])
+        assert s_values[1] == pytest.approx(s_values[0], rel=1e-12, abs=1e-15)
 
     def test_reruns_byte_identical_except_timestamp(self, pinned_state, tmp_path):
         out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"

@@ -180,7 +180,7 @@ def test_coherent_stack_rows_equal_each_product_alone(n_atoms):
     pairs = qubit_pairs(rng, 40)
     stack = states.coherent_stack(n_atoms, pairs)
     for pair, row in zip(pairs, stack, strict=True):
-        qubit = states._normalized(pair)
+        qubit = states._normalized_rows(pair[None])[0]
         want = product_to_dicke_by_state(product_state([qubit] * n_atoms)).coeffs
         assert bits(row) == bits(want)
 
@@ -210,6 +210,15 @@ def test_products_with_phased_rows_map_as_alone(n_atoms):
         states._product_to_dicke(mixed)
 
 
+def outcome(build):
+    """The bits ``build()`` returns, or the message of the ``InvalidStateError``
+    it raises."""
+    try:
+        return bits(build())
+    except states.InvalidStateError as exc:
+        return str(exc)
+
+
 def test_ladder_stack_applies_the_state_rules():
     good = np.array([random_symmetric_state(4, seed).coeffs for seed in range(3)])
     assert bits(states.ladder_stack(4, good)) == bits(good)
@@ -219,9 +228,23 @@ def test_ladder_stack_applies_the_state_rules():
         (4, 2 * good, False, "not normalized"),
         (4, np.where(good == good[1, 2], np.nan, good), True, "finite"),
         (4, np.vstack([good, np.zeros(5)]), True, "zero vector"),
+        # more than one fault: the rules apply in one order
+        (-5, good[:, :3], True, "at least 3 atoms"),
+        (4, good[:, :4] * 0, True, "expected rows of 5 coefficients"),
+        (4, np.where(good == good[1, 2], np.inf, 2 * good), False, "finite"),
     ]:
         with pytest.raises(states.InvalidStateError, match=message):
             states.ladder_stack(n_atoms, rows, normalize=normalize)
+        # one rule set: each row alone meets what its stack of one meets
+        for row in rows:
+            want = outcome(lambda: states.ladder_stack(n_atoms, row[None], normalize))
+            assert outcome(lambda: symmetric_state(n_atoms, row, normalize).coeffs) == want
+            if not normalize:
+                assert outcome(lambda: states.SymmetricState(n_atoms, row).coeffs) == want
+    for n_atoms in (-5, -2, 0, 2):
+        with pytest.raises(states.InvalidStateError) as caught:
+            random_symmetric_state(n_atoms, 0)
+        assert str(caught.value) == f"symmetric states need at least 3 atoms, got {n_atoms}"
     # each normalized row holds the coefficients symmetric_state gives it
     raw = 3 * good + 0.5
     want = [symmetric_state(4, row, normalize=True).coeffs for row in raw]

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -625,3 +626,12 @@ class TestImaginaryPartGuard:
                 triple_correlators(state)
         else:
             assert triple_correlators(state) == want
+
+
+def test_declared_numpy_floor_covers_np_matvec():
+    # np.matvec (moments._correlator_rows) is new in numpy 2.2; read the floor
+    # by a regex, as Python 3.10 has no tomllib
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    floor = re.search(r'"numpy>=(\d+)\.(\d+)', text)
+    assert floor is not None
+    assert tuple(map(int, floor.groups())) >= (2, 2)
