@@ -5,10 +5,12 @@ eigendecomposed, eigenvalues equal within ``DEGENERACY_TOL`` are merged in
 one array pass (``np.add.reduceat`` over the group starts), outcome
 probabilities follow the Born rule, and shots are drawn with a seeded PCG64
 generator (``numpy.random.default_rng``), so a record is replayable
-bit-exactly from its stored seed.  Shots are tallied in one pass: the M
-uniforms are sorted and counted below each entry of the cumulative
-distribution.  These are the same uniforms and the same comparisons as
-``Generator.choice``, so the counts equal a tally of its draws.
+bit-exactly from its stored seed.  Shots are tallied without a search per
+shot: the M uniforms are counted below each entry of the cumulative
+distribution, by one comparison pass per entry when there are few outcomes
+for the shot count, and by sorting them when there are many.  These are the
+same uniforms and the same comparisons as ``Generator.choice``, so the counts
+equal a tally of its draws.
 
 Standard errors of the empirical central moments come from a multinomial
 bootstrap of the recorded counts (closed-form errors for third central
@@ -47,9 +49,18 @@ BOOTSTRAP_RESAMPLES = 200
 # a larger N would end in an out-of-memory kill rather than an error.
 MAX_SAMPLE_ATOMS = 2000
 # Most shots one record takes.  The tally holds M float64 uniforms at once,
-# 8 bytes a shot: at N=10 a run took 0.35 s and 113 MB peak RSS with 10^7
-# shots (0.044 s and 45 MB with 10^6), and 10^9 shots would need 8 GB.
+# 8 bytes a shot: at N=10 a run took 0.19 s and 113 MB peak RSS with 10^7
+# shots (0.029 s and 44 MB with 10^6), and 10^9 shots would need 8 GB.
 MAX_SHOTS = 10**7
+# The tally's cost model, fitted on a 2-vCPU Xeon with one thread at 10^3 to
+# 10^7 shots: a comparison pass over M uniforms takes about as long as
+# M + PASS_CALL_SHOTS comparisons (the constant is numpy's per-call cost), and
+# the sort with its search about SORT_COST * M * log2(M).  Blocks of
+# TALLY_BLOCK shots (512 KiB of uniforms) stay in a core's L2 cache across the
+# passes, and bound the comparison's boolean temporary.
+PASS_CALL_SHOTS = 8000
+SORT_COST = 1.8
+TALLY_BLOCK = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,11 +77,19 @@ class MeasurementRecord:
         evals = np.array(self.eigenvalues, dtype=float)
         evals.setflags(write=False)
         object.__setattr__(self, "eigenvalues", evals)
-        counts = np.array(self.counts, dtype=np.int64)
+        try:
+            counts = np.array(self.counts, dtype=np.int64)
+        except OverflowError as exc:
+            raise ValueError("counts must be whole numbers") from exc
+        # the cast truncates, so a fractional count would pass as a smaller one
+        if not np.array_equal(counts, self.counts):
+            raise ValueError("counts must be whole numbers")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
         if evals.shape != counts.shape or evals.ndim != 1:
             raise ValueError("eigenvalues and counts must be matching 1-d arrays")
+        if not np.all(np.isfinite(evals)):
+            raise ValueError("eigenvalues must be finite")
         if np.any(counts < 0) or int(np.sum(counts)) != self.m_shots:
             raise ValueError("counts must be non-negative and sum to the shot count")
         if np.any(np.diff(evals) <= 0):
@@ -114,21 +133,45 @@ class SamplingEstimate:
     seed: int
 
 
+def _passes_beat_sort(n_outcomes, m_shots):
+    """Whether a comparison pass per cdf entry is cheaper than a sort.
+
+    ``K`` outcomes take ``K - 1`` passes; one pass over ``M`` uniforms costs
+    about as much as ``M + PASS_CALL_SHOTS`` comparisons, and sorting them
+    about ``SORT_COST * M * log2(M)``.
+    """
+    passes = (n_outcomes - 1) * (m_shots + PASS_CALL_SHOTS)
+    return passes <= SORT_COST * m_shots * math.log2(m_shots)
+
+
 def _tally(probs, m_shots, seed):
     """Outcome counts of ``m_shots`` iid draws from ``probs``.
 
     Equal, bit for bit, to ``np.bincount(rng.choice(len(probs), m_shots,
     p=probs), minlength=len(probs))`` with ``rng = default_rng(seed)``:
     ``Generator.choice`` draws the same uniforms and places each one by
-    ``searchsorted(cdf, u, side="right")``.  Counting the sorted uniforms
-    below each cdf entry makes the same exact comparisons without a search
-    per shot.
+    ``searchsorted(cdf, u, side="right")``, so the shots below a cdf entry
+    are those with ``u < entry``.  Few outcomes count them with one
+    comparison pass per entry, block by block; many outcomes sort the
+    uniforms and search each entry.  Both make the same exact comparisons
+    without a search per shot.  The last entry is exactly 1.0, above every
+    uniform, so it needs no pass.
     """
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     uniforms = np.random.default_rng(seed).random(m_shots)
-    uniforms.sort()
-    return np.diff(np.searchsorted(uniforms, cdf, side="left"), prepend=0)
+    if _passes_beat_sort(len(cdf), m_shots):
+        below = np.zeros(len(cdf), dtype=np.int64)
+        below[-1] = m_shots
+        for start in range(0, m_shots, TALLY_BLOCK):
+            block = uniforms[start:start + TALLY_BLOCK]
+            below[:-1] += np.array(
+                [np.count_nonzero(block < edge) for edge in cdf[:-1]], dtype=np.int64
+            )
+    else:
+        uniforms.sort()
+        below = np.searchsorted(uniforms, cdf, side="left")
+    return np.diff(below, prepend=0)
 
 
 def projective_sample(state, op, m_shots, seed, operator_tag="operator"):

@@ -175,6 +175,24 @@ class TestEstimateMoments:
         est = estimate_moments(record)
         assert abs(est.m3 - exact) <= 5 * est.se_m3
 
+    @pytest.mark.parametrize(
+        "eigenvalues", [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0]]
+    )
+    def test_record_refuses_non_finite_eigenvalues(self, eigenvalues):
+        # NaN passes the strictly-increasing check, and an infinite value
+        # would give NaN moments
+        with pytest.raises(ValueError, match="finite"):
+            MeasurementRecord("operator", eigenvalues, [50, 50, 100], 200, seed=3)
+
+    @pytest.mark.parametrize("counts", [[0.6, 1.7], [np.inf, 1.0], [2**70, 1]])
+    def test_record_refuses_non_integral_counts(self, counts):
+        with pytest.raises(ValueError, match="whole numbers"):
+            MeasurementRecord("operator", [0.0, 1.0], counts, 1, seed=3)
+
+    def test_record_takes_whole_counts_held_as_floats(self):
+        record = MeasurementRecord("operator", [0.0, 1.0], [1.0, 2.0], 3, seed=3)
+        assert record.counts.tolist() == [1, 2]
+
     def test_record_json_round_trip_fields(self):
         record = MeasurementRecord("jx_prime", [-0.5, 0.5], [1, 2], 3, seed=4)
         doc = record.to_dict()
@@ -294,6 +312,29 @@ def reference_estimates(record, n_boot):
     return (*moments(record.counts), float(se_mean), float(se_m2), float(se_m3))
 
 
+def outcome_bound(m_shots):
+    """Most outcomes ``_tally`` counts by comparison passes at ``m_shots``."""
+    bound = max(k for k in range(1, 200) if sampler._passes_beat_sort(k, m_shots))
+    assert not sampler._passes_beat_sort(bound + 1, m_shots)
+    return bound
+
+
+def shot_edges(k):
+    """The fewest shots ``_tally`` counts by comparison passes for ``k``
+    outcomes, and one below it; none when every accepted count sorts."""
+    if not sampler._passes_beat_sort(k, sampler.MAX_SHOTS):
+        return ()
+    low, high = 1, sampler.MAX_SHOTS
+    while low < high:
+        mid = (low + high) // 2
+        low, high = (low, mid) if sampler._passes_beat_sort(k, mid) else (mid + 1, high)
+    assert not sampler._passes_beat_sort(k, low - 1)
+    return (low, low - 1)
+
+
+OUTCOME_BOUND = outcome_bound(100_000)
+
+
 class TestSeededStream:
     """Seeded records and estimates equal the per-shot and per-resample draws."""
 
@@ -306,13 +347,16 @@ class TestSeededStream:
             probs[::2] = 0.0
         return probs / probs.sum()
 
-    @pytest.mark.parametrize("k", [2, 3, 5, 15, 16, 17, 100, 1001])
+    # the comparison passes' bounds at 10^5 shots and, per k, in shots
+    @pytest.mark.parametrize(
+        "k", sorted({2, 3, 5, 15, 16, 17, 100, 1001, OUTCOME_BOUND, OUTCOME_BOUND + 1})
+    )
     @pytest.mark.parametrize("holes", [False, True])
     def test_tally_and_bootstrap_equal_the_loops(self, k, holes):
         for seed in range(6):
             probs = self.probabilities(k, holes, seed)
             values = np.cumsum(np.random.default_rng(seed).random(k) + 0.05) - k / 3
-            for m_shots in (100, 100_000):
+            for m_shots in (100, 100_000, *shot_edges(k)):
                 counts = reference_counts(probs, m_shots, seed)
                 assert np.array_equal(sampler._tally(probs, m_shots, seed), counts)
                 record = MeasurementRecord("operator", values, counts, m_shots, seed)
@@ -320,6 +364,25 @@ class TestSeededStream:
                     dataclasses.astuple(estimate_moments(record)),
                     reference_estimates(record, sampler.BOOTSTRAP_RESAMPLES),
                 )
+
+    @pytest.mark.parametrize("k, passes", [(4, True), (40, False)])
+    def test_a_shot_on_a_cdf_entry_goes_to_the_upper_outcome(self, k, passes):
+        m_shots, seed = 100_000, 3
+        uniforms = np.random.default_rng(seed).random(m_shots)
+        # cdf entries are drawn uniforms from every block: multiples of
+        # 2**-53, so their differences and running sums are exact
+        picks = np.linspace(0, m_shots - 1, k - 1).astype(int)
+        entries = np.append(np.sort(uniforms[picks]), 1.0)
+        probs = np.diff(entries, prepend=0.0)
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        assert np.array_equal(cdf, entries)
+        assert np.count_nonzero(np.isin(uniforms, cdf)) >= k - 1
+        assert sampler._passes_beat_sort(k, m_shots) is passes
+        counts = sampler._tally(probs, m_shots, seed)
+        assert np.array_equal(counts, reference_counts(probs, m_shots, seed))
+        lower = np.bincount(np.searchsorted(cdf, uniforms, side="left"), minlength=k)
+        assert not np.array_equal(counts, lower)
 
     def test_projective_sample_counts_equal_the_per_shot_draw(self, monkeypatch):
         seen, _ = spy_on_tally(monkeypatch)
