@@ -129,10 +129,10 @@ class MomentReport:
 
     def max_rel_dev(self):
         """Worst scaled route deviation across the two axes."""
-        return max(
+        return worst_of((
             route_deviation(self.m3_xp_direct, self.m3_xp_sum),
             route_deviation(self.m3_yp_direct, self.m3_yp_sum),
-        )
+        ))
 
     def to_dict(self):
         return {
@@ -167,6 +167,20 @@ def route_deviation(direct, summed):
     """
     floor = ROUTE_ABS_FLOOR / ROUTE_REL_TOL
     return abs(direct - summed) / max(abs(direct), floor)
+
+
+def worst_of(values):
+    """The largest of non-negative ``values`` (0.0 for none), or NaN if one is.
+
+    ``max`` keeps its running value when a comparison is false, so it drops
+    a NaN that is not first (``max(0.0, nan)`` is 0.0) and the check passes;
+    here nothing compares above a NaN, so it sticks.
+    """
+    worst = 0.0
+    for value in values:
+        if value > worst or value != value:
+            worst = value
+    return worst
 
 
 @lru_cache(maxsize=16)

@@ -134,7 +134,8 @@ def _row_norms(rows):
 
 def _unit_totals(rows):
     """Each row's sum of squared magnitudes, and whether it is off 1 (NaN is)."""
-    totals = np.sum(np.abs(rows) ** 2, axis=-1)
+    with np.errstate(over="ignore"):  # an overflow gives inf, which is off
+        totals = np.sum(np.abs(rows) ** 2, axis=-1)
     return totals, ~(np.abs(totals - 1.0) <= NORM_TOL)
 
 
@@ -173,7 +174,15 @@ def _normalized_rows(rows, row_norms=_row_norms):
         top = np.maximum(np.abs(rows.real), np.abs(rows.imag)).max(axis=-1)[off]
         if not top.all():
             raise InvalidStateError("cannot normalize a zero vector")
-        wide = rows[off] / top[:, None]
+        wide = rows[off]
+        # numpy divides by a complex ``top`` as a product with ``1 / top``,
+        # which overflows for the smallest subnormal tops: only those rows
+        # are lifted first, by an exact power of two
+        with np.errstate(over="ignore"):
+            lift = np.isinf(1.0 / top)
+        wide[lift] *= 2.0**600
+        top[lift] *= 2.0**600
+        wide /= top[:, None]
         out[off] = wide / _row_norms(wide)[:, None]
     return out
 

@@ -19,18 +19,18 @@ survive), for arbitrary rotation angles.  ``verify_sum_route`` and
 run on stacks from the seeded draw to the verdict: each draw keeps its own
 seeded generator, the draws are cut into ``(K, N+1)`` ladder stacks by
 ``moments.stacks_of`` and checked once per stack (``states.ladder_stack``,
-``states.coherent_stack``), and the rows stream through one
-``stack_reports`` call and are used as they are yielded.  The sum-route
-sweep checks those rows against an independent direct route from dense 2**N
-operators, built and applied as small stacks of at most ``DENSE_ENTRIES``
-entries.  Every recorded float is the one the per-state functions give.
+``states.coherent_stack``), and the rows go through ``stack_reports`` and
+are used as they are yielded.  The sum-route sweep checks those rows against
+an independent direct route from dense 2**N operators, hermitian by
+construction, in stacks of at most ``DENSE_ENTRIES`` entries.  Every
+recorded float is the one the per-state functions give.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from itertools import chain, permutations, product, tee
+from itertools import chain, permutations, product
 
 import math
 import numpy as np
@@ -47,8 +47,9 @@ from .moments import (
     route_deviation,
     stack_reports,
     stacks_of,
+    worst_of,
 )
-from .operators import AXES, check_hermitian, collective_op, single_atom_op
+from .operators import AXES, collective_op, single_atom_op
 from .states import coherent_stack, full_rows, ladder_stack, seeded_gaussians
 
 RESIDUAL_TOL = 1e-12
@@ -232,7 +233,7 @@ def _single_atom_relation_results():
             )
     results = []
     for check_id, residuals in checks.items():
-        worst = max(float(np.max(np.abs(r))) for r in residuals)
+        worst = worst_of(float(np.max(np.abs(r))) for r in residuals)
         results.append(IdentityResult(check_id, worst, 8, worst <= RESIDUAL_TOL))
     return results
 
@@ -327,11 +328,10 @@ def cancellation_sweep(n_pairs=100, seed=13):
     """Random-angle sweep of the cancellation check (at least one pair)."""
     _check_trials(n_pairs)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_pairs):
-        theta = rng.uniform(0.0, math.pi)
-        phi = rng.uniform(-math.pi, math.pi)
-        worst = max(worst, verify_cancellation(theta, phi).max_abs_residual)
+    pairs = (
+        (rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi)) for _ in range(n_pairs)
+    )
+    worst = worst_of(verify_cancellation(*pair).max_abs_residual for pair in pairs)
     return SweepSummary(
         check_id="cancellation_sweep",
         n_trials=n_pairs,
@@ -356,37 +356,43 @@ def _draws(size, count, seed):
     return (seeded_gaussians(size, int(rng.integers(2**63))) for _ in range(count))
 
 
+def _primed_operators(angles, n_atoms):
+    """The dense x' operators of the frames ``angles``, then their y' operators.
+
+    Each is ``((0 + w_x Jx) + w_y Jy) + w_z Jz`` with the weights cast to
+    ``w + 0j``, as ``sum`` builds it.  They are hermitian without a check:
+    Jx, Jy and Jz are checked and exact, and conjugation commutes bit for
+    bit with a product by ``w + 0j`` and with addition.
+    """
+    weights = primed_axes(angles).astype(complex).reshape(-1, 3, 1, 1)
+    jx, jy, jz = (_collective(axis, n_atoms) for axis in AXES)
+    return ((0 + weights[:, 0] * jx) + weights[:, 1] * jy) + weights[:, 2] * jz
+
+
 def _dense_deviations(worst, n_atoms, chunk):
     """Fold a chunk of framed ``(ladder row, report)`` pairs into ``worst``.
 
     The direct route of each row comes from dense 2**N operators, as
     ``central_moment`` takes it state by state: the rows' 2**N vectors
-    (``full_rows``), the x' and y' operators built elementwise as
-    ``((0 + w_x Jx) + w_y Jy) + w_z Jz``, the additions of ``sum`` over the
-    three weighted components, checked for Hermiticity once per chunk, and
-    the third moments from ``_shifted_moments`` with one stacked ``matmul``,
-    which gives each operator's ``entries @ v`` in every bit.  The route
+    (``full_rows``), their frames' ``_primed_operators``, and the third
+    moments from ``_shifted_moments`` with one stacked ``matmul``, which
+    gives each operator's ``entries @ v`` in every bit.  The route
     deviations against the reports' sum route are folded in row order.
     """
     rows, reports = zip(*chunk)
     full = full_rows(n_atoms, np.array(rows))
-    # complex weights: the values numpy casts a float weight to in w * mat
-    weights = primed_axes([report.angles for report in reports]).astype(complex)
-    weights = weights.reshape(-1, 3, 1, 1)
-    jx, jy, jz = (_collective(axis, n_atoms) for axis in AXES)
-    ops = ((0 + weights[:, 0] * jx) + weights[:, 1] * jy) + weights[:, 2] * jz
-    check_hermitian(ops)
+    ops = _primed_operators([report.angles for report in reports], n_atoms)
     moments = _shifted_moments(
         np.concatenate((full, full)), lambda v: (ops @ v[..., None])[..., 0], n_atoms, 3
     )
     # the x' operators of the chunk come first
     direct_xp, direct_yp = moments[:, 1].reshape(2, -1).tolist()
     for report, dx, dy in zip(reports, direct_xp, direct_yp):
-        worst = max(
+        worst = worst_of((
             worst,
             route_deviation(dx, report.m3_xp_sum),
             route_deviation(dy, report.m3_yp_sum),
-        )
+        ))
     return worst
 
 
@@ -396,10 +402,10 @@ def verify_sum_route(n_atoms, n_trials, seed):
     A GHZ-like state leads, then ``n_trials`` states drawn as
     ``random_symmetric_state`` draws them, each from its own seeded
     generator.  They are checked as ``(K, N+1)`` ladder stacks
-    (``ladder_stack``), whose rows stream through one ``stack_reports`` call
-    for each state's frame and sum-route moments.  The direct side of each
-    framed row is computed with dense rotated operators in the full 2**N
-    space (hence the 3 <= N <= 6 window), in chunks of at most
+    (``ladder_stack``), and each stack goes through ``stack_reports`` beside
+    its own rows for each state's frame and sum-route moments.  The direct
+    side of each framed row is computed with dense rotated operators in the
+    full 2**N space (hence the 3 <= N <= 6 window), in chunks of at most
     ``DENSE_ENTRIES`` operator entries (``_dense_deviations``).  Every
     float is the one the state gets evaluated alone.  Frame-undefined rows
     are skipped and counted.
@@ -410,13 +416,14 @@ def verify_sum_route(n_atoms, n_trials, seed):
     # levels 0 and N normalize to exactly the 1/sqrt(2) of a GHZ state
     ghz = np.zeros(n_atoms + 1)
     ghz[0] = ghz[-1] = 1.0
-    ladder, dense = tee(
+    stacks = (
         ladder_stack(n_atoms, rows, normalize=True)
         for rows in stacks_of(chain([ghz], _draws(n_atoms + 1, n_trials, seed)), n_atoms + 1)
     )
     framed = (
         pair
-        for pair in zip(chain.from_iterable(dense), stack_reports(ladder))
+        for psi in stacks
+        for pair in zip(psi, stack_reports([psi]))
         if not isinstance(pair[1], UndefinedFrame)
     )
     worst = 0.0
@@ -447,9 +454,7 @@ def verify_product_vanishing(n_atoms, n_trials, seed):
     _check_trials(n_trials)
     draws = _draws(2, n_trials, seed)
     stacks = (coherent_stack(n_atoms, qubits) for qubits in stacks_of(draws, n_atoms + 1))
-    worst_s = 0.0
-    for row in stack_reports(stacks):
-        worst_s = max(worst_s, _raise_undefined(row).s_parameter)
+    worst_s = worst_of(_raise_undefined(row).s_parameter for row in stack_reports(stacks))
     return SweepSummary(
         check_id=f"product_vanishing_n{n_atoms}",
         n_trials=n_trials,

@@ -103,19 +103,32 @@ class TestCompute:
         )
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("representation, scale", [
-        ("dicke", 1e200),  # the squares overflow
-        ("dicke", 1e-170),  # the squares underflow to 0
-        ("dicke", 1e-158),  # the squares are subnormal
-        ("product", 1e200),
-        ("product", 1e-170),
+    @pytest.mark.parametrize("representation, scale, coeffs", [
+        # the squares overflow
+        pytest.param("dicke", 1e200, None, id="dicke-1e+200"),
+        # the squares underflow to 0
+        pytest.param("dicke", 1e-170, None, id="dicke-1e-170"),
+        # the squares are subnormal
+        pytest.param("dicke", 1e-158, None, id="dicke-1e-158"),
+        pytest.param("product", 1e200, None, id="product-1e+200"),
+        pytest.param("product", 1e-170, None, id="product-1e-170"),
+        # subnormal amplitudes, with dyadic coefficients that stay exact
+        pytest.param("dicke", 2.0**-1060,
+                     [[1, 0], [0.5, 0.25], [0.125, 0], [0.0625, -0.375]],
+                     id="dicke-dyadic-2**-1060"),
+        pytest.param("product", 2.0**-1060, [[[0.75, 0.125], [0.375, 0]]] * 3,
+                     id="product-dyadic-2**-1060"),
+        # the smallest subnormal on one level
+        pytest.param("dicke", 5e-324, [[0, 0], [1, 0], [0, 0], [0, 0]],
+                     id="dicke-5e-324"),
+        pytest.param("product", 5e-324, [[[0, 0], [1, 0]]] * 3, id="product-5e-324"),
     ])
     def test_normalize_takes_amplitudes_of_any_scale(
-        self, representation, scale, tmp_path, capsys
+        self, representation, scale, coeffs, tmp_path, capsys
     ):
-        if representation == "dicke":
+        if coeffs is None and representation == "dicke":
             coeffs = [[1, 0], [0.5, 0.25], [0.2, 0], [0.1, -0.3]]
-        else:
+        elif coeffs is None:
             coeffs = [[[0.6, 0.1], [0.3, 0]]] * 3
         scaled = (np.array(coeffs) * scale).tolist()
         s_values = []
@@ -619,6 +632,27 @@ class TestErrorBoundary:
         code = "frame_undefined" if exit_code == 3 else "invalid_input"
         assert doc["error"]["code"] == code
         assert doc["input_sha256"] == hashlib.sha256(read).hexdigest()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("subcommand", ["compute", "sample"])
+    @pytest.mark.parametrize("representation, coeffs, message", [
+        pytest.param("dicke", [[1e200, 0], [0, 0], [0, 0], [0, 0]],
+                     "state not normalized: sum of squared magnitudes is inf",
+                     id="dicke"),
+        pytest.param("product", [[[1e200, 0], [0, 0]]] * 3,
+                     "atom amplitudes not normalized (worst deviation inf)",
+                     id="product"),
+    ])
+    def test_overflowing_squares_are_refused_without_a_warning(
+        self, subcommand, representation, coeffs, message, tmp_path, capsys
+    ):
+        path = write_state(tmp_path, "huge.json", coeffs, representation=representation)
+        assert main([subcommand, "--input", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["error"] == {
+            "code": "invalid_input", "message": message,
+        }
 
     def test_undecodable_stdin_hashes_no_bytes(self, monkeypatch, capsys):
         import io

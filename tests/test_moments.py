@@ -557,6 +557,15 @@ class TestEntanglementS:
         # by the floor
         assert report.max_rel_dev() == pytest.approx(1e-10, rel=1e-12)
 
+    @pytest.mark.parametrize("field", ["m3_xp_direct", "m3_yp_direct", "m3_yp_sum"])
+    def test_a_nan_on_either_route_gives_a_nan_deviation(self, field):
+        # max would drop the y' deviation's NaN behind the x' one
+        report = dataclasses.replace(
+            entanglement_s(random_symmetric_state(4, seed=1)), **{field: math.nan}
+        )
+        assert math.isnan(report.max_rel_dev())
+        assert math.isnan(report.to_dict()["routes"]["max_rel_dev"])
+
 
 class TestImaginaryPartGuard:
     """Each site refuses an imaginary part just past its tolerance only."""

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -35,7 +36,7 @@ from trispin import (
     verify_sum_route,
 )
 from trispin import moments, verify
-from trispin.frame import rotation_matrix
+from trispin.frame import MeanSpin, rotation_matrix
 from trispin.moments import PATTERNS, ROUTE_REL_TOL, pattern_weights, route_deviation
 from trispin.verify import (
     IDENTITIES,
@@ -227,6 +228,75 @@ def test_a_sweep_of_no_trials_is_refused(sweep, trials):
     # skipped GHZ probe), so it must not come back passed
     with pytest.raises(ValueError, match="at least 1 trial"):
         sweep(trials)
+
+
+def nan_at(call, fn, poison):
+    """``fn`` with the result of its ``call``-th call (from 0) passed to ``poison``."""
+    calls = itertools.count()
+
+    def patched(*args):
+        result = fn(*args)
+        return poison(result) if next(calls) == call else result
+
+    return patched
+
+
+@pytest.mark.parametrize("call", [0, 1, 7])
+@pytest.mark.parametrize(
+    "sweep, name, poison",
+    [
+        (lambda: verify_sum_route(4, 10, 13), "route_deviation", lambda _: math.nan),
+        (
+            lambda: verify_product_vanishing(5, 10, 13),
+            "_raise_undefined",
+            lambda row: dataclasses.replace(row, s_parameter=math.nan),
+        ),
+        (
+            lambda: cancellation_sweep(10, 13),
+            "verify_cancellation",
+            lambda result: dataclasses.replace(result, max_abs_residual=math.nan),
+        ),
+    ],
+    ids=["sum_route", "product_vanishing", "cancellation"],
+)
+def test_a_nan_fails_the_sweep(sweep, name, poison, call, monkeypatch):
+    # max(0.0, nan) is 0.0, so a fold by max would pass a NaN that is not first
+    monkeypatch.setattr(verify, name, nan_at(call, getattr(verify, name), poison))
+    summary = sweep()
+    assert math.isnan(summary.worst)
+    assert not summary.passed
+
+
+def test_a_nan_fails_the_one_atom_relations(monkeypatch):
+    # atom 2's y operator is the fifth of the nine one-atom operators, and
+    # every relation uses it
+    poison = lambda entries: np.full_like(entries, math.nan)  # noqa: E731
+    monkeypatch.setattr(verify, "_atom_op", nan_at(4, verify._atom_op, poison))
+    results = verify._single_atom_relation_results()
+    assert len(results) == 6
+    for result in results:
+        assert math.isnan(result.max_abs_residual)
+        assert not result.passed
+
+
+# mean spins whose frames the sum-route sweep may meet: random directions,
+# the poles and directions a rounding step away from them
+FRAME_MEANS = [
+    (0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1e-300, 0.0, 1.0), (0.0, -1e-12, -1.0),
+    (1e-8, 1e-8, 1.0), (3e-9, -2e-9, -0.5), (1.0, 0.0, 0.0), (0.0, -1.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("n_atoms", [3, 4, 5, 6])
+def test_primed_operators_are_exactly_hermitian(n_atoms):
+    # the sum-route sweep builds its dense x' and y' operators without a
+    # Hermiticity check, so each must equal its conjugate transpose exactly
+    rng = np.random.default_rng(n_atoms)
+    means = FRAME_MEANS + [tuple(v) for v in rng.standard_normal((400, 3))]
+    angles = [rotation_angles(MeanSpin(*v, math.hypot(*v))) for v in means]
+    ops = verify._primed_operators(angles, n_atoms)
+    assert ops.shape == (2 * len(angles), 2**n_atoms, 2**n_atoms)
+    assert np.max(np.abs(ops - ops.conj().swapaxes(-1, -2))) == 0.0
 
 
 class TestProductVanishing:
