@@ -28,7 +28,6 @@ from .moments import (
     UndefinedFrame,
     central_moment,
     entanglement_s,
-    moment_reports,
     third_moment_sum_xp,
     third_moment_sum_yp,
     triple_correlators,
@@ -117,7 +116,6 @@ __all__ = [
     "third_moment_sum_yp",
     "entanglement_s",
     "UndefinedFrame",
-    "moment_reports",
     "IdentityResult",
     "SweepSummary",
     "verify_identity_suite",

@@ -161,6 +161,10 @@ def _parse_grid(text):
         start, stop = grid.get("start", 0.0), grid["stop"]
         if isinstance(start, bool) or isinstance(stop, bool):
             raise TypeError("start and stop must be numbers, not true or false")
+        if not (isinstance(start, (int, float)) and isinstance(stop, (int, float))):
+            raise TypeError(
+                f"start and stop must be numbers, got {start!r} and {stop!r}"
+            )
         start, stop = float(start), float(stop)
         points = _integer_field(grid["points"], "points")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -127,9 +127,13 @@ def rotation_angles(mean):
 
     Raises
     ------
+    ValueError
+        If a component or the magnitude of ``mean`` is NaN or infinite.
     FrameUndefinedError
         If ``mean.magnitude`` is at most ``EPSILON_FRAME``.
     """
+    if not all(map(math.isfinite, (mean.jx, mean.jy, mean.jz, mean.magnitude))):
+        raise ValueError(f"{mean!r} is not finite, so it orients no frame")
     if mean.magnitude <= EPSILON_FRAME:
         raise FrameUndefinedError(
             f"mean spin magnitude {mean.magnitude:.3e} leaves the frame undefined"

@@ -22,10 +22,9 @@ gives ten terms; the y' row has no z component, which leaves four nonzero.
 
 Every input is first brought to the (N+1)-level ladder (``as_symmetric``),
 and both routes run there in O(N), on ``(K, N+1)`` stacks of states that
-share N: ``moment_reports`` cuts an iterable of states into stacks of at most
-``STACK_LEVELS`` ladder levels and yields the rows stack by stack, and
-``stack_reports`` does the same for stacks already checked as arrays
-(``states.ladder_stack``).  ``stacks_of`` is the one rule that cuts them.  One
+share N: ``stacks_of`` cuts an iterable into stacks of at most
+``STACK_LEVELS`` ladder levels, ``states.ladder_stack`` checks each as one
+array, and ``stack_reports`` yields the rows stack by stack.  One
 ``apply_ladder_axes`` pass over a stack gives every mean spin
 (``frame.mean_spin_rows``) and is reused as the first pass of the
 correlators.  The direct route runs the x' and y' rows of all framed states
@@ -41,9 +40,9 @@ as one sequential ``cumsum`` (``_weighted_sums``).  Only the frame angles
 (``frame.rotation_angles``) and the report objects are built per row.  Every
 row is bit-identical to that state evaluated alone.
 ``entanglement_s`` and ``triple_correlators`` are the same code on a stack of
-one, and ``direct_moments`` reads its tuple from ``entanglement_s``.  The explicit
-sum over atom triples in the 2**N space is a test oracle only
-(``tests/bruteforce.py``).
+one, a view of the state's coefficients, and ``direct_moments`` reads its
+tuple from ``entanglement_s``.  The explicit sum over atom triples in the
+2**N space is a test oracle only (``tests/bruteforce.py``).
 
 S is half the root of the sum of squared third moments, computed from the
 direct route.  The two routes must agree to ``ROUTE_REL_TOL`` (with an
@@ -54,13 +53,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice, permutations, product
+from itertools import islice, permutations, product
 from operator import attrgetter
 
 import math
 import numpy as np
 
-from .errors import DimensionMismatchError, FrameUndefinedError
+from .errors import FrameUndefinedError
 from .frame import (
     MeanSpin,
     RotationAngles,
@@ -76,8 +75,8 @@ from .states import as_symmetric
 ROUTE_REL_TOL = 1e-9
 ROUTE_ABS_FLOOR = 1e-12
 
-# Most ladder levels, states x (N + 1), that ``moment_reports`` evaluates as
-# one stack; a stack holds at least one state.  A stack's arrays then take a
+# Most ladder levels, states x (N + 1), that ``stacks_of`` puts in one stack
+# by default; a stack holds at least one state.  A stack's arrays then take a
 # few MB, and 1000 scan points at N=999 stay within 3% of their
 # point-by-point peak RSS.
 STACK_LEVELS = 4096
@@ -488,49 +487,16 @@ def stack_reports(stacks):
     ``stacks`` is an iterable of ``(K, N+1)`` arrays as
     ``states.ladder_stack`` returns them, each cut to at most
     ``STACK_LEVELS`` ladder levels by ``stacks_of``; N may differ between
-    them.  Each is evaluated as one stack, and its rows are yielded as
-    ``moment_reports`` yields them: a stack is drawn when its first row is
-    asked for, each row is bit-identical to its state evaluated alone, and a
-    frame-undefined row is an ``UndefinedFrame``.
+    them.  Each is evaluated as one stack: a stack is drawn when its first
+    row is asked for and its rows are yielded as they are used, so memory
+    follows the stack rather than the number of states.  Each row is
+    bit-identical to its state evaluated alone (``entanglement_s``), and a
+    frame-undefined row is an ``UndefinedFrame`` with its mean spin.  States
+    in any representation that share N make one stack as
+    ``ladder_stack(n, [as_symmetric(s).coeffs for s in states])``.
     """
     for psi in stacks:
         yield from _stack_reports(psi.shape[1] - 1, psi)
-
-
-def moment_reports(states):
-    """Yield the ``MomentReport`` of each state of an iterable that shares one N.
-
-    The states are brought to the ladder, cut into stacks of at most
-    ``STACK_LEVELS`` ladder levels (one state at least) by ``stacks_of``
-    and evaluated as ``(K, N+1)`` arrays; a single state is a stack of one,
-    without a copy.  A stack is drawn from ``states`` only when its first row
-    is asked for, and its rows are yielded as they are used, so memory
-    follows the stack rather than the number of states.  Each row is
-    bit-identical to that state evaluated alone.  A state whose frame is
-    undefined gives an ``UndefinedFrame`` with its mean spin in place of a
-    report.  ``stack_reports`` is the entry point for stacks checked as
-    arrays.
-
-    Raises
-    ------
-    DimensionMismatchError
-        If the states do not all have the same number of atoms.
-    NotSymmetricError
-        If a product or full-space input leaves the symmetric subspace.
-    """
-    syms = map(as_symmetric, states)
-    first = next(syms, None)
-    if first is None:
-        return
-    n_atoms = first.n_atoms
-    for stack in stacks_of(chain([first], syms), n_atoms + 1):
-        if any(sym.n_atoms != n_atoms for sym in stack):
-            raise DimensionMismatchError("stacked states must share one number of atoms")
-        if len(stack) == 1:
-            psi = stack[0].coeffs[None]
-        else:
-            psi = np.stack([sym.coeffs for sym in stack])
-        yield from _stack_reports(n_atoms, psi)
 
 
 def entanglement_s(state):
@@ -538,7 +504,8 @@ def entanglement_s(state):
 
     S is half the root-mean-square combination of the two third moments and
     is computed from the direct route; the correlator-sum route is carried
-    along as a cross check.  This is ``moment_reports`` on a stack of one.
+    along as a cross check.  This is ``_stack_reports`` on a stack of one,
+    a view of the state's coefficients.
 
     Raises
     ------
@@ -547,7 +514,9 @@ def entanglement_s(state):
     NotSymmetricError
         If a product or full-space input leaves the symmetric subspace.
     """
-    return _raise_undefined(next(moment_reports([state])))
+    sym = as_symmetric(state)
+    (row,) = _stack_reports(sym.n_atoms, sym.coeffs[None])
+    return _raise_undefined(row)
 
 
 def direct_moments(state):

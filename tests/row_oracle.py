@@ -20,6 +20,10 @@ squared norm of one matrix product per group.
 ``product_to_dicke_by_state`` maps one product onto the ladder with 2-D
 arrays and ``np.linalg.norm``: the forms that the checked stacks
 (``cli._pair_mix_grid``, ``states.coherent_stack``) replace, bit for bit.
+
+``stacked_rows`` evaluates states that share N, in any representation, the
+one way the package evaluates many: cut by ``stacks_of``, each stack
+checked by ``ladder_stack`` and evaluated by ``stack_reports``.
 """
 
 import math
@@ -35,6 +39,8 @@ from trispin.moments import (
     MomentReport,
     UndefinedFrame,
     _pattern_sums,
+    stack_reports,
+    stacks_of,
 )
 from trispin.operators import AXES, apply_ladder_axes, ladder_action, matching_vector
 from trispin.sampler import DEGENERACY_TOL
@@ -42,6 +48,8 @@ from trispin.states import (
     SYMMETRY_TOL,
     SymmetricState,
     _half_log_binomials,
+    as_symmetric,
+    ladder_stack,
     symmetric_state,
 )
 from trispin.verify import _term_matrix
@@ -224,3 +232,13 @@ def product_to_dicke_by_state(state):
     phase = (n - k) * np.angle(qubit[0]) + k * np.angle(qubit[1])
     coeffs = np.prod(phases) * np.exp(log_mag + 1j * phase)
     return SymmetricState(n, coeffs / np.linalg.norm(coeffs))
+
+
+def stacked_rows(states):
+    """The ``stack_reports`` rows of ``states``, which share one N."""
+    syms = [as_symmetric(state) for state in states]
+    n_atoms = syms[0].n_atoms
+    return list(stack_reports(
+        ladder_stack(n_atoms, [sym.coeffs for sym in part])
+        for part in stacks_of(syms, n_atoms + 1)
+    ))

@@ -587,6 +587,8 @@ GRID_CASES = {
     "index_b_true": grid_text(index_b=True),
     "start_true_stop_false": grid_text(start=True, stop=False),
     "stop_true": grid_text(stop=True),
+    "start_string": grid_text(start="0.1"),
+    "stop_string_1_5": grid_text(stop="1_5"),
 }
 
 

@@ -1,6 +1,6 @@
 """The stack's per-row stage on columns, and the stacked term sums of verify.
 
-``moment_reports`` runs everything after the kernels on whole columns of a
+``stack_reports`` runs everything after the kernels on whole columns of a
 stack; ``tests/row_oracle.py`` keeps that stage one row at a time, and every
 row must match it by ``repr`` (every float, signed zeros included).  The
 cancellation and identity sums run over one cached term stack; they must
@@ -20,12 +20,12 @@ from row_oracle import (
     pair_mix_state,
     product_to_dicke_by_state,
     stack_reports_by_row,
+    stacked_rows,
     terms_matrix_by_term,
 )
 from trispin import (
     NotSymmetricError,
     as_symmetric,
-    moment_reports,
     product_state,
     random_symmetric_state,
     symmetric_state,
@@ -49,7 +49,7 @@ SEEDS = st.integers(0, 2**32 - 1)
 def assert_rows_match_the_row_oracle(items):
     syms = [as_symmetric(state) for state in items]
     want = stack_reports_by_row(syms[0].n_atoms, syms)
-    got = list(moment_reports(items))
+    got = stacked_rows(items)
     assert [repr(row) for row in got] == [repr(row) for row in want]
 
 
@@ -158,7 +158,7 @@ def test_scan_grid_rows_equal_the_point_oracle(n_atoms, index_a, index_b, start,
         for part in moments.stacks_of(alphas, n_atoms + 1)
     )
     want = [
-        next(moment_reports([pair_mix_state(n_atoms, index_a, index_b, alpha)]))
+        stacked_rows([pair_mix_state(n_atoms, index_a, index_b, alpha)])[0]
         for alpha in alphas
     ]
     got = list(stack_reports(grid))
@@ -276,7 +276,7 @@ def test_no_per_row_work_after_the_kernels(monkeypatch):
         ]
     }
     items = [random_symmetric_state(5, seed) for seed in range(101)]
-    assert len(list(moment_reports(items))) == 101
+    assert len(stacked_rows(items)) == 101
     # one stack: one check per stage, one weight product, no 3x3 matrices
     assert {name: len(made) for name, made in calls.items()} == {
         "pattern_weights": 1,

@@ -93,6 +93,21 @@ class TestRotationAngles:
         with pytest.raises(FrameUndefinedError):
             rotation_angles(mean)
 
+    @pytest.mark.parametrize(
+        "mean",
+        [
+            MeanSpin(0.3, 0.1, math.nan, 1.0),  # gave theta = pi
+            MeanSpin(math.nan, math.nan, math.nan, math.nan),  # gave phi = NaN
+            MeanSpin(math.inf, 0.0, 0.0, math.inf),  # gave phi = NaN
+        ],
+        ids=["nan_jz", "all_nan", "inf_jx"],
+    )
+    def test_non_finite_mean_spin_is_refused(self, mean):
+        with pytest.raises(ValueError, match="is not finite") as refused:
+            rotation_angles(mean)
+        # not an undefined frame, which the CLI reports as exit 3
+        assert not isinstance(refused.value, FrameUndefinedError)
+
     @given(
         st.floats(min_value=0.01, max_value=math.pi - 0.01),
         st.floats(min_value=-math.pi + 0.01, max_value=math.pi),

