@@ -104,8 +104,16 @@ def _read_nothing(args):
     return b""
 
 
+def _json_value(text, what):
+    """``json.loads(text)``; a nesting past the recursion limit is bad input."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise InvalidStateError(f"{what} nests too deeply to decode: {exc}") from exc
+
+
 def _decode_state(args, raw):
-    data = json.loads(raw.decode("utf-8"))
+    data = _json_value(raw.decode("utf-8"), "state JSON")
     state = state_from_dict(data, auto_normalize=args.normalize)
     _check_levels(state.n_atoms + 1, f"a state of {state.n_atoms} atoms")
     return state
@@ -145,7 +153,7 @@ def _cmd_verify(args, raw):
 
 def _parse_grid(text):
     try:
-        grid = json.loads(text)
+        grid = _json_value(text, "grid JSON")
     except ValueError as exc:
         raise InvalidStateError(f"grid is not valid JSON: {exc}") from exc
     if not isinstance(grid, dict):

@@ -36,6 +36,7 @@ from .operators import (
     LadderOperator,
     apply_ladder_axes,
     collective_op_dicke,
+    component_sums,
 )
 from .states import as_symmetric
 
@@ -185,7 +186,4 @@ def rotated_ops(angles, n_atoms):
     unprimed collective components, so it shares the spectrum of Jz.
     """
     base = [collective_op_dicke(axis, n_atoms).entries for axis in AXES]
-    return tuple(
-        LadderOperator(sum(w * mat for w, mat in zip(row, base)))
-        for row in rotation_matrix(angles)
-    )
+    return tuple(map(LadderOperator, component_sums(rotation_matrix(angles), base)))

@@ -10,7 +10,9 @@ S runs on the ladder: the moments use ``ladder_action`` and
 dense ladder matrices.  The dense 2**N matrices are small-N references for
 the identity checks in ``verify``.  Every ``OperatorMatrix`` is hermitian:
 its entries are checked against their conjugate transpose when it is built,
-and a NaN or infinite entry fails that check.  ``verify``'s rotated dense
+and a NaN or infinite entry fails that check.  ``component_sums`` is the one
+weighted sum of dense Jx, Jy and Jz: ``frame.rotated_ops`` wraps its ladder
+sums as checked ``LadderOperator`` objects, while ``verify``'s rotated 2**N
 operators, real-weighted sums of checked components, are not checked again.
 """
 
@@ -203,6 +205,22 @@ def apply_ladder_axes(coeffs):
     out[1, ..., 1:] += 1j * down
     out[2] = m * coeffs
     return out
+
+
+def component_sums(weights, components):
+    """``((0 + w_x Jx) + w_y Jy) + w_z Jz`` for each weight triple in ``weights``.
+
+    ``weights`` has shape ``(..., 3)`` and ``components`` is the dense
+    ``(Jx, Jy, Jz)`` of one space; the result has shape ``(..., D, D)``.
+    The weights are cast to ``w + 0j`` and added in that order, the
+    arithmetic of ``sum(w * J for w, J in zip(row, components))``, so every
+    entry keeps the bits of that sum.  Real weights keep a hermitian
+    ``Jx``, ``Jy`` and ``Jz`` exactly hermitian: conjugation commutes bit
+    for bit with a product by ``w + 0j`` and with addition.
+    """
+    w = np.asarray(weights, dtype=complex)[..., None, None]
+    jx, jy, jz = components
+    return ((0 + w[..., 0, :, :] * jx) + w[..., 1, :, :] * jy) + w[..., 2, :, :] * jz
 
 
 def collective_op_dicke(axis, n_atoms):

@@ -196,7 +196,13 @@ def _check_atom_count(n_atoms):
 def _ladder_rows(n_atoms, rows):
     """``rows`` as a contiguous complex array, refused unless ``(K, N+1)``."""
     _check_atom_count(n_atoms)
-    arr = np.ascontiguousarray(rows, dtype=complex)  # rows contiguous, as one state's
+    try:
+        arr = np.ascontiguousarray(rows, dtype=complex)  # rows contiguous, as one state's
+    except ValueError as exc:  # ragged rows, or a value that is no number
+        raise InvalidStateError(
+            f"expected rows of {n_atoms + 1} coefficients, got rows that form no "
+            f"array of numbers: {exc}"
+        ) from exc
     if arr.ndim != 2 or arr.shape[1] != n_atoms + 1:
         raise InvalidStateError(
             f"expected rows of {n_atoms + 1} coefficients, got shape {arr.shape}"

@@ -7,29 +7,33 @@ constant.  ``IDENTITIES`` holds those reductions as term lists derived by
 ``reduced_terms`` from the one-atom product rule that the sum route's
 correlator table is built from, so the suite checks that rule itself;
 ``reduced_terms("xyz")`` shows one list for audit.  The suite rebuilds both
-sides as dense 8x8 matrices and compares entrywise; a term list becomes one
-coefficient column over a cached stack of its term matrices, added in list
-order (``_terms_matrix``).
+sides as dense 8x8 matrices: a product of factors is one ``_product`` from
+the identity, and a term list becomes one coefficient column over a cached
+stack of its term products, added in list order (``_terms_matrix``).
 
 On top of the per-word identities, ``verify_cancellation`` checks the key
 cancellation result: the cube of the rotated component Jx' equals a term list
 containing only single-atom and tripartite factors (no bipartite products
-survive), for arbitrary rotation angles.  ``verify_sum_route`` and
-``verify_product_vanishing`` are randomized sweeps of the moment formulas,
-run on stacks from the seeded draw to the verdict: each draw keeps its own
-seeded generator, the draws are cut into ``(K, N+1)`` ladder stacks by
-``moments.stacks_of`` and checked once per stack (``states.ladder_stack``,
-``states.coherent_stack``), and the rows go through ``stack_reports`` and
-are used as they are yielded.  The sum-route sweep checks those rows against
-an independent direct route from dense 2**N operators, hermitian by
-construction, in stacks of at most ``DENSE_ENTRIES`` entries.  Every
-recorded float is the one the per-state functions give.
+survive), for arbitrary rotation angles.  Every dense check, the one-atom
+relations included (one stack of pairs per rule), passes by one rule
+(``_checked``): the largest entrywise distance of its sides is at most
+``RESIDUAL_TOL``.  ``verify_sum_route`` and ``verify_product_vanishing`` are
+randomized sweeps of the moment formulas, run on stacks from the seeded draw
+to the verdict: each draw keeps its own seeded generator, the draws are cut
+into ``(K, N+1)`` ladder stacks by ``moments.stacks_of`` and checked once per
+stack (``states.ladder_stack``, ``states.coherent_stack``), and the rows go
+through ``stack_reports`` and are used as they are yielded.  The sum-route
+sweep checks those rows against an independent direct route from dense 2**N
+operators, hermitian by construction, in stacks of at most ``DENSE_ENTRIES``
+entries.  Every recorded float is the one the per-state functions give.  Every
+sweep passes by one verdict (``_summary``): its worst value, NaN if any is, is
+at most its tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, permutations, product
 
 import math
@@ -49,7 +53,7 @@ from .moments import (
     stacks_of,
     worst_of,
 )
-from .operators import AXES, collective_op, single_atom_op
+from .operators import AXES, collective_op, component_sums, single_atom_op
 from .states import coherent_stack, full_rows, ladder_stack, seeded_gaussians
 
 RESIDUAL_TOL = 1e-12
@@ -93,6 +97,21 @@ class SweepSummary:
     worst: float
     tolerance: float
     passed: bool
+
+
+def _checked(identity_id, lhs, rhs):
+    """The one rule of a dense check: ``lhs`` equals ``rhs`` to ``RESIDUAL_TOL``.
+
+    ``lhs`` and ``rhs`` are 8x8 matrices or stacks of them; the residual is
+    the largest entrywise distance over the whole stack, NaN if any is.
+    """
+    residual = float(np.max(np.abs(lhs - rhs)))
+    return IdentityResult(identity_id, residual, lhs.shape[-1], residual <= RESIDUAL_TOL)
+
+
+def _summary(check_id, n_trials, n_skipped, worst, tolerance):
+    """The one verdict of a sweep: it passes when ``worst`` is within ``tolerance``."""
+    return SweepSummary(check_id, n_trials, n_skipped, worst, tolerance, worst <= tolerance)
 
 
 def reduced_terms(word):
@@ -145,39 +164,27 @@ def _collective(axis, n_atoms):
     return collective_op(axis, n_atoms).entries
 
 
-@lru_cache(maxsize=None)
-def _term_matrix(factors):
-    """Dense three-atom product of single-atom operators.
-
-    ``factors`` is a tuple of ``(atom, axis)`` pairs (none give the
-    identity); the result is cached and read-only, since every cancellation
-    trial reuses the same terms.
-    """
-    out = np.eye(8, dtype=complex)
-    for atom, axis in factors:
-        out = out @ _atom_op(atom, axis, 3)
-    out.setflags(write=False)
-    return out
+def _product(matrices):
+    """The ordered product of dense 8x8 matrices, from the identity on."""
+    return reduce(np.matmul, matrices, np.eye(8, dtype=complex))
 
 
 def identity_lhs(entry):
     """Dense 8x8 collective product for the identity's axis word."""
-    out = np.eye(8, dtype=complex)
-    for axis in entry.word:
-        out = out @ _collective(axis, 3)
-    return out
+    return _product(_collective(axis, 3) for axis in entry.word)
 
 
 @lru_cache(maxsize=None)
 def _term_stack(factor_lists):
-    """A zero matrix, then the dense matrix of each term's factors.
+    """A zero matrix, then the dense product of each term's factors.
 
-    Shape ``(1 + T, 8, 8)`` for T factor lists; cached per tuple of factor
-    lists and read-only, so every cancellation trial reuses one stack.
+    Shape ``(1 + T, 8, 8)`` for T tuples of ``(atom, axis)`` factors (none
+    give the identity); cached per tuple of factor lists and read-only, so
+    every cancellation trial reuses one stack.
     """
     stack = np.zeros((1 + len(factor_lists), 8, 8), dtype=complex)
     for row, factors in enumerate(factor_lists, start=1):
-        stack[row] = _term_matrix(factors)
+        stack[row] = _product(_atom_op(atom, axis, 3) for atom, axis in factors)
     stack.setflags(write=False)
     return stack
 
@@ -205,37 +212,18 @@ def identity_rhs(entry):
 
 
 def _single_atom_relation_results():
-    """Residuals of the one-atom product reductions on three atoms."""
-    eye = np.eye(8, dtype=complex)
-    checks = {
-        "atom_square": [],
-        "atom_cube": [],
-        "atom_xy_product": [],
-        "atom_yz_product": [],
-        "atom_zx_product": [],
-        "atom_anticommute": [],
-    }
-    cyclic = {"x": ("y", "z"), "y": ("z", "x"), "z": ("x", "y")}
-    for atom in (1, 2, 3):
-        ops = {axis: _atom_op(atom, axis, 3) for axis in AXES}
-        for axis in AXES:
-            checks["atom_square"].append(ops[axis] @ ops[axis] - 0.25 * eye)
-            checks["atom_cube"].append(
-                ops[axis] @ ops[axis] @ ops[axis] - 0.25 * ops[axis]
-            )
-        checks["atom_xy_product"].append(ops["x"] @ ops["y"] - 0.5j * ops["z"])
-        checks["atom_yz_product"].append(ops["y"] @ ops["z"] - 0.5j * ops["x"])
-        checks["atom_zx_product"].append(ops["z"] @ ops["x"] - 0.5j * ops["y"])
-        for axis in AXES:
-            other = cyclic[axis][0]
-            checks["atom_anticommute"].append(
-                ops[axis] @ ops[other] + ops[other] @ ops[axis]
-            )
-    results = []
-    for check_id, residuals in checks.items():
-        worst = worst_of(float(np.max(np.abs(r))) for r in residuals)
-        results.append(IdentityResult(check_id, worst, 8, worst <= RESIDUAL_TOL))
-    return results
+    """The one-atom product rules on three atoms, one stack of pairs per rule."""
+    # each a (3, 8, 8) stack over the atoms
+    x, y, z = (np.array([_atom_op(atom, axis, 3) for atom in (1, 2, 3)]) for axis in AXES)
+    ops, following = np.concatenate((x, y, z)), np.concatenate((y, z, x))
+    return [
+        _checked("atom_square", ops @ ops, 0.25 * np.eye(8, dtype=complex)),
+        _checked("atom_cube", ops @ ops @ ops, 0.25 * ops),
+        _checked("atom_xy_product", x @ y, 0.5j * z),
+        _checked("atom_yz_product", y @ z, 0.5j * x),
+        _checked("atom_zx_product", z @ x, 0.5j * y),
+        _checked("atom_anticommute", ops @ following + following @ ops, 0.0),
+    ]
 
 
 def verify_identity_suite(corrupt_id=None):
@@ -252,17 +240,11 @@ def verify_identity_suite(corrupt_id=None):
         raise ValueError(f"unknown identity {corrupt_id!r} to corrupt")
     results = []
     for entry in IDENTITIES:
-        lhs = identity_lhs(entry)
         rhs = identity_rhs(entry)
         if entry.identity_id == corrupt_id:
             rhs = -rhs
-        residual = float(np.max(np.abs(lhs - rhs)))
-        results.append(
-            IdentityResult(entry.identity_id, residual, lhs.shape[0],
-                           residual <= RESIDUAL_TOL)
-        )
-    results.extend(_single_atom_relation_results())
-    return results
+        results.append(_checked(entry.identity_id, identity_lhs(entry), rhs))
+    return results + _single_atom_relation_results()
 
 
 # ---------------------------------------------------------------------------
@@ -296,26 +278,12 @@ def _cancellation_coeffs(axis):
     )
 
 
-def cancellation_terms(theta, phi):
-    """Term list for the reduced form of Jx'^3 (three atoms).
-
-    Contains only one-atom factors (the 7/4 rotated single-atom part) and
-    three-atom factors (the ten tripartite patterns over all ordered
-    triples); by construction no bipartite product appears.
-    """
-    coeffs = _cancellation_coeffs(_x_prime_axis(theta, phi))
-    return list(zip(coeffs.tolist(), _CANCELLATION_FACTORS))
-
-
 def verify_cancellation(theta, phi):
     """Compare the cube of the rotated component against the reduced form."""
     axis = _x_prime_axis(theta, phi)
-    combo = sum(weight * _collective(name, 3) for weight, name in zip(axis, AXES))
-    lhs = combo @ combo @ combo
+    combo = component_sums(axis, [_collective(name, 3) for name in AXES])
     rhs = _terms_matrix(_cancellation_coeffs(axis), _CANCELLATION_FACTORS)
-    residual = float(np.max(np.abs(lhs - rhs)))
-    return IdentityResult("cancellation", residual, lhs.shape[0],
-                          residual <= RESIDUAL_TOL)
+    return _checked("cancellation", combo @ combo @ combo, rhs)
 
 
 def _check_trials(count):
@@ -332,14 +300,7 @@ def cancellation_sweep(n_pairs=100, seed=13):
         (rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi)) for _ in range(n_pairs)
     )
     worst = worst_of(verify_cancellation(*pair).max_abs_residual for pair in pairs)
-    return SweepSummary(
-        check_id="cancellation_sweep",
-        n_trials=n_pairs,
-        n_skipped=0,
-        worst=worst,
-        tolerance=RESIDUAL_TOL,
-        passed=worst <= RESIDUAL_TOL,
-    )
+    return _summary("cancellation_sweep", n_pairs, 0, worst, RESIDUAL_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -356,32 +317,21 @@ def _draws(size, count, seed):
     return (seeded_gaussians(size, int(rng.integers(2**63))) for _ in range(count))
 
 
-def _primed_operators(angles, n_atoms):
-    """The dense x' operators of the frames ``angles``, then their y' operators.
-
-    Each is ``((0 + w_x Jx) + w_y Jy) + w_z Jz`` with the weights cast to
-    ``w + 0j``, as ``sum`` builds it.  They are hermitian without a check:
-    Jx, Jy and Jz are checked and exact, and conjugation commutes bit for
-    bit with a product by ``w + 0j`` and with addition.
-    """
-    weights = primed_axes(angles).astype(complex).reshape(-1, 3, 1, 1)
-    jx, jy, jz = (_collective(axis, n_atoms) for axis in AXES)
-    return ((0 + weights[:, 0] * jx) + weights[:, 1] * jy) + weights[:, 2] * jz
-
-
 def _dense_deviations(worst, n_atoms, chunk):
     """Fold a chunk of framed ``(ladder row, report)`` pairs into ``worst``.
 
     The direct route of each row comes from dense 2**N operators, as
     ``central_moment`` takes it state by state: the rows' 2**N vectors
-    (``full_rows``), their frames' ``_primed_operators``, and the third
+    (``full_rows``), the x' and y' operators of their frames as
+    ``operators.component_sums`` of the dense Jx, Jy and Jz, and the third
     moments from ``_shifted_moments`` with one stacked ``matmul``, which
     gives each operator's ``entries @ v`` in every bit.  The route
     deviations against the reports' sum route are folded in row order.
     """
     rows, reports = zip(*chunk)
     full = full_rows(n_atoms, np.array(rows))
-    ops = _primed_operators([report.angles for report in reports], n_atoms)
+    axes = primed_axes([report.angles for report in reports]).reshape(-1, 3)
+    ops = component_sums(axes, [_collective(axis, n_atoms) for axis in AXES])
     moments = _shifted_moments(
         np.concatenate((full, full)), lambda v: (ops @ v[..., None])[..., 0], n_atoms, 3
     )
@@ -431,14 +381,8 @@ def verify_sum_route(n_atoms, n_trials, seed):
     for chunk in stacks_of(framed, 2 * 4**n_atoms, DENSE_ENTRIES):
         worst = _dense_deviations(worst, n_atoms, chunk)
         used += len(chunk)
-    return SweepSummary(
-        check_id=f"sum_route_n{n_atoms}",
-        n_trials=n_trials + 1,
-        n_skipped=n_trials + 1 - used,
-        worst=worst,
-        tolerance=ROUTE_REL_TOL,
-        passed=worst <= ROUTE_REL_TOL,
-    )
+    return _summary(f"sum_route_n{n_atoms}", n_trials + 1, n_trials + 1 - used, worst,
+                    ROUTE_REL_TOL)
 
 
 def verify_product_vanishing(n_atoms, n_trials, seed):
@@ -455,14 +399,7 @@ def verify_product_vanishing(n_atoms, n_trials, seed):
     draws = _draws(2, n_trials, seed)
     stacks = (coherent_stack(n_atoms, qubits) for qubits in stacks_of(draws, n_atoms + 1))
     worst_s = worst_of(_raise_undefined(row).s_parameter for row in stack_reports(stacks))
-    return SweepSummary(
-        check_id=f"product_vanishing_n{n_atoms}",
-        n_trials=n_trials,
-        n_skipped=0,
-        worst=worst_s,
-        tolerance=PRODUCT_S_TOL,
-        passed=worst_s <= PRODUCT_S_TOL,
-    )
+    return _summary(f"product_vanishing_n{n_atoms}", n_trials, 0, worst_s, PRODUCT_S_TOL)
 
 
 def run_verification(trials=100, seed=13, n_atoms=None, corrupt_identity=None):

@@ -52,7 +52,7 @@ from trispin.states import (
     ladder_stack,
     symmetric_state,
 )
-from trispin.verify import _term_matrix
+from trispin.verify import _atom_op, _product
 
 _IMAG_TOL = 1e-10
 _HERMITICITY_IMAG_TOL = 1e-12
@@ -179,7 +179,7 @@ def terms_matrix_by_term(terms):
     """Dense 8x8 sum of ``(coeff, factors)`` terms, added one by one from zero."""
     out = np.zeros((8, 8), dtype=complex)
     for coeff, factors in terms:
-        out = out + coeff * _term_matrix(factors)
+        out = out + coeff * _product(_atom_op(atom, axis, 3) for atom, axis in factors)
     return out
 
 

@@ -1,13 +1,18 @@
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import math
+import random
 import re
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trispin import cli
 from trispin.cli import main
@@ -195,8 +200,6 @@ class TestCompute:
         assert scrub_timestamp(out.read_text()) == entry["artifact"]
 
     def test_reads_state_from_stdin(self, top_state, monkeypatch, capsys):
-        import io
-
         monkeypatch.setattr(
             "sys.stdin", io.StringIO(open(top_state, encoding="utf-8").read())
         )
@@ -561,6 +564,8 @@ STATE_CASES = {
         coeffs="[[[1, 0], [0, 0]], [[true, 0], [0, 0]], [[1, 0], [0, 0]]]",
         representation="product",
     ),
+    # past the recursion limit of ``json.loads``
+    "nested_100000": b"[" * 100000,
 }
 GRID_CASES = {
     "n_atoms_1e999": '{"family": "pair_mix", "n_atoms": 1e999, "stop": 1.0, '
@@ -589,6 +594,7 @@ GRID_CASES = {
     "stop_true": grid_text(stop=True),
     "start_string": grid_text(start="0.1"),
     "stop_string_1_5": grid_text(stop="1_5"),
+    "nested_5000": "[" * 5000,
 }
 
 
@@ -657,8 +663,6 @@ class TestErrorBoundary:
         }
 
     def test_undecodable_stdin_hashes_no_bytes(self, monkeypatch, capsys):
-        import io
-
         stdin = io.TextIOWrapper(io.BytesIO(b"\xff{}"), encoding="utf-8")
         monkeypatch.setattr("sys.stdin", stdin)
         assert main(["compute", "--input", "-"]) == 2
@@ -740,6 +744,104 @@ class TestErrorBoundary:
         monkeypatch.setattr(cli, "entanglement_s", fault)
         with pytest.raises(RuntimeError, match="internal fault"):
             main(["compute", "--input", top_state])
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed documents: JSON of any shape in any field reaches an exit code
+# ---------------------------------------------------------------------------
+
+JSON_NUMBERS = (
+    st.integers(-2, 8)
+    | st.integers(-(10**400), 10**400)
+    | st.floats()  # NaN and the infinities included
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | JSON_NUMBERS | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+FUZZ_BASES = {
+    "compute": ({"n_atoms": 3, "representation": "dicke",
+                 "coeffs": [[0.8, 0], [0.6, 0], [0, 0], [0, 0]]},
+                {"n_atoms": 3, "representation": "product",
+                 "coeffs": [[[0.8, 0], [0.6, 0]]] * 3},
+                {"n_atoms": 3, "representation": "dicke",
+                 "coeffs": [[R, 0], [0, 0], [0, 0], [R, 0]]}),
+    "scan": ({"family": "pair_mix", "n_atoms": 3, "index_a": 0, "index_b": 1,
+              "start": 0.0, "stop": 1.0, "points": 3},),
+}
+FUZZ_BASES["sample"] = FUZZ_BASES["compute"]
+
+
+def fuzzed_text(draw, rnd, value):
+    """``value`` as JSON text with itself, or one entry at any depth, replaced.
+
+    The replacement is any JSON value, one in six a nesting on either side of
+    the decoder's recursion limit and one in ten an integer literal past the
+    digits ``int`` converts; half the numbers are replaced by numbers.
+    """
+    if isinstance(value, list) and rnd.random() < 0.5:
+        entries = [json.dumps(entry) for entry in value]
+        k = rnd.randrange(len(value))
+        entries[k] = fuzzed_text(draw, rnd, value[k])
+        return "[" + ", ".join(entries) + "]"
+    kind = rnd.random()
+    if isinstance(value, (int, float)) and rnd.random() < 0.5:
+        return json.dumps(draw(JSON_NUMBERS))
+    if kind < 1 / 6:
+        depth = rnd.randint(1, 3000)
+        return "[" * depth + "]" * depth
+    if kind < 1 / 6 + 0.1:
+        return "9" * rnd.randint(4000, 5000)
+    return json.dumps(draw(JSON_VALUES))
+
+
+@st.composite
+def fuzzed_documents(draw, command):
+    """A base document with one or two fields replaced in part or whole, or dropped.
+
+    One document in ten is any JSON text as a whole.  What changes is chosen
+    by a ``Random`` with a drawn seed, since hypothesis's own draws favour
+    the first field and the first branch of a choice.
+    """
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if rnd.random() < 0.1:
+        return fuzzed_text(draw, rnd, None)
+    base = rnd.choice(FUZZ_BASES[command])
+    changed = rnd.sample(list(base), rnd.randint(1, 2))
+    fields = {}
+    for key, value in base.items():
+        if key not in changed:
+            fields[key] = json.dumps(value)
+        elif rnd.random() < 0.8:  # one changed field in five is dropped
+            fields[key] = fuzzed_text(draw, rnd, value)
+    return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in fields.items()) + "}"
+
+
+@pytest.mark.parametrize("command", ["compute", "sample", "scan"])
+@settings(max_examples=70, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_fuzzed_documents_reach_an_exit_code(command, data):
+    # no document may end in a traceback, or in the exit code of a failed
+    # verification; a refusal is an error document that parses
+    text = data.draw(fuzzed_documents(command))
+    if command == "scan":
+        # one argument even where the text reads as an option, such as -1e+16
+        argv = ["scan", f"--grid={text}"]
+    else:
+        argv = [command, "--input", "-"] + (["--shots", "1000"] * (command == "sample"))
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
+        # a small cap keeps every accepted grid small
+        patch.setattr(cli, "MAX_LADDER_LEVELS", 400)
+        patch.setattr("sys.stdin", io.StringIO(text))
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code:
+        error = json.loads(out.getvalue())["error"]
+        assert error["code"] == ("frame_undefined" if code == 3 else "invalid_input")
+        assert isinstance(error["message"], str)
 
 
 def test_s_paths_never_build_2n_vectors(tmp_path, monkeypatch, capsys):

@@ -25,7 +25,7 @@ from trispin import (
     state_to_dict,
     symmetric_state,
 )
-from trispin.states import FULL_SPACE_ATOM_CAP, _integer_field
+from trispin.states import FULL_SPACE_ATOM_CAP, _integer_field, ladder_stack
 
 
 class TestConstruction:
@@ -58,6 +58,13 @@ class TestConstruction:
             product_state([[bad, 0.0], [1.0, 0.0], [1.0, 0.0]], normalize=normalize)
         with pytest.raises(InvalidStateError):
             full_state(1, [bad, 0.0], normalize=normalize)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_ladder_stack_refuses_ragged_rows(self, normalize):
+        # rows of mixed N, as a list of states of 3 and 4 atoms gives them
+        rows = [np.ones(4) / 2, np.ones(5) / 5**0.5]
+        with pytest.raises(InvalidStateError, match="expected rows of 4 coefficients"):
+            ladder_stack(3, rows, normalize=normalize)
 
     def test_full_state_checks_length(self):
         with pytest.raises(InvalidStateError):

@@ -36,15 +36,15 @@ from trispin import (
     verify_sum_route,
 )
 from trispin import moments, verify
-from trispin.frame import MeanSpin, rotation_matrix
+from trispin.frame import MeanSpin, primed_axes, rotated_ops, rotation_matrix
 from trispin.moments import PATTERNS, ROUTE_REL_TOL, pattern_weights, route_deviation
+from trispin.operators import AXES, collective_op_dicke, component_sums
 from trispin.verify import (
     IDENTITIES,
     OperatorIdentity,
     PRODUCT_S_TOL,
     RESIDUAL_TOL,
     SweepSummary,
-    cancellation_terms,
     identity_lhs,
     identity_rhs,
     run_verification,
@@ -161,7 +161,8 @@ class TestCancellation:
             assert verify_cancellation(theta, phi).max_abs_residual <= RESIDUAL_TOL
 
     def test_reduced_form_has_no_bipartite_terms(self):
-        terms = cancellation_terms(0.3, -1.2)
+        coeffs = verify._cancellation_coeffs(verify._x_prime_axis(0.3, -1.2))
+        terms = list(zip(coeffs.tolist(), verify._CANCELLATION_FACTORS))
         sizes = {len(factors) for _, factors in terms}
         assert sizes == {1, 3}
 
@@ -287,16 +288,43 @@ FRAME_MEANS = [
 ]
 
 
-@pytest.mark.parametrize("n_atoms", [3, 4, 5, 6])
-def test_primed_operators_are_exactly_hermitian(n_atoms):
+def frame_angles(seed, count):
+    """The angles of ``FRAME_MEANS``, then of ``count`` random mean spins."""
+    rng = np.random.default_rng(seed)
+    means = FRAME_MEANS + [tuple(v) for v in rng.standard_normal((count, 3))]
+    return [rotation_angles(MeanSpin(*v, math.hypot(*v))) for v in means]
+
+
+@pytest.mark.parametrize("space, n_atoms", [
+    *(pytest.param("full", n, id=str(n)) for n in (3, 4, 5, 6)),
+    *(pytest.param("ladder", n, id=f"ladder-{n}") for n in (3, 4, 5, 6)),
+])
+def test_primed_operators_are_exactly_hermitian(space, n_atoms):
     # the sum-route sweep builds its dense x' and y' operators without a
-    # Hermiticity check, so each must equal its conjugate transpose exactly
-    rng = np.random.default_rng(n_atoms)
-    means = FRAME_MEANS + [tuple(v) for v in rng.standard_normal((400, 3))]
-    angles = [rotation_angles(MeanSpin(*v, math.hypot(*v))) for v in means]
-    ops = verify._primed_operators(angles, n_atoms)
-    assert ops.shape == (2 * len(angles), 2**n_atoms, 2**n_atoms)
+    # Hermiticity check, so each must equal its conjugate transpose exactly;
+    # the same sums of the ladder components are the sampler's operators
+    angles = frame_angles(n_atoms, 400)
+    if space == "full":
+        bases, dim = [verify._collective(axis, n_atoms) for axis in AXES], 2**n_atoms
+    else:
+        bases = [collective_op_dicke(axis, n_atoms).entries for axis in AXES]
+        dim = n_atoms + 1
+    ops = component_sums(primed_axes(angles).reshape(-1, 3), bases)
+    assert ops.shape == (2 * len(angles), dim, dim)
     assert np.max(np.abs(ops - ops.conj().swapaxes(-1, -2))) == 0.0
+
+
+@pytest.mark.parametrize("n_atoms", [3, 8, 40])
+def test_rotated_ops_keep_the_bits_of_the_sum(n_atoms):
+    # the sampler diagonalises these operators, so a changed last bit would
+    # move its eigenvalues and every seeded record; each must hold the bits
+    # of Python's sum of the weighted ladder components
+    bases = [collective_op_dicke(axis, n_atoms).entries for axis in AXES]
+    for angles in frame_angles(n_atoms, 200):
+        ops = rotated_ops(angles, n_atoms)
+        for op, row in zip(ops, rotation_matrix(angles)):
+            want = sum(w * mat for w, mat in zip(row, bases))
+            assert op.entries.tobytes() == want.tobytes()
 
 
 class TestProductVanishing:
