@@ -11,10 +11,8 @@ undefined.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
-import io
 import json
 import math
 import operator
@@ -45,7 +43,7 @@ EXIT_FRAME_UNDEFINED = 3
 # Most ladder levels one command may span: N + 1 for a `compute` or `sample`
 # document or `verify --n`, points x (N + 1) for a scan grid.  At the limit a
 # scan took 401 MB peak RSS for a single N=999999 point, 36 MB for 1000 points
-# at N=999 and 150 MB for 250000 points at N=3, most of it the CSV text (one
+# at N=999 and 112 MB for 250000 points at N=3, most of it the CSV lines (one
 # fresh process each, one BLAS thread on a 2-vCPU Xeon), near the memory of
 # `sample` at its atom cap; `verify --n 999999 --trials 1` took 451 MB.  The
 # memory grows linearly with N, so past the limit a command would risk an
@@ -60,28 +58,19 @@ def _check_levels(levels, what):
         )
 
 
-def _timestamp():
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
 def _envelope(args, input_bytes):
     return {
         "tool": {"name": "trispin", "version": __version__},
-        "timestamp": _timestamp(),
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "seed": args.seed,
         "tolerances": {"rel": ROUTE_REL_TOL, "abs": ROUTE_ABS_FLOOR},
         "input_sha256": hashlib.sha256(input_bytes).hexdigest(),
     }
 
 
-def _json_text(document):
-    return json.dumps(document, indent=2) + "\n"
-
-
-def _error_text(args, raw, code, exc):
-    document = _envelope(args, raw)
-    document["error"] = {"code": code, "message": str(exc)}
-    return _json_text(document)
+def _document(args, raw, **fields):
+    """A JSON artifact as one text piece: the envelope, then ``fields``."""
+    return [json.dumps(_envelope(args, raw) | fields, indent=2) + "\n"]
 
 
 # Readers return the raw bytes a subcommand works on; the envelope hashes
@@ -120,20 +109,17 @@ def _decode_state(args, raw):
 
 
 # Commands take the parsed arguments and the bytes their reader returned, and
-# give back (artifact text, exit code); bad input raises, and ``main`` turns
-# the exception into an error document.
+# give back (list of artifact text pieces, exit code); bad input raises, and
+# ``main`` turns the exception into an error document.
 
 def _cmd_compute(args, raw):
     report = entanglement_s(_decode_state(args, raw))
-    document = _envelope(args, raw)
-    document["report"] = report.to_dict()
     max_rel_dev = report.max_rel_dev()
-    document["route_check"] = {
+    return _document(args, raw, report=report.to_dict(), route_check={
         "max_rel_dev": max_rel_dev,
         "tolerance_rel": ROUTE_REL_TOL,
         "passed": max_rel_dev <= ROUTE_REL_TOL,
-    }
-    return _json_text(document), EXIT_OK
+    }), EXIT_OK
 
 
 def _cmd_verify(args, raw):
@@ -145,10 +131,8 @@ def _cmd_verify(args, raw):
         n_atoms=args.n,
         corrupt_identity=args.corrupt_identity,
     )
-    document = _envelope(args, raw)
-    document["verification"] = report
     code = EXIT_OK if report["passed"] else EXIT_VERIFICATION_FAILED
-    return _json_text(document), code
+    return _document(args, raw, verification=report), code
 
 
 def _parse_grid(text):
@@ -231,46 +215,46 @@ def _cmd_scan(args, raw):
         start if points == 1 else start + (stop - start) * index / (points - 1)
         for index in range(points)
     ]
-    buffer = io.StringIO()
-    buffer.write(f"# trispin scan v{__version__}\n")
-    buffer.write(f"# seed: {args.seed}\n")
-    buffer.write(f"# tolerances: rel={ROUTE_REL_TOL!r} abs={ROUTE_ABS_FLOOR!r}\n")
-    buffer.write(f"# input_sha256: {hashlib.sha256(raw).hexdigest()}\n")
-    buffer.write(f"# timestamp: {_timestamp()}\n")
-    buffer.write(
-        "# columns: grid_index, alpha (mixing angle), mean spin (jx, jy, jz),\n"
-        "#   frame angles (theta, phi), transverse variances, third moments by\n"
-        "#   both routes, s, and a frame_undefined flag (s left empty when set)\n"
-    )
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(_SCAN_COLUMNS)
-    # the grid is built and evaluated one stack at a time and each row is
-    # written as its stack is evaluated, so states and reports never span
-    # the whole grid (one array of it doubled the peak of 1000 points at
-    # N=999); the text does, since an error document must be able to
-    # replace it
+    # the grid is built and evaluated one stack at a time, so states and
+    # reports never span the whole grid (one array of it doubled the peak of
+    # 1000 points at N=999); the lines do, so that an error document can
+    # replace them, and the envelope is taken once every row has succeeded
     grid = (
         _pair_mix_grid(n_atoms, index_a, index_b, part)
         for part in stacks_of(alphas, n_atoms + 1)
     )
-    writer.writerows(map(_scan_row, range(points), alphas, stack_reports(grid)))
-    return buffer.getvalue(), EXIT_OK
+    rows = [
+        ",".join(map(str, row)) + "\n"
+        for row in map(_scan_row, range(points), alphas, stack_reports(grid))
+    ]
+    envelope = _envelope(args, raw)
+    tolerances = envelope["tolerances"]
+    return [
+        f"# trispin scan v{envelope['tool']['version']}\n",
+        f"# seed: {envelope['seed']}\n",
+        f"# tolerances: rel={tolerances['rel']!r} abs={tolerances['abs']!r}\n",
+        f"# input_sha256: {envelope['input_sha256']}\n",
+        f"# timestamp: {envelope['timestamp']}\n",
+        "# columns: grid_index, alpha (mixing angle), mean spin (jx, jy, jz),\n"
+        "#   frame angles (theta, phi), transverse variances, third moments by\n"
+        "#   both routes, s, and a frame_undefined flag (s left empty when set)\n",
+        ",".join(_SCAN_COLUMNS) + "\n",
+        *rows,
+    ], EXIT_OK
 
 
 def _cmd_sample(args, raw):
     estimate = estimate_s_from_samples(_decode_state(args, raw), args.shots, args.seed)
-    document = _envelope(args, raw)
     record_xp = estimate.record_xp.to_dict()
     record_xp["estimates"] = estimate.estimates_xp.to_dict()
     record_yp = estimate.record_yp.to_dict()
     record_yp["estimates"] = estimate.estimates_yp.to_dict()
-    document["sampling"] = {
+    return _document(args, raw, sampling={
         "m_shots": args.shots,
         "s_hat": estimate.s_hat,
         "s_se": estimate.s_se,
         "records": [record_xp, record_yp],
-    }
-    return _json_text(document), EXIT_OK
+    }), EXIT_OK
 
 
 def _seed_arg(text):
@@ -359,25 +343,29 @@ def main(argv=None):
     raw = b""
     try:
         raw = args.read(args)
-        text, code = args.func(args, raw)
+        pieces, code = args.func(args, raw)
     except FrameUndefinedError as exc:
-        text = _error_text(args, raw, "frame_undefined", exc)
-        code = EXIT_FRAME_UNDEFINED
+        error = {"code": "frame_undefined", "message": str(exc)}
+        pieces, code = _document(args, raw, error=error), EXIT_FRAME_UNDEFINED
     except (OSError, ValueError, TrispinError) as exc:
-        text = _error_text(args, raw, "invalid_input", exc)
-        code = EXIT_INVALID_INPUT
+        error = {"code": "invalid_input", "message": str(exc)}
+        pieces, code = _document(args, raw, error=error), EXIT_INVALID_INPUT
     if args.output and args.output != "-":
         try:
             with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                handle.writelines(pieces)
         except OSError as exc:
             print(f"trispin: cannot write {args.output}: {exc.strerror or exc}",
                   file=sys.stderr)
             return EXIT_INVALID_INPUT
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     return code
 
 
 def run():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -4,8 +4,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -341,6 +343,21 @@ class TestScan:
             assert main(["scan", "--grid", pin["grid"], "--output", str(out)]) == 0
             assert scrub_timestamp(out.read_text()) == pin["csv"], pin["grid"]
 
+    def test_header_carries_the_envelope_values(self, monkeypatch, capsys):
+        argv = ["scan", "--grid", PAIR_MIX_GRID, "--seed", "7"]
+        envelope = cli._envelope(cli._parser().parse_args(argv), PAIR_MIX_GRID.encode())
+        # the same values, so the header's timestamp is the envelope's own
+        monkeypatch.setattr(cli, "_envelope", lambda args, raw: envelope)
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[:5] == [
+            f"# trispin scan v{envelope['tool']['version']}",
+            f"# seed: {envelope['seed']}",
+            f"# tolerances: rel={envelope['tolerances']['rel']!r} "
+            f"abs={envelope['tolerances']['abs']!r}",
+            f"# input_sha256: {envelope['input_sha256']}",
+            f"# timestamp: {envelope['timestamp']}",
+        ]
+
     def test_points_are_evaluated_as_one_stack(self, monkeypatch, capsys):
         from trispin import frame, moments
 
@@ -598,37 +615,45 @@ GRID_CASES = {
 }
 
 
+ZERO_PAIR = state_bytes(coeffs="[[[0, 0], [0, 0]], [[1, 0], [0, 0]], [[1, 0], [0, 0]]]",
+                        representation="product")
+
+
 def bad_inputs():
-    """(argv, bytes at --input or None, bytes the reader returns, exit code)."""
+    """(argv, bytes at --input or None, bytes the reader returns, exit code,
+    the exact error message or None where any message will do)."""
     for command in ("compute", "sample"):
         for name, data in STATE_CASES.items():
-            yield pytest.param([command], data, data, 2, id=f"{command}-{name}")
+            yield pytest.param([command], data, data, 2, None, id=f"{command}-{name}")
         ghz = state_bytes(coeffs=f"[[{R}, 0], [0, 0], [0, 0], [{R}, 0]]")
-        yield pytest.param([command], ghz, ghz, 3, id=f"{command}-ghz")
-        yield pytest.param([command, "--input", "missing.json"], None, b"", 2,
+        yield pytest.param([command], ghz, ghz, 3, None, id=f"{command}-ghz")
+        yield pytest.param([command, "--input", "missing.json"], None, b"", 2, None,
                            id=f"{command}-unreadable")
+        yield pytest.param([command, "--normalize"], ZERO_PAIR, ZERO_PAIR, 2,
+                           "cannot normalize a zero qubit amplitude pair",
+                           id=f"{command}-normalize_zero_pair")
     yield pytest.param(["sample", "--shots", "10"], state_bytes(), state_bytes(), 2,
-                       id="sample-too_few_shots")
+                       None, id="sample-too_few_shots")
     for shots in ("10000001", "1000000000000"):
         yield pytest.param(["sample", "--shots", shots], state_bytes(),
-                           state_bytes(), 2, id=f"sample-shots_{shots}")
+                           state_bytes(), 2, None, id=f"sample-shots_{shots}")
     for name, grid in GRID_CASES.items():
-        yield pytest.param(["scan", "--grid", grid], None, grid.encode(), 2,
+        yield pytest.param(["scan", "--grid", grid], None, grid.encode(), 2, None,
                            id=f"scan-{name}")
-    yield pytest.param(["scan"], None, b"", 2, id="scan-missing_grid")
-    yield pytest.param(["scan", "--grid", "\udcff"], None, b"", 2,
+    yield pytest.param(["scan"], None, b"", 2, None, id="scan-missing_grid")
+    yield pytest.param(["scan", "--grid", "\udcff"], None, b"", 2, None,
                        id="scan-unencodable_grid")
     for extra in (["--n", "2"], ["--trials", "0"], ["--corrupt-identity", "JxJxJq"]):
-        yield pytest.param(["verify", "--trials", "5"] + extra, None, b"", 2,
+        yield pytest.param(["verify", "--trials", "5"] + extra, None, b"", 2, None,
                            id=f"verify-{extra[0][2:]}")
 
 
 class TestErrorBoundary:
     """Every subcommand maps bad input to an error document, never a traceback."""
 
-    @pytest.mark.parametrize("argv, data, read, exit_code", bad_inputs())
+    @pytest.mark.parametrize("argv, data, read, exit_code, message", bad_inputs())
     def test_bad_input_gives_an_error_document(
-        self, argv, data, read, exit_code, tmp_path, monkeypatch, capsys
+        self, argv, data, read, exit_code, message, tmp_path, monkeypatch, capsys
     ):
         monkeypatch.chdir(tmp_path)
         if data is not None:
@@ -640,6 +665,8 @@ class TestErrorBoundary:
         code = "frame_undefined" if exit_code == 3 else "invalid_input"
         assert doc["error"]["code"] == code
         assert doc["input_sha256"] == hashlib.sha256(read).hexdigest()
+        if message is not None:
+            assert doc["error"]["message"] == message
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("subcommand", ["compute", "sample"])
@@ -744,6 +771,36 @@ class TestErrorBoundary:
         monkeypatch.setattr(cli, "entanglement_s", fault)
         with pytest.raises(RuntimeError, match="internal fault"):
             main(["compute", "--input", top_state])
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    pytest.param(["compute", "--input", "state.json"], 0, id="compute"),
+    pytest.param(["verify", "--trials", "5", "--n", "8"], 0, id="verify"),
+    pytest.param(["scan", "--grid", grid_text()], 0, id="scan"),
+    pytest.param(["sample", "--input", "state.json", "--shots", "1000"], 0,
+                 id="sample"),
+    pytest.param(["compute", "--input", "ghz.json"], 3, id="frame_undefined"),
+    # refused while the rows are evaluated, after the grid has parsed
+    pytest.param(["scan", "--grid", grid_text(n_atoms=2)], 2, id="invalid_input"),
+])
+def test_every_artifact_takes_one_envelope(argv, exit_code, tmp_path, monkeypatch,
+                                           capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "state.json").write_bytes(state_bytes())
+    (tmp_path / "ghz.json").write_bytes(
+        state_bytes(coeffs=f"[[{R}, 0], [0, 0], [0, 0], [{R}, 0]]")
+    )
+    calls = []
+    envelope = cli._envelope
+
+    def spy(args, raw):
+        calls.append(raw)
+        return envelope(args, raw)
+
+    monkeypatch.setattr(cli, "_envelope", spy)
+    assert main(argv) == exit_code
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -973,3 +1030,16 @@ class TestParser:
         # a reused parser still starts every call from the defaults
         main(["compute", "--input", top_state])
         assert json.loads(capsys.readouterr().out)["seed"] == 0
+
+
+def test_module_runs_the_cli_and_returns_its_exit_code():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-m", "trispin.cli", "verify", "--trials", "5",
+         "--corrupt-identity", "JxJyJz"],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert child.returncode == 1, child.stderr
+    assert json.loads(child.stdout)["verification"]["passed"] is False

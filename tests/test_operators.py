@@ -98,6 +98,13 @@ class TestCollectiveOp:
         )
 
 
+@pytest.mark.parametrize("build", [collective_op, collective_op_dicke])
+def test_collective_ops_refuse_zero_atoms(build):
+    with pytest.raises(InvalidStateError) as info:
+        build("x", 0)
+    assert str(info.value) == "need at least 1 atom, got 0"
+
+
 class TestCollectiveOpDicke:
     def test_z_is_descending_ladder(self):
         op = collective_op_dicke("z", 3)

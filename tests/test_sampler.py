@@ -189,6 +189,27 @@ class TestEstimateMoments:
         with pytest.raises(ValueError, match="whole numbers"):
             MeasurementRecord("operator", [0.0, 1.0], counts, 1, seed=3)
 
+    @pytest.mark.parametrize("eigenvalues, counts, m_shots, message", [
+        pytest.param([0.0, 1.0], [3], 3,
+                     "eigenvalues and counts must be matching 1-d arrays",
+                     id="mismatched_shapes"),
+        pytest.param([0.0, 1.0], [-1, 4], 3,
+                     "counts must be non-negative and sum to the shot count",
+                     id="negative_count"),
+        pytest.param([0.0, 1.0], [1, 1], 3,
+                     "counts must be non-negative and sum to the shot count",
+                     id="counts_miss_the_shots"),
+        pytest.param([1.0, 0.0], [1, 2], 3, "eigenvalues must be strictly increasing",
+                     id="decreasing_eigenvalues"),
+        pytest.param([0.5, 0.5], [1, 2], 3, "eigenvalues must be strictly increasing",
+                     id="repeated_eigenvalue"),
+    ])
+    def test_record_refuses_inconsistent_fields(self, eigenvalues, counts, m_shots,
+                                                message):
+        with pytest.raises(ValueError) as info:
+            MeasurementRecord("operator", eigenvalues, counts, m_shots, seed=3)
+        assert str(info.value) == message
+
     def test_record_takes_whole_counts_held_as_floats(self):
         record = MeasurementRecord("operator", [0.0, 1.0], [1.0, 2.0], 3, seed=3)
         assert record.counts.tolist() == [1, 2]

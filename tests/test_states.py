@@ -11,6 +11,7 @@ from trispin import (
     FullState,
     InvalidStateError,
     NotSymmetricError,
+    ProductState,
     SymmetricState,
     as_symmetric,
     dicke_to_full,
@@ -25,7 +26,12 @@ from trispin import (
     state_to_dict,
     symmetric_state,
 )
-from trispin.states import FULL_SPACE_ATOM_CAP, _integer_field, ladder_stack
+from trispin.states import (
+    FULL_SPACE_ATOM_CAP,
+    _integer_field,
+    coherent_stack,
+    ladder_stack,
+)
 
 
 class TestConstruction:
@@ -65,6 +71,28 @@ class TestConstruction:
         rows = [np.ones(4) / 2, np.ones(5) / 5**0.5]
         with pytest.raises(InvalidStateError, match="expected rows of 4 coefficients"):
             ladder_stack(3, rows, normalize=normalize)
+
+    @pytest.mark.parametrize("build, error, message", [
+        pytest.param(lambda: ProductState(np.ones((3, 3))), InvalidStateError,
+                     "expected an (N, 2) array of qubit amplitudes, got shape (3, 3)",
+                     id="product_shape"),
+        pytest.param(lambda: FullState(0, [1.0]), InvalidStateError,
+                     "need at least 1 atom, got 0", id="full_no_atoms"),
+        pytest.param(lambda: coherent_stack(3, np.ones((2, 3))), InvalidStateError,
+                     "expected (K, 2) qubit amplitudes, got shape (2, 3)",
+                     id="coherent_pair_shape"),
+        pytest.param(lambda: as_symmetric(object()), TypeError,
+                     "not a state: object", id="as_symmetric_non_state"),
+        pytest.param(lambda: permute_atoms(full_state(3, [1.0] + [0.0] * 7), (1, 1, 2)),
+                     InvalidStateError, "not a permutation of 1..3: (1, 1, 2)",
+                     id="permute_repeated_atom"),
+        pytest.param(lambda: state_to_dict(full_state(1, [1.0, 0.0])), TypeError,
+                     "no JSON schema for FullState", id="to_dict_full"),
+    ])
+    def test_refusals_state_their_rule(self, build, error, message):
+        with pytest.raises(error) as info:
+            build()
+        assert str(info.value) == message
 
     def test_full_state_checks_length(self):
         with pytest.raises(InvalidStateError):
