@@ -31,13 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameUndefinedError
-from .operators import (
-    AXES,
-    LadderOperator,
-    apply_ladder_axes,
-    collective_op_dicke,
-    component_sums,
-)
+from .operators import AXES, LadderOperator, apply_ladder_axes, component_sums
 from .states import as_symmetric
 
 # Below this mean-spin magnitude the frame (and hence the S parameter) is
@@ -183,7 +177,9 @@ def rotated_ops(angles, n_atoms):
     """Dense (Jx', Jy', Jz') on the (N+1)-level ladder.
 
     Each primed operator is the corresponding linear combination of the
-    unprimed collective components, so it shares the spectrum of Jz.
+    unprimed collective components, so it shares the spectrum of Jz; the
+    three are written onto the cached ladder support of Jx, Jy and Jz
+    (``component_sums``), so no component is built per call.
     """
-    base = [collective_op_dicke(axis, n_atoms).entries for axis in AXES]
-    return tuple(map(LadderOperator, component_sums(rotation_matrix(angles), base)))
+    sums = component_sums(rotation_matrix(angles), "ladder", n_atoms)
+    return tuple(map(LadderOperator, sums))

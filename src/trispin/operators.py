@@ -11,9 +11,13 @@ dense ladder matrices.  The dense 2**N matrices are small-N references for
 the identity checks in ``verify``.  Every ``OperatorMatrix`` is hermitian:
 its entries are checked against their conjugate transpose when it is built,
 and a NaN or infinite entry fails that check.  ``component_sums`` is the one
-weighted sum of dense Jx, Jy and Jz: ``frame.rotated_ops`` wraps its ladder
-sums as checked ``LadderOperator`` objects, while ``verify``'s rotated 2**N
-operators, real-weighted sums of checked components, are not checked again.
+weighted sum of dense Jx, Jy and Jz, and it is written rather than computed:
+each float where one of the checked components is nonzero (their support,
+``_component_support``, cached per space and N) gets its weight times its
+value, and every other float stays zero, the bits of the sum.
+``frame.rotated_ops`` wraps its ladder sums as checked ``LadderOperator``
+objects, while ``verify``'s rotated 2**N operators, real-weighted sums of
+checked components, are not checked again.
 """
 
 from __future__ import annotations
@@ -207,20 +211,55 @@ def apply_ladder_axes(coeffs):
     return out
 
 
-def component_sums(weights, components):
+@lru_cache(maxsize=32)
+def _component_support(space, n_atoms):
+    """Where the dense Jx, Jy and Jz of one space hold their nonzero floats.
+
+    ``space`` is ``"full"`` (``collective_op``, 2**N levels) or ``"ladder"``
+    (``collective_op_dicke``, N+1 levels).  Returns ``(dim, positions,
+    which, values)``: the flat positions of the nonzero floats of a
+    ``(dim, dim)`` complex matrix viewed as floats, in increasing order, the
+    component (0, 1, 2 for x, y, z) that holds each, and its value, all
+    read-only and cached per space and N.  Jx and Jz are real and Jy is
+    imaginary, so no float position is nonzero in two components; that is
+    checked here, since ``component_sums`` relies on it.
+    """
+    build = {"full": collective_op, "ladder": collective_op_dicke}[space]
+    entries = np.array([build(axis, n_atoms).entries for axis in AXES])
+    floats = entries.view(float).reshape(3, -1)
+    nonzero = floats != 0
+    if np.any(np.count_nonzero(nonzero, axis=0) > 1):
+        raise RuntimeError(f"internal error: {space} Jx, Jy and Jz share a nonzero float")
+    (positions,) = np.nonzero(nonzero.any(axis=0))
+    which = nonzero[:, positions].argmax(axis=0)
+    values = floats[which, positions]
+    for table in (positions, which, values):
+        table.setflags(write=False)
+    return entries.shape[-1], positions, which, values
+
+
+def component_sums(weights, space, n_atoms):
     """``((0 + w_x Jx) + w_y Jy) + w_z Jz`` for each weight triple in ``weights``.
 
-    ``weights`` has shape ``(..., 3)`` and ``components`` is the dense
-    ``(Jx, Jy, Jz)`` of one space; the result has shape ``(..., D, D)``.
-    The weights are cast to ``w + 0j`` and added in that order, the
-    arithmetic of ``sum(w * J for w, J in zip(row, components))``, so every
-    entry keeps the bits of that sum.  Real weights keep a hermitian
-    ``Jx``, ``Jy`` and ``Jz`` exactly hermitian: conjugation commutes bit
-    for bit with a product by ``w + 0j`` and with addition.
+    ``weights`` are finite reals of shape ``(..., 3)``; ``space`` and
+    ``n_atoms`` name the dense ``(Jx, Jy, Jz)`` of ``_component_support``.
+    The result has shape ``(..., D, D)`` and keeps every bit of
+    ``sum(w * J for w, J in zip(row, components))``.  Each float of the sum
+    has at most one nonzero term, ``w * value`` from the one component
+    nonzero there, and the other terms are exact zeros, which leave a
+    nonzero partial sum as it is and a zero one at +0.  So the sum is
+    written, not computed: zeros, then ``w * value + 0.0`` at the support,
+    the ``+ 0.0`` turning the -0.0 of a zero weight (or of a product that
+    underflows) into the +0.0 that the sum gives.  Real weights keep the
+    sums of hermitian ``Jx``, ``Jy`` and ``Jz`` exactly hermitian.
     """
-    w = np.asarray(weights, dtype=complex)[..., None, None]
-    jx, jy, jz = components
-    return ((0 + w[..., 0, :, :] * jx) + w[..., 1, :, :] * jy) + w[..., 2, :, :] * jz
+    w = np.asarray(weights, dtype=float)
+    dim, positions, which, values = _component_support(space, n_atoms)
+    out = np.zeros((*w.shape[:-1], dim, dim), dtype=complex)
+    out.view(float).reshape(*w.shape[:-1], -1)[..., positions] = (
+        w[..., which] * values + 0.0
+    )
+    return out
 
 
 def collective_op_dicke(axis, n_atoms):

@@ -8,26 +8,30 @@ constant.  ``IDENTITIES`` holds those reductions as term lists derived by
 correlator table is built from, so the suite checks that rule itself;
 ``reduced_terms("xyz")`` shows one list for audit.  The suite rebuilds both
 sides as dense 8x8 matrices: a product of factors is one ``_product`` from
-the identity, and a term list becomes one coefficient column over a cached
-stack of its term products, added in list order (``_terms_matrix``).
+the identity, and a term list is summed entry by entry over only the terms
+nonzero there, in list order (``_terms_matrix``, over the cached tables of
+``_term_entries``).
 
 On top of the per-word identities, ``verify_cancellation`` checks the key
 cancellation result: the cube of the rotated component Jx' equals a term list
 containing only single-atom and tripartite factors (no bipartite products
-survive), for arbitrary rotation angles.  Every dense check, the one-atom
-relations included (one stack of pairs per rule), passes by one rule
-(``_checked``): the largest entrywise distance of its sides is at most
-``RESIDUAL_TOL``.  ``verify_sum_route`` and ``verify_product_vanishing`` are
-randomized sweeps of the moment formulas, run on stacks from the seeded draw
-to the verdict: each draw keeps its own seeded generator, the draws are cut
-into ``(K, N+1)`` ladder stacks by ``moments.stacks_of`` and checked once per
-stack (``states.ladder_stack``, ``states.coherent_stack``), and the rows go
-through ``stack_reports`` and are used as they are yielded.  The sum-route
-sweep checks those rows against an independent direct route from dense 2**N
-operators, hermitian by construction, in stacks of at most ``DENSE_ENTRIES``
-entries.  Every recorded float is the one the per-state functions give.  Every
-sweep passes by one verdict (``_summary``): its worst value, NaN if any is, is
-at most its tolerance.
+survive), for arbitrary rotation angles.  ``cancellation_sweep`` checks it
+on ``(K, 8, 8)`` stacks of random angle pairs cut by ``moments.stacks_of``,
+and ``verify_cancellation`` is that code on a stack of one.  Every dense
+check, the one-atom relations included (one stack of pairs per rule), passes
+by one rule (``_checked``): the largest entrywise distance of its sides is
+at most ``RESIDUAL_TOL``.  ``verify_sum_route`` and
+``verify_product_vanishing`` are randomized sweeps of the moment formulas,
+run on stacks from the seeded draw to the verdict: each draw keeps its own
+seeded generator, the draws are cut into ``(K, N+1)`` ladder stacks by
+``moments.stacks_of`` and checked once per stack (``states.ladder_stack``,
+``states.coherent_stack``), and the rows go through ``stack_reports`` and
+are used as they are yielded.  The sum-route sweep checks those rows against an independent direct route from dense 2**N
+operators, written onto the support of Jx, Jy and Jz by
+``operators.component_sums`` and hermitian by construction, in chunks of at
+most ``DENSE_ENTRIES`` entries.  Every recorded float is the one the
+per-state functions give.  Every sweep passes by one verdict (``_summary``):
+its worst value, NaN if any is, is at most its tolerance.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from itertools import chain, permutations, product
 import math
 import numpy as np
 
-from .frame import RotationAngles, primed_axes, rotation_matrix
+from .frame import RotationAngles, primed_axes
 from .moments import (
     PATTERNS,
     ROUTE_REL_TOL,
@@ -59,11 +63,12 @@ from .states import coherent_stack, full_rows, ladder_stack, seeded_gaussians
 RESIDUAL_TOL = 1e-12
 PRODUCT_S_TOL = 1e-10
 
-# Most dense operator entries in one chunk of the sum-route sweep, 0.5 MiB of
-# complex entries: the x' and y' operators of 2**15 // (2 * 4**N) states.
-# Building and checking a chunk at N=6 took about 55 us per operator at this
-# size and 180 us at 1 MiB, where the arrays no longer stay in cache (one
-# BLAS thread of a 2-vCPU Xeon), so the bound stays this small.
+# Most complex entries in one chunk of a dense sweep, 0.5 MiB: the x' and y'
+# operators of 2**15 // (2 * 4**N) states in the sum-route sweep, and the
+# gathered term products of 59 angle pairs (552 each) in the cancellation
+# sweep.  With the operators written onto their support, chunks of 2**14 to
+# 2**17 entries ran a default verification equally fast within the noise (one
+# BLAS thread of a loaded 2-vCPU Xeon), so the bound stays this small.
 DENSE_ENTRIES = 2**15
 
 
@@ -175,34 +180,63 @@ def identity_lhs(entry):
 
 
 @lru_cache(maxsize=None)
-def _term_stack(factor_lists):
-    """A zero matrix, then the dense product of each term's factors.
+def _term_entries(factor_lists):
+    """Where the terms of a sum of dense 8x8 term products are nonzero.
 
-    Shape ``(1 + T, 8, 8)`` for T tuples of ``(atom, axis)`` factors (none
-    give the identity); cached per tuple of factor lists and read-only, so
-    every cancellation trial reuses one stack.
+    Each of the T tuples of ``(atom, axis)`` factors (none give the
+    identity) is one term, the dense product of its factors, with 8 nonzero
+    entries.  An entry of the sum gets the terms nonzero there, in list
+    order: its first, its second and so on are its terms of rank 0, 1, ...
+    Returns ``(entries, terms, values, widths)``: the flat entries that any
+    term reaches, the fullest first, so that the entries with a term of
+    rank r are the first ``widths[r]``; then, rank after rank, the term
+    number (from 0) and the term's value at each of those entries.  Cached
+    per tuple of factor lists and read-only, so every cancellation trial
+    reuses one set of tables.
     """
-    stack = np.zeros((1 + len(factor_lists), 8, 8), dtype=complex)
-    for row, factors in enumerate(factor_lists, start=1):
-        stack[row] = _product(_atom_op(atom, axis, 3) for atom, axis in factors)
-    stack.setflags(write=False)
-    return stack
+    stack = np.array([
+        _product(_atom_op(atom, axis, 3) for atom, axis in factors).ravel()
+        for factors in factor_lists
+    ])
+    nonzero = stack != 0
+    counts = np.count_nonzero(nonzero, axis=0)
+    entries = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
+    # a stable sort puts each entry's terms first, in list order
+    ranked = np.argsort(~nonzero[:, entries], axis=0, kind="stable")
+    widths = tuple(int(np.count_nonzero(counts > rank)) for rank in range(counts.max()))
+    terms = np.concatenate([ranked[rank, :width] for rank, width in enumerate(widths)])
+    values = stack[terms, np.concatenate([entries[:width] for width in widths])]
+    for table in (entries, terms, values):
+        table.setflags(write=False)
+    return entries, terms, values, widths
 
 
 def _terms_matrix(coeffs, factor_lists):
-    """Dense 8x8 sum of the terms ``coeffs[i] * term(factor_lists[i])``.
+    """Dense 8x8 sums of the terms ``coeffs[..., i] * term(factor_lists[i])``.
 
-    The coefficient column, a zero first, multiplies the cached
-    ``_term_stack``, and ``cumsum`` along the terms adds the products one by
-    one from the zero matrix, in list order: the additions of a loop over
-    the terms.  The cancellation sweep's recorded ``worst`` depends on that
-    order, so the sum must stay sequential: ``cumsum`` is by definition,
-    while ``np.sum`` promises no order and ``matmul``, ``tensordot`` and
+    ``coeffs`` has shape ``(..., T)`` and the result ``(..., 8, 8)``.  Each
+    entry adds, from +0 and in list order, the products of the coefficients
+    with the terms nonzero there (``_term_entries``), one rank of terms per
+    step: the additions of a loop over all the terms, bit for bit.  A
+    skipped product is an exact zero, which leaves a nonzero partial sum as
+    it is, and a zero partial sum stays +0.  The cancellation sweep's
+    recorded ``worst`` depends on that order, so each sum stays sequential:
+    ``np.sum`` promises no order and ``matmul``, ``tensordot`` and
     ``einsum`` add in their own, which would move it.
     """
-    column = np.zeros(1 + len(factor_lists), dtype=complex)
-    column[1:] = coeffs
-    return (column[:, None, None] * _term_stack(factor_lists)).cumsum(axis=0)[-1]
+    entries, terms, values, widths = _term_entries(factor_lists)
+    coeffs = np.asarray(coeffs, dtype=complex)
+    lead = coeffs.shape[:-1]
+    products = coeffs[..., terms]
+    products *= values
+    sums = np.zeros((*lead, len(entries)), dtype=complex)
+    start = 0
+    for width in widths:
+        sums[..., :width] += products[..., start:start + width]
+        start += width
+    out = np.zeros((*lead, 64), dtype=complex)
+    out[..., entries] = sums
+    return out.reshape(*lead, 8, 8)
 
 
 def identity_rhs(entry):
@@ -251,11 +285,10 @@ def verify_identity_suite(corrupt_id=None):
 # Cancellation of the bipartite terms in the rotated cube
 # ---------------------------------------------------------------------------
 
-def _x_prime_axis(theta, phi):
-    """The x' row of the rotation for polar angle ``theta``, azimuth ``phi``."""
-    ct, st = math.cos(theta), math.sin(theta)
-    cp, sp = math.cos(phi), math.sin(phi)
-    return rotation_matrix(RotationAngles(theta, phi, ct, st, cp, sp))[0]
+def _x_prime_axes(pairs):
+    """The x' rows of the rotation for ``(theta, phi)`` pairs, shape ``(K, 3)``."""
+    trig = ((t, p, math.cos(t), math.sin(t), math.cos(p), math.sin(p)) for t, p in pairs)
+    return primed_axes([RotationAngles(*angles) for angles in trig])[0]
 
 
 # The factors of the reduced form of Jx'^3 on three atoms, the same for every
@@ -271,19 +304,24 @@ _CANCELLATION_FACTORS = tuple(
 )
 
 
-def _cancellation_coeffs(axis):
-    """Coefficients of ``_CANCELLATION_FACTORS`` for the x' row ``axis``."""
+def _cancellation_coeffs(axes):
+    """Coefficients of ``_CANCELLATION_FACTORS`` for x' rows ``axes``, ``(..., 3)``."""
     return np.concatenate(
-        (np.tile(1.75 * axis, 3), np.repeat(pattern_weights(axis), 6))
+        (np.tile(1.75 * axes, 3), np.repeat(pattern_weights(axes), 6, axis=-1)), axis=-1
     )
+
+
+def _cancellation_check(pairs):
+    """The cancellation check on a ``(K, 8, 8)`` stack, one per ``(theta, phi)``."""
+    axes = _x_prime_axes(pairs)
+    combo = component_sums(axes, "full", 3)
+    rhs = _terms_matrix(_cancellation_coeffs(axes), _CANCELLATION_FACTORS)
+    return _checked("cancellation", combo @ combo @ combo, rhs)
 
 
 def verify_cancellation(theta, phi):
     """Compare the cube of the rotated component against the reduced form."""
-    axis = _x_prime_axis(theta, phi)
-    combo = component_sums(axis, [_collective(name, 3) for name in AXES])
-    rhs = _terms_matrix(_cancellation_coeffs(axis), _CANCELLATION_FACTORS)
-    return _checked("cancellation", combo @ combo @ combo, rhs)
+    return _cancellation_check([(theta, phi)])
 
 
 def _check_trials(count):
@@ -293,13 +331,20 @@ def _check_trials(count):
 
 
 def cancellation_sweep(n_pairs=100, seed=13):
-    """Random-angle sweep of the cancellation check (at least one pair)."""
+    """Random-angle sweep of the cancellation check (at least one pair).
+
+    The pairs are drawn one by one from ``default_rng(seed)`` and checked as
+    ``(K, 8, 8)`` stacks cut by ``stacks_of``: a stack holds at most
+    ``DENSE_ENTRIES`` of the term products its reduced forms gather.
+    """
     _check_trials(n_pairs)
     rng = np.random.default_rng(seed)
     pairs = (
         (rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi)) for _ in range(n_pairs)
     )
-    worst = worst_of(verify_cancellation(*pair).max_abs_residual for pair in pairs)
+    products = _term_entries(_CANCELLATION_FACTORS)[1].size
+    stacks = stacks_of(pairs, products, DENSE_ENTRIES)
+    worst = worst_of(_cancellation_check(stack).max_abs_residual for stack in stacks)
     return _summary("cancellation_sweep", n_pairs, 0, worst, RESIDUAL_TOL)
 
 
@@ -331,7 +376,7 @@ def _dense_deviations(worst, n_atoms, chunk):
     rows, reports = zip(*chunk)
     full = full_rows(n_atoms, np.array(rows))
     axes = primed_axes([report.angles for report in reports]).reshape(-1, 3)
-    ops = component_sums(axes, [_collective(axis, n_atoms) for axis in AXES])
+    ops = component_sums(axes, "full", n_atoms)
     moments = _shifted_moments(
         np.concatenate((full, full)), lambda v: (ops @ v[..., None])[..., 0], n_atoms, 3
     )

@@ -8,8 +8,11 @@ the stack's kernels (``apply_ladder_axes``, ``ladder_action``,
 ``moments._pattern_sums``) and the frame angles, so every float it gives
 must equal the package's in every bit.
 
-``terms_matrix_by_term`` is the term-by-term loop that the stacked
+``terms_matrix_by_term`` is the term-by-term loop that the gathered
 ``verify._terms_matrix`` replaces: the same additions in the same order.
+``cancellation_sweep_by_pair`` is the cancellation sweep one pair at a
+time, as it ran before its stacks: each x' operator as Python's ``sum`` of
+the weighted dense components, its reduced form by that loop.
 
 ``spectrum_by_group`` is the grouping loop and per-group product that
 ``sampler.projective_sample`` ran before its one array pass: the merged
@@ -33,7 +36,7 @@ from operator import mul
 import numpy as np
 
 from trispin.errors import FrameUndefinedError, NotSymmetricError
-from trispin.frame import MeanSpin, rotation_angles, rotation_matrix
+from trispin.frame import MeanSpin, RotationAngles, rotation_angles, rotation_matrix
 from trispin.moments import (
     PATTERNS,
     MomentReport,
@@ -41,6 +44,7 @@ from trispin.moments import (
     _pattern_sums,
     stack_reports,
     stacks_of,
+    worst_of,
 )
 from trispin.operators import AXES, apply_ladder_axes, ladder_action, matching_vector
 from trispin.sampler import DEGENERACY_TOL
@@ -52,7 +56,7 @@ from trispin.states import (
     ladder_stack,
     symmetric_state,
 )
-from trispin.verify import _atom_op, _product
+from trispin.verify import _CANCELLATION_FACTORS, _atom_op, _collective, _product
 
 _IMAG_TOL = 1e-10
 _HERMITICITY_IMAG_TOL = 1e-12
@@ -181,6 +185,24 @@ def terms_matrix_by_term(terms):
     for coeff, factors in terms:
         out = out + coeff * _product(_atom_op(atom, axis, 3) for atom, axis in factors)
     return out
+
+
+def cancellation_sweep_by_pair(n_pairs, seed):
+    """The worst residual of the cancellation sweep, one pair at a time."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_pairs):
+        theta, phi = rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi)
+        axis = rotation_matrix(RotationAngles(
+            theta, phi, math.cos(theta), math.sin(theta), math.cos(phi), math.sin(phi)
+        ))[0].tolist()
+        combo = sum(w * _collective(a, 3) for w, a in zip(axis, AXES))
+        coeffs = [1.75 * w for w in axis] * 3 + [
+            weight for weight in pattern_weights_by_row(axis) for _ in range(6)
+        ]
+        rhs = terms_matrix_by_term(zip(coeffs, _CANCELLATION_FACTORS))
+        worst = worst_of((worst, float(np.max(np.abs(combo @ combo @ combo - rhs)))))
+    return worst
 
 
 def spectrum_by_group(state, op):

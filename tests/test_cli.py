@@ -20,6 +20,7 @@ from trispin import cli
 from trispin.cli import main
 
 DATA_DIR = Path(__file__).parent / "data"
+VERIFY_PINS = json.loads((DATA_DIR / "verify_pin.json").read_text())["verify"]
 
 PAIR_MIX_GRID = json.dumps(
     {
@@ -240,9 +241,9 @@ class TestVerify:
         doc = json.loads(out.read_text())
         assert not doc["verification"]["passed"]
 
-    @pytest.mark.parametrize("case", range(4))
+    @pytest.mark.parametrize("case", range(len(VERIFY_PINS)))
     def test_artifact_matches_the_golden_pin(self, case, tmp_path):
-        entry = json.loads((DATA_DIR / "verify_pin.json").read_text())["verify"][case]
+        entry = VERIFY_PINS[case]
         out = tmp_path / "verify.json"
         assert main(["verify", *entry["args"], "--output", str(out)]) == entry["exit_code"]
         assert scrub_timestamp(out.read_text()) == entry["artifact"]

@@ -3,9 +3,10 @@
 ``stack_reports`` runs everything after the kernels on whole columns of a
 stack; ``tests/row_oracle.py`` keeps that stage one row at a time, and every
 row must match it by ``repr`` (every float, signed zeros included).  The
-cancellation and identity sums run over one cached term stack; they must
-give the term-by-term loop's matrices bit for bit.  The cached tables behind
-both refuse writes.
+cancellation and identity sums add only the terms nonzero at each entry;
+they must give the term-by-term loop's matrices bit for bit, and the
+stacked cancellation sweep the pair-by-pair loop's worst residual.  The
+cached tables behind both refuse writes.
 """
 
 import math
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from row_oracle import (
+    cancellation_sweep_by_pair,
     pair_mix_state,
     product_to_dicke_by_state,
     stack_reports_by_row,
@@ -32,7 +34,7 @@ from trispin import (
 )
 from trispin import cli, frame, moments, states, verify
 from trispin.moments import stack_reports
-from trispin.operators import AXES, ladder_vectors
+from trispin.operators import AXES, _component_support, ladder_vectors
 from trispin.verify import (
     IDENTITIES,
     cancellation_sweep,
@@ -296,7 +298,7 @@ def test_cancellation_sums_equal_the_term_loop():
     rng = np.random.default_rng(2024)
     for _ in range(200):
         theta, phi = rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi)
-        axis = verify._x_prime_axis(theta, phi)
+        axis = verify._x_prime_axes([(theta, phi)])[0]
         stacked = verify._terms_matrix(
             verify._cancellation_coeffs(axis), verify._CANCELLATION_FACTORS
         )
@@ -315,6 +317,21 @@ def test_identity_sums_equal_the_term_loop(entry):
     loop = terms_matrix_by_term(entry.terms)
     assert bits(stacked) == bits(loop)
     assert float(np.max(np.abs(identity_lhs(entry) - stacked))) == 0.0
+
+
+# trials per stack of the cancellation sweep, so the last count starts a
+# second stack with one pair
+PAIRS_PER_STACK = (
+    verify.DENSE_ENTRIES // verify._term_entries(verify._CANCELLATION_FACTORS)[1].size
+)
+
+
+@pytest.mark.parametrize("n_pairs", [1, 7, 100, PAIRS_PER_STACK + 1])
+def test_stacked_cancellation_sweep_equals_the_pair_loop(n_pairs):
+    for seed in range(20):
+        assert repr(cancellation_sweep(n_pairs, seed).worst) == repr(
+            cancellation_sweep_by_pair(n_pairs, seed)
+        )
 
 
 def test_cancellation_sweep_worst_is_pinned():
@@ -353,10 +370,12 @@ CACHED_TABLES = {
     "ladder_spread": lambda: states._ladder_spread(4),
     "half_log_binomials": lambda: (states._half_log_binomials(6),),
     "moment_tols": lambda: (moments._moment_tols(5, 3),),
-    "cancellation_stack": lambda: (verify._term_stack(verify._CANCELLATION_FACTORS),),
+    "cancellation_stack": lambda: verify._term_entries(verify._CANCELLATION_FACTORS)[:3],
     "identity_stack": lambda: (
-        verify._term_stack(tuple(factors for _, factors in IDENTITIES[13].terms)),
+        verify._term_entries(tuple(factors for _, factors in IDENTITIES[13].terms))[:3]
     ),
+    "full_support": lambda: _component_support("full", 4)[1:],
+    "ladder_support": lambda: _component_support("ladder", 7)[1:],
     "atom_op": lambda: (verify._atom_op(2, "y", 3),),
     "collective": lambda: (verify._collective("z", 3),),
 }

@@ -18,6 +18,7 @@ from trispin import (
     rotation_angles,
     symmetric_state,
 )
+from trispin import frame, operators
 from trispin.frame import rotation_matrix
 from trispin.operators import AXES
 from trispin.states import product_to_full
@@ -178,6 +179,19 @@ class TestRotatedOps:
             for a in AXES
         )
         np.testing.assert_allclose(total, unrotated, atol=1e-12)
+
+    def test_builds_no_component_per_call(self, monkeypatch):
+        # the ladder support of Jx, Jy and Jz is cached per N
+        angles = angles_from(0.4, 1.3)
+        first = rotated_ops(angles, 6)
+
+        def refuse(axis, n_atoms):
+            raise AssertionError("rotated_ops built a ladder component")
+
+        for module in (frame, operators):
+            monkeypatch.setattr(module, "collective_op_dicke", refuse, raising=False)
+        for op, again in zip(first, rotated_ops(angles, 6)):
+            assert op.entries.tobytes() == again.entries.tobytes()
 
     def test_rotation_matrix_is_orthogonal(self):
         rot = rotation_matrix(angles_from(0.9, 2.2))

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,12 @@ from trispin import (
     single_atom_op,
     symmetric_state,
 )
+from trispin import operators
 from trispin.operators import (
     AXES,
+    _component_support,
     apply_ladder_axes,
+    component_sums,
     ladder_action,
     ladder_vectors,
 )
@@ -211,6 +216,46 @@ class TestLadderKernel:
             assert applied.shape == (3, *shape)
             for row, weights in zip(applied, UNIT_WEIGHTS):
                 assert np.array_equal(row, ladder_action(weights, n_atoms)(coeffs))
+
+
+# every (x, y, z) triple of weights that give signed zeros (a zero weight, or
+# a product with the smallest subnormal that rounds to zero), huge and plain
+# values: 216 rows
+EDGE_WEIGHTS = np.array(list(product([-0.0, 0.0, 5e-324, 1e300, -1e300, 0.7], repeat=3)))
+
+
+@pytest.mark.parametrize("space, n_atoms", [
+    *(pytest.param("full", n, id=f"full-{n}") for n in range(1, 7)),
+    *(pytest.param("ladder", n, id=f"ladder-{n}") for n in range(1, 41)),
+])
+def test_component_sums_keep_the_bits_of_the_sum(space, n_atoms):
+    # the sums are written onto the support of Jx, Jy and Jz, not computed;
+    # each must hold the bits of Python's sum of the weighted components
+    build = collective_op if space == "full" else collective_op_dicke
+    components = [build(axis, n_atoms).entries for axis in AXES]
+    rows = np.concatenate(
+        (EDGE_WEIGHTS, np.random.default_rng(n_atoms).standard_normal((40, 3)))
+    )
+    want = np.array([sum(w * mat for w, mat in zip(row, components)) for row in rows])
+    dim = components[0].shape[0]
+    cases = [
+        (rows[0], want[0]),
+        (rows[5], want[5]),
+        (rows, want),
+        (rows.reshape(2, -1, 3), want.reshape(2, -1, dim, dim)),
+    ]
+    for weights, expected in cases:
+        got = component_sums(weights, space, n_atoms)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_component_support_refuses_overlapping_components(monkeypatch):
+    # the written sums hold only if no float is nonzero in two components
+    jx = collective_op_dicke("x", 5)
+    monkeypatch.setattr(operators, "collective_op_dicke", lambda axis, n_atoms: jx)
+    with pytest.raises(RuntimeError, match="share a nonzero float"):
+        _component_support.__wrapped__("ladder", 5)
 
 
 class TestOperatorMatrix:

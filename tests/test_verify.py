@@ -161,7 +161,7 @@ class TestCancellation:
             assert verify_cancellation(theta, phi).max_abs_residual <= RESIDUAL_TOL
 
     def test_reduced_form_has_no_bipartite_terms(self):
-        coeffs = verify._cancellation_coeffs(verify._x_prime_axis(0.3, -1.2))
+        coeffs = verify._cancellation_coeffs(verify._x_prime_axes([(0.3, -1.2)])[0])
         terms = list(zip(coeffs.tolist(), verify._CANCELLATION_FACTORS))
         sizes = {len(factors) for _, factors in terms}
         assert sizes == {1, 3}
@@ -242,27 +242,47 @@ def nan_at(call, fn, poison):
     return patched
 
 
+def nan_at_trial(trial, fn):
+    """``fn``, which gives one row per trial of a stack, with a NaN row at ``trial``.
+
+    ``trial`` counts from 0 over all the stacks of a sweep.
+    """
+    done = [0]
+
+    def patched(pairs):
+        rows = fn(pairs)
+        if 0 <= trial - done[0] < len(rows):
+            rows[trial - done[0]] = math.nan
+        done[0] += len(rows)
+        return rows
+
+    return patched
+
+
 @pytest.mark.parametrize("call", [0, 1, 7])
 @pytest.mark.parametrize(
-    "sweep, name, poison",
+    "sweep, name, patch",
     [
-        (lambda: verify_sum_route(4, 10, 13), "route_deviation", lambda _: math.nan),
+        (
+            lambda: verify_sum_route(4, 10, 13),
+            "route_deviation",
+            lambda call, fn: nan_at(call, fn, lambda _: math.nan),
+        ),
         (
             lambda: verify_product_vanishing(5, 10, 13),
             "_raise_undefined",
-            lambda row: dataclasses.replace(row, s_parameter=math.nan),
+            lambda call, fn: nan_at(
+                call, fn, lambda row: dataclasses.replace(row, s_parameter=math.nan)
+            ),
         ),
-        (
-            lambda: cancellation_sweep(10, 13),
-            "verify_cancellation",
-            lambda result: dataclasses.replace(result, max_abs_residual=math.nan),
-        ),
+        # the ten pairs make one stack, so the NaN x' row sits inside it
+        (lambda: cancellation_sweep(10, 13), "_x_prime_axes", nan_at_trial),
     ],
     ids=["sum_route", "product_vanishing", "cancellation"],
 )
-def test_a_nan_fails_the_sweep(sweep, name, poison, call, monkeypatch):
+def test_a_nan_fails_the_sweep(sweep, name, patch, call, monkeypatch):
     # max(0.0, nan) is 0.0, so a fold by max would pass a NaN that is not first
-    monkeypatch.setattr(verify, name, nan_at(call, getattr(verify, name), poison))
+    monkeypatch.setattr(verify, name, patch(call, getattr(verify, name)))
     summary = sweep()
     assert math.isnan(summary.worst)
     assert not summary.passed
@@ -304,12 +324,8 @@ def test_primed_operators_are_exactly_hermitian(space, n_atoms):
     # Hermiticity check, so each must equal its conjugate transpose exactly;
     # the same sums of the ladder components are the sampler's operators
     angles = frame_angles(n_atoms, 400)
-    if space == "full":
-        bases, dim = [verify._collective(axis, n_atoms) for axis in AXES], 2**n_atoms
-    else:
-        bases = [collective_op_dicke(axis, n_atoms).entries for axis in AXES]
-        dim = n_atoms + 1
-    ops = component_sums(primed_axes(angles).reshape(-1, 3), bases)
+    dim = 2**n_atoms if space == "full" else n_atoms + 1
+    ops = component_sums(primed_axes(angles).reshape(-1, 3), space, n_atoms)
     assert ops.shape == (2 * len(angles), dim, dim)
     assert np.max(np.abs(ops - ops.conj().swapaxes(-1, -2))) == 0.0
 
