@@ -178,8 +178,9 @@ def rotated_ops(angles, n_atoms):
 
     Each primed operator is the corresponding linear combination of the
     unprimed collective components, so it shares the spectrum of Jz; the
-    three are written onto the cached ladder support of Jx, Jy and Jz
-    (``component_sums``), so no component is built per call.
+    three are written onto the ladder support of Jx, Jy and Jz, read off
+    ``ladder_vectors`` and cached per N (``component_sums``), so no
+    component is built, per call or to find the support.
     """
     sums = component_sums(rotation_matrix(angles), "ladder", n_atoms)
     return tuple(map(LadderOperator, sums))

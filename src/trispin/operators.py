@@ -12,12 +12,15 @@ the identity checks in ``verify``.  Every ``OperatorMatrix`` is hermitian:
 its entries are checked against their conjugate transpose when it is built,
 and a NaN or infinite entry fails that check.  ``component_sums`` is the one
 weighted sum of dense Jx, Jy and Jz, and it is written rather than computed:
-each float where one of the checked components is nonzero (their support,
+each float where one of the components is nonzero (their support,
 ``_component_support``, cached per space and N) gets its weight times its
-value, and every other float stays zero, the bits of the sum.
-``frame.rotated_ops`` wraps its ladder sums as checked ``LadderOperator``
-objects, while ``verify``'s rotated 2**N operators, real-weighted sums of
-checked components, are not checked again.
+value, and every other float stays zero, the bits of the sum.  The ladder
+support is read off ``ladder_vectors``, the vectors the O(N) kernels use,
+so every dense ladder matrix is written one way: ``collective_op_dicke``
+(unit weights), ``frame.rotated_ops`` and the sampler's Jx' and Jy', each
+wrapped as a checked ``LadderOperator``.  The full-space support is read
+off the checked ``collective_op`` matrices, and ``verify``'s rotated 2**N
+operators, real-weighted sums of those components, are not checked again.
 """
 
 from __future__ import annotations
@@ -211,31 +214,53 @@ def apply_ladder_axes(coeffs):
     return out
 
 
+def _full_support(n_atoms):
+    entries = np.array([collective_op(axis, n_atoms).entries for axis in AXES])
+    floats = entries.view(float).reshape(3, -1)
+    nonzero = floats != 0
+    if np.any(np.count_nonzero(nonzero, axis=0) > 1):
+        raise RuntimeError("internal error: full Jx, Jy and Jz share a nonzero float")
+    (positions,) = np.nonzero(nonzero.any(axis=0))
+    which = nonzero[:, positions].argmax(axis=0)
+    return entries.shape[-1], positions, which, floats[which, positions]
+
+
+def _ladder_support(n_atoms):
+    # Row k holds, in float order, Jx and Jy at (k, k-1), Jz at (k, k), and
+    # Jx and Jy at (k, k+1): raising/2, +raising/2 (imaginary), m, raising/2
+    # and -raising/2 (imaginary), with raising[k] linking levels k and k+1.
+    m, raising = ladder_vectors(n_atoms)
+    half = 0.5 * raising.real
+    below, above = np.append(0.0, half), np.append(half, 0.0)
+    values = np.stack([below, below, m, above, -above], axis=1)
+    # float offsets from the real part of (k, k), which sits at 2 (N + 2) k
+    positions = 2 * (n_atoms + 2) * np.arange(n_atoms + 1)[:, None] + [-2, -1, 0, 2, 3]
+    which = np.broadcast_to([0, 1, 2, 0, 1], values.shape)
+    nonzero = values != 0
+    return n_atoms + 1, positions[nonzero], which[nonzero], values[nonzero]
+
+
 @lru_cache(maxsize=32)
 def _component_support(space, n_atoms):
     """Where the dense Jx, Jy and Jz of one space hold their nonzero floats.
 
-    ``space`` is ``"full"`` (``collective_op``, 2**N levels) or ``"ladder"``
-    (``collective_op_dicke``, N+1 levels).  Returns ``(dim, positions,
-    which, values)``: the flat positions of the nonzero floats of a
-    ``(dim, dim)`` complex matrix viewed as floats, in increasing order, the
-    component (0, 1, 2 for x, y, z) that holds each, and its value, all
-    read-only and cached per space and N.  Jx and Jz are real and Jy is
-    imaginary, so no float position is nonzero in two components; that is
-    checked here, since ``component_sums`` relies on it.
+    ``space`` is ``"full"`` (2**N levels) or ``"ladder"`` (N+1 levels).
+    Returns ``(dim, positions, which, values)``: the flat positions of the
+    nonzero floats of a ``(dim, dim)`` complex matrix viewed as floats, in
+    increasing order, the component (0, 1, 2 for x, y, z) that holds each,
+    and its value, all read-only and cached per space and N.  The full
+    space reads them off the checked ``collective_op`` matrices, the
+    independent oracle: Jx and Jz are real and Jy is imaginary, so no float
+    position is nonzero in two components, and that is checked there, since
+    ``component_sums`` relies on it.  The ladder reads them off
+    ``ladder_vectors`` in O(N), as ``ladder_action`` does: m on the diagonal
+    of Jz, raising/2 on both off-diagonals of Jx, and -raising/2 above and
+    +raising/2 below as the imaginary parts of Jy.
     """
-    build = {"full": collective_op, "ladder": collective_op_dicke}[space]
-    entries = np.array([build(axis, n_atoms).entries for axis in AXES])
-    floats = entries.view(float).reshape(3, -1)
-    nonzero = floats != 0
-    if np.any(np.count_nonzero(nonzero, axis=0) > 1):
-        raise RuntimeError(f"internal error: {space} Jx, Jy and Jz share a nonzero float")
-    (positions,) = np.nonzero(nonzero.any(axis=0))
-    which = nonzero[:, positions].argmax(axis=0)
-    values = floats[which, positions]
-    for table in (positions, which, values):
+    dim, *tables = {"full": _full_support, "ladder": _ladder_support}[space](n_atoms)
+    for table in tables:
         table.setflags(write=False)
-    return entries.shape[-1], positions, which, values
+    return dim, *tables
 
 
 def component_sums(weights, space, n_atoms):
@@ -265,18 +290,10 @@ def component_sums(weights, space, n_atoms):
 def collective_op_dicke(axis, n_atoms):
     """Collective component on the (N+1)-dimensional ladder, as a dense matrix.
 
-    Built from ``ladder_vectors``; levels ordered from ``m = j`` down to
-    ``m = -j``.  Agrees with the projection of ``collective_op`` onto the
-    symmetric subspace.
+    Written onto the ladder support (``component_sums`` with unit weight on
+    ``axis``); levels ordered from ``m = j`` down to ``m = -j``.  Agrees with
+    the projection of ``collective_op`` onto the symmetric subspace.
     """
     _axis_block(axis)
-    m, elements = ladder_vectors(n_atoms)
-    if axis == "z":
-        entries = np.diag(m).astype(complex)
-    else:
-        raising = np.diag(elements, 1).astype(complex)
-        if axis == "x":
-            entries = 0.5 * (raising + raising.conj().T)
-        else:
-            entries = -0.5j * (raising - raising.conj().T)
-    return LadderOperator(entries)
+    unit = np.eye(3)[AXES.index(axis)]
+    return LadderOperator(component_sums(unit, "ladder", n_atoms))

@@ -22,7 +22,9 @@ serves the point estimate and every resample.
 
 ``estimate_s_from_samples`` brings every input to the (N+1)-level ladder
 (``as_symmetric``) and samples dense ladder operators there, whatever
-representation the state came in.  Jx' and Jy' do not commute, so it measures
+representation the state came in.  It writes only the two it measures, Jx'
+and Jy', from the x' and y' rows of ``frame.primed_axes`` onto the ladder
+support (``operators.component_sums``).  They do not commute, so it measures
 them in independent runs, as separate state preparations would; the two run
 seeds are drawn from one master stream seeded by the caller.
 """
@@ -35,18 +37,19 @@ import math
 import numpy as np
 
 from .errors import InsufficientShotsError, InvalidStateError
-from .frame import mean_spin, rotated_ops, rotation_angles
-from .operators import matching_vector
+from .frame import mean_spin, primed_axes, rotation_angles
+from .operators import LadderOperator, component_sums, matching_vector
 from .states import as_symmetric
 
 DEGENERACY_TOL = 1e-10
 MIN_SHOTS_ESTIMATE = 100
 MIN_SHOTS_S = 1000
 BOOTSTRAP_RESAMPLES = 200
-# Largest register ``estimate_s_from_samples`` accepts.  Its dense (N+1)^2
-# ladder operators and their eigh took 9.9 s and 616 MB peak RSS at N=2000
-# with 10^5 shots (one BLAS thread on a 2-vCPU Xeon); memory grows as N^2, so
-# a larger N would end in an out-of-memory kill rather than an error.
+# Largest register ``estimate_s_from_samples`` accepts.  Its two dense
+# (N+1)^2 ladder operators and their eigh took 8.4-9.3 s and 442 MB peak RSS
+# at N=2000 with 10^5 shots (fresh processes, one BLAS thread on a 2-vCPU
+# Xeon); memory grows as N^2, so a larger N would end in an out-of-memory
+# kill rather than an error.
 MAX_SAMPLE_ATOMS = 2000
 # Most shots one record takes.  The tally holds M float64 uniforms at once,
 # 8 bytes a shot: at N=10 a run took 0.19 s and 113 MB peak RSS with 10^7
@@ -282,8 +285,9 @@ def estimate_s_from_samples(state, m_shots, seed):
             f"(requested N={state.n_atoms}); its dense ladder operators grow "
             "as (N+1)^2"
         )
-    angles = rotation_angles(mean_spin(state))
-    op_xp, op_yp, _ = rotated_ops(angles, state.n_atoms)
+    # one (2, D, D) sum, freed once both operators hold their copies
+    axes = primed_axes([rotation_angles(mean_spin(state))])[:, 0]
+    op_xp, op_yp = map(LadderOperator, component_sums(axes, "ladder", state.n_atoms))
     master = np.random.default_rng(seed)
     seed_xp, seed_yp = (int(s) for s in master.integers(0, 2**63, size=2))
     record_xp = projective_sample(state, op_xp, m_shots, seed_xp, "jx_prime")

@@ -57,7 +57,7 @@ from .moments import (
     stacks_of,
     worst_of,
 )
-from .operators import AXES, collective_op, component_sums, single_atom_op
+from .operators import AXES, component_sums, single_atom_op
 from .states import coherent_stack, full_rows, ladder_stack, seeded_gaussians
 
 RESIDUAL_TOL = 1e-12
@@ -164,19 +164,19 @@ def _atom_op(atom, axis, n_atoms):
     return single_atom_op(atom, axis, n_atoms).entries
 
 
-@lru_cache(maxsize=None)
-def _collective(axis, n_atoms):
-    return collective_op(axis, n_atoms).entries
-
-
 def _product(matrices):
     """The ordered product of dense 8x8 matrices, from the identity on."""
     return reduce(np.matmul, matrices, np.eye(8, dtype=complex))
 
 
 def identity_lhs(entry):
-    """Dense 8x8 collective product for the identity's axis word."""
-    return _product(_collective(axis, 3) for axis in entry.word)
+    """Dense 8x8 collective product for the identity's axis word.
+
+    The factors are the full-space Jx, Jy and Jz as ``component_sums``
+    writes them with unit weights, from the one cached support.
+    """
+    components = component_sums(np.eye(3), "full", 3)
+    return _product(components[AXES.index(axis)] for axis in entry.word)
 
 
 @lru_cache(maxsize=None)

@@ -33,6 +33,24 @@ def collective(n_atoms, axis):
     return sum(atom_operator(n_atoms, {atom: axis}) for atom in range(1, n_atoms + 1))
 
 
+def ladder_component(n_atoms, axis):
+    """Dense collective component on the (N+1)-level ladder, from ``np.diag``.
+
+    Levels run from m = N/2 down to -N/2; the raising operator holds
+    sqrt(j(j+1) - m(m+1)) (j = N/2) on its first superdiagonal, and Jx and
+    Jy are its hermitian and antihermitian halves.
+    """
+    j = n_atoms / 2.0
+    m = j - np.arange(n_atoms + 1)
+    if axis == "z":
+        return np.diag(m).astype(complex)
+    m_src = m[1:]
+    raising = np.diag(np.sqrt(j * (j + 1) - m_src * (m_src + 1)), 1).astype(complex)
+    if axis == "x":
+        return 0.5 * (raising + raising.conj().T)
+    return -0.5j * (raising - raising.conj().T)
+
+
 def expectation(vec, mat):
     return complex(np.vdot(vec, mat @ vec))
 

@@ -46,7 +46,13 @@ from trispin.moments import (
     stacks_of,
     worst_of,
 )
-from trispin.operators import AXES, apply_ladder_axes, ladder_action, matching_vector
+from trispin.operators import (
+    AXES,
+    apply_ladder_axes,
+    collective_op,
+    ladder_action,
+    matching_vector,
+)
 from trispin.sampler import DEGENERACY_TOL
 from trispin.states import (
     SYMMETRY_TOL,
@@ -56,7 +62,7 @@ from trispin.states import (
     ladder_stack,
     symmetric_state,
 )
-from trispin.verify import _CANCELLATION_FACTORS, _atom_op, _collective, _product
+from trispin.verify import _CANCELLATION_FACTORS, _atom_op, _product
 
 _IMAG_TOL = 1e-10
 _HERMITICITY_IMAG_TOL = 1e-12
@@ -196,7 +202,7 @@ def cancellation_sweep_by_pair(n_pairs, seed):
         axis = rotation_matrix(RotationAngles(
             theta, phi, math.cos(theta), math.sin(theta), math.cos(phi), math.sin(phi)
         ))[0].tolist()
-        combo = sum(w * _collective(a, 3) for w, a in zip(axis, AXES))
+        combo = sum(w * collective_op(a, 3).entries for w, a in zip(axis, AXES))
         coeffs = [1.75 * w for w in axis] * 3 + [
             weight for weight in pattern_weights_by_row(axis) for _ in range(6)
         ]

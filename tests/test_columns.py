@@ -34,7 +34,7 @@ from trispin import (
 )
 from trispin import cli, frame, moments, states, verify
 from trispin.moments import stack_reports
-from trispin.operators import AXES, _component_support, ladder_vectors
+from trispin.operators import AXES, _component_support, collective_op, ladder_vectors
 from trispin.verify import (
     IDENTITIES,
     cancellation_sweep,
@@ -306,7 +306,7 @@ def test_cancellation_sums_equal_the_term_loop():
         loop = terms_matrix_by_term(zip(coeffs, verify._CANCELLATION_FACTORS))
         assert np.array_equal(stacked, loop)
         assert bits(stacked) == bits(loop)
-        combo = sum(w * verify._collective(a, 3) for w, a in zip(axis, AXES))
+        combo = sum(w * collective_op(a, 3).entries for w, a in zip(axis, AXES))
         residual = float(np.max(np.abs(combo @ combo @ combo - loop)))
         assert repr(verify_cancellation(theta, phi).max_abs_residual) == repr(residual)
 
@@ -377,7 +377,6 @@ CACHED_TABLES = {
     "full_support": lambda: _component_support("full", 4)[1:],
     "ladder_support": lambda: _component_support("ladder", 7)[1:],
     "atom_op": lambda: (verify._atom_op(2, "y", 3),),
-    "collective": lambda: (verify._collective("z", 3),),
 }
 
 

@@ -664,3 +664,14 @@ def test_declared_numpy_floor_covers_np_matvec():
     floor = re.search(r'"numpy>=(\d+)\.(\d+)', text)
     assert floor is not None
     assert tuple(map(int, floor.groups())) >= (2, 2)
+
+
+def test_version_is_declared_once():
+    # every artifact embeds trispin.__version__, and pyproject.toml reads the
+    # package version from it rather than repeating it
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version\s*=\s*"', text, re.M) is None
+    assert re.search(r'^dynamic\s*=\s*\[[^\]]*"version"', text, re.M)
+    assert re.search(
+        r'^version\s*=\s*\{\s*attr\s*=\s*"trispin\.__version__"\s*\}', text, re.M
+    )

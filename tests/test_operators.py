@@ -1,4 +1,9 @@
+import hashlib
+import json
+import math
+import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from trispin import (
     symmetric_state,
 )
 from trispin import operators
+from trispin.frame import RotationAngles, rotated_ops
 from trispin.operators import (
     AXES,
     _component_support,
@@ -26,6 +32,50 @@ from trispin.operators import (
 
 # (x, y, z) weights selecting one collective component in ``ladder_action``.
 UNIT_WEIGHTS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+LADDER_PIN = json.loads(
+    (Path(__file__).parent / "data" / "ladder_pin.json").read_text()
+)
+PIN_ATOMS = (*range(1, 15), 40, 257)
+
+
+def pinned_frames():
+    """(theta, phi) of the pinned frames: fixed ones, then four seeded ones.
+
+    theta = phi = 0 gives rows with signed zero weights (x' has -0.0 on z,
+    y' -0.0 on x); phi = +-pi puts sin(phi) at +-1.2e-16.
+    """
+    fixed = [
+        (0.0, 0.0), (math.pi / 2, 0.0), (math.pi / 2, math.pi),
+        (math.pi / 2, -math.pi), (math.pi, 0.5),
+    ]
+    rng = np.random.default_rng(24)
+    seeded = zip(rng.uniform(0.0, math.pi, 4), rng.uniform(-math.pi, math.pi, 4))
+    return fixed + [(float(t), float(p)) for t, p in seeded]
+
+
+def frame_angles(theta, phi):
+    return RotationAngles(
+        theta, phi, math.cos(theta), math.sin(theta), math.cos(phi), math.sin(phi)
+    )
+
+
+def digest(matrices):
+    return hashlib.sha256(b"".join(m.tobytes() for m in matrices)).hexdigest()
+
+
+def ladder_digests(n_atoms):
+    """sha256 of the dense ladder operators of N atoms, as pinned."""
+    return {
+        "rotated_ops": [
+            digest(op.entries for op in rotated_ops(frame_angles(*frame), n_atoms))
+            for frame in pinned_frames()
+        ],
+        "collective_op_dicke": {
+            axis: digest([collective_op_dicke(axis, n_atoms).entries])
+            for axis in ("x", "z")
+        },
+    }
 
 
 def dicke_embedding(n_atoms):
@@ -108,6 +158,24 @@ def test_collective_ops_refuse_zero_atoms(build):
     with pytest.raises(InvalidStateError) as info:
         build("x", 0)
     assert str(info.value) == "need at least 1 atom, got 0"
+
+
+@pytest.mark.parametrize("n_atoms", PIN_ATOMS)
+def test_dense_ladder_operators_keep_their_pinned_bits(n_atoms):
+    # the digests hold the bits of the np.diag construction (now
+    # ``bruteforce.ladder_component``); Jy is not pinned on its own, since
+    # that construction gives its zero entries -0.0 imaginary parts, and the
+    # support writes +0.0 there
+    assert ladder_digests(n_atoms) == LADDER_PIN["digests"][str(n_atoms)]
+
+
+@pytest.mark.parametrize("n_atoms", range(1, 41))
+def test_ladder_components_equal_the_diagonal_reference(n_atoms):
+    for axis in AXES:
+        np.testing.assert_array_equal(
+            collective_op_dicke(axis, n_atoms).entries,
+            bf.ladder_component(n_atoms, axis),
+        )
 
 
 class TestCollectiveOpDicke:
@@ -231,8 +299,10 @@ EDGE_WEIGHTS = np.array(list(product([-0.0, 0.0, 5e-324, 1e300, -1e300, 0.7], re
 def test_component_sums_keep_the_bits_of_the_sum(space, n_atoms):
     # the sums are written onto the support of Jx, Jy and Jz, not computed;
     # each must hold the bits of Python's sum of the weighted components
-    build = collective_op if space == "full" else collective_op_dicke
-    components = [build(axis, n_atoms).entries for axis in AXES]
+    if space == "full":
+        components = [collective_op(axis, n_atoms).entries for axis in AXES]
+    else:
+        components = [bf.ladder_component(n_atoms, axis) for axis in AXES]
     rows = np.concatenate(
         (EDGE_WEIGHTS, np.random.default_rng(n_atoms).standard_normal((40, 3)))
     )
@@ -252,10 +322,22 @@ def test_component_sums_keep_the_bits_of_the_sum(space, n_atoms):
 
 def test_component_support_refuses_overlapping_components(monkeypatch):
     # the written sums hold only if no float is nonzero in two components
-    jx = collective_op_dicke("x", 5)
-    monkeypatch.setattr(operators, "collective_op_dicke", lambda axis, n_atoms: jx)
+    jx = collective_op("x", 3)
+    monkeypatch.setattr(operators, "collective_op", lambda axis, n_atoms: jx)
     with pytest.raises(RuntimeError, match="share a nonzero float"):
-        _component_support.__wrapped__("ladder", 5)
+        _component_support.__wrapped__("full", 3)
+
+
+def test_ladder_support_is_read_off_the_ladder_vectors():
+    # O(N) tables: no (N+1)**2 array is built, so N = 2000 stays far below
+    # the 64 MB of one dense ladder matrix
+    tracemalloc.start()
+    try:
+        _component_support.__wrapped__("ladder", 2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 class TestOperatorMatrix:

@@ -29,7 +29,7 @@ from trispin import (
     rotation_angles,
     symmetric_state,
 )
-from trispin import sampler
+from trispin import frame, operators, sampler
 from trispin.operators import AXES, LadderOperator, OperatorMatrix
 
 
@@ -259,12 +259,43 @@ class TestEstimateS:
 
     def test_shot_cap_is_checked_before_any_operator_is_built(self, monkeypatch):
         def build(*args):
-            raise AssertionError("rotated_ops built past MAX_SHOTS")
+            raise AssertionError("component_sums built past MAX_SHOTS")
 
-        monkeypatch.setattr(sampler, "rotated_ops", build)
+        monkeypatch.setattr(sampler, "component_sums", build)
         state = product_state([[0.6, 0.8]] * 2000)
         with pytest.raises(ValueError, match="shot count"):
             estimate_s_from_samples(state, sampler.MAX_SHOTS + 1, seed=0)
+
+    def test_writes_one_pair_of_operators(self, monkeypatch):
+        # Jx' and Jy' only: Jz' is never measured, so it is never written
+        written = []
+        sums = operators.component_sums
+
+        def spy(weights, space, n_atoms):
+            out = sums(weights, space, n_atoms)
+            written.append(out.shape)
+            return out
+
+        for module in (frame, sampler):
+            monkeypatch.setattr(module, "component_sums", spy, raising=False)
+        estimate_s_from_samples(random_symmetric_state(6, seed=43), 2000, seed=1)
+        assert written == [(2, 7, 7)]
+
+    def test_s_error_falls_back_to_quadrature_when_both_moments_vanish(
+        self, monkeypatch
+    ):
+        # m3 = 0 on both axes leaves the delta method a zero radius to divide by
+        estimates = []
+
+        def zero_m3(record):
+            estimates.append(dataclasses.replace(estimate_moments(record), m3=0.0))
+            return estimates[-1]
+
+        monkeypatch.setattr(sampler, "estimate_moments", zero_m3)
+        est = estimate_s_from_samples(random_symmetric_state(4, seed=44), 2000, seed=2)
+        se_xp, se_yp = (e.se_m3 for e in estimates)
+        assert est.s_hat == 0.0
+        assert est.s_se == 0.5 * math.hypot(se_xp, se_yp) > 0.0
 
     def test_non_symmetric_product_rejected_like_compute(self):
         # |up down up> leaves the symmetric subspace: S is not defined for it
@@ -281,7 +312,7 @@ class TestEstimateS:
         def refuse(*args, **kwargs):
             raise AssertionError("operators built past the sampling cap")
 
-        monkeypatch.setattr(sampler, "rotated_ops", refuse)
+        monkeypatch.setattr(sampler, "component_sums", refuse)
         qubit = [0.6, 0.8j]
         state = product_state([qubit] * (sampler.MAX_SAMPLE_ATOMS + 1))
         with pytest.raises(InvalidStateError, match="capped at N=2000"):
