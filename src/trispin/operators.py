@@ -43,7 +43,26 @@ SINGLE = {
 }
 
 HERMITICITY_TOL = 1e-13
+# Most entries in one block of rows of the Hermiticity check, 2 MiB: a matrix
+# of up to 362 rows is one block, and a larger one is checked without
+# full-size temporaries.
+HERMITICITY_BLOCK_ENTRIES = 2**17
 _ID2 = np.eye(2, dtype=complex)
+
+
+def _hermiticity_deviation(arr):
+    """The largest entrywise distance of a square matrix from its conjugate transpose.
+
+    Taken over blocks of rows, ``arr[i:j]`` against ``arr[:, i:j].conj().T``,
+    so the temporaries follow the block.  ``np.maximum`` folds the block
+    maxima and keeps a NaN (Python's ``max`` would drop one that is not
+    first), and the float is the one the whole-matrix difference gives.
+    """
+    rows = max(1, HERMITICITY_BLOCK_ENTRIES // max(1, len(arr)))
+    return float(reduce(np.maximum, (
+        np.max(np.abs(arr[i:i + rows] - arr[:, i:i + rows].conj().T))
+        for i in range(0, max(1, len(arr)), rows)
+    )))
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +82,7 @@ class OperatorMatrix:
         object.__setattr__(self, "entries", arr)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InvalidStateError(f"operator entries shape {arr.shape} is not square")
-        dev = float(np.max(np.abs(arr - arr.conj().T)))
+        dev = _hermiticity_deviation(arr)
         if not dev <= HERMITICITY_TOL:  # a NaN or infinite entry gives NaN
             raise InvalidStateError(f"operator is not hermitian: deviates by {dev:.3e}")
 

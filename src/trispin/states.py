@@ -27,6 +27,7 @@ a stack of one, and ``dicke_to_full`` is ``full_rows`` of one row.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -446,13 +447,101 @@ def permute_atoms(state, order):
     return FullState(n, psi.reshape(-1))
 
 
-def seeded_gaussians(size, seed):
-    """``size`` iid complex Gaussians from ``default_rng(seed)`` (PCG64).
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), on uint32 words
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
 
-    The real parts are drawn first, then the imaginary parts.
+
+def _hasher(init, mult):
+    """A SeedSequence hash of uint32 words, its constant running from ``init``.
+
+    Each call xors the words with the constant, multiplies the constant by
+    ``mult`` and the words by the new constant, then folds in the high half.
     """
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    const = init
+
+    def hash_words(words):
+        nonlocal const
+        words = words ^ const
+        const = const * mult & _MASK32
+        words = words * const
+        return words ^ (words >> 16)
+
+    return hash_words
+
+
+def _seed_words(seeds):
+    """``SeedSequence(s).generate_state(4, np.uint64)`` of each seed, shape ``(K, 4)``.
+
+    A seed below 2**64 is at most two 32-bit entropy words, low word first;
+    zero-padded to the pool of 4 it hashes as ``SeedSequence`` hashes it,
+    and the hash constants run the same for every seed, so the K pools are
+    hashed together, a uint32 array per pool word.  Refuses anything but
+    integers in [0, 2**64) with ``ValueError``.
+    """
+    values = []
+    for seed in seeds:
+        try:
+            value = operator.index(seed)
+        except TypeError:
+            value = -1
+        if not 0 <= value < 2**64:
+            raise ValueError(f"a seed must be an integer in [0, 2**64), got {seed!r}")
+        values.append(value)
+    entropy = np.array(values, dtype=np.uint64)
+    pool = np.zeros((_POOL_SIZE, entropy.size), dtype=np.uint32)
+    pool[0] = entropy & _MASK32
+    pool[1] = entropy >> 32
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    mixer = [hashmix(word) for word in pool]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                mix = _MIX_MULT_L * mixer[dst] - _MIX_MULT_R * hashmix(mixer[src])
+                mixer[dst] = mix ^ (mix >> 16)
+    # generate_state: 8 uint32 words from the cycled pool, paired low word first
+    output = _hasher(_INIT_B, _MULT_B)
+    state = [output(mixer[i % _POOL_SIZE]).astype(np.uint64) for i in range(2 * _POOL_SIZE)]
+    return np.stack([state[i] | state[i + 1] << 32 for i in range(0, len(state), 2)], axis=1)
+
+
+@lru_cache(maxsize=None)
+def _seed_sequence_type():
+    """A ``numpy.random`` seed sequence that hands over the words it is given.
+
+    ``PCG64`` asks its seed sequence for 4 uint64 words once, when it is
+    built.  The type is made on first use: importing ``numpy.random`` adds
+    about 16 ms to every start of the CLI, and only the seeded draws need it.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class GivenWords(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return GivenWords
+
+
+def seeded_gaussians(size, seeds):
+    """``size`` iid complex Gaussians per seed, as a ``(K, size)`` stack.
+
+    Row k holds ``default_rng(seeds[k])``'s draw, bit for bit: the real
+    parts ``standard_normal(size)`` first, then the imaginary parts.  Each
+    row keeps its own PCG64 stream; only the seeds' ``SeedSequence`` hashes
+    are computed in one pass (``_seed_words``), and each generator is
+    seeded with its row of words.  Seeds must be integers in [0, 2**64).
+    """
+    given_words = _seed_sequence_type()
+    draws = np.empty((len(seeds), 2 * size))
+    for words, row in zip(_seed_words(seeds), draws):
+        np.random.Generator(np.random.PCG64(given_words(words))).standard_normal(out=row)
+    return draws[:, :size] + 1j * draws[:, size:]
 
 
 def random_symmetric_state(n_atoms, seed):
@@ -461,12 +550,12 @@ def random_symmetric_state(n_atoms, seed):
     Deterministic for a fixed seed (``seeded_gaussians``).
     """
     _check_atom_count(n_atoms)  # before the draw, whose size must be a count
-    return symmetric_state(n_atoms, seeded_gaussians(n_atoms + 1, seed), normalize=True)
+    return symmetric_state(n_atoms, seeded_gaussians(n_atoms + 1, [seed])[0], normalize=True)
 
 
 def random_product_state(n_atoms, seed):
     """Random identical-qubit product state (one Gaussian qubit, replicated)."""
-    qubit = _normalized_rows(seeded_gaussians(2, seed)[None])[0]
+    qubit = _normalized_rows(seeded_gaussians(2, [seed]))[0]
     return ProductState(np.tile(qubit, (n_atoms, 1)))
 
 

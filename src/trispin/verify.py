@@ -352,14 +352,20 @@ def cancellation_sweep(n_pairs=100, seed=13):
 # Randomized sweeps of the moment formulas
 # ---------------------------------------------------------------------------
 
-def _draws(size, count, seed):
-    """``count`` draws of ``size`` complex Gaussians, drawn as they are asked for.
+def _draws(size, count, seed, row_size):
+    """``count`` draws of ``size`` complex Gaussians, one ladder stack at a time.
 
-    Each has its own seed from ``default_rng(seed)``, as the per-state
-    ``random_symmetric_state`` and ``random_product_state`` are given theirs.
+    Yields ``(K, size)`` stacks of the K states a stack of ``row_size``
+    levels holds (``stacks_of``), each drawn when it is asked for, so memory
+    follows the stack.  Each draw has its own seed from ``default_rng(seed)``,
+    as the per-state ``random_symmetric_state`` and ``random_product_state``
+    are given theirs; a stack's K seeds are one ``integers(2**63, size=K)``
+    block, the values of K single draws, and ``seeded_gaussians`` hashes them
+    in one pass.
     """
     rng = np.random.default_rng(seed)
-    return (seeded_gaussians(size, int(rng.integers(2**63))) for _ in range(count))
+    for block in stacks_of(range(count), row_size):
+        yield seeded_gaussians(size, rng.integers(2**63, size=len(block)))
 
 
 def _dense_deviations(worst, n_atoms, chunk):
@@ -411,9 +417,10 @@ def verify_sum_route(n_atoms, n_trials, seed):
     # levels 0 and N normalize to exactly the 1/sqrt(2) of a GHZ state
     ghz = np.zeros(n_atoms + 1)
     ghz[0] = ghz[-1] = 1.0
+    draws = chain.from_iterable(_draws(n_atoms + 1, n_trials, seed, n_atoms + 1))
     stacks = (
         ladder_stack(n_atoms, rows, normalize=True)
-        for rows in stacks_of(chain([ghz], _draws(n_atoms + 1, n_trials, seed)), n_atoms + 1)
+        for rows in stacks_of(chain([ghz], draws), n_atoms + 1)
     )
     framed = (
         pair
@@ -441,8 +448,8 @@ def verify_product_vanishing(n_atoms, n_trials, seed):
     if n_atoms < 3:
         raise ValueError(f"verification sweeps need N >= 3, got {n_atoms}")
     _check_trials(n_trials)
-    draws = _draws(2, n_trials, seed)
-    stacks = (coherent_stack(n_atoms, qubits) for qubits in stacks_of(draws, n_atoms + 1))
+    draws = _draws(2, n_trials, seed, n_atoms + 1)
+    stacks = (coherent_stack(n_atoms, qubits) for qubits in draws)
     worst_s = worst_of(_raise_undefined(row).s_parameter for row in stack_reports(stacks))
     return _summary(f"product_vanishing_n{n_atoms}", n_trials, 0, worst_s, PRODUCT_S_TOL)
 

@@ -1044,3 +1044,16 @@ def test_module_runs_the_cli_and_returns_its_exit_code():
     )
     assert child.returncode == 1, child.stderr
     assert json.loads(child.stdout)["verification"]["passed"] is False
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy.random adds about 16 ms to every start; only seeded draws need it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, trispin.cli; sys.exit('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert child.returncode == 0, child.stderr

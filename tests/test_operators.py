@@ -23,6 +23,7 @@ from trispin import operators
 from trispin.frame import RotationAngles, rotated_ops
 from trispin.operators import (
     AXES,
+    LadderOperator,
     _component_support,
     apply_ladder_axes,
     component_sums,
@@ -360,3 +361,34 @@ class TestOperatorMatrix:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidStateError):
             OperatorMatrix(np.eye(3)[:, :2])
+
+    def test_blocked_deviation_is_the_whole_matrix_float(self):
+        rng = np.random.default_rng(4)
+        for n in (8, 362, 363, 1000):
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            entries = (a + a.conj().T) / 2
+            entries[n - 1, n // 2] += 3e-14j
+            whole = float(np.max(np.abs(entries - entries.conj().T)))
+            assert operators._hermiticity_deviation(entries) == whole
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_entry_past_the_first_block_rejected(self):
+        n = 400
+        assert operators.HERMITICITY_BLOCK_ENTRIES // n < 350  # row 350 is in a later block
+        entries = np.diag(np.linspace(-1.0, 1.0, n)).astype(complex)
+        entries[0, 1] = 1e-12  # the first block deviates by a finite amount
+        entries[350, 350] = np.nan  # on the diagonal, so in no earlier block
+        with pytest.raises(InvalidStateError, match="deviates by nan"):
+            OperatorMatrix(entries)
+
+    def test_check_keeps_no_full_size_temporaries(self):
+        # the frozen copy of a (2001, 2001) matrix is 64 MB; the whole-matrix
+        # check added about 128 MB of temporaries on top of it
+        entries = np.zeros((2001, 2001), dtype=complex)
+        tracemalloc.start()
+        try:
+            LadderOperator(entries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * 2**20

@@ -29,9 +29,20 @@ from trispin import (
 from trispin.states import (
     FULL_SPACE_ATOM_CAP,
     _integer_field,
+    _normalized_rows,
+    _seed_words,
     coherent_stack,
     ladder_stack,
+    seeded_gaussians,
 )
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
+
+
+def per_seed_gaussians(size, seed):
+    """The draw of one seed from its own ``default_rng``, real parts first."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
 
 
 class TestConstruction:
@@ -277,6 +288,34 @@ class TestRandomStates:
     def test_product_draws_are_identical_qubits(self):
         state = random_product_state(6, seed=11)
         np.testing.assert_array_equal(state.qubits, np.tile(state.qubits[0], (6, 1)))
+
+    def test_seed_words_are_the_seed_sequence_state(self):
+        drawn = np.random.default_rng(3).integers(2**64, size=2000, dtype=np.uint64)
+        seeds = EDGE_SEEDS + [int(seed) for seed in drawn]
+        expected = [np.random.SeedSequence(seed).generate_state(4, np.uint64) for seed in seeds]
+        np.testing.assert_array_equal(_seed_words(seeds), expected)
+
+    @pytest.mark.parametrize("count", [1, 7, 600])
+    def test_seeded_rows_are_per_seed_draws_in_every_byte(self, count):
+        drawn = np.random.default_rng(count).integers(2**63, size=count)
+        seeds = (EDGE_SEEDS + [int(seed) for seed in drawn])[:count]
+        for size in range(2, 16):
+            stack = seeded_gaussians(size, seeds)
+            assert stack.shape == (count, size)
+            for seed, row in zip(seeds, stack):
+                assert row.tobytes() == per_seed_gaussians(size, seed).tobytes()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, None])
+    def test_seeds_outside_the_unsigned_64_bit_integers_are_refused(self, seed):
+        with pytest.raises(ValueError, match=r"integer in \[0, 2\*\*64\)"):
+            seeded_gaussians(3, [5, seed])
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_random_states_keep_the_per_seed_draw(self, seed):
+        coeffs = symmetric_state(5, per_seed_gaussians(6, seed), normalize=True).coeffs
+        assert random_symmetric_state(5, seed).coeffs.tobytes() == coeffs.tobytes()
+        qubit = _normalized_rows(per_seed_gaussians(2, seed)[None])[0]
+        assert random_product_state(4, seed).qubits.tobytes() == np.tile(qubit, (4, 1)).tobytes()
 
 
 class TestJsonSchema:

@@ -569,8 +569,9 @@ def test_sweeps_stream_through_bounded_stacks(sweep, use, rows_used, monkeypatch
     drawn_fn, used_fn = verify.seeded_gaussians, getattr(verify, use)
 
     def drawing(*args):
-        counts["drawn"] += 1
-        return drawn_fn(*args)
+        stack = drawn_fn(*args)
+        counts["drawn"] += len(stack)
+        return stack
 
     def using(*args):
         counts["used"] += rows_used(*args)
@@ -583,3 +584,16 @@ def test_sweeps_stream_through_bounded_stacks(sweep, use, rows_used, monkeypatch
     assert counts == {"drawn": 50, "used": 50}
     # never more than two stacks of states drawn ahead of the rows used
     assert max(ahead) <= 2 * 5
+
+
+@pytest.mark.parametrize("seed", [0, 7, 13, 2**63 + 5])
+def test_draws_are_the_per_state_draws_one_stack_at_a_time(seed, monkeypatch):
+    monkeypatch.setattr(moments, "STACK_LEVELS", 20)  # 5 states of 4 levels
+    stacks = list(verify._draws(4, 23, seed, 4))
+    assert [len(stack) for stack in stacks] == [5, 5, 5, 5, 3]
+    # a stack's seeds are one block of the master stream, the values of
+    # single draws, and each state keeps its own generator
+    master = np.random.default_rng(seed)
+    for row in np.concatenate(stacks):
+        rng = np.random.default_rng(int(master.integers(2**63)))
+        assert row.tobytes() == (rng.standard_normal(4) + 1j * rng.standard_normal(4)).tobytes()
