@@ -31,9 +31,10 @@ from .moments import (
     stack_reports,
     stacks_of,
 )
-from .sampler import estimate_s_from_samples
 from .states import _integer_field, ladder_stack, state_from_dict
-from .verify import run_verification
+
+# `verify` and `sample` import their modules when they run, so `compute` and
+# `scan` never load trispin.verify or trispin.sampler.
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -123,6 +124,8 @@ def _cmd_compute(args, raw):
 
 
 def _cmd_verify(args, raw):
+    from .verify import run_verification
+
     if args.n is not None:
         _check_levels(args.n + 1, f"--n {args.n}")
     report = run_verification(
@@ -244,6 +247,8 @@ def _cmd_scan(args, raw):
 
 
 def _cmd_sample(args, raw):
+    from .sampler import estimate_s_from_samples
+
     estimate = estimate_s_from_samples(_decode_state(args, raw), args.shots, args.seed)
     record_xp = estimate.record_xp.to_dict()
     record_xp["estimates"] = estimate.estimates_xp.to_dict()

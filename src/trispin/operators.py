@@ -31,7 +31,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidStateError
-from .states import FullState, SymmetricState, check_full_space_size
+from .states import FullState, SymmetricState, check_atoms, check_full_space_size
 
 AXES = ("x", "y", "z")
 
@@ -150,8 +150,7 @@ def single_atom_op(atom, axis, n_atoms):
 
 def collective_op(axis, n_atoms):
     """Dense collective component: sum of the single-atom operators."""
-    if n_atoms < 1:
-        raise InvalidStateError(f"need at least 1 atom, got {n_atoms}")
+    check_atoms(n_atoms)
     check_full_space_size(n_atoms)
     total = sum(
         single_atom_op(atom, axis, n_atoms).entries
@@ -173,8 +172,7 @@ def ladder_vectors(n_atoms):
     part is the float vector).  Both are read-only and cached for the last
     few N, since every moment of a state needs them.
     """
-    if n_atoms < 1:
-        raise InvalidStateError(f"need at least 1 atom, got {n_atoms}")
+    check_atoms(n_atoms)
     j = n_atoms / 2.0
     m = j - np.arange(n_atoms + 1)
     m_src = m[1:]

@@ -177,6 +177,11 @@ def _tally(probs, m_shots, seed):
     return np.diff(below, prepend=0)
 
 
+def _check_shots(m_shots):
+    if not 1 <= m_shots <= MAX_SHOTS:
+        raise ValueError(f"shot count must be in 1..{MAX_SHOTS}, got {m_shots}")
+
+
 def projective_sample(state, op, m_shots, seed, operator_tag="operator"):
     """Draw ``m_shots`` (1..``MAX_SHOTS``) projective outcomes of an operator.
 
@@ -189,8 +194,7 @@ def projective_sample(state, op, m_shots, seed, operator_tag="operator"):
     eigenvector rows, which gives a nondegenerate (ladder) spectrum the same
     bits as a product with each eigenvector alone.
     """
-    if not 1 <= m_shots <= MAX_SHOTS:
-        raise ValueError(f"shot count must be in 1..{MAX_SHOTS}, got {m_shots}")
+    _check_shots(m_shots)
     vec = matching_vector(state, op)
     evals, evecs = np.linalg.eigh(op.entries)
     starts = np.flatnonzero(np.diff(evals, prepend=-np.inf) > DEGENERACY_TOL)
@@ -276,8 +280,7 @@ def estimate_s_from_samples(state, m_shots, seed):
         )
     # before the state is mapped or any operator built, so a refused count
     # costs nothing
-    if not 1 <= m_shots <= MAX_SHOTS:
-        raise ValueError(f"shot count must be in 1..{MAX_SHOTS}, got {m_shots}")
+    _check_shots(m_shots)
     state = as_symmetric(state)
     if state.n_atoms > MAX_SAMPLE_ATOMS:
         raise InvalidStateError(

@@ -44,6 +44,12 @@ SYMMETRY_TOL = 1e-10
 FULL_SPACE_ATOM_CAP = 14
 
 
+def check_atoms(n_atoms):
+    """Refuse a register of no atoms."""
+    if n_atoms < 1:
+        raise InvalidStateError(f"need at least 1 atom, got {n_atoms}")
+
+
 def check_full_space_size(n_atoms):
     """Refuse 2**N constructions past the cap."""
     if n_atoms > FULL_SPACE_ATOM_CAP:
@@ -105,8 +111,7 @@ class FullState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.n_atoms < 1:
-            raise InvalidStateError(f"need at least 1 atom, got {self.n_atoms}")
+        check_atoms(self.n_atoms)
         arr = _frozen_array(self, "amplitudes", self.amplitudes)
         if arr.shape != (1 << self.n_atoms,):
             raise InvalidStateError(

@@ -330,6 +330,11 @@ def _check_trials(count):
         raise ValueError(f"verification sweeps need at least 1 trial, got {count}")
 
 
+def _check_sweep_atoms(n_atoms):
+    if n_atoms < 3:
+        raise ValueError(f"verification sweeps need N >= 3, got {n_atoms}")
+
+
 def cancellation_sweep(n_pairs=100, seed=13):
     """Random-angle sweep of the cancellation check (at least one pair).
 
@@ -445,8 +450,7 @@ def verify_product_vanishing(n_atoms, n_trials, seed):
     one ``stack_reports`` call, and each is folded into ``worst_s`` as it is
     yielded.
     """
-    if n_atoms < 3:
-        raise ValueError(f"verification sweeps need N >= 3, got {n_atoms}")
+    _check_sweep_atoms(n_atoms)
     _check_trials(n_trials)
     draws = _draws(2, n_trials, seed, n_atoms + 1)
     stacks = (coherent_stack(n_atoms, qubits) for qubits in draws)
@@ -462,8 +466,8 @@ def run_verification(trials=100, seed=13, n_atoms=None, corrupt_identity=None):
     outside that window.
     """
     _check_trials(trials)
-    if n_atoms is not None and n_atoms < 3:
-        raise ValueError(f"verification sweeps need N >= 3, got {n_atoms}")
+    if n_atoms is not None:
+        _check_sweep_atoms(n_atoms)
     identities = verify_identity_suite(corrupt_identity)
     cancellation = cancellation_sweep(trials, seed)
     if n_atoms is None:

@@ -1057,3 +1057,26 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
         env=dict(os.environ, PYTHONPATH=path),
     )
     assert child.returncode == 0, child.stderr
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["compute", "--input", "state.json"], []),
+    (["scan", "--grid", PAIR_MIX_GRID], []),
+    (["verify", "--trials", "5"], ["trispin.verify"]),
+    (["sample", "--input", "state.json", "--shots", "1000"], ["trispin.sampler"]),
+], ids=["compute", "scan", "verify", "sample"])
+def test_each_subcommand_loads_only_the_modules_it_runs(argv, loaded, tmp_path):
+    # trispin.verify builds its 27 identity term lists when it loads
+    (tmp_path / "state.json").write_bytes(state_bytes())
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, trispin.cli; code = trispin.cli.main(sys.argv[1:]); "
+         "print(code, *(m for m in ('trispin.verify', 'trispin.sampler') "
+         "if m in sys.modules))",
+         *argv, "--output", "out.txt"],
+        capture_output=True, text=True, timeout=300, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert child.stdout.split() == ["0", *loaded], child.stderr

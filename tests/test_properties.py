@@ -2,12 +2,14 @@
 
 Each test draws its states from hypothesis with ``derandomize=True``, so a
 run is reproducible: the two moment routes agree, a global phase leaves S
-unchanged, coherent spin states (identical-qubit products) carry no
+unchanged, complex conjugation mirrors the report through the xz plane bit
+for bit, coherent spin states (identical-qubit products) carry no
 tripartite correlation, and a stack of states gives each row exactly what
 that state gives alone.
 """
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -52,6 +54,34 @@ def test_global_phase_leaves_s_unchanged(n_atoms, seed, phase):
     phased = symmetric_state(n_atoms, state.coeffs * cmath.exp(1j * phase))
     s_value = entanglement_s(state).s_parameter
     assert abs(entanglement_s(phased).s_parameter - s_value) <= 1e-12 * s_value
+
+
+def report_floats(report):
+    """Every float of a report, keyed by its field path."""
+    floats = {}
+    for key, value in dataclasses.asdict(report).items():
+        if isinstance(value, dict):
+            floats.update({f"{key}.{inner}": v for inner, v in value.items()})
+        else:
+            floats[key] = value
+    return floats
+
+
+# Conjugating the coefficients mirrors the state through the xz plane: <Jy>
+# and with it the azimuth change sign, and so does the y' axis of the frame.
+MIRRORED = {"mean_spin.jy", "angles.phi", "angles.sin_phi", "m3_yp_direct", "m3_yp_sum"}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n_atoms=st.integers(3, 40), seed=SEEDS)
+def test_conjugation_mirrors_the_report_bit_for_bit(n_atoms, seed):
+    state = random_ladder_state(n_atoms, seed)
+    report = report_floats(entanglement_s(state))
+    mirrored = report_floats(entanglement_s(symmetric_state(n_atoms, state.coeffs.conj())))
+    assert MIRRORED < report.keys()
+    # float.hex tells -0.0 from 0.0, so every bit is compared
+    expected = {key: float(-v if key in MIRRORED else v).hex() for key, v in report.items()}
+    assert {key: float(v).hex() for key, v in mirrored.items()} == expected
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
