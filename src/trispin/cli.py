@@ -18,6 +18,7 @@ import math
 import operator
 import sys
 from datetime import datetime, timezone
+from itertools import count, repeat, tee
 
 import numpy as np
 
@@ -26,9 +27,8 @@ from .errors import FrameUndefinedError, InvalidStateError, TrispinError
 from .moments import (
     ROUTE_ABS_FLOOR,
     ROUTE_REL_TOL,
-    UndefinedFrame,
     entanglement_s,
-    stack_reports,
+    stack_columns,
     stacks_of,
 )
 from .states import _integer_field, ladder_stack, state_from_dict
@@ -44,7 +44,7 @@ EXIT_FRAME_UNDEFINED = 3
 # Most ladder levels one command may span: N + 1 for a `compute` or `sample`
 # document or `verify --n`, points x (N + 1) for a scan grid.  At the limit a
 # scan took 401 MB peak RSS for a single N=999999 point, 36 MB for 1000 points
-# at N=999 and 112 MB for 250000 points at N=3, most of it the CSV lines (one
+# at N=999 and 114 MB for 250000 points at N=3, most of it the CSV lines (one
 # fresh process each, one BLAS thread on a 2-vCPU Xeon), near the memory of
 # `sample` at its atom cap; `verify --n 999999 --trials 1` took 451 MB.  The
 # memory grows linearly with N, so past the limit a command would risk an
@@ -114,9 +114,9 @@ def _decode_state(args, raw):
 # ``main`` turns the exception into an error document.
 
 def _cmd_compute(args, raw):
-    report = entanglement_s(_decode_state(args, raw))
-    max_rel_dev = report.max_rel_dev()
-    return _document(args, raw, report=report.to_dict(), route_check={
+    report = entanglement_s(_decode_state(args, raw)).to_dict()
+    max_rel_dev = report["routes"]["max_rel_dev"]
+    return _document(args, raw, report=report, route_check={
         "max_rel_dev": max_rel_dev,
         "tolerance_rel": ROUTE_REL_TOL,
         "passed": max_rel_dev <= ROUTE_REL_TOL,
@@ -184,19 +184,31 @@ _SCAN_COLUMNS = (
 )
 
 
-# the report values of the columns from theta to s, in column order
-_REPORT_VALUES = operator.attrgetter(
-    "angles.theta", "angles.phi", "var_xp", "var_yp",
+# the columns from theta to s of a stack's framed rows, in column order
+_FRAMED_COLUMNS = operator.attrgetter(
+    "frame.theta", "frame.phi", "var_xp", "var_yp",
     "m3_xp_direct", "m3_yp_direct", "m3_xp_sum", "m3_yp_sum", "s_parameter",
 )
+# theta to s left empty, then the frame_undefined flag
+_UNDEFINED_TAIL = "," * 9 + "1\n"
 
 
-def _scan_row(index, alpha, report):
-    mean = report.mean_spin
-    head = [index, repr(alpha), repr(mean.jx), repr(mean.jy), repr(mean.jz)]
-    if isinstance(report, UndefinedFrame):
-        return head + [""] * 9 + [1]
-    return head + [repr(value) for value in _REPORT_VALUES(report)] + [0]
+def _scan_lines(start, alphas, columns):
+    """The CSV lines of one stack of grid points, the first with index ``start``.
+
+    Each framed row's values, from theta to s, are formatted column by
+    column with ``repr``; an undefined row leaves them empty and sets its
+    flag.  Each line is one ``join``: a ``str.format`` line keeps the
+    writer's spare capacity, about 60 bytes a line.
+    """
+    tails = [_UNDEFINED_TAIL] * len(alphas)
+    framed = zip(*map(map, repeat(repr), _FRAMED_COLUMNS(columns)), repeat("0\n"))
+    for k, tail in zip(columns.frame.framed, map(",".join, framed)):
+        tails[k] = tail
+    return list(map(",".join, zip(
+        map(str, count(start)), map(repr, alphas), map(repr, columns.jx),
+        map(repr, columns.jy), map(repr, columns.jz), tails,
+    )))
 
 
 def _pair_mix_grid(n_atoms, index_a, index_b, alphas):
@@ -222,14 +234,11 @@ def _cmd_scan(args, raw):
     # reports never span the whole grid (one array of it doubled the peak of
     # 1000 points at N=999); the lines do, so that an error document can
     # replace them, and the envelope is taken once every row has succeeded
-    grid = (
-        _pair_mix_grid(n_atoms, index_a, index_b, part)
-        for part in stacks_of(alphas, n_atoms + 1)
-    )
-    rows = [
-        ",".join(map(str, row)) + "\n"
-        for row in map(_scan_row, range(points), alphas, stack_reports(grid))
-    ]
+    parts, grid_parts = tee(stacks_of(alphas, n_atoms + 1))
+    grid = (_pair_mix_grid(n_atoms, index_a, index_b, part) for part in grid_parts)
+    rows = []
+    for part, columns in zip(parts, stack_columns(grid)):
+        rows += _scan_lines(len(rows), part, columns)
     envelope = _envelope(args, raw)
     tolerances = envelope["tolerances"]
     return [

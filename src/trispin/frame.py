@@ -15,9 +15,15 @@ with |<J>| below ``EPSILON_FRAME`` do not define the frame and raise
 ``mean_spin_rows`` reads <J> for every row of a ``(K, N+1)`` ladder stack
 from one ``apply_ladder_axes`` pass that the caller supplies, so the moments
 module can reuse that pass as the first pass of the correlators;
-``mean_spin`` is that function on a stack of one.  ``rotation_angles`` is
-the one formula for the frame angles of a state, and ``primed_axes`` gives
-the x' and y' rows of ``rotation_matrix`` for a whole stack as one array.
+``mean_spin`` is that function on a stack of one.  ``frame_columns`` is the
+one formula for the frame angles: it takes the K mean spins as lists and
+returns every angle as a list (``FrameColumns``), with an undefined-frame
+mask in place of an exception per row.  Its operations are correctly
+rounded or the libm ``math.hypot`` and ``math.atan2`` mapped over the
+lists, so each row keeps the bits of the row alone, and
+``rotation_angles`` is that function on a stack of one.  ``primed_axes``
+gives the x' and y' rows of ``rotation_matrix`` for a whole stack, from
+its cosine and sine columns, as one array.
 ``real_parts`` is the one imaginary-part check of the S pipeline, for the
 mean spin here and the moments and correlators in ``moments``, each with its
 own tolerance; it checks a whole stack with one array comparison.
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,16 +97,15 @@ def mean_spin_rows(psi, applied, n_atoms):
     ``applied`` is ``apply_ladder_axes(psi)``, shape ``(3, K, N+1)``.  Each
     component is the conjugated dot product of a row with its J row, as for
     a single state; the imaginary parts of all K rows are checked at once.
+    Returns four lists of K floats: <Jx>, <Jy>, <Jz> and the magnitude.
     """
-    rows = real_parts(
+    jx, jy, jz = real_parts(
         np.vecdot(psi, applied).T,  # rows[k, a] = <psi_k| J_a psi_k>
         _HERMITICITY_IMAG_TOL * (1.0 + n_atoms / 2.0),
         lambda a: f"<J{AXES[a]}>",
-    ).tolist()
-    return [
-        MeanSpin(jx, jy, jz, math.sqrt(jx * jx + jy * jy + jz * jz))
-        for jx, jy, jz in rows
-    ]
+    ).T.tolist()
+    magnitude = [math.sqrt(x * x + y * y + z * z) for x, y, z in zip(jx, jy, jz)]
+    return jx, jy, jz, magnitude
 
 
 def mean_spin(state):
@@ -111,14 +117,90 @@ def mean_spin(state):
     """
     sym = as_symmetric(state)
     psi = sym.coeffs[None]
-    return mean_spin_rows(psi, apply_ladder_axes(psi), sym.n_atoms)[0]
+    (jx,), (jy,), (jz,), (magnitude,) = mean_spin_rows(
+        psi, apply_ladder_axes(psi), sym.n_atoms
+    )
+    return MeanSpin(jx, jy, jz, magnitude)
+
+
+class FrameColumns(NamedTuple):
+    """The frames of K mean spins, column by column.
+
+    ``undefined`` marks, for each of the K rows, a mean spin too short to
+    orient the frame, and ``framed`` lists the other rows in order.  The six
+    angle columns are lists over the framed rows only, with the fields of
+    ``RotationAngles``.
+    """
+
+    undefined: list
+    framed: list
+    theta: list
+    phi: list
+    cos_theta: list
+    sin_theta: list
+    cos_phi: list
+    sin_phi: list
+
+
+def undefined_frame(magnitude):
+    """The ``FrameUndefinedError`` of a mean spin of length ``magnitude``."""
+    return FrameUndefinedError(
+        f"mean spin magnitude {magnitude:.3e} leaves the frame undefined"
+    )
+
+
+def frame_columns(jx, jy, jz, magnitude):
+    """Angles orienting the primed frame along each of K mean spins.
+
+    The four arguments are lists of K floats.  A row whose ``magnitude`` is
+    at most ``EPSILON_FRAME`` is marked undefined and gets no angles.  When
+    the transverse component of a row vanishes its azimuth is set to 0 by
+    convention (any value gives the same z' axis).  Every operation is
+    correctly rounded or the libm ``math.hypot`` and ``math.atan2``, applied
+    over the lists, so each row's angles are those of the row alone.
+
+    Raises
+    ------
+    ValueError
+        If a component or the magnitude of a row is NaN or infinite; the
+        first such row is named.
+    """
+    # a NaN or infinity anywhere makes the total non-finite; a finite total
+    # that overflows only sends the rows through the check below
+    if not math.isfinite(sum(jx) + sum(jy) + sum(jz) + sum(magnitude)):
+        for row in zip(jx, jy, jz, magnitude):
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"{MeanSpin(*row)!r} is not finite, so it orients no frame")
+    framed = list(range(len(magnitude)))
+    if min(magnitude, default=math.inf) > EPSILON_FRAME:
+        undefined = [False] * len(magnitude)
+    else:
+        undefined = [size <= EPSILON_FRAME for size in magnitude]
+        framed = [k for k in framed if not undefined[k]]
+        jx, jy, jz, magnitude = (
+            [column[k] for k in framed] for column in (jx, jy, jz, magnitude)
+        )
+    cos_t = [min(1.0, max(-1.0, z / size)) for z, size in zip(jz, magnitude)]
+    sin_t = [math.sqrt(max(0.0, 1.0 - c * c)) for c in cos_t]
+    transverse = list(map(math.hypot, jx, jy))
+    cos_p = [x / t if t > EPSILON_FRAME else 1.0 for x, t in zip(jx, transverse)]
+    sin_p = [y / t if t > EPSILON_FRAME else 0.0 for y, t in zip(jy, transverse)]
+    return FrameColumns(
+        undefined,
+        framed,
+        list(map(math.atan2, sin_t, cos_t)),
+        list(map(math.atan2, sin_p, cos_p)),
+        cos_t,
+        sin_t,
+        cos_p,
+        sin_p,
+    )
 
 
 def rotation_angles(mean):
     """Angles orienting the primed frame along the mean spin vector.
 
-    When the transverse component vanishes the azimuth is set to 0 by
-    convention (any value gives the same z' axis).
+    This is ``frame_columns`` on a stack of one.
 
     Raises
     ------
@@ -127,50 +209,35 @@ def rotation_angles(mean):
     FrameUndefinedError
         If ``mean.magnitude`` is at most ``EPSILON_FRAME``.
     """
-    if not all(map(math.isfinite, (mean.jx, mean.jy, mean.jz, mean.magnitude))):
-        raise ValueError(f"{mean!r} is not finite, so it orients no frame")
-    if mean.magnitude <= EPSILON_FRAME:
-        raise FrameUndefinedError(
-            f"mean spin magnitude {mean.magnitude:.3e} leaves the frame undefined"
-        )
-    cos_t = min(1.0, max(-1.0, mean.jz / mean.magnitude))
-    sin_t = math.sqrt(max(0.0, 1.0 - cos_t * cos_t))
-    transverse = math.hypot(mean.jx, mean.jy)
-    if transverse <= EPSILON_FRAME:
-        cos_p, sin_p = 1.0, 0.0
-    else:
-        cos_p = mean.jx / transverse
-        sin_p = mean.jy / transverse
+    frame = frame_columns([mean.jx], [mean.jy], [mean.jz], [mean.magnitude])
+    if frame.undefined[0]:
+        raise undefined_frame(mean.magnitude)
     return RotationAngles(
-        theta=math.atan2(sin_t, cos_t),
-        phi=math.atan2(sin_p, cos_p),
-        cos_theta=cos_t,
-        sin_theta=sin_t,
-        cos_phi=cos_p,
-        sin_phi=sin_p,
+        frame.theta[0], frame.phi[0], frame.cos_theta[0], frame.sin_theta[0],
+        frame.cos_phi[0], frame.sin_phi[0],
     )
 
 
-def _frame_rows(angles):
-    """Rows (x', y', z') over columns (x, y, z), as lists of floats."""
-    ct, st = angles.cos_theta, angles.sin_theta
-    cp, sp = angles.cos_phi, angles.sin_phi
-    return [ct * cp, ct * sp, -st], [-sp, cp, 0.0], [st * cp, st * sp, ct]
+def primed_axes(cos_theta, sin_theta, cos_phi, sin_phi):
+    """The x' and y' rows of the rotation for K frames given as columns.
+
+    The arguments are lists of K floats, as in ``FrameColumns``.  Returns one
+    ``(2, K, 3)`` array: ``[0, k]`` is the x' row of frame k and ``[1, k]``
+    its y' row, the first two rows of ``rotation_matrix``.
+    """
+    return np.array([
+        [(ct * cp, ct * sp, -st) for ct, st, cp, sp in
+         zip(cos_theta, sin_theta, cos_phi, sin_phi)],
+        [(-sp, cp, 0.0) for cp, sp in zip(cos_phi, sin_phi)],
+    ]).reshape(2, len(cos_theta), 3)
 
 
 def rotation_matrix(angles):
     """3x3 matrix with rows (x', y', z') over columns (x, y, z)."""
-    return np.array(_frame_rows(angles))
-
-
-def primed_axes(angles):
-    """The x' and y' rows of ``rotation_matrix`` for a sequence of K angles.
-
-    Returns one ``(2, K, 3)`` array: ``[0, k]`` is the x' row of ``angles[k]``
-    and ``[1, k]`` its y' row, with the same floats as ``rotation_matrix``.
-    """
-    rows = [_frame_rows(a)[:2] for a in angles]
-    return np.array([[x for x, _ in rows], [y for _, y in rows]])
+    ct, st = angles.cos_theta, angles.sin_theta
+    cp, sp = angles.cos_phi, angles.sin_phi
+    x_row, y_row = primed_axes([ct], [st], [cp], [sp])[:, 0]
+    return np.array([x_row, y_row, [st * cp, st * sp, ct]])
 
 
 def rotated_ops(angles, n_atoms):

@@ -24,25 +24,28 @@ Every input is first brought to the (N+1)-level ladder (``as_symmetric``),
 and both routes run there in O(N), on ``(K, N+1)`` stacks of states that
 share N: ``stacks_of`` cuts an iterable into stacks of at most
 ``STACK_LEVELS`` ladder levels, ``states.ladder_stack`` checks each as one
-array, and ``stack_reports`` yields the rows stack by stack.  One
-``apply_ladder_axes`` pass over a stack gives every mean spin
-(``frame.mean_spin_rows``) and is reused as the first pass of the
-correlators.  The direct route runs the x' and y' rows of all framed states
+array, and ``stack_columns`` yields each stack's reports as columns
+(``ReportColumns``).  One ``apply_ladder_axes`` pass over a stack gives
+every mean spin (``frame.mean_spin_rows``) and is reused as the first pass
+of the correlators.  The direct route runs the x' and y' rows of all framed states
 as one 2K-row stack through one shifted-power recurrence, with per-row
 weights bound once in ``ladder_action``.  The sum route takes a second
 batched pass to the moment tensors <J_a>, <J_a J_b> and <J_a J_b J_c>, and
 one constant 10 x 43 table, built at import from the spin-1/2 product rule,
-maps them to the ten pattern sums.  What follows the kernels runs on columns of the
-stack: one imaginary-part check per stage (``frame.real_parts``), the x'
-and y' rows of all framed states as one array (``frame.primed_axes``), all
-pattern weights as one product (``pattern_weights``) and the weighted sums
-as one sequential ``cumsum`` (``_weighted_sums``).  Only the frame angles
-(``frame.rotation_angles``) and the report objects are built per row.  Every
-row is bit-identical to that state evaluated alone.
-``entanglement_s`` and ``triple_correlators`` are the same code on a stack of
-one, a view of the state's coefficients, and ``direct_moments`` reads its
-tuple from ``entanglement_s``.  The explicit sum over atom triples in the
-2**N space is a test oracle only (``tests/bruteforce.py``).
+maps them to the ten pattern sums.  Everything else runs on columns of the
+stack: one imaginary-part check per stage (``frame.real_parts``), the frame
+angles of every row as lists (``frame.frame_columns``), the x' and y' rows
+of all framed states as one array (``frame.primed_axes``), all pattern
+weights as one product (``pattern_weights``) and the weighted sums as one
+sequential ``cumsum`` (``_weighted_sums``).  No object is built per row:
+``scan`` and ``verify`` read the columns, and only ``stack_reports`` and
+``entanglement_s`` build a ``MomentReport`` or ``UndefinedFrame`` per row,
+from the columns (``ReportColumns.rows``).  Every row is bit-identical to
+that state evaluated alone.  ``entanglement_s`` and ``triple_correlators``
+are the same code on a stack of one, a view of the state's coefficients,
+and ``direct_moments`` reads its tuple from ``entanglement_s``.  The
+explicit sum over atom triples in the 2**N space is a test oracle only
+(``tests/bruteforce.py``).
 
 S is half the root of the sum of squared third moments, computed from the
 direct route.  The two routes must agree to ``ROUTE_REL_TOL`` (with an
@@ -53,21 +56,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, permutations, product
+from itertools import compress, islice, permutations, product
 from operator import attrgetter
+from typing import NamedTuple
 
 import math
 import numpy as np
 
 from .errors import FrameUndefinedError
 from .frame import (
+    FrameColumns,
     MeanSpin,
     RotationAngles,
+    frame_columns,
     mean_spin_rows,
     primed_axes,
     real_parts,
-    rotation_angles,
     rotation_matrix,
+    undefined_frame,
 )
 from .operators import AXES, apply_ladder_axes, ladder_action, matching_vector
 from .states import as_symmetric
@@ -381,12 +387,13 @@ def _weighted_sums(axes, values):
     ``PATTERNS`` order; they broadcast over the leading axes.  Each moment is
     the sequential sum of the ten products from a leading zero, in pattern
     order, the additions of ``sum`` over the products: ``np.sum`` and matrix
-    products add in other orders and would move the last bits.
+    products add in other orders and would move the last bits.  The leading
+    zero is added to the first product in place (0.0 + p is p + 0.0), so
+    one ``cumsum`` over the products gives the sums.
     """
     products = pattern_weights(axes) * values
-    terms = np.zeros((*products.shape[:-1], len(PATTERNS) + 1))
-    terms[..., 1:] = products
-    return terms.cumsum(axis=-1)[..., -1]
+    products[..., 0] += 0.0
+    return products.cumsum(axis=-1)[..., -1]
 
 
 def third_moment_sum_xp(angles, correlators):
@@ -405,67 +412,96 @@ def third_moment_sum_yp(angles, correlators):
 class UndefinedFrame:
     """A row of a stack whose mean spin is too short to orient the frame.
 
-    ``error`` is the ``FrameUndefinedError`` that ``rotation_angles`` raised
-    for it, stored without its traceback: the traceback holds the frame that
-    holds the row list, a cycle that would keep the whole stack alive until
-    the cyclic GC runs.  The single-state functions raise a fresh copy.
+    ``error`` is the ``FrameUndefinedError`` of its magnitude
+    (``frame.undefined_frame``), made but never raised, so it holds no
+    traceback; the single-state functions raise one with the same message.
     """
 
     mean_spin: MeanSpin
     error: FrameUndefinedError
 
 
-def _raise_undefined(row):
-    if isinstance(row, UndefinedFrame):
-        raise FrameUndefinedError(*row.error.args)
-    return row
+class ReportColumns(NamedTuple):
+    """The reports of the K rows of one ladder stack, column by column.
+
+    ``jx``, ``jy``, ``jz`` and ``magnitude`` are the mean spins of the K
+    rows, as lists.  ``frame`` holds the undefined-frame mask, the F framed
+    rows and their angles (``frame.FrameColumns``), and ``axes`` the x' and
+    y' rows of those frames, a ``(2, F, 3)`` array.  The moments of both
+    routes and S are lists over the framed rows, in row order.  A tuple,
+    since a stack of one builds it on every ``entanglement_s`` call.
+    """
+
+    n_atoms: int
+    jx: list
+    jy: list
+    jz: list
+    magnitude: list
+    frame: FrameColumns
+    axes: np.ndarray
+    var_xp: list
+    var_yp: list
+    m3_xp_direct: list
+    m3_yp_direct: list
+    m3_xp_sum: list
+    m3_yp_sum: list
+    s_parameter: list
+
+    def raise_undefined(self):
+        """Raise the ``FrameUndefinedError`` of the first frame-undefined row, if any."""
+        if len(self.frame.framed) < len(self.magnitude):
+            raise undefined_frame(self.magnitude[self.frame.undefined.index(True)])
+
+    def rows(self):
+        """The rows as objects: a ``MomentReport`` per framed row, else an
+        ``UndefinedFrame`` with its mean spin."""
+        rows = list(map(MeanSpin, self.jx, self.jy, self.jz, self.magnitude))
+        frame = self.frame
+        # the angle columns, then the columns from var_xp to S, in field order
+        for k, angles, values in zip(frame.framed, zip(*frame[2:]), zip(*self[7:])):
+            rows[k] = MomentReport(self.n_atoms, rows[k], RotationAngles(*angles), *values)
+        if len(frame.framed) < len(rows):
+            for k in compress(range(len(rows)), frame.undefined):
+                rows[k] = UndefinedFrame(rows[k], undefined_frame(rows[k].magnitude))
+        return rows
 
 
 def _stack_reports(n_atoms, psi):
-    """The reports of the rows of one checked ``(K, N+1)`` ladder stack ``psi``.
+    """The ``ReportColumns`` of one checked ``(K, N+1)`` ladder stack ``psi``.
 
     One J pass over the stack gives every mean spin and is reused by the
-    correlators.  The x' and y' axes of all framed rows are one
-    ``(2, K, 3)`` array: the direct route runs them as one 2K-row stack
-    through a single shifted-power recurrence, with per-row weights bound
-    once in ``ladder_action``, and the sum route weighs every row's pattern
-    sums along them at once.  Per row there remain the frame angles and the
-    report objects.
+    correlators.  The frames of all rows are columns (``frame_columns``),
+    and the x' and y' axes of the framed rows one ``(2, F, 3)`` array: the
+    direct route runs them as one 2F-row stack through a single
+    shifted-power recurrence, with per-row weights bound once in
+    ``ladder_action``, and the sum route weighs every row's pattern sums
+    along them at once.  No object is built per row.
     """
     once = apply_ladder_axes(psi)
-    means = mean_spin_rows(psi, once, n_atoms)
-    rows, framed, angles = [], [], []
-    for k, mean in enumerate(means):
-        try:
-            angles.append(rotation_angles(mean))
-        except FrameUndefinedError as exc:
-            rows.append(UndefinedFrame(mean, exc.with_traceback(None)))
-            continue
-        rows.append(None)
-        framed.append(k)
-    if not framed:
-        return rows
-    count = len(framed)
+    mean = mean_spin_rows(psi, once, n_atoms)
+    frame = frame_columns(*mean)
+    axes = primed_axes(frame.cos_theta, frame.sin_theta, frame.cos_phi, frame.sin_phi)
+    count = len(frame.framed)
+    if not count:
+        return ReportColumns(n_atoms, *mean, frame, axes, *([] for _ in range(7)))
     if count < len(psi):
-        psi, once = psi[framed], once[:, framed]
-    axes = primed_axes(angles)
+        psi, once = psi[frame.framed], once[:, frame.framed]
     moments = _shifted_moments(
         np.concatenate((psi, psi)),
         ladder_action(axes.reshape(2 * count, 3), n_atoms),
         n_atoms,
         3,
     )
-    # [order][axis][row]: the x' rows come first in the 2K-row stack
+    # [order][axis][row]: the x' rows come first in the 2F-row stack
     (var_xp, var_yp), (m3_xp, m3_yp) = (
         moments.reshape(2, count, 2).transpose(2, 0, 1).tolist()
     )
     sum_xp, sum_yp = _weighted_sums(axes, _correlator_rows(n_atoms, psi, once)).tolist()
-    columns = zip(framed, angles, var_xp, var_yp, m3_xp, m3_yp, sum_xp, sum_yp)
-    for k, angle, vx, vy, mx, my, sx, sy in columns:
-        rows[k] = MomentReport(
-            n_atoms, means[k], angle, vx, vy, mx, my, sx, sy, 0.5 * math.hypot(mx, my)
-        )
-    return rows
+    s_parameter = [0.5 * radius for radius in map(math.hypot, m3_xp, m3_yp)]
+    return ReportColumns(
+        n_atoms, *mean, frame, axes,
+        var_xp, var_yp, m3_xp, m3_yp, sum_xp, sum_yp, s_parameter,
+    )
 
 
 def stacks_of(items, row_size, budget=None):
@@ -481,22 +517,32 @@ def stacks_of(items, row_size, budget=None):
     return iter(lambda: list(islice(items, per_stack)), [])
 
 
-def stack_reports(stacks):
-    """Yield the ``MomentReport`` of each row of checked ladder stacks.
+def stack_columns(stacks):
+    """Yield the ``ReportColumns`` of each checked ladder stack.
 
     ``stacks`` is an iterable of ``(K, N+1)`` arrays as
     ``states.ladder_stack`` returns them, each cut to at most
     ``STACK_LEVELS`` ladder levels by ``stacks_of``; N may differ between
-    them.  Each is evaluated as one stack: a stack is drawn when its first
-    row is asked for and its rows are yielded as they are used, so memory
-    follows the stack rather than the number of states.  Each row is
-    bit-identical to its state evaluated alone (``entanglement_s``), and a
+    them.  Each is evaluated as one stack, drawn when its columns are asked
+    for, so memory follows the stack rather than the number of states.
+    Every column holds the floats of each row's state evaluated alone
+    (``entanglement_s``).
+    """
+    for psi in stacks:
+        yield _stack_reports(psi.shape[1] - 1, psi)
+
+
+def stack_reports(stacks):
+    """Yield the ``MomentReport`` of each row of checked ladder stacks.
+
+    The rows of ``stack_columns(stacks)``, stack by stack, built from the
+    columns (``ReportColumns.rows``) and yielded as they are used; a
     frame-undefined row is an ``UndefinedFrame`` with its mean spin.  States
     in any representation that share N make one stack as
     ``ladder_stack(n, [as_symmetric(s).coeffs for s in states])``.
     """
-    for psi in stacks:
-        yield from _stack_reports(psi.shape[1] - 1, psi)
+    for columns in stack_columns(stacks):
+        yield from columns.rows()
 
 
 def entanglement_s(state):
@@ -515,8 +561,10 @@ def entanglement_s(state):
         If a product or full-space input leaves the symmetric subspace.
     """
     sym = as_symmetric(state)
-    (row,) = _stack_reports(sym.n_atoms, sym.coeffs[None])
-    return _raise_undefined(row)
+    columns = _stack_reports(sym.n_atoms, sym.coeffs[None])
+    columns.raise_undefined()
+    (report,) = columns.rows()
+    return report
 
 
 def direct_moments(state):

@@ -289,7 +289,9 @@ def estimate_s_from_samples(state, m_shots, seed):
             "as (N+1)^2"
         )
     # one (2, D, D) sum, freed once both operators hold their copies
-    axes = primed_axes([rotation_angles(mean_spin(state))])[:, 0]
+    angles = rotation_angles(mean_spin(state))
+    trig = ([angles.cos_theta], [angles.sin_theta], [angles.cos_phi], [angles.sin_phi])
+    axes = primed_axes(*trig)[:, 0]
     op_xp, op_yp = map(LadderOperator, component_sums(axes, "ladder", state.n_atoms))
     master = np.random.default_rng(seed)
     seed_xp, seed_yp = (int(s) for s in master.integers(0, 2**63, size=2))

@@ -25,9 +25,11 @@ at most ``RESIDUAL_TOL``.  ``verify_sum_route`` and
 run on stacks from the seeded draw to the verdict: each draw keeps its own
 seeded generator, the draws are cut into ``(K, N+1)`` ladder stacks by
 ``moments.stacks_of`` and checked once per stack (``states.ladder_stack``,
-``states.coherent_stack``), and the rows go through ``stack_reports`` and
-are used as they are yielded.  The sum-route sweep checks those rows against an independent direct route from dense 2**N
-operators, written onto the support of Jx, Jy and Jz by
+``states.coherent_stack``), and each stack's columns come from
+``stack_columns`` and are used as they are yielded: no report object is
+built per row.  The sum-route sweep checks the sum-route columns against an
+independent direct route from dense 2**N operators along the stack's axis
+columns, written onto the support of Jx, Jy and Jz by
 ``operators.component_sums`` and hermitian by construction, in chunks of at
 most ``DENSE_ENTRIES`` entries.  Every recorded float is the one the
 per-state functions give.  Every sweep passes by one verdict (``_summary``):
@@ -38,22 +40,20 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import lru_cache, reduce
-from itertools import chain, permutations, product
+from itertools import chain, permutations, product, tee
 
 import math
 import numpy as np
 
-from .frame import RotationAngles, primed_axes
+from .frame import primed_axes
 from .moments import (
     PATTERNS,
     ROUTE_REL_TOL,
-    UndefinedFrame,
     _SITE_WORDS,
-    _raise_undefined,
     _shifted_moments,
     pattern_weights,
     route_deviation,
-    stack_reports,
+    stack_columns,
     stacks_of,
     worst_of,
 )
@@ -287,8 +287,10 @@ def verify_identity_suite(corrupt_id=None):
 
 def _x_prime_axes(pairs):
     """The x' rows of the rotation for ``(theta, phi)`` pairs, shape ``(K, 3)``."""
-    trig = ((t, p, math.cos(t), math.sin(t), math.cos(p), math.sin(p)) for t, p in pairs)
-    return primed_axes([RotationAngles(*angles) for angles in trig])[0]
+    theta, phi = zip(*pairs)
+    return primed_axes(*(
+        list(map(trig, angles)) for angles in (theta, phi) for trig in (math.cos, math.sin)
+    ))[0]
 
 
 # The factors of the reduced form of Jx'^3 on three atoms, the same for every
@@ -373,33 +375,30 @@ def _draws(size, count, seed, row_size):
         yield seeded_gaussians(size, rng.integers(2**63, size=len(block)))
 
 
-def _dense_deviations(worst, n_atoms, chunk):
-    """Fold a chunk of framed ``(ladder row, report)`` pairs into ``worst``.
+def _dense_deviations(worst, n_atoms, rows, columns, part):
+    """Fold the route deviations of the framed rows ``part`` into ``worst``.
 
-    The direct route of each row comes from dense 2**N operators, as
-    ``central_moment`` takes it state by state: the rows' 2**N vectors
-    (``full_rows``), the x' and y' operators of their frames as
-    ``operators.component_sums`` of the dense Jx, Jy and Jz, and the third
-    moments from ``_shifted_moments`` with one stacked ``matmul``, which
-    gives each operator's ``entries @ v`` in every bit.  The route
-    deviations against the reports' sum route are folded in row order.
+    ``part`` is a slice of the framed rows of one stack's ``columns`` and
+    ``rows`` their ladder rows.  The direct route of each comes from dense
+    2**N operators, as ``central_moment`` takes it state by state: the rows'
+    2**N vectors (``full_rows``), the x' and y' operators of their frames
+    (the ``columns.axes`` slice) as ``operators.component_sums`` of the
+    dense Jx, Jy and Jz, and the third moments from ``_shifted_moments``
+    with one stacked ``matmul``, which gives each operator's ``entries @ v``
+    in every bit.  Each is checked against the sum-route column of its axis.
     """
-    rows, reports = zip(*chunk)
-    full = full_rows(n_atoms, np.array(rows))
-    axes = primed_axes([report.angles for report in reports]).reshape(-1, 3)
-    ops = component_sums(axes, "full", n_atoms)
+    full = full_rows(n_atoms, rows)
+    ops = component_sums(columns.axes[:, part].reshape(-1, 3), "full", n_atoms)
     moments = _shifted_moments(
         np.concatenate((full, full)), lambda v: (ops @ v[..., None])[..., 0], n_atoms, 3
     )
     # the x' operators of the chunk come first
     direct_xp, direct_yp = moments[:, 1].reshape(2, -1).tolist()
-    for report, dx, dy in zip(reports, direct_xp, direct_yp):
-        worst = worst_of((
-            worst,
-            route_deviation(dx, report.m3_xp_sum),
-            route_deviation(dy, report.m3_yp_sum),
-        ))
-    return worst
+    return worst_of(chain(
+        [worst],
+        map(route_deviation, direct_xp, columns.m3_xp_sum[part]),
+        map(route_deviation, direct_yp, columns.m3_yp_sum[part]),
+    ))
 
 
 def verify_sum_route(n_atoms, n_trials, seed):
@@ -408,13 +407,12 @@ def verify_sum_route(n_atoms, n_trials, seed):
     A GHZ-like state leads, then ``n_trials`` states drawn as
     ``random_symmetric_state`` draws them, each from its own seeded
     generator.  They are checked as ``(K, N+1)`` ladder stacks
-    (``ladder_stack``), and each stack goes through ``stack_reports`` beside
-    its own rows for each state's frame and sum-route moments.  The direct
-    side of each framed row is computed with dense rotated operators in the
-    full 2**N space (hence the 3 <= N <= 6 window), in chunks of at most
-    ``DENSE_ENTRIES`` operator entries (``_dense_deviations``).  Every
-    float is the one the state gets evaluated alone.  Frame-undefined rows
-    are skipped and counted.
+    (``ladder_stack``), and ``stack_columns`` gives each stack's frames and
+    sum-route moments.  The direct side of the framed rows is computed with
+    dense rotated operators in the full 2**N space (hence the 3 <= N <= 6
+    window), in chunks of at most ``DENSE_ENTRIES`` operator entries
+    (``_dense_deviations``).  Every float is the one the state gets
+    evaluated alone.  Frame-undefined rows are skipped and counted.
     """
     if not 3 <= n_atoms <= 6:
         raise ValueError(f"dense sum-route sweep needs 3 <= N <= 6, got {n_atoms}")
@@ -423,38 +421,43 @@ def verify_sum_route(n_atoms, n_trials, seed):
     ghz = np.zeros(n_atoms + 1)
     ghz[0] = ghz[-1] = 1.0
     draws = chain.from_iterable(_draws(n_atoms + 1, n_trials, seed, n_atoms + 1))
-    stacks = (
+    stacks, psis = tee(
         ladder_stack(n_atoms, rows, normalize=True)
         for rows in stacks_of(chain([ghz], draws), n_atoms + 1)
     )
-    framed = (
-        pair
-        for psi in stacks
-        for pair in zip(psi, stack_reports([psi]))
-        if not isinstance(pair[1], UndefinedFrame)
-    )
     worst = 0.0
     used = 0
-    for chunk in stacks_of(framed, 2 * 4**n_atoms, DENSE_ENTRIES):
-        worst = _dense_deviations(worst, n_atoms, chunk)
-        used += len(chunk)
+    for psi, columns in zip(psis, stack_columns(stacks)):
+        framed = columns.frame.framed
+        if len(framed) < len(psi):
+            psi = psi[framed]
+        for chunk in stacks_of(range(len(framed)), 2 * 4**n_atoms, DENSE_ENTRIES):
+            part = slice(chunk[0], chunk[-1] + 1)
+            worst = _dense_deviations(worst, n_atoms, psi[part], columns, part)
+        used += len(framed)
     return _summary(f"sum_route_n{n_atoms}", n_trials + 1, n_trials + 1 - used, worst,
                     ROUTE_REL_TOL)
+
+
+def _s_column(columns):
+    """The S column of one stack; a frame-undefined row raises its error."""
+    columns.raise_undefined()
+    return columns.s_parameter
 
 
 def verify_product_vanishing(n_atoms, n_trials, seed):
     """S on random identical-qubit product states (must sit at zero).
 
     The qubits are drawn as ``random_product_state`` draws them and mapped
-    to the ladder K at a time (``coherent_stack``); the rows stream through
-    one ``stack_reports`` call, and each is folded into ``worst_s`` as it is
-    yielded.
+    to the ladder K at a time (``coherent_stack``); the stacks stream
+    through one ``stack_columns`` call, and each S column is folded into
+    ``worst_s`` as it is yielded.
     """
     _check_sweep_atoms(n_atoms)
     _check_trials(n_trials)
     draws = _draws(2, n_trials, seed, n_atoms + 1)
     stacks = (coherent_stack(n_atoms, qubits) for qubits in draws)
-    worst_s = worst_of(_raise_undefined(row).s_parameter for row in stack_reports(stacks))
+    worst_s = worst_of(chain.from_iterable(map(_s_column, stack_columns(stacks))))
     return _summary(f"product_vanishing_n{n_atoms}", n_trials, 0, worst_s, PRODUCT_S_TOL)
 
 

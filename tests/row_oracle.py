@@ -2,17 +2,21 @@
 
 ``stack_reports_by_row`` is the stack's per-row stage written one row at a
 time, the form it had before it ran on columns: per-row imaginary-part loops,
-one ``rotation_matrix`` per row, the pattern weights of each axis as a list
-and each third moment as Python's ``sum`` over the ten products.  It shares
-the stack's kernels (``apply_ladder_axes``, ``ladder_action``,
-``moments._pattern_sums``) and the frame angles, so every float it gives
-must equal the package's in every bit.
+the frame of each row from ``rotation_angles_by_row`` and its rotation rows
+from ``frame_rows_by_row`` (the scalar frame the package had before its
+frame ran on columns, copied here so the oracle does not share the
+package's frame), the pattern weights of each axis as a list and each third
+moment as Python's ``sum`` over the ten products.  It shares the stack's
+kernels (``apply_ladder_axes``, ``ladder_action``,
+``moments._pattern_sums``), so every float it gives must equal the
+package's in every bit.
 
 ``terms_matrix_by_term`` is the term-by-term loop that the gathered
 ``verify._terms_matrix`` replaces: the same additions in the same order.
 ``cancellation_sweep_by_pair`` is the cancellation sweep one pair at a
-time, as it ran before its stacks: each x' operator as Python's ``sum`` of
-the weighted dense components, its reduced form by that loop.
+time, as it ran before its stacks: each x' row from ``frame_rows_by_row``,
+each x' operator as Python's ``sum`` of the weighted dense components, its
+reduced form by that loop.
 
 ``spectrum_by_group`` is the grouping loop and per-group product that
 ``sampler.projective_sample`` ran before its one array pass: the merged
@@ -36,7 +40,7 @@ from operator import mul
 import numpy as np
 
 from trispin.errors import FrameUndefinedError, NotSymmetricError
-from trispin.frame import MeanSpin, RotationAngles, rotation_angles, rotation_matrix
+from trispin.frame import EPSILON_FRAME, MeanSpin, RotationAngles
 from trispin.moments import (
     PATTERNS,
     MomentReport,
@@ -71,6 +75,39 @@ _PATTERN_TERMS = tuple(
     (len(set(permutations(pattern))), tuple(AXES.index(axis) for axis in pattern))
     for pattern in PATTERNS
 )
+
+
+def rotation_angles_by_row(mean):
+    """The frame angles of one mean spin, one row at a time."""
+    if not all(map(math.isfinite, (mean.jx, mean.jy, mean.jz, mean.magnitude))):
+        raise ValueError(f"{mean!r} is not finite, so it orients no frame")
+    if mean.magnitude <= EPSILON_FRAME:
+        raise FrameUndefinedError(
+            f"mean spin magnitude {mean.magnitude:.3e} leaves the frame undefined"
+        )
+    cos_t = min(1.0, max(-1.0, mean.jz / mean.magnitude))
+    sin_t = math.sqrt(max(0.0, 1.0 - cos_t * cos_t))
+    transverse = math.hypot(mean.jx, mean.jy)
+    if transverse <= EPSILON_FRAME:
+        cos_p, sin_p = 1.0, 0.0
+    else:
+        cos_p = mean.jx / transverse
+        sin_p = mean.jy / transverse
+    return RotationAngles(
+        theta=math.atan2(sin_t, cos_t),
+        phi=math.atan2(sin_p, cos_p),
+        cos_theta=cos_t,
+        sin_theta=sin_t,
+        cos_phi=cos_p,
+        sin_phi=sin_p,
+    )
+
+
+def frame_rows_by_row(angles):
+    """Rows (x', y', z') over columns (x, y, z), as lists of floats."""
+    ct, st = angles.cos_theta, angles.sin_theta
+    cp, sp = angles.cos_phi, angles.sin_phi
+    return [ct * cp, ct * sp, -st], [-sp, cp, 0.0], [st * cp, st * sp, ct]
 
 
 def real_parts_by_row(rows, tols, name):
@@ -148,13 +185,13 @@ def stack_reports_by_row(n_atoms, syms):
     rows, framed, x_axes, y_axes = [], [], [], []
     for k, mean in enumerate(mean_spin_by_row(psi, once, n_atoms)):
         try:
-            angles = rotation_angles(mean)
+            angles = rotation_angles_by_row(mean)
         except FrameUndefinedError as exc:
             rows.append(UndefinedFrame(mean, exc.with_traceback(None)))
             continue
         rows.append((mean, angles))
         framed.append(k)
-        x_axis, y_axis, _ = rotation_matrix(angles)
+        x_axis, y_axis, _ = frame_rows_by_row(angles)
         x_axes.append(x_axis)
         y_axes.append(y_axis)
     if not framed:
@@ -199,9 +236,9 @@ def cancellation_sweep_by_pair(n_pairs, seed):
     worst = 0.0
     for _ in range(n_pairs):
         theta, phi = rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi)
-        axis = rotation_matrix(RotationAngles(
+        axis, _, _ = frame_rows_by_row(RotationAngles(
             theta, phi, math.cos(theta), math.sin(theta), math.cos(phi), math.sin(phi)
-        ))[0].tolist()
+        ))
         combo = sum(w * collective_op(a, 3).entries for w, a in zip(axis, AXES))
         coeffs = [1.75 * w for w in axis] * 3 + [
             weight for weight in pattern_weights_by_row(axis) for _ in range(6)

@@ -386,19 +386,19 @@ class TestScan:
         monkeypatch.setattr(moments, "STACK_LEVELS", 20)  # 5 points of 4 levels
         counts = {"drawn": 0, "used": 0}
         ahead = []
-        make_grid, make_row = cli._pair_mix_grid, cli._scan_row
+        make_grid, make_lines = cli._pair_mix_grid, cli._scan_lines
 
         def drawing(n_atoms, index_a, index_b, alphas):
             counts["drawn"] += len(alphas)
             return make_grid(n_atoms, index_a, index_b, alphas)
 
-        def using(*args):
-            counts["used"] += 1
+        def using(start, alphas, columns):
+            counts["used"] += len(alphas)
             ahead.append(counts["drawn"] - counts["used"])
-            return make_row(*args)
+            return make_lines(start, alphas, columns)
 
         monkeypatch.setattr(cli, "_pair_mix_grid", drawing)
-        monkeypatch.setattr(cli, "_scan_row", using)
+        monkeypatch.setattr(cli, "_scan_lines", using)
         assert main(["scan", "--grid", PAIR_MIX_GRID]) == 0
         assert counts == {"drawn": 101, "used": 101}
         # never more than two stacks of points drawn ahead of the rows written

@@ -1,8 +1,11 @@
 """The stack's per-row stage on columns, and the stacked term sums of verify.
 
-``stack_reports`` runs everything after the kernels on whole columns of a
-stack; ``tests/row_oracle.py`` keeps that stage one row at a time, and every
-row must match it by ``repr`` (every float, signed zeros included).  The
+``moments._stack_reports`` runs everything after the kernels, the frame
+included, on whole columns of a stack; ``tests/row_oracle.py`` keeps that
+stage one row at a time, with its own copy of the scalar frame.  Every row
+must match it by ``repr`` and every column by ``float.hex`` (every float,
+signed zeros included), and the frame must refuse a non-finite mean spin
+with the scalar frame's message.  The
 cancellation and identity sums add only the terms nonzero at each entry;
 they must give the term-by-term loop's matrices bit for bit, and the
 stacked cancellation sweep the pair-by-pair loop's worst residual.  The
@@ -19,13 +22,16 @@ from hypothesis import strategies as st
 
 from row_oracle import (
     cancellation_sweep_by_pair,
+    frame_rows_by_row,
     pair_mix_state,
     product_to_dicke_by_state,
+    rotation_angles_by_row,
     stack_reports_by_row,
     stacked_rows,
     terms_matrix_by_term,
 )
 from trispin import (
+    MeanSpin,
     NotSymmetricError,
     as_symmetric,
     product_state,
@@ -33,7 +39,8 @@ from trispin import (
     symmetric_state,
 )
 from trispin import cli, frame, moments, states, verify
-from trispin.moments import stack_reports
+from trispin.frame import EPSILON_FRAME
+from trispin.moments import UndefinedFrame, stack_reports
 from trispin.operators import AXES, _component_support, collective_op, ladder_vectors
 from trispin.verify import (
     IDENTITIES,
@@ -273,17 +280,189 @@ def test_no_per_row_work_after_the_kernels(monkeypatch):
         for owner, name in [
             (moments, "pattern_weights"),
             (frame, "rotation_matrix"),
+            (frame, "rotation_angles"),
             (frame, "real_parts"),
         ]
     }
     items = [random_symmetric_state(5, seed) for seed in range(101)]
     assert len(stacked_rows(items)) == 101
     # one stack: one check per stage, one weight product, no 3x3 matrices
+    # and no frame taken row by row
     assert {name: len(made) for name, made in calls.items()} == {
         "pattern_weights": 1,
         "rotation_matrix": 0,
+        "rotation_angles": 0,
         "real_parts": 3,
     }
+
+
+# ---------------------------------------------------------------------------
+# Every column of a stack equals the row oracle's, bit for bit
+# ---------------------------------------------------------------------------
+
+FRAME_FIELDS = ("theta", "phi", "cos_theta", "sin_theta", "cos_phi", "sin_phi")
+MOMENT_FIELDS = (
+    "var_xp", "var_yp", "m3_xp_direct", "m3_yp_direct", "m3_xp_sum", "m3_yp_sum",
+    "s_parameter",
+)
+
+
+def hexes(values):
+    return [float(value).hex() for value in values]
+
+
+def oracle_columns(rows):
+    """The row oracle's reports as the columns of ``ReportColumns``, in hex."""
+    means = [row.mean_spin for row in rows]
+    framed = [row for row in rows if not isinstance(row, UndefinedFrame)]
+    columns = {name: hexes(getattr(m, name) for m in means)
+               for name in ("jx", "jy", "jz", "magnitude")}
+    columns["undefined"] = [isinstance(row, UndefinedFrame) for row in rows]
+    columns["framed"] = [k for k, row in enumerate(rows) if row in framed]
+    for name in FRAME_FIELDS:
+        columns[name] = hexes(getattr(row.angles, name) for row in framed)
+    for name in MOMENT_FIELDS:
+        columns[name] = hexes(getattr(row, name) for row in framed)
+    # the (2, F, 3) axes, flattened: every x' row, then every y' row
+    primed = [frame_rows_by_row(row.angles)[:2] for row in framed]
+    columns["axes"] = hexes(
+        value for axis in (0, 1) for rows_of in primed for value in rows_of[axis]
+    )
+    return columns
+
+
+def package_columns(columns):
+    """The columns of one ``ReportColumns``, in hex."""
+    out = {name: hexes(getattr(columns, name)) for name in ("jx", "jy", "jz", "magnitude")}
+    out["undefined"] = list(columns.frame.undefined)
+    out["framed"] = list(columns.frame.framed)
+    for name in FRAME_FIELDS:
+        out[name] = hexes(getattr(columns.frame, name))
+    for name in MOMENT_FIELDS:
+        out[name] = hexes(getattr(columns, name))
+    out["axes"] = hexes(columns.axes.ravel())
+    return out
+
+
+def stack_columns_of(items):
+    """The package's columns of ``items``, one stack that shares N."""
+    n_atoms = items[0].n_atoms
+    psi = states.ladder_stack(n_atoms, [item.coeffs for item in items])
+    return moments._stack_reports(n_atoms, psi)
+
+
+def assert_columns_match_the_row_oracle(items):
+    got = stack_columns_of(items)
+    want = oracle_columns(stack_reports_by_row(items[0].n_atoms, items))
+    assert package_columns(got) == want
+    return got
+
+
+def near_pole(n_atoms, epsilon, south=False):
+    """0.8|0> + 0.6|N> + eps|1>, or 0.6|0> + 0.8|N> + eps|1> nearer the south pole."""
+    coeffs = np.zeros(n_atoms + 1, dtype=complex)
+    coeffs[0], coeffs[-1] = (0.6, 0.8) if south else (0.8, 0.6)
+    coeffs[1] = epsilon
+    return symmetric_state(n_atoms, coeffs, normalize=True)
+
+
+@pytest.mark.parametrize("place", ["first", "middle", "last", "all"])
+def test_columns_with_undefined_rows(place):
+    mask = {
+        "first": [True, False, False, False, False],
+        "middle": [False, False, True, False, True, False],
+        "last": [False, False, False, False, True],
+        "all": [True, True],
+    }[place]
+    framed = iter([random_symmetric_state(6, seed) for seed in range(4)])
+    got = assert_columns_match_the_row_oracle(
+        [ghz(6) if undefined else next(framed) for undefined in mask]
+    )
+    assert got.frame.undefined == mask
+
+
+@pytest.mark.parametrize("n_atoms", [3, 8, 40])
+def test_columns_near_the_pole(n_atoms):
+    # transverse at most EPSILON_FRAME takes the phi = 0 branch; 1e-8 does not
+    items = [
+        near_pole(n_atoms, epsilon, south)
+        for south in (False, True)
+        for epsilon in (0.0, 1e-12, 1e-10, 1e-8)
+    ]
+    items.insert(3, random_symmetric_state(n_atoms, 5))
+    got = assert_columns_match_the_row_oracle(items)
+    transverse = list(map(math.hypot, got.jx, got.jy))
+    branch = [t <= EPSILON_FRAME for t in transverse]
+    assert branch == [True, True, True, False, False, True, True, True, False]
+    for k, on_axis in zip(got.frame.framed, branch):
+        if on_axis:
+            assert (got.frame.cos_phi[k], got.frame.sin_phi[k]) == (1.0, 0.0)
+            assert got.frame.phi[k].hex() == (0.0).hex()
+
+
+@pytest.mark.parametrize(
+    "item",
+    [ghz(5), near_pole(5, 0.0), near_pole(5, 1e-10, True), near_pole(5, 1e-8),
+     random_symmetric_state(5, 2), pair_mix(1000, 0.4)],
+    ids=["undefined", "pole", "south_pole", "near_pole", "random", "n1000"],
+)
+def test_columns_of_a_stack_of_one(item):
+    assert_columns_match_the_row_oracle([item])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n_atoms=st.integers(3, 30),
+    seeds=st.lists(SEEDS, min_size=1, max_size=20),
+    undefined=st.lists(st.integers(0, 19), max_size=3),
+)
+def test_columns_of_random_stacks(n_atoms, seeds, undefined):
+    items = [random_symmetric_state(n_atoms, seed) for seed in seeds]
+    for k in undefined:
+        if k < len(items):
+            items[k] = ghz(n_atoms)
+    assert_columns_match_the_row_oracle(items)
+
+
+def test_an_empty_stack_has_no_rows():
+    psi = states.ladder_stack(4, np.empty((0, 5), dtype=complex))
+    assert list(stack_reports([psi])) == []
+    (columns,) = moments.stack_columns([psi])
+    assert columns.frame.framed == [] and columns.axes.shape == (2, 0, 3)
+
+
+NON_FINITE_MEANS = {
+    "nan_jz": (MeanSpin(0.3, 0.1, math.nan, 1.0),
+               "MeanSpin(jx=0.3, jy=0.1, jz=nan, magnitude=1.0) is not finite, "
+               "so it orients no frame"),
+    "all_nan": (MeanSpin(math.nan, math.nan, math.nan, math.nan),
+                "MeanSpin(jx=nan, jy=nan, jz=nan, magnitude=nan) is not finite, "
+                "so it orients no frame"),
+    "inf_jx": (MeanSpin(math.inf, 0.0, 0.0, math.inf),
+               "MeanSpin(jx=inf, jy=0.0, jz=0.0, magnitude=inf) is not finite, "
+               "so it orients no frame"),
+    "inf_magnitude": (MeanSpin(1e200, 0.0, 0.0, math.inf),
+                      "MeanSpin(jx=1e+200, jy=0.0, jz=0.0, magnitude=inf) is not "
+                      "finite, so it orients no frame"),
+}
+
+
+@pytest.mark.parametrize("mean, message", NON_FINITE_MEANS.values(), ids=list(NON_FINITE_MEANS))
+def test_non_finite_mean_message_is_pinned(mean, message):
+    with pytest.raises(ValueError) as oracle:
+        rotation_angles_by_row(mean)
+    assert str(oracle.value) == message
+    with pytest.raises(ValueError) as alone:
+        frame.rotation_angles(mean)
+    assert str(alone.value) == message
+    # in a column, after a framed and an undefined row and before a framed
+    # one: the first non-finite row is named, an undefined one is not
+    good, short = MeanSpin(0.0, 0.6, 0.8, 1.0), MeanSpin(0.0, 0.0, 0.0, 0.0)
+    rows = [good, short, mean, good, MeanSpin(math.nan, 0.0, 0.0, math.nan)]
+    with pytest.raises(ValueError) as stacked:
+        frame.frame_columns(*([getattr(m, name) for m in rows]
+                              for name in ("jx", "jy", "jz", "magnitude")))
+    assert str(stacked.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""Properties of S over random ladder states, N = 3..30.
+"""Properties of S over random ladder states, N = 3..40.
 
 Each test draws its states from hypothesis with ``derandomize=True``, so a
 run is reproducible: the two moment routes agree, a global phase leaves S
 unchanged, complex conjugation mirrors the report through the xz plane bit
-for bit, coherent spin states (identical-qubit products) carry no
-tripartite correlation, and a stack of states gives each row exactly what
-that state gives alone.
+for bit, reversing the levels and rotating about the lab z axis leave S by
+either route unchanged to a rounding tolerance, coherent spin states
+(identical-qubit products) carry no tripartite correlation, and a stack of
+states gives each row exactly what that state gives alone.
 """
 
 import cmath
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from row_oracle import stacked_rows
@@ -82,6 +83,66 @@ def test_conjugation_mirrors_the_report_bit_for_bit(n_atoms, seed):
     # float.hex tells -0.0 from 0.0, so every bit is compared
     expected = {key: float(-v if key in MIRRORED else v).hex() for key, v in report.items()}
     assert {key: float(v).hex() for key, v in mirrored.items()} == expected
+
+
+def s_by_both_routes(report):
+    """S from the direct route, then from the correlator-sum route."""
+    return report.s_parameter, 0.5 * math.hypot(report.m3_xp_sum, report.m3_yp_sum)
+
+
+def symmetry_tolerance(n_atoms, magnitude):
+    """How far rounding may move S between a state and a rotated copy.
+
+    Each <J> component is a sum over N+1 levels of terms up to N/2, so the
+    direction of <J> carries an error of about (N+1) eps (N/2)/|<J>|; a third
+    moment is a cubic form in the axis with coefficients up to (N/2)**3, so
+    the frame error moves it by about (N+1) eps (1+N/2)**3 (N/2)/|<J>|, and
+    the recurrence along a fixed axis adds (N+1) eps (1+N/2)**3.  The factor
+    16 covers the two states, the constant of each bound and the transverse
+    part of <J>, which the strategies keep at 0.1 |<J>| or more.
+    """
+    half = n_atoms / 2.0
+    return 16.0 * (n_atoms + 1) * 2.0**-52 * (1.0 + half) ** 3 * (1.0 + half / magnitude)
+
+
+def off_the_pole(report):
+    """Whether the transverse part of <J> is at least a tenth of |<J>|.
+
+    On the pole the azimuth is a convention, so a rotation about z need not
+    carry the frame along with the state.
+    """
+    mean = report.mean_spin
+    return math.hypot(mean.jx, mean.jy) >= 0.1 * mean.magnitude
+
+
+def assert_s_unchanged(report, image):
+    tolerance = symmetry_tolerance(report.n_atoms, report.mean_spin.magnitude)
+    for before, after in zip(s_by_both_routes(report), s_by_both_routes(image)):
+        assert abs(after - before) <= tolerance
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n_atoms=st.integers(3, 40), seed=SEEDS)
+def test_level_reversal_leaves_s_unchanged(n_atoms, seed):
+    # c_m -> c_-m is a rotation by pi about x up to a global phase: <Jy> and
+    # <Jz> change sign, theta -> pi - theta and phi -> -phi
+    state = random_ladder_state(n_atoms, seed)
+    report = entanglement_s(state)
+    assume(off_the_pole(report))
+    assert_s_unchanged(report, entanglement_s(symmetric_state(n_atoms, state.coeffs[::-1])))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n_atoms=st.integers(3, 40), seed=SEEDS, beta=ANGLES)
+def test_z_rotation_leaves_s_unchanged(n_atoms, seed, beta):
+    # c_m -> exp(i m beta) c_m, up to a global phase: the frame turns with
+    # <J> by beta about z, and S must not see it
+    state = random_ladder_state(n_atoms, seed)
+    report = entanglement_s(state)
+    assume(off_the_pole(report))
+    phases = np.exp(1j * beta * np.arange(n_atoms + 1))
+    turned = symmetric_state(n_atoms, state.coeffs * phases, normalize=True)
+    assert_s_unchanged(report, entanglement_s(turned))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -268,13 +267,8 @@ def nan_at_trial(trial, fn):
             "route_deviation",
             lambda call, fn: nan_at(call, fn, lambda _: math.nan),
         ),
-        (
-            lambda: verify_product_vanishing(5, 10, 13),
-            "_raise_undefined",
-            lambda call, fn: nan_at(
-                call, fn, lambda row: dataclasses.replace(row, s_parameter=math.nan)
-            ),
-        ),
+        # the ten states make one stack, so the NaN S sits inside its column
+        (lambda: verify_product_vanishing(5, 10, 13), "_s_column", nan_at_trial),
         # the ten pairs make one stack, so the NaN x' row sits inside it
         (lambda: cancellation_sweep(10, 13), "_x_prime_axes", nan_at_trial),
     ],
@@ -325,7 +319,11 @@ def test_primed_operators_are_exactly_hermitian(space, n_atoms):
     # the same sums of the ladder components are the sampler's operators
     angles = frame_angles(n_atoms, 400)
     dim = 2**n_atoms if space == "full" else n_atoms + 1
-    ops = component_sums(primed_axes(angles).reshape(-1, 3), space, n_atoms)
+    trig = (
+        [getattr(a, name) for a in angles]
+        for name in ("cos_theta", "sin_theta", "cos_phi", "sin_phi")
+    )
+    ops = component_sums(primed_axes(*trig).reshape(-1, 3), space, n_atoms)
     assert ops.shape == (2 * len(angles), dim, dim)
     assert np.max(np.abs(ops - ops.conj().swapaxes(-1, -2))) == 0.0
 
@@ -507,14 +505,14 @@ def test_stacked_product_vanishing_equals_per_state_loop(
     [(verify_sum_route, 4), (verify_product_vanishing, 8)],
 )
 def test_each_sweep_makes_one_stacked_call(sweep, n_atoms, monkeypatch):
-    stacked = verify.stack_reports
+    stacked = verify.stack_columns
     calls = []
 
     def spy(stacks):
         calls.append(stacks)
         return stacked(stacks)
 
-    monkeypatch.setattr(verify, "stack_reports", spy)
+    monkeypatch.setattr(verify, "stack_columns", spy)
     assert sweep(n_atoms, 12, seed=5).passed
     assert len(calls) == 1
 
@@ -554,8 +552,9 @@ def test_one_chunker(module):
     [
         # the sum-route sweep draws a GHZ-like row first, outside the count;
         # each framed row reaches the dense side in a chunk of rows
-        (verify_sum_route, "_dense_deviations", lambda worst, n_atoms, chunk: len(chunk)),
-        (verify_product_vanishing, "_raise_undefined", lambda row: 1),
+        (verify_sum_route, "_dense_deviations",
+         lambda worst, n_atoms, rows, columns, part: len(rows)),
+        (verify_product_vanishing, "_s_column", lambda columns: len(columns.s_parameter)),
     ],
     ids=["sum_route", "product_vanishing"],
 )
