@@ -18,7 +18,7 @@ import math
 import operator
 import sys
 from datetime import datetime, timezone
-from itertools import count, repeat, tee
+from itertools import count, repeat
 
 import numpy as np
 
@@ -234,11 +234,12 @@ def _cmd_scan(args, raw):
     # reports never span the whole grid (one array of it doubled the peak of
     # 1000 points at N=999); the lines do, so that an error document can
     # replace them, and the envelope is taken once every row has succeeded
-    parts, grid_parts = tee(stacks_of(alphas, n_atoms + 1))
-    grid = (_pair_mix_grid(n_atoms, index_a, index_b, part) for part in grid_parts)
+    parts = stacks_of(alphas, n_atoms + 1)
+    grid = (_pair_mix_grid(n_atoms, index_a, index_b, part) for part in parts)
     rows = []
-    for part, columns in zip(parts, stack_columns(grid)):
-        rows += _scan_lines(len(rows), part, columns)
+    for columns in stack_columns(grid):
+        done = len(rows)
+        rows += _scan_lines(done, alphas[done:done + len(columns.jx)], columns)
     envelope = _envelope(args, raw)
     tolerances = envelope["tolerances"]
     return [

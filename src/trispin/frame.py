@@ -19,11 +19,11 @@ module can reuse that pass as the first pass of the correlators;
 one formula for the frame angles: it takes the K mean spins as lists and
 returns every angle as a list (``FrameColumns``), with an undefined-frame
 mask in place of an exception per row.  Its operations are correctly
-rounded or the libm ``math.hypot`` and ``math.atan2`` mapped over the
-lists, so each row keeps the bits of the row alone, and
-``rotation_angles`` is that function on a stack of one.  ``primed_axes``
-gives the x' and y' rows of ``rotation_matrix`` for a whole stack, from
-its cosine and sine columns, as one array.
+rounded or the libm ``math.hypot`` and ``math.atan2`` on Python floats,
+so each row keeps the bits of the row alone, and ``rotation_angles`` is
+that function on a stack of one.  ``primed_axes`` gives the x' and y'
+rows of ``rotation_matrix`` for a whole stack, from its cosine and sine
+columns, as one array.
 ``real_parts`` is the one imaginary-part check of the S pipeline, for the
 mean spin here and the moments and correlators in ``moments``, each with its
 own tolerance; it checks a whole stack with one array comparison.
@@ -156,8 +156,11 @@ def frame_columns(jx, jy, jz, magnitude):
     at most ``EPSILON_FRAME`` is marked undefined and gets no angles.  When
     the transverse component of a row vanishes its azimuth is set to 0 by
     convention (any value gives the same z' axis).  Every operation is
-    correctly rounded or the libm ``math.hypot`` and ``math.atan2``, applied
-    over the lists, so each row's angles are those of the row alone.
+    correctly rounded or the libm ``math.hypot`` and ``math.atan2`` on
+    Python floats, so each row's angles are those of the row alone.  One
+    loop appends every row to the columns: on the stack of one that every
+    ``entanglement_s`` call is, that costs half of a ``map`` per column,
+    and at 100 rows about 8% more.
 
     Raises
     ------
@@ -171,30 +174,27 @@ def frame_columns(jx, jy, jz, magnitude):
         for row in zip(jx, jy, jz, magnitude):
             if not all(map(math.isfinite, row)):
                 raise ValueError(f"{MeanSpin(*row)!r} is not finite, so it orients no frame")
-    framed = list(range(len(magnitude)))
-    if min(magnitude, default=math.inf) > EPSILON_FRAME:
-        undefined = [False] * len(magnitude)
-    else:
-        undefined = [size <= EPSILON_FRAME for size in magnitude]
-        framed = [k for k in framed if not undefined[k]]
-        jx, jy, jz, magnitude = (
-            [column[k] for k in framed] for column in (jx, jy, jz, magnitude)
-        )
-    cos_t = [min(1.0, max(-1.0, z / size)) for z, size in zip(jz, magnitude)]
-    sin_t = [math.sqrt(max(0.0, 1.0 - c * c)) for c in cos_t]
-    transverse = list(map(math.hypot, jx, jy))
-    cos_p = [x / t if t > EPSILON_FRAME else 1.0 for x, t in zip(jx, transverse)]
-    sin_p = [y / t if t > EPSILON_FRAME else 0.0 for y, t in zip(jy, transverse)]
-    return FrameColumns(
-        undefined,
-        framed,
-        list(map(math.atan2, sin_t, cos_t)),
-        list(map(math.atan2, sin_p, cos_p)),
-        cos_t,
-        sin_t,
-        cos_p,
-        sin_p,
-    )
+    undefined, framed = [], []
+    theta, phi, cos_theta, sin_theta, cos_phi, sin_phi = [], [], [], [], [], []
+    for k, (x, y, z, size) in enumerate(zip(jx, jy, jz, magnitude)):
+        undefined.append(size <= EPSILON_FRAME)
+        if size <= EPSILON_FRAME:
+            continue
+        framed.append(k)
+        cos_t = min(1.0, max(-1.0, z / size))
+        sin_t = math.sqrt(max(0.0, 1.0 - cos_t * cos_t))
+        transverse = math.hypot(x, y)
+        if transverse > EPSILON_FRAME:
+            cos_p, sin_p = x / transverse, y / transverse
+        else:
+            cos_p, sin_p = 1.0, 0.0
+        theta.append(math.atan2(sin_t, cos_t))
+        phi.append(math.atan2(sin_p, cos_p))
+        cos_theta.append(cos_t)
+        sin_theta.append(sin_t)
+        cos_phi.append(cos_p)
+        sin_phi.append(sin_p)
+    return FrameColumns(undefined, framed, theta, phi, cos_theta, sin_theta, cos_phi, sin_phi)
 
 
 def rotation_angles(mean):
@@ -223,13 +223,15 @@ def primed_axes(cos_theta, sin_theta, cos_phi, sin_phi):
 
     The arguments are lists of K floats, as in ``FrameColumns``.  Returns one
     ``(2, K, 3)`` array: ``[0, k]`` is the x' row of frame k and ``[1, k]``
-    its y' row, the first two rows of ``rotation_matrix``.
+    its y' row, the first two rows of ``rotation_matrix``.  The floats go
+    into one flat list, which numpy reads faster than nested rows.
     """
-    return np.array([
-        [(ct * cp, ct * sp, -st) for ct, st, cp, sp in
-         zip(cos_theta, sin_theta, cos_phi, sin_phi)],
-        [(-sp, cp, 0.0) for cp, sp in zip(cos_phi, sin_phi)],
-    ]).reshape(2, len(cos_theta), 3)
+    flat = []
+    for ct, st, cp, sp in zip(cos_theta, sin_theta, cos_phi, sin_phi):
+        flat += (ct * cp, ct * sp, -st)
+    for cp, sp in zip(cos_phi, sin_phi):
+        flat += (-sp, cp, 0.0)
+    return np.array(flat).reshape(2, len(cos_theta), 3)
 
 
 def rotation_matrix(angles):

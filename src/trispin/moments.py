@@ -38,14 +38,14 @@ angles of every row as lists (``frame.frame_columns``), the x' and y' rows
 of all framed states as one array (``frame.primed_axes``), all pattern
 weights as one product (``pattern_weights``) and the weighted sums as one
 sequential ``cumsum`` (``_weighted_sums``).  No object is built per row:
-``scan`` and ``verify`` read the columns, and only ``stack_reports`` and
-``entanglement_s`` build a ``MomentReport`` or ``UndefinedFrame`` per row,
-from the columns (``ReportColumns.rows``).  Every row is bit-identical to
-that state evaluated alone.  ``entanglement_s`` and ``triple_correlators``
-are the same code on a stack of one, a view of the state's coefficients,
-and ``direct_moments`` reads its tuple from ``entanglement_s``.  The
-explicit sum over atom triples in the 2**N space is a test oracle only
-(``tests/bruteforce.py``).
+``scan`` and ``verify`` read the columns, and only ``stack_reports``
+(``ReportColumns.rows``) and ``entanglement_s`` (index 0 of each column)
+build a ``MomentReport`` or ``UndefinedFrame`` per row, from the columns.
+Every row is bit-identical to that state evaluated alone.
+``entanglement_s`` and ``triple_correlators`` are the same code on a stack
+of one, a view of the state's coefficients, and ``direct_moments`` reads
+its tuple from ``entanglement_s``.  The explicit sum over atom triples in
+the 2**N space is a test oracle only (``tests/bruteforce.py``).
 
 S is half the root of the sum of squared third moments, computed from the
 direct route.  The two routes must agree to ``ROUTE_REL_TOL`` (with an
@@ -478,12 +478,14 @@ def _stack_reports(n_atoms, psi):
     along them at once.  No object is built per row.
     """
     once = apply_ladder_axes(psi)
-    mean = mean_spin_rows(psi, once, n_atoms)
-    frame = frame_columns(*mean)
+    jx, jy, jz, magnitude = mean_spin_rows(psi, once, n_atoms)
+    frame = frame_columns(jx, jy, jz, magnitude)
     axes = primed_axes(frame.cos_theta, frame.sin_theta, frame.cos_phi, frame.sin_phi)
     count = len(frame.framed)
     if not count:
-        return ReportColumns(n_atoms, *mean, frame, axes, *([] for _ in range(7)))
+        return ReportColumns(
+            n_atoms, jx, jy, jz, magnitude, frame, axes, *([] for _ in range(7))
+        )
     if count < len(psi):
         psi, once = psi[frame.framed], once[:, frame.framed]
     moments = _shifted_moments(
@@ -499,7 +501,7 @@ def _stack_reports(n_atoms, psi):
     sum_xp, sum_yp = _weighted_sums(axes, _correlator_rows(n_atoms, psi, once)).tolist()
     s_parameter = [0.5 * radius for radius in map(math.hypot, m3_xp, m3_yp)]
     return ReportColumns(
-        n_atoms, *mean, frame, axes,
+        n_atoms, jx, jy, jz, magnitude, frame, axes,
         var_xp, var_yp, m3_xp, m3_yp, sum_xp, sum_yp, s_parameter,
     )
 
@@ -551,7 +553,8 @@ def entanglement_s(state):
     S is half the root-mean-square combination of the two third moments and
     is computed from the direct route; the correlator-sum route is carried
     along as a cross check.  This is ``_stack_reports`` on a stack of one,
-    a view of the state's coefficients.
+    a view of the state's coefficients, with the report read off index 0
+    of each column.
 
     Raises
     ------
@@ -563,8 +566,16 @@ def entanglement_s(state):
     sym = as_symmetric(state)
     columns = _stack_reports(sym.n_atoms, sym.coeffs[None])
     columns.raise_undefined()
-    (report,) = columns.rows()
-    return report
+    # every column of a stack of one holds one value
+    (n_atoms, (jx,), (jy,), (jz,), (size,), frame, _, (var_xp,), (var_yp,),
+     (m3_xp,), (m3_yp,), (sum_xp,), (sum_yp,), (s_parameter,)) = columns
+    _, _, (theta,), (phi,), (cos_t,), (sin_t,), (cos_p,), (sin_p,) = frame
+    return MomentReport(
+        n_atoms,
+        MeanSpin(jx, jy, jz, size),
+        RotationAngles(theta, phi, cos_t, sin_t, cos_p, sin_p),
+        var_xp, var_yp, m3_xp, m3_yp, sum_xp, sum_yp, s_parameter,
+    )
 
 
 def direct_moments(state):

@@ -199,7 +199,8 @@ def ladder_action(weights, n_atoms):
     wx, wy, wz = np.asarray(weights, dtype=float).T[..., None]
     m, raising = ladder_vectors(n_atoms)
     diagonal = wz * m
-    lower, upper = 0.5 * (wx - 1j * wy), 0.5 * (wx + 1j * wy)
+    i_wy = 1j * wy
+    lower, upper = 0.5 * (wx - i_wy), 0.5 * (wx + i_wy)
 
     def apply(coeffs):
         out = diagonal * np.asarray(coeffs, dtype=complex)

@@ -23,7 +23,7 @@ serves the point estimate and every resample.
 ``estimate_s_from_samples`` brings every input to the (N+1)-level ladder
 (``as_symmetric``) and samples dense ladder operators there, whatever
 representation the state came in.  It writes only the two it measures, Jx'
-and Jy', from the x' and y' rows of ``frame.primed_axes`` onto the ladder
+and Jy', from the x' and y' rows of ``frame.rotation_matrix`` onto the ladder
 support (``operators.component_sums``).  They do not commute, so it measures
 them in independent runs, as separate state preparations would; the two run
 seeds are drawn from one master stream seeded by the caller.
@@ -37,7 +37,7 @@ import math
 import numpy as np
 
 from .errors import InsufficientShotsError, InvalidStateError
-from .frame import mean_spin, primed_axes, rotation_angles
+from .frame import mean_spin, rotation_angles, rotation_matrix
 from .operators import LadderOperator, component_sums, matching_vector
 from .states import as_symmetric
 
@@ -289,9 +289,7 @@ def estimate_s_from_samples(state, m_shots, seed):
             "as (N+1)^2"
         )
     # one (2, D, D) sum, freed once both operators hold their copies
-    angles = rotation_angles(mean_spin(state))
-    trig = ([angles.cos_theta], [angles.sin_theta], [angles.cos_phi], [angles.sin_phi])
-    axes = primed_axes(*trig)[:, 0]
+    axes = rotation_matrix(rotation_angles(mean_spin(state)))[:2]
     op_xp, op_yp = map(LadderOperator, component_sums(axes, "ladder", state.n_atoms))
     master = np.random.default_rng(seed)
     seed_xp, seed_yp = (int(s) for s in master.integers(0, 2**63, size=2))

@@ -393,8 +393,10 @@ class TestScan:
             return make_grid(n_atoms, index_a, index_b, alphas)
 
         def using(start, alphas, columns):
-            counts["used"] += len(alphas)
+            # counted before the rows are written: their stack is drawn, not
+            # yet written
             ahead.append(counts["drawn"] - counts["used"])
+            counts["used"] += len(alphas)
             return make_lines(start, alphas, columns)
 
         monkeypatch.setattr(cli, "_pair_mix_grid", drawing)

@@ -573,8 +573,9 @@ def test_sweeps_stream_through_bounded_stacks(sweep, use, rows_used, monkeypatch
         return stack
 
     def using(*args):
-        counts["used"] += rows_used(*args)
+        # counted before the rows are used: their stack is drawn, not yet used
         ahead.append(counts["drawn"] - counts["used"])
+        counts["used"] += rows_used(*args)
         return used_fn(*args)
 
     monkeypatch.setattr(verify, "seeded_gaussians", drawing)
