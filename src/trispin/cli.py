@@ -6,6 +6,14 @@ inputs are byte-identical apart from the timestamp field.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 frame
 undefined.
+
+Where an in-process ``compute`` of an N=8 ``dicke`` document spends its
+≈335 µs (timeit, warm, one BLAS thread on one CPU of a 2-vCPU Xeon):
+``entanglement_s`` ≈120 µs, the artifact's text (``_document``) ≈43 µs and
+``state_from_dict`` ≈33 µs; the rest is argument parsing, ``json.loads``
+and the report's dictionaries.  At N=999999 (a 49 MB document) a fresh
+process takes ≈2.3 s and 449 MB peak RSS; in one process ``json.loads``
+takes ≈1.2 s, ``entanglement_s`` ≈0.7 s and ``state_from_dict`` ≈0.2 s.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ import operator
 import sys
 from datetime import datetime, timezone
 from itertools import count, repeat
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -69,9 +78,67 @@ def _envelope(args, input_bytes):
     }
 
 
+def _json_text(value, indent="\n"):
+    """``json.dumps(value, indent=2)``, written directly.
+
+    With an indent CPython 3.11's ``json`` runs its pure-Python encoder.
+    This writer follows the same rules in about 70% of its time:
+    types told apart by ``isinstance`` (floats and containers first, which
+    changes nothing, as no value is an instance of two of them), strings
+    through ``encode_basestring_ascii``, floats by ``float.__repr__`` or as
+    ``NaN`` and ``±Infinity``, and ``TypeError`` on any other type.
+    ``indent`` is the newline and indentation of ``value``'s own line.
+    """
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            (encode_basestring_ascii(key) if isinstance(key, str) else _json_key(key))
+            + ": " + _json_text(item, inner)
+            for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(
+        f"Object of type {value.__class__.__name__} is not JSON serializable"
+    )
+
+
+def _json_key(key):
+    """A dict key that is not a string, quoted as ``json.dumps`` writes it."""
+    if key is None or isinstance(key, (int, float)):
+        return '"' + _json_text(key) + '"'
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+    )
+
+
 def _document(args, raw, **fields):
     """A JSON artifact as one text piece: the envelope, then ``fields``."""
-    return [json.dumps(_envelope(args, raw) | fields, indent=2) + "\n"]
+    return [_json_text(_envelope(args, raw) | fields) + "\n"]
 
 
 # Readers return the raw bytes a subcommand works on; the envelope hashes

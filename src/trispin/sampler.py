@@ -101,8 +101,8 @@ class MeasurementRecord:
     def to_dict(self):
         return {
             "operator_tag": self.operator_tag,
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "counts": [int(c) for c in self.counts],
+            "eigenvalues": self.eigenvalues.tolist(),
+            "counts": self.counts.tolist(),
             "M": self.m_shots,
             "seed": self.seed,
         }

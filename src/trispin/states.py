@@ -31,6 +31,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -590,6 +591,32 @@ def _integer_field(value, where):
     return number
 
 
+def _pair_array(coeffs, depth):
+    """``coeffs`` as a complex array, or None if it is not plainly well formed.
+
+    The fast path of ``state_from_dict``: whole-list passes check that every
+    node ``depth`` levels down is a ``list`` of length 2 and every value an
+    exact ``int`` or ``float`` (so booleans and strings fail), and one
+    ``np.array`` reads the flattened values.  Its bits are those of
+    ``complex(re, im)`` per pair, a -0.0 imaginary part included, since the
+    float pairs are viewed as complex, not added.  On None (also for an
+    integer past the double range) the caller runs the per-pair loop, which
+    words the refusal.
+    """
+    nodes = coeffs
+    for _ in range(depth):
+        if not nodes or set(map(type, nodes)) != {list} or set(map(len, nodes)) != {2}:
+            return None
+        nodes = list(chain.from_iterable(nodes))
+    if not set(map(type, nodes)) <= {int, float}:
+        return None
+    try:
+        values = np.array(nodes, dtype=float)
+    except OverflowError:
+        return None
+    return values.view(complex).reshape((len(coeffs),) + (2,) * (depth - 1))
+
+
 def _complex_from_pair(pair, where):
     if (
         not isinstance(pair, (list, tuple))
@@ -617,9 +644,12 @@ def state_from_dict(data, auto_normalize=False):
     if not isinstance(coeffs, list):
         raise InvalidStateError("'coeffs' must be a list")
     if rep == "dicke":
-        values = [
-            _complex_from_pair(pair, f"coeffs[{i}]") for i, pair in enumerate(coeffs)
-        ]
+        values = _pair_array(coeffs, 1)
+        if values is None:
+            values = [
+                _complex_from_pair(pair, f"coeffs[{i}]")
+                for i, pair in enumerate(coeffs)
+            ]
         if len(values) != n_atoms + 1:
             raise InvalidStateError(
                 f"dicke representation of {n_atoms} atoms needs "
@@ -632,18 +662,20 @@ def state_from_dict(data, auto_normalize=False):
                 f"product representation of {n_atoms} atoms needs "
                 f"{n_atoms} amplitude pairs, got {len(coeffs)}"
             )
-        rows = []
-        for i, row in enumerate(coeffs):
-            if not isinstance(row, (list, tuple)) or len(row) != 2:
-                raise InvalidStateError(
-                    f"coeffs[{i}]: expected [[re, im], [re, im]], got {row!r}"
+        rows = _pair_array(coeffs, 2)
+        if rows is None:
+            rows = []
+            for i, row in enumerate(coeffs):
+                if not isinstance(row, (list, tuple)) or len(row) != 2:
+                    raise InvalidStateError(
+                        f"coeffs[{i}]: expected [[re, im], [re, im]], got {row!r}"
+                    )
+                rows.append(
+                    [
+                        _complex_from_pair(row[0], f"coeffs[{i}][0]"),
+                        _complex_from_pair(row[1], f"coeffs[{i}][1]"),
+                    ]
                 )
-            rows.append(
-                [
-                    _complex_from_pair(row[0], f"coeffs[{i}][0]"),
-                    _complex_from_pair(row[1], f"coeffs[{i}][1]"),
-                ]
-            )
         return product_state(rows, normalize=auto_normalize)
     raise InvalidStateError(f"unknown representation {rep!r}")
 

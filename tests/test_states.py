@@ -26,8 +26,10 @@ from trispin import (
     state_to_dict,
     symmetric_state,
 )
+from trispin import states
 from trispin.states import (
     FULL_SPACE_ATOM_CAP,
+    _complex_from_pair,
     _integer_field,
     _normalized_rows,
     _seed_words,
@@ -381,6 +383,145 @@ class TestJsonSchema:
                    "coeffs": [[[1, 0], [0, value]]] * 3}
         with pytest.raises(InvalidStateError, match=r"coeffs\[0\]\[1\]"):
             state_from_dict(product)
+
+
+def loop_pairs(coeffs, depth):
+    """The bits of the per-pair loop's complex values for ``coeffs``."""
+    if depth == 1:
+        values = [_complex_from_pair(pair, "pair") for pair in coeffs]
+    else:
+        values = [[_complex_from_pair(pair, "pair") for pair in row] for row in coeffs]
+    return np.array(values, dtype=complex).tobytes()
+
+
+# values whose bits the fast decode must keep: signed zeros, integral values,
+# integers past 2**53 (and past 2**64, read through Python's rounding), and
+# values near the top of the double range
+EDGE_VALUES = [
+    0.0, -0.0, 0, 1, -1, 3.0, -7, 2**53 + 1, -(2**53 + 3), 2**63 + 1025, -(2**64),
+    2**64 + 12345, -(2**70 + 1), 12345678901234567891234567, 1e308, -1.7e308,
+    1.7976931348623157e308, 2**1024 - 2**971, 5e-324, -2.2250738585072014e-308,
+]
+
+
+class TestFastDecode:
+    """``_pair_array`` reads well-formed pairs as the loop would, bit for bit,
+    and leaves every other document to the loop and its message."""
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_edge_values_keep_their_bits(self, depth):
+        pairs = [[re, im] for re in EDGE_VALUES for im in EDGE_VALUES]
+        if depth == 2:  # an even count of edge values gives whole rows
+            coeffs = [pairs[k:k + 2] for k in range(0, len(pairs), 2)]
+        else:
+            coeffs = pairs
+        fast = states._pair_array(coeffs, depth)
+        assert fast is not None
+        assert fast.shape == ((len(coeffs),) if depth == 1 else (len(coeffs), 2))
+        assert fast.tobytes() == loop_pairs(coeffs, depth)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.tuples(
+        st.floats(allow_nan=False, allow_infinity=False)
+        | st.integers(-(2**1020), 2**1020),
+        st.floats(allow_nan=False, allow_infinity=False)
+        | st.integers(-(2**1020), 2**1020),
+    ).map(list), min_size=2, max_size=12).filter(lambda p: len(p) % 2 == 0))
+    def test_random_pairs_keep_their_bits(self, pairs):
+        assert states._pair_array(pairs, 1).tobytes() == loop_pairs(pairs, 1)
+        rows = [pairs[k:k + 2] for k in range(0, len(pairs), 2)]
+        assert states._pair_array(rows, 2).tobytes() == loop_pairs(rows, 2)
+
+    @pytest.mark.parametrize("representation, coeffs", [
+        ("dicke", [[0.6, -0.0], [-0.0, 0.8], [0, -0.0], [-0.0, -0.0]]),
+        ("product", [[[0.6, -0.0], [-0.0, 0.8]]] * 3),
+    ])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_documents_decode_as_the_loop(
+        self, representation, coeffs, normalize, monkeypatch
+    ):
+        doc = {"n_atoms": 3, "representation": representation, "coeffs": coeffs}
+        fast = state_from_dict(doc, auto_normalize=normalize)
+        # with the fast path refused, the same document takes the per-pair loop
+        monkeypatch.setattr(states, "_pair_array", lambda coeffs, depth: None)
+        loop = state_from_dict(doc, auto_normalize=normalize)
+        field = "coeffs" if representation == "dicke" else "qubits"
+        assert getattr(fast, field).tobytes() == getattr(loop, field).tobytes()
+        assert np.signbit(getattr(fast, field).imag).any()
+
+    def test_well_formed_documents_skip_the_loop(self, monkeypatch):
+        def refuse(pair, where):
+            raise AssertionError("the per-pair loop ran")
+
+        monkeypatch.setattr(states, "_complex_from_pair", refuse)
+        state_from_dict({"n_atoms": 3, "representation": "dicke",
+                         "coeffs": [[1, 0], [0, 0], [0, 0], [0, 0]]})
+        state_from_dict({"n_atoms": 3, "representation": "product",
+                         "coeffs": [[[1, 0], [0, 0]]] * 3})
+
+    @pytest.mark.parametrize("coeffs, message", [
+        ([[10**400, 0], [0, 0], [0, 0], [0, 0]],
+         "coeffs[0]: value outside the double range"),
+        ([[1, 0], [0, 0], [0, -(10**400)], [0, 0]],
+         "coeffs[2]: value outside the double range"),
+        ([[1, 0], [0, 0], [0, 0], [0, 2**1024 - 2**970]],
+         "coeffs[3]: value outside the double range"),
+        ([[1, 0], [True, 0], [0, 0], [0, 0]],
+         "coeffs[1]: expected a [re, im] pair, got [True, 0]"),
+        ([[1, False], [0, 0], [0, 0], [0, 0]],
+         "coeffs[0]: expected a [re, im] pair, got [1, False]"),
+        ([[1, 0], [0, 0], ["0.5", 0], [0, 0]],
+         "coeffs[2]: expected a [re, im] pair, got ['0.5', 0]"),
+        ([[1, 0], [0, 0], [0, 0], [None, 0]],
+         "coeffs[3]: expected a [re, im] pair, got [None, 0]"),
+        ([[1, 0], [[0, 0], 0], [0, 0], [0, 0]],
+         "coeffs[1]: expected a [re, im] pair, got [[0, 0], 0]"),
+        ([[1, 0], [0, 0, 0], [0, 0], [0, 0]],
+         "coeffs[1]: expected a [re, im] pair, got [0, 0, 0]"),
+        ([[1, 0], [0], [0, 0], [0, 0]],
+         "coeffs[1]: expected a [re, im] pair, got [0]"),
+        ([[1, 0], 0, [0, 0], [0, 0]],
+         "coeffs[1]: expected a [re, im] pair, got 0"),
+        ([], "dicke representation of 3 atoms needs 4 coefficients, got 0"),
+    ])
+    def test_dicke_refusals_take_the_loop(self, coeffs, message):
+        assert states._pair_array(coeffs, 1) is None
+        doc = {"n_atoms": 3, "representation": "dicke", "coeffs": coeffs}
+        with pytest.raises(InvalidStateError) as info:
+            state_from_dict(doc)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("row, message", [
+        ([[1, 0], [0, 10**400]], "coeffs[1][1]: value outside the double range"),
+        ([[True, 0], [0, 0]], "coeffs[1][0]: expected a [re, im] pair, got [True, 0]"),
+        ([[1, 0], ["x", 0]], "coeffs[1][1]: expected a [re, im] pair, got ['x', 0]"),
+        ([[1, 0], [0, None]], "coeffs[1][1]: expected a [re, im] pair, got [0, None]"),
+        ([[1, 0], [[0], 0]], "coeffs[1][1]: expected a [re, im] pair, got [[0], 0]"),
+        ([[1, 0]], "coeffs[1]: expected [[re, im], [re, im]], got [[1, 0]]"),
+        ([[1, 0], [0, 0], [0, 0]],
+         "coeffs[1]: expected [[re, im], [re, im]], got [[1, 0], [0, 0], [0, 0]]"),
+        ([1, 0], "coeffs[1][0]: expected a [re, im] pair, got 1"),
+        ([], "coeffs[1]: expected [[re, im], [re, im]], got []"),
+    ])
+    def test_product_refusals_take_the_loop(self, row, message):
+        coeffs = [[[1, 0], [0, 0]], row, [[1, 0], [0, 0]]]
+        assert states._pair_array(coeffs, 2) is None
+        doc = {"n_atoms": 3, "representation": "product", "coeffs": coeffs}
+        with pytest.raises(InvalidStateError) as info:
+            state_from_dict(doc)
+        assert str(info.value) == message
+
+    def test_an_empty_product_takes_the_loop(self):
+        assert states._pair_array([], 2) is None
+        with pytest.raises(InvalidStateError, match=r"shape \(0,\)"):
+            state_from_dict({"n_atoms": 0, "representation": "product", "coeffs": []})
+
+    def test_tuples_take_the_loop_and_decode(self):
+        coeffs = [(1, 0), (0, 0), (0, 0), (0, 0)]
+        assert states._pair_array(coeffs, 1) is None
+        state = state_from_dict({"n_atoms": 3, "representation": "dicke",
+                                 "coeffs": coeffs})
+        assert state.coeffs.tobytes() == loop_pairs(coeffs, 1)
 
 
 class TestIntegerField:
