@@ -40,7 +40,6 @@ _EXPORTS = {
     "moments": (
         "MomentReport", "TripleCorrelatorSet", "central_moment", "triple_correlators",
         "third_moment_sum_xp", "third_moment_sum_yp", "entanglement_s",
-        "UndefinedFrame",
     ),
     "verify": (
         "IdentityResult", "SweepSummary", "verify_identity_suite",

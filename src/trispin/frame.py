@@ -9,7 +9,7 @@ and y' expose the genuine inter-atom correlations.  The rotation is
     Jz' =  Jx sin(t) cos(p) + Jy sin(t) sin(p) + Jz cos(t)
 
 with cos(t) = <Jz>/|<J>| and cos(p) = <Jx>/sqrt(<Jx>^2 + <Jy>^2).  States
-with |<J>| below ``EPSILON_FRAME`` do not define the frame and raise
+with |<J>| at most ``EPSILON_FRAME`` do not define the frame and raise
 ``FrameUndefinedError``.
 
 ``mean_spin_rows`` reads <J> for every row of a ``(K, N+1)`` ladder stack
@@ -41,8 +41,8 @@ from .errors import FrameUndefinedError
 from .operators import AXES, LadderOperator, apply_ladder_axes, component_sums
 from .states import as_symmetric
 
-# Below this mean-spin magnitude the frame (and hence the S parameter) is
-# declared undefined; the rotation divides by |<J>| and third moments amplify
+# At or below this mean-spin magnitude the frame (and hence the S parameter)
+# is declared undefined; the rotation divides by |<J>| and third moments amplify
 # the noise cubically.
 EPSILON_FRAME = 1e-9
 

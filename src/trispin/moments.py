@@ -38,10 +38,10 @@ angles of every row as lists (``frame.frame_columns``), the x' and y' rows
 of all framed states as one array (``frame.primed_axes``), all pattern
 weights as one product (``pattern_weights``) and the weighted sums as one
 sequential ``cumsum`` (``_weighted_sums``).  No object is built per row:
-``scan`` and ``verify`` read the columns, and only ``stack_reports``
-(``ReportColumns.rows``) and ``entanglement_s`` (index 0 of each column)
-build a ``MomentReport`` or ``UndefinedFrame`` per row, from the columns.
-Every row is bit-identical to that state evaluated alone.
+``scan`` and ``verify`` read the columns, a frame-undefined row is marked in
+``frame.undefined`` (``ReportColumns.raise_undefined`` gives its error), and
+only ``entanglement_s`` builds a ``MomentReport``, from index 0 of each
+column.  Every row is bit-identical to that state evaluated alone.
 ``entanglement_s`` and ``triple_correlators`` are the same code on a stack
 of one, a view of the state's coefficients, and ``direct_moments`` reads
 its tuple from ``entanglement_s``.  The explicit sum over atom triples in
@@ -56,14 +56,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, islice, permutations, product
+from itertools import islice, permutations, product
 from operator import attrgetter
 from typing import NamedTuple
 
 import math
 import numpy as np
 
-from .errors import FrameUndefinedError
 from .frame import (
     FrameColumns,
     MeanSpin,
@@ -408,19 +407,6 @@ def third_moment_sum_yp(angles, correlators):
     return _weighted_sums(rotation_matrix(angles)[1], values).item()
 
 
-@dataclass(frozen=True)
-class UndefinedFrame:
-    """A row of a stack whose mean spin is too short to orient the frame.
-
-    ``error`` is the ``FrameUndefinedError`` of its magnitude
-    (``frame.undefined_frame``), made but never raised, so it holds no
-    traceback; the single-state functions raise one with the same message.
-    """
-
-    mean_spin: MeanSpin
-    error: FrameUndefinedError
-
-
 class ReportColumns(NamedTuple):
     """The reports of the K rows of one ladder stack, column by column.
 
@@ -428,8 +414,10 @@ class ReportColumns(NamedTuple):
     rows, as lists.  ``frame`` holds the undefined-frame mask, the F framed
     rows and their angles (``frame.FrameColumns``), and ``axes`` the x' and
     y' rows of those frames, a ``(2, F, 3)`` array.  The moments of both
-    routes and S are lists over the framed rows, in row order.  A tuple,
-    since a stack of one builds it on every ``entanglement_s`` call.
+    routes and S are lists over the framed rows, in row order, so a
+    frame-undefined row has its mean spin only; ``raise_undefined`` gives
+    its error.  A tuple, since a stack of one builds it on every
+    ``entanglement_s`` call.
     """
 
     n_atoms: int
@@ -452,21 +440,8 @@ class ReportColumns(NamedTuple):
         if len(self.frame.framed) < len(self.magnitude):
             raise undefined_frame(self.magnitude[self.frame.undefined.index(True)])
 
-    def rows(self):
-        """The rows as objects: a ``MomentReport`` per framed row, else an
-        ``UndefinedFrame`` with its mean spin."""
-        rows = list(map(MeanSpin, self.jx, self.jy, self.jz, self.magnitude))
-        frame = self.frame
-        # the angle columns, then the columns from var_xp to S, in field order
-        for k, angles, values in zip(frame.framed, zip(*frame[2:]), zip(*self[7:])):
-            rows[k] = MomentReport(self.n_atoms, rows[k], RotationAngles(*angles), *values)
-        if len(frame.framed) < len(rows):
-            for k in compress(range(len(rows)), frame.undefined):
-                rows[k] = UndefinedFrame(rows[k], undefined_frame(rows[k].magnitude))
-        return rows
 
-
-def _stack_reports(n_atoms, psi):
+def _report_columns(n_atoms, psi):
     """The ``ReportColumns`` of one checked ``(K, N+1)`` ladder stack ``psi``.
 
     One J pass over the stack gives every mean spin and is reused by the
@@ -528,23 +503,11 @@ def stack_columns(stacks):
     them.  Each is evaluated as one stack, drawn when its columns are asked
     for, so memory follows the stack rather than the number of states.
     Every column holds the floats of each row's state evaluated alone
-    (``entanglement_s``).
+    (``entanglement_s``).  States in any representation that share N make
+    one stack as ``ladder_stack(n, [as_symmetric(s).coeffs for s in states])``.
     """
     for psi in stacks:
-        yield _stack_reports(psi.shape[1] - 1, psi)
-
-
-def stack_reports(stacks):
-    """Yield the ``MomentReport`` of each row of checked ladder stacks.
-
-    The rows of ``stack_columns(stacks)``, stack by stack, built from the
-    columns (``ReportColumns.rows``) and yielded as they are used; a
-    frame-undefined row is an ``UndefinedFrame`` with its mean spin.  States
-    in any representation that share N make one stack as
-    ``ladder_stack(n, [as_symmetric(s).coeffs for s in states])``.
-    """
-    for columns in stack_columns(stacks):
-        yield from columns.rows()
+        yield _report_columns(psi.shape[1] - 1, psi)
 
 
 def entanglement_s(state):
@@ -552,7 +515,7 @@ def entanglement_s(state):
 
     S is half the root-mean-square combination of the two third moments and
     is computed from the direct route; the correlator-sum route is carried
-    along as a cross check.  This is ``_stack_reports`` on a stack of one,
+    along as a cross check.  This is ``_report_columns`` on a stack of one,
     a view of the state's coefficients, with the report read off index 0
     of each column.
 
@@ -564,7 +527,7 @@ def entanglement_s(state):
         If a product or full-space input leaves the symmetric subspace.
     """
     sym = as_symmetric(state)
-    columns = _stack_reports(sym.n_atoms, sym.coeffs[None])
+    columns = _report_columns(sym.n_atoms, sym.coeffs[None])
     columns.raise_undefined()
     # every column of a stack of one holds one value
     (n_atoms, (jx,), (jy,), (jz,), (size,), frame, _, (var_xp,), (var_yp,),

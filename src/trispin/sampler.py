@@ -82,7 +82,7 @@ class MeasurementRecord:
         object.__setattr__(self, "eigenvalues", evals)
         try:
             counts = np.array(self.counts, dtype=np.int64)
-        except OverflowError as exc:
+        except (OverflowError, ValueError) as exc:  # inf, past int64, NaN
             raise ValueError("counts must be whole numbers") from exc
         # the cast truncates, so a fractional count would pass as a smaller one
         if not np.array_equal(counts, self.counts):

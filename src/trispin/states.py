@@ -91,9 +91,9 @@ class ProductState:
             raise InvalidStateError(
                 f"expected an (N, 2) array of qubit amplitudes, got shape {arr.shape}"
             )
-        _check_finite(arr)
         totals, off = _unit_totals(arr)
         if off.any():
+            _check_finite(arr)
             worst = np.max(np.abs(totals - 1.0))
             raise InvalidStateError(
                 f"atom amplitudes not normalized (worst deviation {worst:.3e})"
@@ -122,7 +122,7 @@ class FullState:
 
 
 def _check_finite(arr):
-    # NaN fails every comparison, so a norm check alone would accept it
+    # a NaN or infinite entry also puts its row off unit norm; this names it
     if not np.all(np.isfinite(arr)):
         raise InvalidStateError("amplitudes must be finite numbers")
 
@@ -150,11 +150,13 @@ def _check_unit_rows(rows):
     """Refuse a non-finite entry, or a row of a 2-D array off unit norm.
 
     A row is off when its sum of squared magnitudes is more than
-    ``NORM_TOL`` from 1; the first such row is reported.  Returns ``rows``.
+    ``NORM_TOL`` from 1; the first such row is reported.  A NaN or infinite
+    entry puts its row off, so only then are the entries checked, and a
+    non-finite one anywhere is reported first.  Returns ``rows``.
     """
-    _check_finite(rows)
     totals, off = _unit_totals(rows)
     if off.any():
+        _check_finite(rows)
         total = float(totals[off.argmax()])
         raise InvalidStateError(
             f"state not normalized: sum of squared magnitudes is {total!r}"
@@ -225,7 +227,7 @@ def ladder_stack(n_atoms, rows, normalize=False):
     ``normalize`` first divides each row by its norm, refusing a zero row.
     A ``SymmetricState`` is checked here as a stack of one, so each row
     holds what ``symmetric_state`` gives that row alone, bit for bit.
-    ``moments.stack_reports`` takes the result.
+    ``moments.stack_columns`` takes the result.
     """
     arr = _ladder_rows(n_atoms, rows)
     return _check_unit_rows(_normalized_rows(arr) if normalize else arr)

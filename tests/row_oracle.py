@@ -1,6 +1,6 @@
 """Row-at-a-time references for the column stage and the stacked term sums.
 
-``stack_reports_by_row`` is the stack's per-row stage written one row at a
+``reports_by_row`` is the stack's per-row stage written one row at a
 time, the form it had before it ran on columns: per-row imaginary-part loops,
 the frame of each row from ``rotation_angles_by_row`` and its rotation rows
 from ``frame_rows_by_row`` (the scalar frame the package had before its
@@ -9,7 +9,12 @@ package's frame), the pattern weights of each axis as a list and each third
 moment as Python's ``sum`` over the ten products.  It shares the stack's
 kernels (``apply_ladder_axes``, ``ladder_action``,
 ``moments._pattern_sums``), so every float it gives must equal the
-package's in every bit.
+package's in every bit.  A row whose frame is undefined is an
+``UndefinedRow``: its mean spin and the message of its
+``FrameUndefinedError``.  ``oracle_columns`` lays such rows out as the
+columns of ``moments.ReportColumns`` and ``package_columns`` lays out the
+package's columns the same way, each float in hex, so the two compare as
+dicts.
 
 ``terms_matrix_by_term`` is the term-by-term loop that the gathered
 ``verify._terms_matrix`` replaces: the same additions in the same order.
@@ -30,23 +35,33 @@ arrays and ``np.linalg.norm``: the forms that the checked stacks
 
 ``stacked_rows`` evaluates states that share N, in any representation, the
 one way the package evaluates many: cut by ``stacks_of``, each stack
-checked by ``ladder_stack`` and evaluated by ``stack_reports``.
+checked by ``ladder_stack`` and evaluated by ``stack_columns``.  It asserts
+that every column holds the floats of each state evaluated alone
+(``rows_alone``: ``entanglement_s``, or ``mean_spin`` and the
+``FrameUndefinedError`` message).
 """
 
 import math
 from itertools import permutations
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
 from trispin.errors import FrameUndefinedError, NotSymmetricError
-from trispin.frame import EPSILON_FRAME, MeanSpin, RotationAngles
+from trispin.frame import (
+    EPSILON_FRAME,
+    MeanSpin,
+    RotationAngles,
+    mean_spin,
+    undefined_frame,
+)
 from trispin.moments import (
     PATTERNS,
     MomentReport,
-    UndefinedFrame,
     _pattern_sums,
-    stack_reports,
+    entanglement_s,
+    stack_columns,
     stacks_of,
     worst_of,
 )
@@ -178,7 +193,15 @@ def weighted_sum_by_row(axis, values):
     return sum(map(mul, pattern_weights_by_row(axis), values))
 
 
-def stack_reports_by_row(n_atoms, syms):
+class UndefinedRow(NamedTuple):
+    """A row whose mean spin orients no frame, and its error's message."""
+
+    n_atoms: int
+    mean_spin: MeanSpin
+    message: str
+
+
+def reports_by_row(n_atoms, syms):
     """The reports of ladder states ``syms`` that share N, one row at a time."""
     psi = np.stack([s.coeffs for s in syms])
     once = apply_ladder_axes(psi)
@@ -187,7 +210,7 @@ def stack_reports_by_row(n_atoms, syms):
         try:
             angles = rotation_angles_by_row(mean)
         except FrameUndefinedError as exc:
-            rows.append(UndefinedFrame(mean, exc.with_traceback(None)))
+            rows.append(UndefinedRow(n_atoms, mean, str(exc)))
             continue
         rows.append((mean, angles))
         framed.append(k)
@@ -299,11 +322,99 @@ def product_to_dicke_by_state(state):
     return SymmetricState(n, coeffs / np.linalg.norm(coeffs))
 
 
+MEAN_FIELDS = ("jx", "jy", "jz", "magnitude")
+FRAME_FIELDS = ("theta", "phi", "cos_theta", "sin_theta", "cos_phi", "sin_phi")
+MOMENT_FIELDS = (
+    "var_xp", "var_yp", "m3_xp_direct", "m3_yp_direct", "m3_xp_sum", "m3_yp_sum",
+    "s_parameter",
+)
+COLUMNS = (
+    "n_atoms", *MEAN_FIELDS, "undefined", "framed", "errors", *FRAME_FIELDS,
+    *MOMENT_FIELDS, "axes",
+)
+
+
+def hexes(values):
+    return [float(value).hex() for value in values]
+
+
+def oracle_columns(rows):
+    """Reports and ``UndefinedRow`` rows as the columns of ``ReportColumns``, in hex.
+
+    The x' and y' rows of each framed row's frame follow one another in
+    ``axes``, and ``errors`` holds the message of each undefined row.
+    """
+    undefined = [isinstance(row, UndefinedRow) for row in rows]
+    framed = [row for row, skip in zip(rows, undefined) if not skip]
+    columns = {"n_atoms": [row.n_atoms for row in rows]}
+    for name in MEAN_FIELDS:
+        columns[name] = hexes(getattr(row.mean_spin, name) for row in rows)
+    columns["undefined"] = undefined
+    columns["framed"] = [k for k, skip in enumerate(undefined) if not skip]
+    columns["errors"] = [row.message for row, skip in zip(rows, undefined) if skip]
+    for name in FRAME_FIELDS:
+        columns[name] = hexes(getattr(row.angles, name) for row in framed)
+    for name in MOMENT_FIELDS:
+        columns[name] = hexes(getattr(row, name) for row in framed)
+    columns["axes"] = hexes(
+        value for row in framed for axis in frame_rows_by_row(row.angles)[:2]
+        for value in axis
+    )
+    return columns
+
+
+def package_columns(stacks):
+    """The columns of ``ReportColumns`` stacks, one stack after another, in hex.
+
+    The keys and layout are those of ``oracle_columns``: row indices count
+    across the stacks, and each undefined row's message is the error that
+    ``raise_undefined`` gives for its magnitude.
+    """
+    out = {name: [] for name in COLUMNS}
+    rows = 0
+    for columns in stacks:
+        frame = columns.frame
+        out["n_atoms"] += [columns.n_atoms] * len(columns.magnitude)
+        for name in MEAN_FIELDS:
+            out[name] += hexes(getattr(columns, name))
+        out["undefined"] += frame.undefined
+        out["framed"] += [rows + k for k in frame.framed]
+        out["errors"] += [
+            str(undefined_frame(size))
+            for size, undefined in zip(columns.magnitude, frame.undefined)
+            if undefined
+        ]
+        for name in FRAME_FIELDS:
+            out[name] += hexes(getattr(frame, name))
+        for name in MOMENT_FIELDS:
+            out[name] += hexes(getattr(columns, name))
+        # (2, F, 3): the x' row, then the y' row, of each framed row
+        out["axes"] += hexes(columns.axes.transpose(1, 0, 2).ravel())
+        rows += len(columns.magnitude)
+    return out
+
+
+def rows_alone(states):
+    """Each state evaluated alone: its report, or an ``UndefinedRow``."""
+    rows = []
+    for state in states:
+        try:
+            rows.append(entanglement_s(state))
+        except FrameUndefinedError as exc:
+            rows.append(UndefinedRow(state.n_atoms, mean_spin(state), str(exc)))
+    return rows
+
+
 def stacked_rows(states):
-    """The ``stack_reports`` rows of ``states``, which share one N."""
+    """The columns, in hex, of ``states`` that share one N, evaluated in stacks.
+
+    Asserts that they are the columns of each state evaluated alone.
+    """
     syms = [as_symmetric(state) for state in states]
     n_atoms = syms[0].n_atoms
-    return list(stack_reports(
+    got = package_columns(stack_columns(
         ladder_stack(n_atoms, [sym.coeffs for sym in part])
         for part in stacks_of(syms, n_atoms + 1)
     ))
+    assert got == oracle_columns(rows_alone(states))
+    return got

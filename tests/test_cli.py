@@ -363,7 +363,7 @@ class TestScan:
         from trispin import frame, moments
 
         stacks = []
-        evaluate = moments._stack_reports
+        evaluate = moments._report_columns
 
         def counting(n_atoms, syms):
             stacks.append(len(syms))
@@ -372,7 +372,7 @@ class TestScan:
         def per_point(*args):
             raise AssertionError("scan evaluated a point on its own")
 
-        monkeypatch.setattr(moments, "_stack_reports", counting)
+        monkeypatch.setattr(moments, "_report_columns", counting)
         monkeypatch.setattr(cli, "entanglement_s", per_point)
         monkeypatch.setattr(moments, "entanglement_s", per_point)
         monkeypatch.setattr(frame, "mean_spin", per_point)

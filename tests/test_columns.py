@@ -1,11 +1,11 @@
 """The stack's per-row stage on columns, and the stacked term sums of verify.
 
-``moments._stack_reports`` runs everything after the kernels, the frame
+``moments._report_columns`` runs everything after the kernels, the frame
 included, on whole columns of a stack; ``tests/row_oracle.py`` keeps that
-stage one row at a time, with its own copy of the scalar frame.  Every row
-must match it by ``repr`` and every column by ``float.hex`` (every float,
-signed zeros included), and the frame must refuse a non-finite mean spin
-with the scalar frame's message.  The
+stage one row at a time, with its own copy of the scalar frame.  Every
+column must match it by ``float.hex`` (every float, signed zeros
+included), and the frame must refuse a non-finite mean spin with the
+scalar frame's message.  The
 cancellation and identity sums add only the terms nonzero at each entry;
 they must give the term-by-term loop's matrices bit for bit, and the
 stacked cancellation sweep the pair-by-pair loop's worst residual.  The
@@ -22,11 +22,13 @@ from hypothesis import strategies as st
 
 from row_oracle import (
     cancellation_sweep_by_pair,
-    frame_rows_by_row,
+    oracle_columns,
+    package_columns,
     pair_mix_state,
     product_to_dicke_by_state,
+    reports_by_row,
     rotation_angles_by_row,
-    stack_reports_by_row,
+    rows_alone,
     stacked_rows,
     terms_matrix_by_term,
 )
@@ -40,7 +42,6 @@ from trispin import (
 )
 from trispin import cli, frame, moments, states, verify
 from trispin.frame import EPSILON_FRAME
-from trispin.moments import UndefinedFrame, stack_reports
 from trispin.operators import AXES, _component_support, collective_op, ladder_vectors
 from trispin.verify import (
     IDENTITIES,
@@ -56,9 +57,8 @@ SEEDS = st.integers(0, 2**32 - 1)
 
 def assert_rows_match_the_row_oracle(items):
     syms = [as_symmetric(state) for state in items]
-    want = stack_reports_by_row(syms[0].n_atoms, syms)
-    got = stacked_rows(items)
-    assert [repr(row) for row in got] == [repr(row) for row in want]
+    want = oracle_columns(reports_by_row(syms[0].n_atoms, syms))
+    assert stacked_rows(items) == want
 
 
 def ghz(n_atoms):
@@ -165,13 +165,10 @@ def test_scan_grid_rows_equal_the_point_oracle(n_atoms, index_a, index_b, start,
         cli._pair_mix_grid(n_atoms, index_a, index_b, part)
         for part in moments.stacks_of(alphas, n_atoms + 1)
     )
-    want = [
-        stacked_rows([pair_mix_state(n_atoms, index_a, index_b, alpha)])[0]
-        for alpha in alphas
-    ]
-    got = list(stack_reports(grid))
-    assert [repr(row) for row in got] == [repr(row) for row in want]
-    undefined = [i for i, row in enumerate(got) if isinstance(row, moments.UndefinedFrame)]
+    want = rows_alone([pair_mix_state(n_atoms, index_a, index_b, alpha) for alpha in alphas])
+    got = package_columns(moments.stack_columns(grid))
+    assert got == oracle_columns(want)
+    undefined = [i for i, skip in enumerate(got["undefined"]) if skip]
     assert undefined == ([4] if (n_atoms, points) == (4, 9) else [])
 
 
@@ -284,8 +281,9 @@ def test_no_per_row_work_after_the_kernels(monkeypatch):
             (frame, "real_parts"),
         ]
     }
-    items = [random_symmetric_state(5, seed) for seed in range(101)]
-    assert len(stacked_rows(items)) == 101
+    items = [random_symmetric_state(5, seed).coeffs for seed in range(101)]
+    (columns,) = moments.stack_columns([states.ladder_stack(5, items)])
+    assert len(columns.magnitude) == 101
     # one stack: one check per stage, one weight product, no 3x3 matrices
     # and no frame taken row by row
     assert {name: len(made) for name, made in calls.items()} == {
@@ -300,61 +298,16 @@ def test_no_per_row_work_after_the_kernels(monkeypatch):
 # Every column of a stack equals the row oracle's, bit for bit
 # ---------------------------------------------------------------------------
 
-FRAME_FIELDS = ("theta", "phi", "cos_theta", "sin_theta", "cos_phi", "sin_phi")
-MOMENT_FIELDS = (
-    "var_xp", "var_yp", "m3_xp_direct", "m3_yp_direct", "m3_xp_sum", "m3_yp_sum",
-    "s_parameter",
-)
-
-
-def hexes(values):
-    return [float(value).hex() for value in values]
-
-
-def oracle_columns(rows):
-    """The row oracle's reports as the columns of ``ReportColumns``, in hex."""
-    means = [row.mean_spin for row in rows]
-    framed = [row for row in rows if not isinstance(row, UndefinedFrame)]
-    columns = {name: hexes(getattr(m, name) for m in means)
-               for name in ("jx", "jy", "jz", "magnitude")}
-    columns["undefined"] = [isinstance(row, UndefinedFrame) for row in rows]
-    columns["framed"] = [k for k, row in enumerate(rows) if row in framed]
-    for name in FRAME_FIELDS:
-        columns[name] = hexes(getattr(row.angles, name) for row in framed)
-    for name in MOMENT_FIELDS:
-        columns[name] = hexes(getattr(row, name) for row in framed)
-    # the (2, F, 3) axes, flattened: every x' row, then every y' row
-    primed = [frame_rows_by_row(row.angles)[:2] for row in framed]
-    columns["axes"] = hexes(
-        value for axis in (0, 1) for rows_of in primed for value in rows_of[axis]
-    )
-    return columns
-
-
-def package_columns(columns):
-    """The columns of one ``ReportColumns``, in hex."""
-    out = {name: hexes(getattr(columns, name)) for name in ("jx", "jy", "jz", "magnitude")}
-    out["undefined"] = list(columns.frame.undefined)
-    out["framed"] = list(columns.frame.framed)
-    for name in FRAME_FIELDS:
-        out[name] = hexes(getattr(columns.frame, name))
-    for name in MOMENT_FIELDS:
-        out[name] = hexes(getattr(columns, name))
-    out["axes"] = hexes(columns.axes.ravel())
-    return out
-
-
 def stack_columns_of(items):
     """The package's columns of ``items``, one stack that shares N."""
     n_atoms = items[0].n_atoms
     psi = states.ladder_stack(n_atoms, [item.coeffs for item in items])
-    return moments._stack_reports(n_atoms, psi)
+    return moments._report_columns(n_atoms, psi)
 
 
 def assert_columns_match_the_row_oracle(items):
     got = stack_columns_of(items)
-    want = oracle_columns(stack_reports_by_row(items[0].n_atoms, items))
-    assert package_columns(got) == want
+    assert package_columns([got]) == oracle_columns(reports_by_row(items[0].n_atoms, items))
     return got
 
 
@@ -426,8 +379,8 @@ def test_columns_of_random_stacks(n_atoms, seeds, undefined):
 
 def test_an_empty_stack_has_no_rows():
     psi = states.ladder_stack(4, np.empty((0, 5), dtype=complex))
-    assert list(stack_reports([psi])) == []
     (columns,) = moments.stack_columns([psi])
+    assert package_columns([columns]) == oracle_columns([])
     assert columns.frame.framed == [] and columns.axes.shape == (2, 0, 3)
 
 

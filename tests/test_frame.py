@@ -94,6 +94,18 @@ class TestRotationAngles:
         with pytest.raises(FrameUndefinedError):
             rotation_angles(mean)
 
+    def test_magnitude_at_epsilon_frame_is_undefined(self):
+        # the frame needs a magnitude above EPSILON_FRAME; the next double is
+        # enough
+        eps = frame.EPSILON_FRAME
+        above = math.nextafter(eps, math.inf)
+        columns = frame.frame_columns([0.0, 0.0], [0.0, 0.0], [eps, above], [eps, above])
+        assert columns.undefined == [True, False]
+        assert columns.framed == [1]
+        with pytest.raises(FrameUndefinedError, match="mean spin magnitude 1.000e-09"):
+            rotation_angles(MeanSpin(0.0, 0.0, eps, eps))
+        assert rotation_angles(MeanSpin(0.0, 0.0, above, above)).theta == 0.0
+
     @pytest.mark.parametrize(
         "mean",
         [

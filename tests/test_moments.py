@@ -10,14 +10,14 @@ import pytest
 from scipy.linalg import expm
 
 import bruteforce as bf
-from row_oracle import stacked_rows
+from row_oracle import oracle_columns, package_columns, rows_alone, stacked_rows
 from trispin import (
     DimensionMismatchError,
     FrameUndefinedError,
     FullState,
     InvalidStateError,
     NotSymmetricError,
-    UndefinedFrame,
+    as_symmetric,
     central_moment,
     collective_op,
     collective_op_dicke,
@@ -479,24 +479,27 @@ class TestEntanglementS:
         ghz = symmetric_state(3, [1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2)])
         entangled = random_symmetric_state(3, seed=2)
         product = random_product_state(3, seed=3)
-        reports = stacked_rows([entangled, ghz, product])
-        assert isinstance(reports[1], UndefinedFrame)
-        assert reports[1].mean_spin == mean_spin(ghz)
-        assert isinstance(reports[1].error, FrameUndefinedError)
-        assert reports[0] == entanglement_s(entangled)
-        assert reports[2] == entanglement_s(product)
+        columns = stacked_rows([entangled, ghz, product])
+        assert columns["undefined"] == [False, True, False]
+        assert columns["framed"] == [0, 2]
+        rows = [as_symmetric(state).coeffs for state in (entangled, ghz, product)]
+        (stack,) = moments.stack_columns([ladder_stack(3, rows)])
+        with pytest.raises(FrameUndefinedError) as alone:
+            entanglement_s(ghz)
+        with pytest.raises(FrameUndefinedError, match=re.escape(str(alone.value))):
+            stack.raise_undefined()
 
     def test_undefined_frame_leaves_no_cyclic_garbage(self):
-        # A stored error that kept its traceback would hold the frame that
-        # holds the row list, so the whole stack would wait for the cyclic GC.
+        # An error held past its raise with its traceback would hold the
+        # frame that raised it, so the stack would wait for the cyclic GC.
         ghz = symmetric_state(6, [1 / math.sqrt(2), 0, 0, 0, 0, 0, 1 / math.sqrt(2)])
         stack = [random_symmetric_state(6, seed=seed) for seed in range(20)] + [ghz]
         gc.collect()
         gc.disable()
         try:
-            rows = stacked_rows(stack)
-            assert isinstance(rows[-1], UndefinedFrame)
-            del rows
+            columns = list(moments.stack_columns([ladder_stack(6, [s.coeffs for s in stack])]))
+            assert columns[0].frame.undefined[-1]
+            del columns
             for single in (entanglement_s, direct_moments):
                 try:
                     single(ghz)
@@ -514,42 +517,41 @@ class TestEntanglementS:
         states = [random_symmetric_state(3, seed=seed) for seed in range(12)]
         states[6] = symmetric_state(3, [1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2)])
         stacks = []
-        evaluate = moments._stack_reports
+        evaluate = moments._report_columns
 
         def counting(n_atoms, syms):
             stacks.append(len(syms))
             return evaluate(n_atoms, syms)
 
-        monkeypatch.setattr(moments, "_stack_reports", counting)
+        monkeypatch.setattr(moments, "_report_columns", counting)
         monkeypatch.setattr(moments, "STACK_LEVELS", 21)  # 5 states of 4 levels
         parts = moments.stacks_of((state.coeffs for state in states), 4)
-        rows = list(moments.stack_reports(ladder_stack(3, part) for part in parts))
+        columns = package_columns(
+            moments.stack_columns(ladder_stack(3, part) for part in parts)
+        )
         assert stacks == [5, 5, 2]
-        assert isinstance(rows[6], UndefinedFrame)
-        for state, row in zip(states, rows, strict=True):
-            if not isinstance(row, UndefinedFrame):
-                assert repr(row) == repr(entanglement_s(state))
+        assert columns["undefined"] == [k == 6 for k in range(12)]
+        assert columns == oracle_columns(rows_alone(states))
 
     def test_each_stack_has_its_own_number_of_atoms(self):
-        assert list(moments.stack_reports([])) == []
+        assert list(moments.stack_columns([])) == []
         mixed = [random_symmetric_state(3, seed=1), random_symmetric_state(4, seed=1)]
         stacks = [ladder_stack(state.n_atoms, [state.coeffs]) for state in mixed]
-        rows = list(moments.stack_reports(stacks))
-        assert [row.n_atoms for row in rows] == [3, 4]
-        for state, row in zip(mixed, rows, strict=True):
-            assert repr(row) == repr(entanglement_s(state))
+        columns = list(moments.stack_columns(stacks))
+        assert [stack.n_atoms for stack in columns] == [3, 4]
+        assert package_columns(columns) == oracle_columns(rows_alone(mixed))
 
     def test_a_single_state_is_a_view_stack_of_one(self, monkeypatch):
         # compute at N = 999999 relies on evaluating the coefficients in place
         state = random_symmetric_state(7, seed=5)
         stacks = []
-        evaluate = moments._stack_reports
+        evaluate = moments._report_columns
 
         def recording(n_atoms, psi):
             stacks.append((n_atoms, psi))
             return evaluate(n_atoms, psi)
 
-        monkeypatch.setattr(moments, "_stack_reports", recording)
+        monkeypatch.setattr(moments, "_report_columns", recording)
         entanglement_s(state)
         ((n_atoms, psi),) = stacks
         assert n_atoms == 7 and psi.shape == (1, 8)

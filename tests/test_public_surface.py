@@ -59,7 +59,6 @@ PUBLIC_NAMES = [
     "third_moment_sum_xp",
     "third_moment_sum_yp",
     "entanglement_s",
-    "UndefinedFrame",
     "IdentityResult",
     "SweepSummary",
     "verify_identity_suite",
@@ -81,9 +80,9 @@ OWNERS = {
     "states": PUBLIC_NAMES[7:22],
     "operators": PUBLIC_NAMES[22:27],
     "frame": PUBLIC_NAMES[27:32],
-    "moments": PUBLIC_NAMES[32:40],
-    "verify": PUBLIC_NAMES[40:48],
-    "sampler": PUBLIC_NAMES[48:],
+    "moments": PUBLIC_NAMES[32:39],
+    "verify": PUBLIC_NAMES[39:47],
+    "sampler": PUBLIC_NAMES[47:],
 }
 
 

@@ -39,6 +39,7 @@ from trispin.states import (
 )
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
+NON_FINITE = "amplitudes must be finite numbers"
 
 
 def per_seed_gaussians(size, seed):
@@ -77,6 +78,35 @@ class TestConstruction:
             product_state([[bad, 0.0], [1.0, 0.0], [1.0, 0.0]], normalize=normalize)
         with pytest.raises(InvalidStateError):
             full_state(1, [bad, 0.0], normalize=normalize)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("build, message", [
+        # finite values are checked once a row is off unit norm, which a NaN
+        # or infinite entry puts its row; a non-finite entry is still named
+        # before an earlier off-norm row
+        pytest.param(lambda: ladder_stack(3, [[2.0, 0, 0, 0], [math.nan, 0, 0, 0]]),
+                     NON_FINITE, id="off_norm_row_then_nan"),
+        pytest.param(lambda: ladder_stack(3, [[math.nan, 0, 0, 0]]), NON_FINITE,
+                     id="lone_nan"),
+        pytest.param(lambda: ladder_stack(3, [[math.inf, 0, 0, 0]]), NON_FINITE,
+                     id="lone_inf"),
+        pytest.param(lambda: ladder_stack(3, [[1e200, 0, 0, 0]]),
+                     "state not normalized: sum of squared magnitudes is inf",
+                     id="squares_overflow"),
+        pytest.param(lambda: ProductState([[2.0, 0], [math.nan, 0], [1.0, 0]]), NON_FINITE,
+                     id="product_off_norm_atom_then_nan"),
+        pytest.param(lambda: ProductState([[math.nan, 0]]), NON_FINITE,
+                     id="product_lone_nan"),
+        pytest.param(lambda: ProductState([[math.inf, 0]]), NON_FINITE,
+                     id="product_lone_inf"),
+        pytest.param(lambda: ProductState([[1e200, 0]] * 3),
+                     "atom amplitudes not normalized (worst deviation inf)",
+                     id="product_squares_overflow"),
+    ])
+    def test_finite_check_runs_once_a_row_is_off(self, build, message):
+        with pytest.raises(InvalidStateError) as info:
+            build()
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("normalize", [False, True])
     def test_ladder_stack_refuses_ragged_rows(self, normalize):
