@@ -7,13 +7,14 @@ inputs are byte-identical apart from the timestamp field.
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 frame
 undefined.
 
-Where an in-process ``compute`` of an N=8 ``dicke`` document spends its
-≈335 µs (timeit, warm, one BLAS thread on one CPU of a 2-vCPU Xeon):
-``entanglement_s`` ≈120 µs, the artifact's text (``_document``) ≈43 µs and
-``state_from_dict`` ≈33 µs; the rest is argument parsing, ``json.loads``
-and the report's dictionaries.  At N=999999 (a 49 MB document) a fresh
-process takes ≈2.3 s and 449 MB peak RSS; in one process ``json.loads``
-takes ≈1.2 s, ``entanglement_s`` ≈0.7 s and ``state_from_dict`` ≈0.2 s.
+Where an in-process ``compute`` of an N=8 ``dicke`` document on stdin
+spends its ≈380 µs (timeit, least of 9 to 25 repeats, one BLAS thread
+pinned to one CPU of a shared 2-vCPU Xeon, ±15% between runs):
+``entanglement_s`` ≈130 µs, ``_document`` ≈43 µs and ``state_from_dict``
+≈19 µs; the rest is argument parsing, ``json.loads`` and the checksum.
+At N=999999 (a 49 MB document) a fresh process takes ≈2.3 s and 449 MB
+peak RSS; in one process ``json.loads`` takes ≈1.2 s, ``entanglement_s``
+≈0.7 s and ``state_from_dict`` ≈0.2 s.
 """
 
 from __future__ import annotations

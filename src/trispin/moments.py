@@ -457,10 +457,6 @@ def _report_columns(n_atoms, psi):
     frame = frame_columns(jx, jy, jz, magnitude)
     axes = primed_axes(frame.cos_theta, frame.sin_theta, frame.cos_phi, frame.sin_phi)
     count = len(frame.framed)
-    if not count:
-        return ReportColumns(
-            n_atoms, jx, jy, jz, magnitude, frame, axes, *([] for _ in range(7))
-        )
     if count < len(psi):
         psi, once = psi[frame.framed], once[:, frame.framed]
     moments = _shifted_moments(

@@ -51,17 +51,17 @@ _ID2 = np.eye(2, dtype=complex)
 
 
 def _hermiticity_deviation(arr):
-    """The largest entrywise distance of a square matrix from its conjugate transpose.
+    """The largest entrywise distance of a non-empty square matrix from its adjoint.
 
     Taken over blocks of rows, ``arr[i:j]`` against ``arr[:, i:j].conj().T``,
     so the temporaries follow the block.  ``np.maximum`` folds the block
     maxima and keeps a NaN (Python's ``max`` would drop one that is not
     first), and the float is the one the whole-matrix difference gives.
     """
-    rows = max(1, HERMITICITY_BLOCK_ENTRIES // max(1, len(arr)))
+    rows = max(1, HERMITICITY_BLOCK_ENTRIES // len(arr))
     return float(reduce(np.maximum, (
         np.max(np.abs(arr[i:i + rows] - arr[:, i:i + rows].conj().T))
-        for i in range(0, max(1, len(arr)), rows)
+        for i in range(0, len(arr), rows)
     )))
 
 
@@ -70,8 +70,8 @@ class OperatorMatrix:
     """Dense hermitian operator on the full space (2**N levels).
 
     ``LadderOperator`` marks one on the ladder (N+1 levels).  The entries
-    are checked to be square and equal to their conjugate transpose at
-    construction time.
+    are checked to be square, non-empty and equal to their conjugate
+    transpose at construction time.
     """
 
     entries: np.ndarray
@@ -82,6 +82,8 @@ class OperatorMatrix:
         object.__setattr__(self, "entries", arr)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InvalidStateError(f"operator entries shape {arr.shape} is not square")
+        if not arr.size:
+            raise InvalidStateError("operator entries are empty: no level to act on")
         dev = _hermiticity_deviation(arr)
         if not dev <= HERMITICITY_TOL:  # a NaN or infinite entry gives NaN
             raise InvalidStateError(f"operator is not hermitian: deviates by {dev:.3e}")

@@ -81,7 +81,9 @@ class MeasurementRecord:
         evals.setflags(write=False)
         object.__setattr__(self, "eigenvalues", evals)
         try:
-            counts = np.array(self.counts, dtype=np.int64)
+            # a float array casts NaN, inf or values past int64 to garbage, refused below
+            with np.errstate(invalid="ignore"):
+                counts = np.array(self.counts, dtype=np.int64)
         except (OverflowError, ValueError) as exc:  # inf, past int64, NaN
             raise ValueError("counts must be whole numbers") from exc
         # the cast truncates, so a fractional count would pass as a smaller one

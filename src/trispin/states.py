@@ -594,42 +594,59 @@ def _integer_field(value, where):
 
 
 def _pair_array(coeffs, depth):
-    """``coeffs`` as a complex array, or None if it is not plainly well formed.
+    """``coeffs`` as a complex array; raises for its first malformed row or pair.
 
-    The fast path of ``state_from_dict``: whole-list passes check that every
-    node ``depth`` levels down is a ``list`` of length 2 and every value an
-    exact ``int`` or ``float`` (so booleans and strings fail), and one
-    ``np.array`` reads the flattened values.  Its bits are those of
+    Whole-list passes check that every node ``depth`` levels down is a
+    ``list`` of length 2 and every value an exact ``int`` or ``float``, and
+    one ``np.array`` reads the flattened values: the bits of
     ``complex(re, im)`` per pair, a -0.0 imaginary part included, since the
-    float pairs are viewed as complex, not added.  On None (also for an
-    integer past the double range) the caller runs the per-pair loop, which
-    words the refusal.
+    float pairs are viewed as complex, not added.  Any other document (an
+    integer past the double range too) takes ``_pair_values``.
     """
+    # an empty list keeps np.array([])'s shape (0,), which a product refusal names
+    shape = (len(coeffs),) + (2,) * (depth - 1) if coeffs else (0,)
     nodes = coeffs
     for _ in range(depth):
         if not nodes or set(map(type, nodes)) != {list} or set(map(len, nodes)) != {2}:
-            return None
+            break
         nodes = list(chain.from_iterable(nodes))
-    if not set(map(type, nodes)) <= {int, float}:
-        return None
-    try:
-        values = np.array(nodes, dtype=float)
-    except OverflowError:
-        return None
-    return values.view(complex).reshape((len(coeffs),) + (2,) * (depth - 1))
+    else:
+        if set(map(type, nodes)) <= {int, float}:
+            try:
+                return np.array(nodes, dtype=float).view(complex).reshape(shape)
+            except OverflowError:
+                pass
+    return np.array(_pair_values(coeffs, depth), dtype=float).view(complex).reshape(shape)
 
 
-def _complex_from_pair(pair, where):
-    if (
-        not isinstance(pair, (list, tuple))
-        or len(pair) != 2
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in pair)
-    ):
-        raise InvalidStateError(f"{where}: expected a [re, im] pair, got {pair!r}")
-    try:
-        return complex(pair[0], pair[1])
-    except OverflowError as exc:  # an integer past the double range
-        raise InvalidStateError(f"{where}: value outside the double range") from exc
+def _pair_values(coeffs, depth):
+    """The floats of ``coeffs`` in document order, or the refusal of its first flaw.
+
+    A row (``depth`` 2) must be a list or tuple of two pairs, checked before
+    its pairs, and a pair a list or tuple of two numbers, not booleans,
+    within the double range; number subclasses such as ``np.float64`` pass.
+    """
+    values = []
+    for i, node in enumerate(coeffs):
+        where = f"coeffs[{i}]"
+        pairs = {where: node}
+        if depth == 2:
+            if not isinstance(node, (list, tuple)) or len(node) != 2:
+                raise InvalidStateError(f"{where}: expected [[re, im], [re, im]], got {node!r}")
+            pairs = {f"{where}[0]": node[0], f"{where}[1]": node[1]}
+        for where, pair in pairs.items():
+            if not (
+                isinstance(pair, (list, tuple))
+                and len(pair) == 2
+                and isinstance(pair[0], (int, float)) and not isinstance(pair[0], bool)
+                and isinstance(pair[1], (int, float)) and not isinstance(pair[1], bool)
+            ):
+                raise InvalidStateError(f"{where}: expected a [re, im] pair, got {pair!r}")
+            try:
+                values += float(pair[0]), float(pair[1])
+            except OverflowError as exc:  # an integer past the double range
+                raise InvalidStateError(f"{where}: value outside the double range") from exc
+    return values
 
 
 def state_from_dict(data, auto_normalize=False):
@@ -647,11 +664,6 @@ def state_from_dict(data, auto_normalize=False):
         raise InvalidStateError("'coeffs' must be a list")
     if rep == "dicke":
         values = _pair_array(coeffs, 1)
-        if values is None:
-            values = [
-                _complex_from_pair(pair, f"coeffs[{i}]")
-                for i, pair in enumerate(coeffs)
-            ]
         if len(values) != n_atoms + 1:
             raise InvalidStateError(
                 f"dicke representation of {n_atoms} atoms needs "
@@ -664,21 +676,7 @@ def state_from_dict(data, auto_normalize=False):
                 f"product representation of {n_atoms} atoms needs "
                 f"{n_atoms} amplitude pairs, got {len(coeffs)}"
             )
-        rows = _pair_array(coeffs, 2)
-        if rows is None:
-            rows = []
-            for i, row in enumerate(coeffs):
-                if not isinstance(row, (list, tuple)) or len(row) != 2:
-                    raise InvalidStateError(
-                        f"coeffs[{i}]: expected [[re, im], [re, im]], got {row!r}"
-                    )
-                rows.append(
-                    [
-                        _complex_from_pair(row[0], f"coeffs[{i}][0]"),
-                        _complex_from_pair(row[1], f"coeffs[{i}][1]"),
-                    ]
-                )
-        return product_state(rows, normalize=auto_normalize)
+        return product_state(_pair_array(coeffs, 2), normalize=auto_normalize)
     raise InvalidStateError(f"unknown representation {rep!r}")
 
 

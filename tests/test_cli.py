@@ -204,7 +204,7 @@ class TestCompute:
 
     def test_reads_state_from_stdin(self, top_state, monkeypatch, capsys):
         monkeypatch.setattr(
-            "sys.stdin", io.StringIO(open(top_state, encoding="utf-8").read())
+            "sys.stdin", io.StringIO(Path(top_state).read_text(encoding="utf-8"))
         )
         assert main(["compute", "--input", "-"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -362,6 +362,13 @@ class TestOperatorMatrix:
         with pytest.raises(InvalidStateError):
             OperatorMatrix(np.eye(3)[:, :2])
 
+    @pytest.mark.parametrize("kind", [OperatorMatrix, LadderOperator])
+    def test_empty_entries_rejected(self, kind):
+        with pytest.raises(InvalidStateError, match="^operator entries are empty"):
+            kind(np.zeros((0, 0)))
+        with pytest.raises(InvalidStateError, match=r"shape \(0, 2\) is not square"):
+            kind(np.zeros((0, 2)))
+
     def test_blocked_deviation_is_the_whole_matrix_float(self):
         rng = np.random.default_rng(4)
         for n in (8, 362, 363, 1000):

@@ -184,7 +184,13 @@ class TestEstimateMoments:
         with pytest.raises(ValueError, match="finite"):
             MeasurementRecord("operator", eigenvalues, [50, 50, 100], 200, seed=3)
 
-    @pytest.mark.parametrize("counts", [[0.6, 1.7], [np.inf, 1.0], [2**70, 1], [np.nan, 1.0]])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("counts", [
+        [0.6, 1.7], [np.inf, 1.0], [2**70, 1], [np.nan, 1.0],
+        # float arrays cast without an error, and without a warning
+        np.array([np.nan, 1.0]), np.array([np.inf, 1.0]), np.array([-np.inf, 1.0]),
+        np.array([1e30, 1.0]),
+    ])
     def test_record_refuses_non_integral_counts(self, counts):
         with pytest.raises(ValueError, match="whole numbers"):
             MeasurementRecord("operator", [0.0, 1.0], counts, 1, seed=3)

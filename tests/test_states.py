@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -29,7 +30,6 @@ from trispin import (
 from trispin import states
 from trispin.states import (
     FULL_SPACE_ATOM_CAP,
-    _complex_from_pair,
     _integer_field,
     _normalized_rows,
     _seed_words,
@@ -415,13 +415,10 @@ class TestJsonSchema:
             state_from_dict(product)
 
 
-def loop_pairs(coeffs, depth):
-    """The bits of the per-pair loop's complex values for ``coeffs``."""
-    if depth == 1:
-        values = [_complex_from_pair(pair, "pair") for pair in coeffs]
-    else:
-        values = [[_complex_from_pair(pair, "pair") for pair in row] for row in coeffs]
-    return np.array(values, dtype=complex).tobytes()
+def complex_pairs(coeffs, depth):
+    """The bits of ``complex(re, im)`` of each pair of ``coeffs``, in order."""
+    pairs = coeffs if depth == 1 else [pair for row in coeffs for pair in row]
+    return np.array([complex(re, im) for re, im in pairs], dtype=complex).tobytes()
 
 
 # values whose bits the fast decode must keep: signed zeros, integral values,
@@ -435,8 +432,10 @@ EDGE_VALUES = [
 
 
 class TestFastDecode:
-    """``_pair_array`` reads well-formed pairs as the loop would, bit for bit,
-    and leaves every other document to the loop and its message."""
+    """``_pair_array`` reads well-formed pairs as ``complex(re, im)`` would,
+    bit for bit, and refuses every other document with its first flaw.
+    (Test names keep "the loop", the per-pair decoder these cases once
+    took.)"""
 
     @pytest.mark.parametrize("depth", [1, 2])
     def test_edge_values_keep_their_bits(self, depth):
@@ -446,9 +445,8 @@ class TestFastDecode:
         else:
             coeffs = pairs
         fast = states._pair_array(coeffs, depth)
-        assert fast is not None
         assert fast.shape == ((len(coeffs),) if depth == 1 else (len(coeffs), 2))
-        assert fast.tobytes() == loop_pairs(coeffs, depth)
+        assert fast.tobytes() == complex_pairs(coeffs, depth)
 
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(st.lists(st.tuples(
@@ -458,32 +456,35 @@ class TestFastDecode:
         | st.integers(-(2**1020), 2**1020),
     ).map(list), min_size=2, max_size=12).filter(lambda p: len(p) % 2 == 0))
     def test_random_pairs_keep_their_bits(self, pairs):
-        assert states._pair_array(pairs, 1).tobytes() == loop_pairs(pairs, 1)
+        assert states._pair_array(pairs, 1).tobytes() == complex_pairs(pairs, 1)
         rows = [pairs[k:k + 2] for k in range(0, len(pairs), 2)]
-        assert states._pair_array(rows, 2).tobytes() == loop_pairs(rows, 2)
+        assert states._pair_array(rows, 2).tobytes() == complex_pairs(rows, 2)
 
     @pytest.mark.parametrize("representation, coeffs", [
         ("dicke", [[0.6, -0.0], [-0.0, 0.8], [0, -0.0], [-0.0, -0.0]]),
         ("product", [[[0.6, -0.0], [-0.0, 0.8]]] * 3),
     ])
     @pytest.mark.parametrize("normalize", [False, True])
-    def test_documents_decode_as_the_loop(
-        self, representation, coeffs, normalize, monkeypatch
-    ):
+    def test_documents_decode_as_the_loop(self, representation, coeffs, normalize):
         doc = {"n_atoms": 3, "representation": representation, "coeffs": coeffs}
         fast = state_from_dict(doc, auto_normalize=normalize)
-        # with the fast path refused, the same document takes the per-pair loop
-        monkeypatch.setattr(states, "_pair_array", lambda coeffs, depth: None)
-        loop = state_from_dict(doc, auto_normalize=normalize)
-        field = "coeffs" if representation == "dicke" else "qubits"
-        assert getattr(fast, field).tobytes() == getattr(loop, field).tobytes()
-        assert np.signbit(getattr(fast, field).imag).any()
+        # the same state built from complex(re, im) of each pair
+        if representation == "dicke":
+            values = [complex(re, im) for re, im in coeffs]
+            reference = symmetric_state(3, values, normalize=normalize).coeffs
+            decoded = fast.coeffs
+        else:
+            values = [[complex(re, im) for re, im in row] for row in coeffs]
+            reference = product_state(values, normalize=normalize).qubits
+            decoded = fast.qubits
+        assert decoded.tobytes() == reference.tobytes()
+        assert np.signbit(decoded.imag).any()
 
     def test_well_formed_documents_skip_the_loop(self, monkeypatch):
-        def refuse(pair, where):
-            raise AssertionError("the per-pair loop ran")
+        def refuse(coeffs, depth):
+            raise AssertionError("the document walk ran")
 
-        monkeypatch.setattr(states, "_complex_from_pair", refuse)
+        monkeypatch.setattr(states, "_pair_values", refuse)
         state_from_dict({"n_atoms": 3, "representation": "dicke",
                          "coeffs": [[1, 0], [0, 0], [0, 0], [0, 0]]})
         state_from_dict({"n_atoms": 3, "representation": "product",
@@ -515,7 +516,11 @@ class TestFastDecode:
         ([], "dicke representation of 3 atoms needs 4 coefficients, got 0"),
     ])
     def test_dicke_refusals_take_the_loop(self, coeffs, message):
-        assert states._pair_array(coeffs, 1) is None
+        if coeffs:
+            with pytest.raises(InvalidStateError, match=f"^{re.escape(message)}$"):
+                states._pair_array(coeffs, 1)
+        else:  # no pair to refuse: the length check words the refusal
+            assert states._pair_array(coeffs, 1).shape == (0,)
         doc = {"n_atoms": 3, "representation": "dicke", "coeffs": coeffs}
         with pytest.raises(InvalidStateError) as info:
             state_from_dict(doc)
@@ -535,23 +540,133 @@ class TestFastDecode:
     ])
     def test_product_refusals_take_the_loop(self, row, message):
         coeffs = [[[1, 0], [0, 0]], row, [[1, 0], [0, 0]]]
-        assert states._pair_array(coeffs, 2) is None
+        with pytest.raises(InvalidStateError, match=f"^{re.escape(message)}$"):
+            states._pair_array(coeffs, 2)
         doc = {"n_atoms": 3, "representation": "product", "coeffs": coeffs}
         with pytest.raises(InvalidStateError) as info:
             state_from_dict(doc)
         assert str(info.value) == message
 
     def test_an_empty_product_takes_the_loop(self):
-        assert states._pair_array([], 2) is None
+        assert states._pair_array([], 2).shape == (0,)
         with pytest.raises(InvalidStateError, match=r"shape \(0,\)"):
             state_from_dict({"n_atoms": 0, "representation": "product", "coeffs": []})
 
     def test_tuples_take_the_loop_and_decode(self):
-        coeffs = [(1, 0), (0, 0), (0, 0), (0, 0)]
-        assert states._pair_array(coeffs, 1) is None
+        coeffs = [(1, 0), (0, -0.0), (np.float64(0.0), 0), [0, np.float64(-0.0)]]
+        assert states._pair_array(coeffs, 1).tobytes() == complex_pairs(coeffs, 1)
         state = state_from_dict({"n_atoms": 3, "representation": "dicke",
                                  "coeffs": coeffs})
-        assert state.coeffs.tobytes() == loop_pairs(coeffs, 1)
+        assert state.coeffs.tobytes() == complex_pairs(coeffs, 1)
+        rows = [((1, 0), [0, -0.0]), [(0.6, 0), (np.float64(0.8), -0.0)]]
+        assert states._pair_array(rows, 2).tobytes() == complex_pairs(rows, 2)
+
+
+# faults put into well-formed documents: values that are no number (a
+# boolean, a string, null), an integer past the double range, and pairs or
+# rows of the wrong length or no list at all
+VALUE_FAULTS = [True, False, "0.5", None, 10**400, -(10**400)]
+SHAPE_FAULTS = [[0, 0, 0], [0], [], 0, "x", None, {"re": 0}]
+
+
+def first_flaw(coeffs, depth):
+    """The refusal of the first malformed row or pair of ``coeffs``, or None.
+
+    A reference for the document walk: a row is checked before its pairs,
+    and a pair's shape and both its values' types before either value's
+    range, one pair at a time in document order.
+    """
+    def pair_flaw(pair, where):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            return f"{where}: expected a [re, im] pair, got {pair!r}"
+        if any(type(v) is bool or not isinstance(v, (int, float)) for v in pair):
+            return f"{where}: expected a [re, im] pair, got {pair!r}"
+        for v in pair:
+            try:
+                float(v)
+            except OverflowError:
+                return f"{where}: value outside the double range"
+        return None
+
+    for i, node in enumerate(coeffs):
+        if depth == 1:
+            flaws = [pair_flaw(node, f"coeffs[{i}]")]
+        elif not isinstance(node, (list, tuple)) or len(node) != 2:
+            flaws = [f"coeffs[{i}]: expected [[re, im], [re, im]], got {node!r}"]
+        else:
+            flaws = [pair_flaw(pair, f"coeffs[{i}][{j}]") for j, pair in enumerate(node)]
+        for flaw in flaws:
+            if flaw is not None:
+                return flaw
+    return None
+
+
+@st.composite
+def faulty_documents(draw):
+    """A ``dicke`` or ``product`` document of 3 atoms with 0 to 3 faults.
+
+    The clean document has one unit pair per ``dicke`` list or ``product``
+    row and zeros elsewhere, so it decodes without a norm refusal; its
+    length is drawn around the right one.  Some values are ``np.float64``
+    and some pairs and rows tuples, which decode as lists do.
+    """
+    depth = draw(st.sampled_from([1, 2]))
+    right = 4 if depth == 1 else 3  # pairs of a dicke list, rows of a product
+    size = draw(st.sampled_from([right - 1, right, right, right, right + 1]))
+    zero = st.sampled_from([0, 0.0, -0.0, np.float64(-0.0)])
+    unit = st.sampled_from([(1, 0), (0.6, -0.8), (-0.0, 1.0), (0, -1), (np.float64(0.8), 0.6)])
+
+    def clean_list(count):  # fresh lists, which the faults below may change
+        lead = draw(st.integers(0, count - 1))
+        return [list(draw(unit)) if k == lead else [draw(zero), draw(zero)]
+                for k in range(count)]
+
+    coeffs = clean_list(size) if depth == 1 else [clean_list(2) for _ in range(size)]
+    levels = ["pair", "value"] if depth == 1 else ["row", "pair", "value"]
+    for _ in range(draw(st.integers(0, 3))):
+        level = draw(st.sampled_from(levels))
+        path = [draw(st.integers(0, size - 1))] + [draw(st.integers(0, 1)) for _ in range(2)]
+        *parents, last = path[:levels.index(level) + 1]
+        node = coeffs
+        for index in parents:  # a node an earlier fault took holds no more
+            node = node[index] if isinstance(node, list) and index < len(node) else None
+        if isinstance(node, list) and last < len(node):
+            faults = VALUE_FAULTS if level == "value" else SHAPE_FAULTS
+            node[last] = draw(st.sampled_from(faults))
+
+    def some_tuples(nodes):
+        return [tuple(node) if isinstance(node, list) and draw(st.booleans()) else node
+                for node in nodes]
+
+    if depth == 2:
+        coeffs = [some_tuples(row) if isinstance(row, list) else row for row in coeffs]
+    coeffs = some_tuples(coeffs)
+    representation = "dicke" if depth == 1 else "product"
+    return {"n_atoms": 3, "representation": representation, "coeffs": coeffs}, depth
+
+
+class TestRefusalOrder:
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(faulty_documents())
+    def test_first_flaw_is_reported_in_document_order(self, case):
+        doc, depth = case
+        coeffs = doc["coeffs"]
+        flaw = first_flaw(coeffs, depth)
+        got = len(coeffs)
+        if depth == 1:  # the first flaw, then the length
+            length = f"dicke representation of 3 atoms needs 4 coefficients, got {got}"
+            expected = flaw or (length if got != 4 else None)
+        else:  # the length, then the first flaw
+            length = f"product representation of 3 atoms needs 3 amplitude pairs, got {got}"
+            expected = length if got != 3 else flaw
+        if expected is None:
+            state = state_from_dict(doc)
+            decoded = state.coeffs if depth == 1 else state.qubits
+            assert decoded.tobytes() == complex_pairs(coeffs, depth)
+        else:
+            with pytest.raises(InvalidStateError) as info:
+                state_from_dict(doc)
+            assert str(info.value) == expected
 
 
 class TestIntegerField:
