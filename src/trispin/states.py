@@ -27,7 +27,7 @@ a stack of one, and ``dicke_to_full`` is ``full_rows`` of one row.
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -164,8 +164,8 @@ def _check_unit_rows(rows):
     return rows
 
 
-def _normalized_rows(rows, row_norms=_row_norms):
-    """Each row of a 2-D complex array divided by its norm, ``row_norms(rows)``.
+def _normalized_rows(rows):
+    """Each row of a 2-D complex array divided by its norm, ``_row_norms(rows)``.
 
     Refuses a non-finite entry, and a zero row, which has no direction.  A
     row whose squares leave the double range (entries past about 1e154, or
@@ -175,7 +175,7 @@ def _normalized_rows(rows, row_norms=_row_norms):
     """
     _check_finite(rows)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        norms = row_norms(rows)
+        norms = _row_norms(rows)
         out = rows / norms[:, None]
     # squares can under- or overflow only in a row whose norm is far from 1
     if not ((norms >= 2.0**-500) & (norms <= 2.0**500)).all():
@@ -253,9 +253,7 @@ def product_state(qubits, normalize=False):
         _check_finite(arr)
         if not arr.any(axis=1).all():
             raise InvalidStateError("cannot normalize a zero qubit amplitude pair")
-        # not _row_norms, which differs in the last bit for some pairs and so
-        # would change the output of normalized product documents
-        arr = _normalized_rows(arr, lambda pairs: np.linalg.norm(pairs, axis=1))
+        arr = _normalized_rows(arr)
     return ProductState(arr)
 
 
@@ -455,115 +453,31 @@ def permute_atoms(state, order):
     return FullState(n, psi.reshape(-1))
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), on uint32 words
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
+def _gaussians(size, seed):
+    """``size`` iid complex Gaussians, one ``default_rng(seed)`` draw.
 
-
-def _hasher(init, mult):
-    """A SeedSequence hash of uint32 words, its constant running from ``init``.
-
-    Each call xors the words with the constant, multiplies the constant by
-    ``mult`` and the words by the new constant, then folds in the high half.
+    The draw is ``standard_normal(2 * size)``: the real parts first, then
+    the imaginary parts.  The seed must be an integer in [0, 2**64);
+    ``None``, which would give an unseeded draw, is refused with the rest.
     """
-    const = init
-
-    def hash_words(words):
-        nonlocal const
-        words = words ^ const
-        const = const * mult & _MASK32
-        words = words * const
-        return words ^ (words >> 16)
-
-    return hash_words
-
-
-def _seed_words(seeds):
-    """``SeedSequence(s).generate_state(4, np.uint64)`` of each seed, shape ``(K, 4)``.
-
-    A seed below 2**64 is at most two 32-bit entropy words, low word first;
-    zero-padded to the pool of 4 it hashes as ``SeedSequence`` hashes it,
-    and the hash constants run the same for every seed, so the K pools are
-    hashed together, a uint32 array per pool word.  Refuses anything but
-    integers in [0, 2**64) with ``ValueError``.
-    """
-    values = []
-    for seed in seeds:
-        try:
-            value = operator.index(seed)
-        except TypeError:
-            value = -1
-        if not 0 <= value < 2**64:
-            raise ValueError(f"a seed must be an integer in [0, 2**64), got {seed!r}")
-        values.append(value)
-    entropy = np.array(values, dtype=np.uint64)
-    pool = np.zeros((_POOL_SIZE, entropy.size), dtype=np.uint32)
-    pool[0] = entropy & _MASK32
-    pool[1] = entropy >> 32
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    mixer = [hashmix(word) for word in pool]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                mix = _MIX_MULT_L * mixer[dst] - _MIX_MULT_R * hashmix(mixer[src])
-                mixer[dst] = mix ^ (mix >> 16)
-    # generate_state: 8 uint32 words from the cycled pool, paired low word first
-    output = _hasher(_INIT_B, _MULT_B)
-    state = [output(mixer[i % _POOL_SIZE]).astype(np.uint64) for i in range(2 * _POOL_SIZE)]
-    return np.stack([state[i] | state[i + 1] << 32 for i in range(0, len(state), 2)], axis=1)
-
-
-@lru_cache(maxsize=None)
-def _seed_sequence_type():
-    """A ``numpy.random`` seed sequence that hands over the words it is given.
-
-    ``PCG64`` asks its seed sequence for 4 uint64 words once, when it is
-    built.  The type is made on first use: importing ``numpy.random`` adds
-    about 16 ms to every start of the CLI, and only the seeded draws need it.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class GivenWords(ISeedSequence):
-        def __init__(self, words):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
-    return GivenWords
-
-
-def seeded_gaussians(size, seeds):
-    """``size`` iid complex Gaussians per seed, as a ``(K, size)`` stack.
-
-    Row k holds ``default_rng(seeds[k])``'s draw, bit for bit: the real
-    parts ``standard_normal(size)`` first, then the imaginary parts.  Each
-    row keeps its own PCG64 stream; only the seeds' ``SeedSequence`` hashes
-    are computed in one pass (``_seed_words``), and each generator is
-    seeded with its row of words.  Seeds must be integers in [0, 2**64).
-    """
-    given_words = _seed_sequence_type()
-    draws = np.empty((len(seeds), 2 * size))
-    for words, row in zip(_seed_words(seeds), draws):
-        np.random.Generator(np.random.PCG64(given_words(words))).standard_normal(out=row)
-    return draws[:, :size] + 1j * draws[:, size:]
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
+        raise ValueError(f"a seed must be an integer in [0, 2**64), got {seed!r}")
+    draw = np.random.default_rng(seed).standard_normal(2 * size)
+    return draw[:size] + 1j * draw[size:]
 
 
 def random_symmetric_state(n_atoms, seed):
     """Draw ladder coefficients as iid complex Gaussians, then normalize.
 
-    Deterministic for a fixed seed (``seeded_gaussians``).
+    Deterministic for a fixed seed (``_gaussians``).
     """
     _check_atom_count(n_atoms)  # before the draw, whose size must be a count
-    return symmetric_state(n_atoms, seeded_gaussians(n_atoms + 1, [seed])[0], normalize=True)
+    return symmetric_state(n_atoms, _gaussians(n_atoms + 1, seed), normalize=True)
 
 
 def random_product_state(n_atoms, seed):
     """Random identical-qubit product state (one Gaussian qubit, replicated)."""
-    qubit = _normalized_rows(seeded_gaussians(2, [seed]))[0]
+    qubit = _normalized_rows(_gaussians(2, seed)[None])[0]
     return ProductState(np.tile(qubit, (n_atoms, 1)))
 
 
@@ -680,20 +594,27 @@ def state_from_dict(data, auto_normalize=False):
     raise InvalidStateError(f"unknown representation {rep!r}")
 
 
+def _float_pairs(values):
+    """``[re, im]`` lists of Python floats over the last axis of complex ``values``."""
+    return np.stack((values.real, values.imag), axis=-1).tolist()
+
+
 def state_to_dict(state):
-    """Encode a state into the JSON schema (complex values as [re, im])."""
+    """Encode a state into the JSON schema (complex values as [re, im]).
+
+    The values are Python floats, so ``state_from_dict`` reads the document
+    back in its whole-list pass, bit for bit.
+    """
     if isinstance(state, SymmetricState):
         return {
             "n_atoms": state.n_atoms,
             "representation": "dicke",
-            "coeffs": [[z.real, z.imag] for z in state.coeffs],
+            "coeffs": _float_pairs(state.coeffs),
         }
     if isinstance(state, ProductState):
         return {
             "n_atoms": state.n_atoms,
             "representation": "product",
-            "coeffs": [
-                [[a.real, a.imag], [b.real, b.imag]] for a, b in state.qubits
-            ],
+            "coeffs": _float_pairs(state.qubits),
         }
     raise TypeError(f"no JSON schema for {type(state).__name__}")

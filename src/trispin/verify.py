@@ -22,16 +22,16 @@ check, the one-atom relations included (one stack of pairs per rule), passes
 by one rule (``_checked``): the largest entrywise distance of its sides is
 at most ``RESIDUAL_TOL``.  ``verify_sum_route`` and
 ``verify_product_vanishing`` are randomized sweeps of the moment formulas,
-run on stacks from the seeded draw to the verdict: each draw keeps its own
-seeded generator, the draws are cut into ``(K, N+1)`` ladder stacks by
-``moments.stacks_of`` and checked once per stack (``states.ladder_stack``,
-``states.coherent_stack``), and each stack's columns come from
-``stack_columns`` and are used as they are yielded: no report object is
-built per row.  The sum-route sweep checks the sum-route columns against an
-independent direct route from dense 2**N operators along the stack's axis
-columns, written onto the support of Jx, Jy and Jz by
-``operators.component_sums`` and hermitian by construction, in chunks of at
-most ``DENSE_ENTRIES`` entries.  Every recorded float is the one the
+run on stacks from the seeded draw to the verdict: each sweep draws its
+states from one seeded generator, a ``(K, N+1)`` ladder stack at a time as
+``moments.stacks_of`` cuts them, checks them once per stack
+(``states.ladder_stack``, ``states.coherent_stack``), and each stack's
+columns come from ``stack_columns`` and are used as they are yielded: no
+report object is built per row.  The sum-route sweep checks the sum-route
+columns against an independent direct route from dense 2**N operators
+along the stack's axis columns, written onto the support of Jx, Jy and Jz
+by ``operators.component_sums`` and hermitian by construction, in chunks of
+at most ``DENSE_ENTRIES`` entries.  Every recorded float is the one the
 per-state functions give.  Every sweep passes by one verdict (``_summary``):
 its worst value, NaN if any is, is at most its tolerance.
 """
@@ -58,7 +58,7 @@ from .moments import (
     worst_of,
 )
 from .operators import AXES, component_sums, single_atom_op
-from .states import coherent_stack, full_rows, ladder_stack, seeded_gaussians
+from .states import _check_atom_count, coherent_stack, full_rows, ladder_stack
 
 RESIDUAL_TOL = 1e-12
 PRODUCT_S_TOL = 1e-10
@@ -332,11 +332,6 @@ def _check_trials(count):
         raise ValueError(f"verification sweeps need at least 1 trial, got {count}")
 
 
-def _check_sweep_atoms(n_atoms):
-    if n_atoms < 3:
-        raise ValueError(f"verification sweeps need N >= 3, got {n_atoms}")
-
-
 def cancellation_sweep(n_pairs=100, seed=13):
     """Random-angle sweep of the cancellation check (at least one pair).
 
@@ -364,15 +359,15 @@ def _draws(size, count, seed, row_size):
 
     Yields ``(K, size)`` stacks of the K states a stack of ``row_size``
     levels holds (``stacks_of``), each drawn when it is asked for, so memory
-    follows the stack.  Each draw has its own seed from ``default_rng(seed)``,
-    as the per-state ``random_symmetric_state`` and ``random_product_state``
-    are given theirs; a stack's K seeds are one ``integers(2**63, size=K)``
-    block, the values of K single draws, and ``seeded_gaussians`` hashes them
-    in one pass.
+    follows the stack.  All come from one ``default_rng(seed)``: a stack of
+    K draws is one ``standard_normal((K, 2 * size))`` block, each row the
+    real parts first, then the imaginary parts, so the stacks concatenate
+    to the one ``(count, 2 * size)`` draw wherever they are cut.
     """
     rng = np.random.default_rng(seed)
     for block in stacks_of(range(count), row_size):
-        yield seeded_gaussians(size, rng.integers(2**63, size=len(block)))
+        draw = rng.standard_normal((len(block), 2 * size))
+        yield draw[:, :size] + 1j * draw[:, size:]
 
 
 def _dense_deviations(worst, n_atoms, rows, columns, part):
@@ -404,11 +399,11 @@ def _dense_deviations(worst, n_atoms, rows, columns, part):
 def verify_sum_route(n_atoms, n_trials, seed):
     """Both third-moment routes on random symmetric states, dense oracle side.
 
-    A GHZ-like state leads, then ``n_trials`` states drawn as
-    ``random_symmetric_state`` draws them, each from its own seeded
-    generator.  They are checked as ``(K, N+1)`` ladder stacks
-    (``ladder_stack``), and ``stack_columns`` gives each stack's frames and
-    sum-route moments.  The direct side of the framed rows is computed with
+    A GHZ-like state leads, then ``n_trials`` states drawn in turn from
+    one ``default_rng(seed)`` (``_draws``) and normalized as
+    ``random_symmetric_state`` normalizes its draw.  They are checked as
+    ``(K, N+1)`` ladder stacks (``ladder_stack``), and ``stack_columns``
+    gives each stack's frames and sum-route moments.  The direct side of the framed rows is computed with
     dense rotated operators in the full 2**N space (hence the 3 <= N <= 6
     window), in chunks of at most ``DENSE_ENTRIES`` operator entries
     (``_dense_deviations``).  Every float is the one the state gets
@@ -448,12 +443,13 @@ def _s_column(columns):
 def verify_product_vanishing(n_atoms, n_trials, seed):
     """S on random identical-qubit product states (must sit at zero).
 
-    The qubits are drawn as ``random_product_state`` draws them and mapped
-    to the ladder K at a time (``coherent_stack``); the stacks stream
-    through one ``stack_columns`` call, and each S column is folded into
-    ``worst_s`` as it is yielded.
+    The qubits are drawn in turn from one ``default_rng(seed)``
+    (``_draws``), normalized as ``random_product_state`` normalizes its
+    draw, and mapped to the ladder K at a time (``coherent_stack``); the
+    stacks stream through one ``stack_columns`` call, and each S column is
+    folded into ``worst_s`` as it is yielded.
     """
-    _check_sweep_atoms(n_atoms)
+    _check_atom_count(n_atoms)
     _check_trials(n_trials)
     draws = _draws(2, n_trials, seed, n_atoms + 1)
     stacks = (coherent_stack(n_atoms, qubits) for qubits in draws)
@@ -470,7 +466,7 @@ def run_verification(trials=100, seed=13, n_atoms=None, corrupt_identity=None):
     """
     _check_trials(trials)
     if n_atoms is not None:
-        _check_sweep_atoms(n_atoms)
+        _check_atom_count(n_atoms)
     identities = verify_identity_suite(corrupt_identity)
     cancellation = cancellation_sweep(trials, seed)
     if n_atoms is None:

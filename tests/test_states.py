@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import sys
@@ -32,10 +33,8 @@ from trispin.states import (
     FULL_SPACE_ATOM_CAP,
     _integer_field,
     _normalized_rows,
-    _seed_words,
     coherent_stack,
     ladder_stack,
-    seeded_gaussians,
 )
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
@@ -321,26 +320,12 @@ class TestRandomStates:
         state = random_product_state(6, seed=11)
         np.testing.assert_array_equal(state.qubits, np.tile(state.qubits[0], (6, 1)))
 
-    def test_seed_words_are_the_seed_sequence_state(self):
-        drawn = np.random.default_rng(3).integers(2**64, size=2000, dtype=np.uint64)
-        seeds = EDGE_SEEDS + [int(seed) for seed in drawn]
-        expected = [np.random.SeedSequence(seed).generate_state(4, np.uint64) for seed in seeds]
-        np.testing.assert_array_equal(_seed_words(seeds), expected)
-
-    @pytest.mark.parametrize("count", [1, 7, 600])
-    def test_seeded_rows_are_per_seed_draws_in_every_byte(self, count):
-        drawn = np.random.default_rng(count).integers(2**63, size=count)
-        seeds = (EDGE_SEEDS + [int(seed) for seed in drawn])[:count]
-        for size in range(2, 16):
-            stack = seeded_gaussians(size, seeds)
-            assert stack.shape == (count, size)
-            for seed, row in zip(seeds, stack):
-                assert row.tobytes() == per_seed_gaussians(size, seed).tobytes()
-
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, None])
     def test_seeds_outside_the_unsigned_64_bit_integers_are_refused(self, seed):
-        with pytest.raises(ValueError, match=r"integer in \[0, 2\*\*64\)"):
-            seeded_gaussians(3, [5, seed])
+        # None above all: it would give an unseeded draw
+        for draw in (random_symmetric_state, random_product_state):
+            with pytest.raises(ValueError, match=r"integer in \[0, 2\*\*64\)"):
+                draw(3, seed)
 
     @pytest.mark.parametrize("seed", EDGE_SEEDS)
     def test_random_states_keep_the_per_seed_draw(self, seed):
@@ -361,6 +346,36 @@ class TestJsonSchema:
         state = random_product_state(3, seed=9)
         again = state_from_dict(state_to_dict(state))
         np.testing.assert_allclose(again.qubits, state.qubits, atol=1e-15)
+
+    @pytest.mark.parametrize("state", [
+        random_symmetric_state(1000, seed=4),
+        random_product_state(40, seed=4),
+        # every sign of zero in both parts
+        symmetric_state(3, [1.0, complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0)]),
+        product_state([[complex(1.0, -0.0), complex(-0.0, 0.0)]] * 3),
+    ], ids=["dicke", "product", "dicke_signed_zeros", "product_signed_zeros"])
+    def test_documents_hold_python_floats_and_decode_in_the_fast_pass(
+        self, state, monkeypatch
+    ):
+        doc = state_to_dict(state)
+        leaves = np.array(doc["coeffs"], dtype=object).ravel()
+        assert {type(leaf) for leaf in leaves} == {float}
+        # the text of the np.float64 leaves written before
+        if isinstance(state, SymmetricState):
+            before = [[z.real, z.imag] for z in state.coeffs]
+        else:
+            before = [[[a.real, a.imag], [b.real, b.imag]] for a, b in state.qubits]
+        assert json.dumps(doc) == json.dumps({**doc, "coeffs": before})
+
+        def refuse(coeffs, depth):
+            raise AssertionError("the document walk ran")
+
+        monkeypatch.setattr(states, "_pair_values", refuse)
+        again = state_from_dict(doc)
+        if isinstance(state, SymmetricState):
+            assert again.coeffs.tobytes() == state.coeffs.tobytes()
+        else:
+            assert again.qubits.tobytes() == state.qubits.tobytes()
 
     def test_auto_normalize_opt_in(self):
         doc = {

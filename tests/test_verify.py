@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import bruteforce as bf
 from trispin import (
     FrameUndefinedError,
+    InvalidStateError,
     OperatorMatrix,
     cancellation_sweep,
     central_moment,
@@ -22,8 +23,6 @@ from trispin import (
     entanglement_s,
     mean_spin,
     product_state,
-    random_product_state,
-    random_symmetric_state,
     rotation_angles,
     symmetric_state,
     third_moment_sum_xp,
@@ -348,7 +347,8 @@ class TestProductVanishing:
 
     @pytest.mark.parametrize("n_atoms", [2, 0, -1])
     def test_atom_count_below_three_refused(self, n_atoms):
-        with pytest.raises(ValueError, match="N >= 3"):
+        message = f"symmetric states need at least 3 atoms, got {n_atoms}"
+        with pytest.raises(InvalidStateError, match=f"^{message}$"):
             verify_product_vanishing(n_atoms, 5, seed=1)
 
     def test_spin_coherent_along_x(self):
@@ -394,13 +394,19 @@ class TestRunVerification:
 # The sweeps evaluated one state at a time: the oracle for the stacked sweeps
 # ---------------------------------------------------------------------------
 
+def gaussians(rng, size):
+    """``size`` complex Gaussians, one draw of ``rng``: real parts first."""
+    draw = rng.standard_normal(2 * size)
+    return draw[:size] + 1j * draw[size:]
+
+
 def per_state_sum_route(n_atoms, n_trials, seed):
     """``verify_sum_route`` with every state's ladder side evaluated alone."""
     rng = np.random.default_rng(seed)
     ghz = np.zeros(n_atoms + 1, dtype=complex)
     ghz[0] = ghz[-1] = 1.0 / math.sqrt(2.0)
     states = [symmetric_state(n_atoms, ghz)] + [
-        random_symmetric_state(n_atoms, int(rng.integers(2**63)))
+        symmetric_state(n_atoms, gaussians(rng, n_atoms + 1), normalize=True)
         for _ in range(n_trials)
     ]
     base = [collective_op(axis, n_atoms).entries for axis in "xyz"]
@@ -443,7 +449,7 @@ def per_state_product_vanishing(n_atoms, n_trials, seed):
     rng = np.random.default_rng(seed)
     worst_s = 0.0
     for _ in range(n_trials):
-        state = random_product_state(n_atoms, int(rng.integers(2**63)))
+        state = product_state([gaussians(rng, 2)] * n_atoms, normalize=True)
         worst_s = max(worst_s, entanglement_s(state).s_parameter)
     return SweepSummary(
         check_id=f"product_vanishing_n{n_atoms}",
@@ -565,12 +571,12 @@ def test_sweeps_stream_through_bounded_stacks(sweep, use, rows_used, monkeypatch
     monkeypatch.setattr(verify, "DENSE_ENTRIES", 5 * 2 * 4**3)
     counts = {"drawn": 0, "used": 0}
     ahead = []
-    drawn_fn, used_fn = verify.seeded_gaussians, getattr(verify, use)
+    drawn_fn, used_fn = verify._draws, getattr(verify, use)
 
     def drawing(*args):
-        stack = drawn_fn(*args)
-        counts["drawn"] += len(stack)
-        return stack
+        for stack in drawn_fn(*args):
+            counts["drawn"] += len(stack)
+            yield stack
 
     def using(*args):
         # counted before the rows are used: their stack is drawn, not yet used
@@ -578,7 +584,7 @@ def test_sweeps_stream_through_bounded_stacks(sweep, use, rows_used, monkeypatch
         counts["used"] += rows_used(*args)
         return used_fn(*args)
 
-    monkeypatch.setattr(verify, "seeded_gaussians", drawing)
+    monkeypatch.setattr(verify, "_draws", drawing)
     monkeypatch.setattr(verify, use, using)
     assert sweep(3, 50, seed=7).passed
     assert counts == {"drawn": 50, "used": 50}
@@ -588,12 +594,14 @@ def test_sweeps_stream_through_bounded_stacks(sweep, use, rows_used, monkeypatch
 
 @pytest.mark.parametrize("seed", [0, 7, 13, 2**63 + 5])
 def test_draws_are_the_per_state_draws_one_stack_at_a_time(seed, monkeypatch):
-    monkeypatch.setattr(moments, "STACK_LEVELS", 20)  # 5 states of 4 levels
-    stacks = list(verify._draws(4, 23, seed, 4))
-    assert [len(stack) for stack in stacks] == [5, 5, 5, 5, 3]
-    # a stack's seeds are one block of the master stream, the values of
-    # single draws, and each state keeps its own generator
-    master = np.random.default_rng(seed)
-    for row in np.concatenate(stacks):
-        rng = np.random.default_rng(int(master.integers(2**63)))
-        assert row.tobytes() == (rng.standard_normal(4) + 1j * rng.standard_normal(4)).tobytes()
+    # wherever the stacks are cut, they are one (count, 2 * size) draw of
+    # one generator, each row its real parts first
+    draw = np.random.default_rng(seed).standard_normal((23, 8))
+    expected = (draw[:, :4] + 1j * draw[:, 4:]).tobytes()
+    for states_per_stack, sizes in [
+        (1, [1] * 23), (5, [5, 5, 5, 5, 3]), (23, [23]), (1024, [23]),
+    ]:
+        monkeypatch.setattr(moments, "STACK_LEVELS", 4 * states_per_stack)  # 4 levels each
+        stacks = list(verify._draws(4, 23, seed, 4))
+        assert [len(stack) for stack in stacks] == sizes
+        assert np.concatenate(stacks).tobytes() == expected
