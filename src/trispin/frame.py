@@ -247,9 +247,8 @@ def rotated_ops(angles, n_atoms):
 
     Each primed operator is the corresponding linear combination of the
     unprimed collective components, so it shares the spectrum of Jz; the
-    three are written onto the ladder support of Jx, Jy and Jz, read off
-    ``ladder_vectors`` and cached per N (``component_sums``), so no
-    component is built, per call or to find the support.
+    three are written onto the diagonals of Jx, Jy and Jz from
+    ``ladder_vectors`` (``component_sums``), so no component is built.
     """
-    sums = component_sums(rotation_matrix(angles), "ladder", n_atoms)
+    sums = component_sums(rotation_matrix(angles), n_atoms)
     return tuple(map(LadderOperator, sums))

@@ -11,16 +11,13 @@ dense ladder matrices.  The dense 2**N matrices are small-N references for
 the identity checks in ``verify``.  Every ``OperatorMatrix`` is hermitian:
 its entries are checked against their conjugate transpose when it is built,
 and a NaN or infinite entry fails that check.  ``component_sums`` is the one
-weighted sum of dense Jx, Jy and Jz, and it is written rather than computed:
-each float where one of the components is nonzero (their support,
-``_component_support``, cached per space and N) gets its weight times its
-value, and every other float stays zero, the bits of the sum.  The ladder
-support is read off ``ladder_vectors``, the vectors the O(N) kernels use,
-so every dense ladder matrix is written one way: ``collective_op_dicke``
+weighted sum of the dense ladder Jx, Jy and Jz: it writes the weighted
+values of ``ladder_vectors``, the vectors the O(N) kernels use, onto the
+three diagonals where those components live, with the bits of the sum.
+Every dense ladder matrix is written that way: ``collective_op_dicke``
 (unit weights), ``frame.rotated_ops`` and the sampler's Jx' and Jy', each
-wrapped as a checked ``LadderOperator``.  The full-space support is read
-off the checked ``collective_op`` matrices, and ``verify``'s rotated 2**N
-operators, real-weighted sums of those components, are not checked again.
+wrapped as a checked ``LadderOperator``.  ``verify`` builds its weighted
+2**N sums as one matrix product with the checked ``collective_op`` matrices.
 """
 
 from __future__ import annotations
@@ -234,86 +231,45 @@ def apply_ladder_axes(coeffs):
     return out
 
 
-def _full_support(n_atoms):
-    entries = np.array([collective_op(axis, n_atoms).entries for axis in AXES])
-    floats = entries.view(float).reshape(3, -1)
-    nonzero = floats != 0
-    if np.any(np.count_nonzero(nonzero, axis=0) > 1):
-        raise RuntimeError("internal error: full Jx, Jy and Jz share a nonzero float")
-    (positions,) = np.nonzero(nonzero.any(axis=0))
-    which = nonzero[:, positions].argmax(axis=0)
-    return entries.shape[-1], positions, which, floats[which, positions]
+def component_sums(weights, n_atoms):
+    """``((0 + w_x Jx) + w_y Jy) + w_z Jz`` on the ladder for each triple in ``weights``.
 
-
-def _ladder_support(n_atoms):
-    # Row k holds, in float order, Jx and Jy at (k, k-1), Jz at (k, k), and
-    # Jx and Jy at (k, k+1): raising/2, +raising/2 (imaginary), m, raising/2
-    # and -raising/2 (imaginary), with raising[k] linking levels k and k+1.
+    ``weights`` are finite reals of shape ``(..., 3)``; the result has shape
+    ``(..., N+1, N+1)`` and keeps every bit of
+    ``sum(w * J for w, J in zip(row, components))`` over the dense ladder
+    ``Jx``, ``Jy`` and ``Jz``.  Those three live on three diagonals, so each
+    float of the sum has at most one nonzero term, and the sum is written
+    from ``ladder_vectors`` in O(N) floats per row: ``wz * m`` on the main
+    diagonal, and with ``h = raising / 2``, ``wx * h`` as the real parts of
+    both off-diagonals, ``wy * h`` as the imaginary parts below and
+    ``wy * -h`` above.  Each is written as ``w * value + 0.0`` into a flat
+    zero array through its real and imaginary views (strides of N+2 from
+    offsets 0, 1 and N+1): the other terms are exact zeros, which leave a
+    nonzero partial sum as it is and a zero one at +0, and the ``+ 0.0``
+    turns the -0.0 of a zero weight (or of a product that underflows) into
+    that +0.0.  Real weights keep the sums exactly hermitian.
+    """
+    w = np.asarray(weights, dtype=float)[..., None]
+    wx, wy, wz = w[..., 0, :], w[..., 1, :], w[..., 2, :]
     m, raising = ladder_vectors(n_atoms)
     half = 0.5 * raising.real
-    below, above = np.append(0.0, half), np.append(half, 0.0)
-    values = np.stack([below, below, m, above, -above], axis=1)
-    # float offsets from the real part of (k, k), which sits at 2 (N + 2) k
-    positions = 2 * (n_atoms + 2) * np.arange(n_atoms + 1)[:, None] + [-2, -1, 0, 2, 3]
-    which = np.broadcast_to([0, 1, 2, 0, 1], values.shape)
-    nonzero = values != 0
-    return n_atoms + 1, positions[nonzero], which[nonzero], values[nonzero]
-
-
-@lru_cache(maxsize=32)
-def _component_support(space, n_atoms):
-    """Where the dense Jx, Jy and Jz of one space hold their nonzero floats.
-
-    ``space`` is ``"full"`` (2**N levels) or ``"ladder"`` (N+1 levels).
-    Returns ``(dim, positions, which, values)``: the flat positions of the
-    nonzero floats of a ``(dim, dim)`` complex matrix viewed as floats, in
-    increasing order, the component (0, 1, 2 for x, y, z) that holds each,
-    and its value, all read-only and cached per space and N.  The full
-    space reads them off the checked ``collective_op`` matrices, the
-    independent oracle: Jx and Jz are real and Jy is imaginary, so no float
-    position is nonzero in two components, and that is checked there, since
-    ``component_sums`` relies on it.  The ladder reads them off
-    ``ladder_vectors`` in O(N), as ``ladder_action`` does: m on the diagonal
-    of Jz, raising/2 on both off-diagonals of Jx, and -raising/2 above and
-    +raising/2 below as the imaginary parts of Jy.
-    """
-    dim, *tables = {"full": _full_support, "ladder": _ladder_support}[space](n_atoms)
-    for table in tables:
-        table.setflags(write=False)
-    return dim, *tables
-
-
-def component_sums(weights, space, n_atoms):
-    """``((0 + w_x Jx) + w_y Jy) + w_z Jz`` for each weight triple in ``weights``.
-
-    ``weights`` are finite reals of shape ``(..., 3)``; ``space`` and
-    ``n_atoms`` name the dense ``(Jx, Jy, Jz)`` of ``_component_support``.
-    The result has shape ``(..., D, D)`` and keeps every bit of
-    ``sum(w * J for w, J in zip(row, components))``.  Each float of the sum
-    has at most one nonzero term, ``w * value`` from the one component
-    nonzero there, and the other terms are exact zeros, which leave a
-    nonzero partial sum as it is and a zero one at +0.  So the sum is
-    written, not computed: zeros, then ``w * value + 0.0`` at the support,
-    the ``+ 0.0`` turning the -0.0 of a zero weight (or of a product that
-    underflows) into the +0.0 that the sum gives.  Real weights keep the
-    sums of hermitian ``Jx``, ``Jy`` and ``Jz`` exactly hermitian.
-    """
-    w = np.asarray(weights, dtype=float)
-    dim, positions, which, values = _component_support(space, n_atoms)
-    out = np.zeros((*w.shape[:-1], dim, dim), dtype=complex)
-    out.view(float).reshape(*w.shape[:-1], -1)[..., positions] = (
-        w[..., which] * values + 0.0
-    )
-    return out
+    dim = n_atoms + 1
+    out = np.zeros((*w.shape[:-2], dim * dim), dtype=complex)
+    re, im, step = out.real, out.imag, dim + 1
+    re[..., ::step] = wz * m + 0.0
+    re[..., 1::step] = re[..., dim::step] = wx * half + 0.0
+    im[..., 1::step] = wy * -half + 0.0
+    im[..., dim::step] = wy * half + 0.0
+    return out.reshape(*w.shape[:-2], dim, dim)
 
 
 def collective_op_dicke(axis, n_atoms):
     """Collective component on the (N+1)-dimensional ladder, as a dense matrix.
 
-    Written onto the ladder support (``component_sums`` with unit weight on
+    Written onto its diagonals (``component_sums`` with unit weight on
     ``axis``); levels ordered from ``m = j`` down to ``m = -j``.  Agrees with
     the projection of ``collective_op`` onto the symmetric subspace.
     """
     _axis_block(axis)
     unit = np.eye(3)[AXES.index(axis)]
-    return LadderOperator(component_sums(unit, "ladder", n_atoms))
+    return LadderOperator(component_sums(unit, n_atoms))

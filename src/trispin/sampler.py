@@ -23,10 +23,12 @@ serves the point estimate and every resample.
 ``estimate_s_from_samples`` brings every input to the (N+1)-level ladder
 (``as_symmetric``) and samples dense ladder operators there, whatever
 representation the state came in.  It writes only the two it measures, Jx'
-and Jy', from the x' and y' rows of ``frame.rotation_matrix`` onto the ladder
-support (``operators.component_sums``).  They do not commute, so it measures
-them in independent runs, as separate state preparations would; the two run
-seeds are drawn from one master stream seeded by the caller.
+and Jy', from the x' and y' rows of ``frame.rotation_matrix`` onto the
+diagonals of the ladder components (``operators.component_sums``).  They do
+not commute, so it measures them in independent runs, as separate state
+preparations would; the two run seeds are drawn first from one master
+stream seeded by the caller, and then each operator is written, sampled and
+dropped in turn, so one dense operator is alive at a time.
 """
 
 from __future__ import annotations
@@ -46,10 +48,10 @@ MIN_SHOTS_ESTIMATE = 100
 MIN_SHOTS_S = 1000
 BOOTSTRAP_RESAMPLES = 200
 # Largest register ``estimate_s_from_samples`` accepts.  Its two dense
-# (N+1)^2 ladder operators and their eigh took 8.4-9.3 s and 442 MB peak RSS
-# at N=2000 with 10^5 shots (fresh processes, one BLAS thread on a 2-vCPU
-# Xeon); memory grows as N^2, so a larger N would end in an out-of-memory
-# kill rather than an error.
+# (N+1)^2 ladder operators and their eigh, one operator at a time, took
+# 6.1 s and 354 MB peak RSS at N=2000 with 10^5 shots (a fresh process, one
+# BLAS thread on a 2-vCPU Xeon); memory grows as N^2, so a larger N would end
+# in an out-of-memory kill rather than an error.
 MAX_SAMPLE_ATOMS = 2000
 # Most shots one record takes.  The tally holds M float64 uniforms at once,
 # 8 bytes a shot: at N=10 a run took 0.19 s and 113 MB peak RSS with 10^7
@@ -180,6 +182,9 @@ def _tally(probs, m_shots, seed):
 
 
 def _check_shots(m_shots):
+    # a bool is no count, and a float would reach numpy only in the tally
+    if isinstance(m_shots, bool) or not isinstance(m_shots, (int, np.integer)):
+        raise ValueError(f"shot count must be an integer, got {m_shots!r}")
     if not 1 <= m_shots <= MAX_SHOTS:
         raise ValueError(f"shot count must be in 1..{MAX_SHOTS}, got {m_shots}")
 
@@ -273,8 +278,8 @@ def estimate_s_from_samples(state, m_shots, seed):
     InvalidStateError
         If the register has more than ``MAX_SAMPLE_ATOMS`` atoms.
     ValueError
-        If ``m_shots`` is past ``MAX_SHOTS``; checked first, after the
-        ``MIN_SHOTS_S`` floor.
+        If ``m_shots`` is no integer or is past ``MAX_SHOTS``; checked
+        first, after the ``MIN_SHOTS_S`` floor.
     """
     if m_shots < MIN_SHOTS_S:
         raise InsufficientShotsError(
@@ -290,13 +295,18 @@ def estimate_s_from_samples(state, m_shots, seed):
             f"(requested N={state.n_atoms}); its dense ladder operators grow "
             "as (N+1)^2"
         )
-    # one (2, D, D) sum, freed once both operators hold their copies
     axes = rotation_matrix(rotation_angles(mean_spin(state)))[:2]
-    op_xp, op_yp = map(LadderOperator, component_sums(axes, "ladder", state.n_atoms))
-    master = np.random.default_rng(seed)
-    seed_xp, seed_yp = (int(s) for s in master.integers(0, 2**63, size=2))
-    record_xp = projective_sample(state, op_xp, m_shots, seed_xp, "jx_prime")
-    record_yp = projective_sample(state, op_yp, m_shots, seed_yp, "jy_prime")
+    seed_xp, seed_yp = np.random.default_rng(seed).integers(0, 2**63, size=2).tolist()
+    # each operator is bound to no name, so it dies when its run returns,
+    # before the next one is written
+    record_xp = projective_sample(
+        state, LadderOperator(component_sums(axes[0], state.n_atoms)), m_shots, seed_xp,
+        "jx_prime",
+    )
+    record_yp = projective_sample(
+        state, LadderOperator(component_sums(axes[1], state.n_atoms)), m_shots, seed_yp,
+        "jy_prime",
+    )
     est_xp = estimate_moments(record_xp)
     est_yp = estimate_moments(record_yp)
     radius = math.hypot(est_xp.m3, est_yp.m3)

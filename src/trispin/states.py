@@ -239,7 +239,7 @@ def symmetric_state(n_atoms, coeffs, normalize=False):
     ``normalize`` divides after the atom count and shape pass, as in
     ``ladder_stack``; ``SymmetricState`` then checks the rest once.
     """
-    n_atoms = int(n_atoms)
+    n_atoms = _integer_field(n_atoms, "n_atoms")
     arr = np.asarray(coeffs, dtype=complex)
     if normalize:
         arr = _normalized_rows(_ladder_rows(n_atoms, arr[None]))[0]
@@ -262,7 +262,7 @@ def full_state(n_atoms, amplitudes, normalize=False):
     arr = np.asarray(amplitudes, dtype=complex)
     if normalize:
         arr = _normalized_rows(arr.reshape(1, -1)).reshape(arr.shape)
-    return FullState(int(n_atoms), arr)
+    return FullState(_integer_field(n_atoms, "n_atoms"), arr)
 
 
 @lru_cache(maxsize=16)
@@ -471,12 +471,15 @@ def random_symmetric_state(n_atoms, seed):
 
     Deterministic for a fixed seed (``_gaussians``).
     """
+    n_atoms = _integer_field(n_atoms, "n_atoms")
     _check_atom_count(n_atoms)  # before the draw, whose size must be a count
     return symmetric_state(n_atoms, _gaussians(n_atoms + 1, seed), normalize=True)
 
 
 def random_product_state(n_atoms, seed):
     """Random identical-qubit product state (one Gaussian qubit, replicated)."""
+    n_atoms = _integer_field(n_atoms, "n_atoms")
+    check_atoms(n_atoms)  # before the draw, as np.tile needs a count
     qubit = _normalized_rows(_gaussians(2, seed)[None])[0]
     return ProductState(np.tile(qubit, (n_atoms, 1)))
 

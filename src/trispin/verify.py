@@ -29,11 +29,12 @@ states from one seeded generator, a ``(K, N+1)`` ladder stack at a time as
 columns come from ``stack_columns`` and are used as they are yielded: no
 report object is built per row.  The sum-route sweep checks the sum-route
 columns against an independent direct route from dense 2**N operators
-along the stack's axis columns, written onto the support of Jx, Jy and Jz
-by ``operators.component_sums`` and hermitian by construction, in chunks of
-at most ``DENSE_ENTRIES`` entries.  Every recorded float is the one the
-per-state functions give.  Every sweep passes by one verdict (``_summary``):
-its worst value, NaN if any is, is at most its tolerance.
+along the stack's axis columns, each one matrix product of their weights
+with the cached dense Jx, Jy and Jz (``_dense_sums``) and hermitian by
+construction, in chunks of at most ``DENSE_ENTRIES`` entries.  Every
+recorded float is the one the per-state functions give.  Every sweep passes
+by one verdict (``_summary``): its worst value, NaN if any is, is at most
+its tolerance.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .moments import (
     stacks_of,
     worst_of,
 )
-from .operators import AXES, component_sums, single_atom_op
+from .operators import AXES, collective_op, single_atom_op
 from .states import _check_atom_count, coherent_stack, full_rows, ladder_stack
 
 RESIDUAL_TOL = 1e-12
@@ -66,7 +67,7 @@ PRODUCT_S_TOL = 1e-10
 # Most complex entries in one chunk of a dense sweep, 0.5 MiB: the x' and y'
 # operators of 2**15 // (2 * 4**N) states in the sum-route sweep, and the
 # gathered term products of 59 angle pairs (552 each) in the cancellation
-# sweep.  With the operators written onto their support, chunks of 2**14 to
+# sweep.  With the operators built as one matrix product, chunks of 2**14 to
 # 2**17 entries ran a default verification equally fast within the noise (one
 # BLAS thread of a loaded 2-vCPU Xeon), so the bound stays this small.
 DENSE_ENTRIES = 2**15
@@ -164,6 +165,29 @@ def _atom_op(atom, axis, n_atoms):
     return single_atom_op(atom, axis, n_atoms).entries
 
 
+@lru_cache(maxsize=None)
+def _components(n_atoms):
+    """The checked dense 2**N Jx, Jy and Jz, flat, as one ``(3, 4**N)`` stack."""
+    stack = np.array([collective_op(axis, n_atoms).entries.ravel() for axis in AXES])
+    stack.setflags(write=False)
+    return stack
+
+
+def _dense_sums(weights, n_atoms):
+    """``w_x Jx + w_y Jy + w_z Jz`` in the 2**N space for each row of ``weights``.
+
+    ``weights`` is a float array of finite reals, shape ``(..., 3)``, and
+    the result has shape ``(..., 2**N, 2**N)``.  One matrix product with ``_components``
+    gives every bit of ``sum(w * J for w, J in zip(row, components))``: Jx
+    and Jz are real and Jy imaginary, so each float has at most one nonzero
+    term, and the ``+ 0.0`` gives the +0.0 that the sum gives where the
+    product leaves a -0.0.  Real weights keep the sums of the hermitian
+    components exactly hermitian.
+    """
+    sums = weights @ _components(n_atoms) + 0.0
+    return sums.reshape(*sums.shape[:-1], 1 << n_atoms, 1 << n_atoms)
+
+
 def _product(matrices):
     """The ordered product of dense 8x8 matrices, from the identity on."""
     return reduce(np.matmul, matrices, np.eye(8, dtype=complex))
@@ -172,10 +196,10 @@ def _product(matrices):
 def identity_lhs(entry):
     """Dense 8x8 collective product for the identity's axis word.
 
-    The factors are the full-space Jx, Jy and Jz as ``component_sums``
-    writes them with unit weights, from the one cached support.
+    The factors are the full-space Jx, Jy and Jz as ``_dense_sums`` gives
+    them with unit weights.
     """
-    components = component_sums(np.eye(3), "full", 3)
+    components = _dense_sums(np.eye(3), 3)
     return _product(components[AXES.index(axis)] for axis in entry.word)
 
 
@@ -316,7 +340,7 @@ def _cancellation_coeffs(axes):
 def _cancellation_check(pairs):
     """The cancellation check on a ``(K, 8, 8)`` stack, one per ``(theta, phi)``."""
     axes = _x_prime_axes(pairs)
-    combo = component_sums(axes, "full", 3)
+    combo = _dense_sums(axes, 3)
     rhs = _terms_matrix(_cancellation_coeffs(axes), _CANCELLATION_FACTORS)
     return _checked("cancellation", combo @ combo @ combo, rhs)
 
@@ -377,13 +401,13 @@ def _dense_deviations(worst, n_atoms, rows, columns, part):
     ``rows`` their ladder rows.  The direct route of each comes from dense
     2**N operators, as ``central_moment`` takes it state by state: the rows'
     2**N vectors (``full_rows``), the x' and y' operators of their frames
-    (the ``columns.axes`` slice) as ``operators.component_sums`` of the
-    dense Jx, Jy and Jz, and the third moments from ``_shifted_moments``
-    with one stacked ``matmul``, which gives each operator's ``entries @ v``
-    in every bit.  Each is checked against the sum-route column of its axis.
+    (the ``columns.axes`` slice) as ``_dense_sums`` of the dense Jx, Jy
+    and Jz, and the third moments from ``_shifted_moments`` with one
+    stacked ``matmul``, which gives each operator's ``entries @ v`` in every
+    bit.  Each is checked against the sum-route column of its axis.
     """
     full = full_rows(n_atoms, rows)
-    ops = component_sums(columns.axes[:, part].reshape(-1, 3), "full", n_atoms)
+    ops = _dense_sums(columns.axes[:, part].reshape(-1, 3), n_atoms)
     moments = _shifted_moments(
         np.concatenate((full, full)), lambda v: (ops @ v[..., None])[..., 0], n_atoms, 3
     )

@@ -42,7 +42,7 @@ from trispin import (
 )
 from trispin import cli, frame, moments, states, verify
 from trispin.frame import EPSILON_FRAME
-from trispin.operators import AXES, _component_support, collective_op, ladder_vectors
+from trispin.operators import AXES, collective_op, ladder_vectors
 from trispin.verify import (
     IDENTITIES,
     cancellation_sweep,
@@ -506,8 +506,7 @@ CACHED_TABLES = {
     "identity_stack": lambda: (
         verify._term_entries(tuple(factors for _, factors in IDENTITIES[13].terms))[:3]
     ),
-    "full_support": lambda: _component_support("full", 4)[1:],
-    "ladder_support": lambda: _component_support("ladder", 7)[1:],
+    "dense_components": lambda: (verify._components(4),),
     "atom_op": lambda: (verify._atom_op(2, "y", 3),),
 }
 

@@ -193,7 +193,7 @@ class TestRotatedOps:
         np.testing.assert_allclose(total, unrotated, atol=1e-12)
 
     def test_builds_no_component_per_call(self, monkeypatch):
-        # the ladder support of Jx, Jy and Jz is cached per N
+        # the sums are written from the ladder vectors; no component is built
         angles = angles_from(0.4, 1.3)
         first = rotated_ops(angles, 6)
 

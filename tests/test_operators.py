@@ -19,12 +19,11 @@ from trispin import (
     single_atom_op,
     symmetric_state,
 )
-from trispin import operators
+from trispin import operators, verify
 from trispin.frame import RotationAngles, rotated_ops
 from trispin.operators import (
     AXES,
     LadderOperator,
-    _component_support,
     apply_ladder_axes,
     component_sums,
     ladder_action,
@@ -166,7 +165,7 @@ def test_dense_ladder_operators_keep_their_pinned_bits(n_atoms):
     # the digests hold the bits of the np.diag construction (now
     # ``bruteforce.ladder_component``); Jy is not pinned on its own, since
     # that construction gives its zero entries -0.0 imaginary parts, and the
-    # support writes +0.0 there
+    # diagonal writer (``component_sums``) puts +0.0 there
     assert ladder_digests(n_atoms) == LADDER_PIN["digests"][str(n_atoms)]
 
 
@@ -298,12 +297,15 @@ EDGE_WEIGHTS = np.array(list(product([-0.0, 0.0, 5e-324, 1e300, -1e300, 0.7], re
     *(pytest.param("ladder", n, id=f"ladder-{n}") for n in range(1, 41)),
 ])
 def test_component_sums_keep_the_bits_of_the_sum(space, n_atoms):
-    # the sums are written onto the support of Jx, Jy and Jz, not computed;
-    # each must hold the bits of Python's sum of the weighted components
+    # the ladder sums are written onto three diagonals and verify's 2**N sums
+    # are one matrix product; each must hold the bits of Python's sum of the
+    # weighted components
     if space == "full":
         components = [collective_op(axis, n_atoms).entries for axis in AXES]
+        sums = verify._dense_sums
     else:
         components = [bf.ladder_component(n_atoms, axis) for axis in AXES]
+        sums = component_sums
     rows = np.concatenate(
         (EDGE_WEIGHTS, np.random.default_rng(n_atoms).standard_normal((40, 3)))
     )
@@ -316,29 +318,22 @@ def test_component_sums_keep_the_bits_of_the_sum(space, n_atoms):
         (rows.reshape(2, -1, 3), want.reshape(2, -1, dim, dim)),
     ]
     for weights, expected in cases:
-        got = component_sums(weights, space, n_atoms)
+        got = sums(weights, n_atoms)
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
 
 
-def test_component_support_refuses_overlapping_components(monkeypatch):
-    # the written sums hold only if no float is nonzero in two components
-    jx = collective_op("x", 3)
-    monkeypatch.setattr(operators, "collective_op", lambda axis, n_atoms: jx)
-    with pytest.raises(RuntimeError, match="share a nonzero float"):
-        _component_support.__wrapped__("full", 3)
-
-
-def test_ladder_support_is_read_off_the_ladder_vectors():
-    # O(N) tables: no (N+1)**2 array is built, so N = 2000 stays far below
-    # the 64 MB of one dense ladder matrix
+def test_component_sums_allocate_little_beyond_their_output():
+    # the diagonals are written from the O(N) ladder vectors: at N = 2000 the
+    # peak is the 64 MB output and no second (N+1)**2 array
+    ladder_vectors(2000)
     tracemalloc.start()
     try:
-        _component_support.__wrapped__("ladder", 2000)
+        out = component_sums([0.3, -0.4, 0.5], 2000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2**20
+    assert peak < out.nbytes + 2**20
 
 
 class TestOperatorMatrix:

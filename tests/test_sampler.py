@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -125,6 +126,18 @@ class TestProjectiveSample:
             OperatorMatrix(raising)
         with pytest.raises(ValueError):
             projective_sample(state, collective_op_dicke("z", 3), 0, seed=0)
+
+    @pytest.mark.parametrize("m_shots", [True, 10.0, 10.5, "10", None])
+    def test_shot_counts_that_are_no_integers_are_refused(self, m_shots):
+        state = random_symmetric_state(3, seed=1)
+        with pytest.raises(ValueError, match="shot count must be an integer"):
+            projective_sample(state, collective_op_dicke("z", 3), m_shots, seed=0)
+
+    def test_numpy_integer_shot_counts_are_counts(self):
+        state = random_symmetric_state(3, seed=1)
+        op = collective_op_dicke("z", 3)
+        record = projective_sample(state, op, np.int64(50), seed=2)
+        assert record.to_dict() == projective_sample(state, op, 50, seed=2).to_dict()
 
     @pytest.mark.parametrize("m_shots", [sampler.MAX_SHOTS + 1, 10**12])
     def test_shots_past_the_cap_never_reach_the_tally(self, m_shots, monkeypatch):
@@ -277,15 +290,55 @@ class TestEstimateS:
         written = []
         sums = operators.component_sums
 
-        def spy(weights, space, n_atoms):
-            out = sums(weights, space, n_atoms)
+        def spy(weights, n_atoms):
+            out = sums(weights, n_atoms)
             written.append(out.shape)
             return out
 
         for module in (frame, sampler):
             monkeypatch.setattr(module, "component_sums", spy, raising=False)
         estimate_s_from_samples(random_symmetric_state(6, seed=43), 2000, seed=1)
-        assert written == [(2, 7, 7)]
+        assert written == [(7, 7), (7, 7)]
+
+    def test_one_dense_operator_is_alive_at_a_time(self, monkeypatch):
+        # Jy' is written only once Jx' is sampled and dropped
+        alive = []
+        sums = operators.component_sums
+
+        def no_operator_alive():
+            assert all(ref() is None for ref in alive), "an earlier operator is alive"
+
+        def write(*args):
+            no_operator_alive()
+            return sums(*args)
+
+        def build(entries):
+            no_operator_alive()
+            op = LadderOperator(entries)
+            alive.append(weakref.ref(op))
+            return op
+
+        monkeypatch.setattr(sampler, "component_sums", write)
+        monkeypatch.setattr(sampler, "LadderOperator", build)
+        state = random_symmetric_state(6, seed=43)
+        est = estimate_s_from_samples(state, 2000, seed=1)
+        assert len(alive) == 2
+        monkeypatch.undo()
+        assert est.s_hat == estimate_s_from_samples(state, 2000, seed=1).s_hat
+
+    @pytest.mark.parametrize(
+        "m_shots", [1500.5, 2000.0, np.float64(2000.0)], ids=["1500.5", "2000.0", "np.float64"]
+    )
+    def test_shot_counts_that_are_no_integers_are_refused_before_any_write(
+        self, m_shots, monkeypatch
+    ):
+        def build(*args):
+            raise AssertionError("component_sums built for a fractional shot count")
+
+        monkeypatch.setattr(sampler, "component_sums", build)
+        state = random_symmetric_state(4, seed=45)
+        with pytest.raises(ValueError, match="shot count must be an integer"):
+            estimate_s_from_samples(state, m_shots, seed=0)
 
     def test_s_error_falls_back_to_quadrature_when_both_moments_vanish(
         self, monkeypatch

@@ -327,6 +327,38 @@ class TestRandomStates:
             with pytest.raises(ValueError, match=r"integer in \[0, 2\*\*64\)"):
                 draw(3, seed)
 
+    @pytest.mark.parametrize("build, n_atoms", [
+        (lambda n: symmetric_state(n, [1, 0, 0, 0]), 3.7),
+        (lambda n: full_state(n, [1, 0, 0, 0]), 2.9),
+        (lambda n: random_symmetric_state(n, 0), 3.5),
+        (lambda n: random_product_state(n, 0), 3.5),
+        (lambda n: random_product_state(n, 0), True),
+        (lambda n: symmetric_state(n, [1, 0, 0, 0]), None),
+    ], ids=["symmetric-3.7", "full-2.9", "random_symmetric-3.5", "random_product-3.5",
+            "random_product-True", "symmetric-None"])
+    def test_atom_counts_must_be_integers(self, build, n_atoms):
+        # int() truncated 3.7 to a 3-atom state; numpy refused the rest
+        with pytest.raises(InvalidStateError, match="n_atoms: expected an integer"):
+            build(n_atoms)
+
+    @pytest.mark.parametrize("n_atoms", [0, -1])
+    def test_product_draw_refuses_no_atoms_before_drawing(self, n_atoms, monkeypatch):
+        def draw(*args):
+            raise AssertionError("drew for no atoms")
+
+        monkeypatch.setattr(states, "_gaussians", draw)
+        with pytest.raises(InvalidStateError, match=f"need at least 1 atom, got {n_atoms}"):
+            random_product_state(n_atoms, 0)
+
+    def test_integral_atom_counts_build_the_same_states(self):
+        assert random_product_state(3.0, 5).qubits.tobytes() == (
+            random_product_state(3, 5).qubits.tobytes()
+        )
+        assert random_symmetric_state(4.0, 5).coeffs.tobytes() == (
+            random_symmetric_state(4, 5).coeffs.tobytes()
+        )
+        assert full_state(2.0, [0, 1, 0, 0]).n_atoms == 2
+
     @pytest.mark.parametrize("seed", EDGE_SEEDS)
     def test_random_states_keep_the_per_seed_draw(self, seed):
         coeffs = symmetric_state(5, per_seed_gaussians(6, seed), normalize=True).coeffs

@@ -317,12 +317,15 @@ def test_primed_operators_are_exactly_hermitian(space, n_atoms):
     # Hermiticity check, so each must equal its conjugate transpose exactly;
     # the same sums of the ladder components are the sampler's operators
     angles = frame_angles(n_atoms, 400)
-    dim = 2**n_atoms if space == "full" else n_atoms + 1
+    if space == "full":
+        dim, sums = 2**n_atoms, verify._dense_sums
+    else:
+        dim, sums = n_atoms + 1, component_sums
     trig = (
         [getattr(a, name) for a in angles]
         for name in ("cos_theta", "sin_theta", "cos_phi", "sin_phi")
     )
-    ops = component_sums(primed_axes(*trig).reshape(-1, 3), space, n_atoms)
+    ops = sums(primed_axes(*trig).reshape(-1, 3), n_atoms)
     assert ops.shape == (2 * len(angles), dim, dim)
     assert np.max(np.abs(ops - ops.conj().swapaxes(-1, -2))) == 0.0
 
