@@ -28,13 +28,13 @@ states from one seeded generator, a ``(K, N+1)`` ladder stack at a time as
 (``states.ladder_stack``, ``states.coherent_stack``), and each stack's
 columns come from ``stack_columns`` and are used as they are yielded: no
 report object is built per row.  The sum-route sweep checks the sum-route
-columns against an independent direct route from dense 2**N operators
-along the stack's axis columns, each one matrix product of their weights
-with the cached dense Jx, Jy and Jz (``_dense_sums``) and hermitian by
-construction, in chunks of at most ``DENSE_ENTRIES`` entries.  Every
-recorded float is the one the per-state functions give.  Every sweep passes
-by one verdict (``_summary``): its worst value, NaN if any is, is at most
-its tolerance.
+columns against an independent direct route in the 2**N space: one real
+matrix product, the same for each row, applies the cached dense Jx and Jy
+to a chunk of 2**N vectors, Jz acts as its diagonal, and the three are
+weighted per row along the stack's axis columns (``_weighted_action``); no
+operator is written per state.  Every recorded float is the one the state
+gives alone.  Every sweep passes by one verdict (``_summary``): its worst
+value, NaN if any is, is at most its tolerance.
 """
 
 from __future__ import annotations
@@ -64,12 +64,8 @@ from .states import _check_atom_count, coherent_stack, full_rows, ladder_stack
 RESIDUAL_TOL = 1e-12
 PRODUCT_S_TOL = 1e-10
 
-# Most complex entries in one chunk of a dense sweep, 0.5 MiB: the x' and y'
-# operators of 2**15 // (2 * 4**N) states in the sum-route sweep, and the
-# gathered term products of 59 angle pairs (552 each) in the cancellation
-# sweep.  With the operators built as one matrix product, chunks of 2**14 to
-# 2**17 entries ran a default verification equally fast within the noise (one
-# BLAS thread of a loaded 2-vCPU Xeon), so the bound stays this small.
+# Most complex entries in one stack of the cancellation sweep, 0.5 MiB: the
+# gathered term products of 59 angle pairs (552 each).
 DENSE_ENTRIES = 2**15
 
 
@@ -394,30 +390,65 @@ def _draws(size, count, seed, row_size):
         yield draw[:, :size] + 1j * draw[:, size:]
 
 
-def _dense_deviations(worst, n_atoms, rows, columns, part):
-    """Fold the route deviations of the framed rows ``part`` into ``worst``.
+@lru_cache(maxsize=None)
+def _real_components(n_atoms):
+    """Jx over Jy/i as one real ``(2 * 2**N, 2**N)`` matrix, and Jz's diagonal.
 
-    ``part`` is a slice of the framed rows of one stack's ``columns`` and
-    ``rows`` their ladder rows.  The direct route of each comes from dense
-    2**N operators, as ``central_moment`` takes it state by state: the rows'
-    2**N vectors (``full_rows``), the x' and y' operators of their frames
-    (the ``columns.axes`` slice) as ``_dense_sums`` of the dense Jx, Jy
-    and Jz, and the third moments from ``_shifted_moments`` with one
-    stacked ``matmul``, which gives each operator's ``entries @ v`` in every
-    bit.  Each is checked against the sum-route column of its axis.
+    Read off ``_components``: Jx is real, Jy imaginary and Jz diagonal, so
+    for a real ``(2**N, 2)`` matrix u, ``xy @ u`` stacks Xu over Yu
+    (X = Jx, Y = Jy/i).  The diagonal holds each entry twice, to scale the
+    real and imaginary parts of a complex row read as floats.  Both are
+    read-only.
+    """
+    dim = 1 << n_atoms
+    x, y, z = _components(n_atoms).reshape(3, dim, dim)
+    xy = np.concatenate((x.real, y.imag))
+    z = np.repeat(z.real.diagonal(), 2)
+    for table in (xy, z):
+        table.setflags(write=False)
+    return xy, z
+
+
+def _weighted_action(weights, rows, n_atoms):
+    """``(w_x Jx + w_y Jy + w_z Jz) @ v`` for each row v of ``rows``, own weights.
+
+    ``rows`` is a contiguous ``(K, 2**N)`` complex stack and ``weights`` a
+    ``(K, 3)`` real one.  Each row v = a + ib is read as the real
+    ``(2**N, 2)`` matrix with columns a and b, so one stacked real matrix
+    product with ``_real_components`` gives Xv and Yv of every row as
+    complex rows; Jy v is iYv, and Jz acts as its diagonal.  The product is
+    the same ``(2 * 2**N, 2**N)`` by ``(2**N, 2)`` one for each row, so each
+    row's floats are the ones it gets alone.  One product over the whole
+    stack would not promise that: a BLAS picks its kernel by the shape of a
+    product, and OpenBLAS adds the entries of a row in another order for a
+    stack of one than for a stack of ten at N = 5.
+    """
+    xy, z = _real_components(n_atoms)
+    count, dim = rows.shape
+    floats = rows.view(float)
+    products = (xy @ floats.reshape(count, dim, 2)).reshape(count, 2, 2 * dim)
+    w_x, w_y, w_z = weights.T[..., None]
+    out = (w_x * products[:, 0] + w_z * (z * floats)).view(complex)
+    out += 1j * w_y * products[:, 1].view(complex)
+    return out
+
+
+def _direct_third_moments(n_atoms, rows, axes):
+    """The direct-route third moments of ladder ``rows`` in the 2**N space.
+
+    ``rows`` are checked ``(K, N+1)`` ladder rows and ``axes`` their x' and
+    y' axis columns, shape ``(2, K, 3)``.  The rows' 2**N vectors
+    (``full_rows``) go through one shifted-power recurrence
+    (``_shifted_moments``) with ``_weighted_action`` along their axes.
+    Returns the ``(2, K)`` third moments, x' first.
     """
     full = full_rows(n_atoms, rows)
-    ops = _dense_sums(columns.axes[:, part].reshape(-1, 3), n_atoms)
+    weights = axes.reshape(-1, 3)
     moments = _shifted_moments(
-        np.concatenate((full, full)), lambda v: (ops @ v[..., None])[..., 0], n_atoms, 3
+        np.concatenate((full, full)),
+        lambda v: _weighted_action(weights, v, n_atoms), n_atoms, 3,
     )
-    # the x' operators of the chunk come first
-    direct_xp, direct_yp = moments[:, 1].reshape(2, -1).tolist()
-    return worst_of(chain(
-        [worst],
-        map(route_deviation, direct_xp, columns.m3_xp_sum[part]),
-        map(route_deviation, direct_yp, columns.m3_yp_sum[part]),
-    ))
+    return moments[:, 1].reshape(2, -1)
 
 
 def verify_sum_route(n_atoms, n_trials, seed):
@@ -427,11 +458,13 @@ def verify_sum_route(n_atoms, n_trials, seed):
     one ``default_rng(seed)`` (``_draws``) and normalized as
     ``random_symmetric_state`` normalizes its draw.  They are checked as
     ``(K, N+1)`` ladder stacks (``ladder_stack``), and ``stack_columns``
-    gives each stack's frames and sum-route moments.  The direct side of the framed rows is computed with
-    dense rotated operators in the full 2**N space (hence the 3 <= N <= 6
-    window), in chunks of at most ``DENSE_ENTRIES`` operator entries
-    (``_dense_deviations``).  Every float is the one the state gets
-    evaluated alone.  Frame-undefined rows are skipped and counted.
+    gives each stack's frames and sum-route moments.  The direct side of
+    the framed rows is computed in the full 2**N space (hence the
+    3 <= N <= 6 window): Jx, Jy and Jz act on their 2**N vectors and are
+    weighted along their axes (``_direct_third_moments``), in chunks of at
+    most ``STACK_LEVELS`` amplitudes (``stacks_of``).  Every float is the
+    one the state gets evaluated alone.  Frame-undefined rows are skipped
+    and counted.
     """
     if not 3 <= n_atoms <= 6:
         raise ValueError(f"dense sum-route sweep needs 3 <= N <= 6, got {n_atoms}")
@@ -450,9 +483,16 @@ def verify_sum_route(n_atoms, n_trials, seed):
         framed = columns.frame.framed
         if len(framed) < len(psi):
             psi = psi[framed]
-        for chunk in stacks_of(range(len(framed)), 2 * 4**n_atoms, DENSE_ENTRIES):
+        for chunk in stacks_of(range(len(framed)), 1 << n_atoms):
             part = slice(chunk[0], chunk[-1] + 1)
-            worst = _dense_deviations(worst, n_atoms, psi[part], columns, part)
+            direct_xp, direct_yp = _direct_third_moments(
+                n_atoms, psi[part], columns.axes[:, part]
+            ).tolist()
+            worst = worst_of(chain(
+                [worst],
+                map(route_deviation, direct_xp, columns.m3_xp_sum[part]),
+                map(route_deviation, direct_yp, columns.m3_yp_sum[part]),
+            ))
         used += len(framed)
     return _summary(f"sum_route_n{n_atoms}", n_trials + 1, n_trials + 1 - used, worst,
                     ROUTE_REL_TOL)

@@ -50,11 +50,15 @@ def test_passes():
 '''
 
 
-@pytest.mark.parametrize("misspelling", ["marker", "ini key"])
+@pytest.mark.parametrize("misspelling", ["marker", "unwarned marker", "ini key"])
 def test_a_misspelling_fails_the_run(misspelling, tmp_path):
-    # an unknown marker or ini key would otherwise only warn, and the run pass
+    # an unknown marker or ini key would otherwise only warn, and the run
+    # pass; with its warning ignored, only the strict setting fails the marker
     config = PYPROJECT.read_text()
-    if misspelling == "marker":
+    options = []
+    if misspelling == "unwarned marker":
+        options = ["-W", "ignore::pytest.PytestUnknownMarkWarning"]
+    if misspelling != "ini key":
         (tmp_path / "test_typo.py").write_text(MISSPELLED_MARKER)
     else:
         (tmp_path / "test_typo.py").write_text("def test_passes():\n    pass\n")
@@ -62,7 +66,7 @@ def test_a_misspelling_fails_the_run(misspelling, tmp_path):
                                 "[tool.pytest.ini_options]\nfilterwarning = []\n")
     (tmp_path / "pyproject.toml").write_text(config)
     run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *options,
          "-c", "pyproject.toml", "--rootdir", str(tmp_path), "test_typo.py"],
         cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )

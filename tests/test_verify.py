@@ -12,12 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
+import mpref
 from trispin import (
     FrameUndefinedError,
     InvalidStateError,
     OperatorMatrix,
     cancellation_sweep,
-    central_moment,
     collective_op,
     dicke_to_full,
     entanglement_s,
@@ -313,9 +313,10 @@ def frame_angles(seed, count):
     *(pytest.param("ladder", n, id=f"ladder-{n}") for n in (3, 4, 5, 6)),
 ])
 def test_primed_operators_are_exactly_hermitian(space, n_atoms):
-    # the sum-route sweep builds its dense x' and y' operators without a
-    # Hermiticity check, so each must equal its conjugate transpose exactly;
-    # the same sums of the ladder components are the sampler's operators
+    # verify builds its dense sums of Jx, Jy and Jz (the cancellation cube's
+    # x' operators) without a Hermiticity check, so each must equal its
+    # conjugate transpose exactly; the same sums of the ladder components
+    # are the sampler's operators
     angles = frame_angles(n_atoms, 400)
     if space == "full":
         dim, sums = 2**n_atoms, verify._dense_sums
@@ -403,8 +404,15 @@ def gaussians(rng, size):
     return draw[:size] + 1j * draw[size:]
 
 
+def one_state_third_moment(full, axis, n_atoms):
+    """The 2**N direct third moment of one ``(1, 2**N)`` vector along ``axis``."""
+    weights = np.array([axis])
+    apply = lambda v: verify._weighted_action(weights, v, n_atoms)  # noqa: E731
+    return moments._shifted_moments(full, apply, n_atoms, 3)[0, 1].item()
+
+
 def per_state_sum_route(n_atoms, n_trials, seed):
-    """``verify_sum_route`` with every state's ladder side evaluated alone."""
+    """``verify_sum_route`` with every state evaluated alone, both sides."""
     rng = np.random.default_rng(seed)
     ghz = np.zeros(n_atoms + 1, dtype=complex)
     ghz[0] = ghz[-1] = 1.0 / math.sqrt(2.0)
@@ -412,7 +420,6 @@ def per_state_sum_route(n_atoms, n_trials, seed):
         symmetric_state(n_atoms, gaussians(rng, n_atoms + 1), normalize=True)
         for _ in range(n_trials)
     ]
-    base = [collective_op(axis, n_atoms).entries for axis in "xyz"]
     worst = 0.0
     skipped = 0
     for state in states:
@@ -422,13 +429,11 @@ def per_state_sum_route(n_atoms, n_trials, seed):
         except FrameUndefinedError:
             skipped += 1
             continue
-        full = dicke_to_full(state)
-        op_xp, op_yp = (
-            OperatorMatrix(sum(w * mat for w, mat in zip(row, base)))
+        full = dicke_to_full(state).amplitudes[None]
+        direct_xp, direct_yp = (
+            one_state_third_moment(full, row, n_atoms)
             for row in rotation_matrix(angles)[:2]
         )
-        direct_xp = central_moment(full, op_xp, 3)
-        direct_yp = central_moment(full, op_yp, 3)
         corr = triple_correlators(state)
         sum_xp = third_moment_sum_xp(angles, corr)
         sum_yp = third_moment_sum_yp(angles, corr)
@@ -466,32 +471,27 @@ def per_state_product_vanishing(n_atoms, n_trials, seed):
 
 SEEDS = st.integers(0, 2**32 - 1)
 TRIALS = st.integers(1, 30)
-# rows per ladder stack and per dense chunk: None keeps the default bound,
-# small counts put stack and chunk edges inside a sweep
+# rows per ladder stack: None keeps the default bound, small counts put
+# stack edges inside a sweep; the sum-route sweep's 2**N chunks hold as many
+# amplitudes as its ladder stacks hold levels, so chunk edges fall inside
+# its stacks too (at N = 3, 7 rows of 4 levels make chunks of 3 rows of 8)
 ROWS = st.one_of(st.none(), st.integers(1, 7))
 
 
 @contextmanager
-def bounded_stacks(n_atoms, ladder_rows, dense_rows=None):
-    """Set ``STACK_LEVELS`` and ``DENSE_ENTRIES`` to hold that many rows."""
+def bounded_stacks(n_atoms, ladder_rows):
+    """Set ``STACK_LEVELS`` to hold that many ladder rows."""
     with pytest.MonkeyPatch.context() as patch:
         if ladder_rows is not None:
             patch.setattr(moments, "STACK_LEVELS", ladder_rows * (n_atoms + 1))
-        if dense_rows is not None:
-            patch.setattr(verify, "DENSE_ENTRIES", dense_rows * 2 * 4**n_atoms)
         yield
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(
-    n_atoms=st.integers(3, 6), n_trials=TRIALS, seed=SEEDS,
-    ladder_rows=ROWS, dense_rows=ROWS,
-)
-def test_stacked_sum_route_equals_per_state_loop(
-    n_atoms, n_trials, seed, ladder_rows, dense_rows
-):
+@given(n_atoms=st.integers(3, 6), n_trials=TRIALS, seed=SEEDS, ladder_rows=ROWS)
+def test_stacked_sum_route_equals_per_state_loop(n_atoms, n_trials, seed, ladder_rows):
     # the GHZ probe leads every sum-route stack, so each draw has a skipped row
-    with bounded_stacks(n_atoms, ladder_rows, dense_rows):
+    with bounded_stacks(n_atoms, ladder_rows):
         stacked = verify_sum_route(n_atoms, n_trials, seed)
     assert stacked.n_skipped >= 1
     assert repr(stacked) == repr(per_state_sum_route(n_atoms, n_trials, seed))
@@ -560,18 +560,16 @@ def test_one_chunker(module):
     "sweep, use, rows_used",
     [
         # the sum-route sweep draws a GHZ-like row first, outside the count;
-        # each framed row reaches the dense side in a chunk of rows
-        (verify_sum_route, "_dense_deviations",
-         lambda worst, n_atoms, rows, columns, part: len(rows)),
+        # each framed row reaches the 2**N side in a chunk of rows
+        (verify_sum_route, "_direct_third_moments",
+         lambda n_atoms, rows, axes: len(rows)),
         (verify_product_vanishing, "_s_column", lambda columns: len(columns.s_parameter)),
     ],
     ids=["sum_route", "product_vanishing"],
 )
 def test_sweeps_stream_through_bounded_stacks(sweep, use, rows_used, monkeypatch):
-    monkeypatch.setattr(moments, "STACK_LEVELS", 20)  # 5 states of 4 levels
-    # dense chunks of 5 rows too: by default a chunk is never longer than a
-    # ladder stack at N = 3 (256 against 1024 rows)
-    monkeypatch.setattr(verify, "DENSE_ENTRIES", 5 * 2 * 4**3)
+    # 5 states of 4 levels, and 2**N chunks of 2 states of 8 amplitudes
+    monkeypatch.setattr(moments, "STACK_LEVELS", 20)
     counts = {"drawn": 0, "used": 0}
     ahead = []
     drawn_fn, used_fn = verify._draws, getattr(verify, use)
@@ -608,3 +606,109 @@ def test_draws_are_the_per_state_draws_one_stack_at_a_time(seed, monkeypatch):
         stacks = list(verify._draws(4, 23, seed, 4))
         assert [len(stack) for stack in stacks] == sizes
         assert np.concatenate(stacks).tobytes() == expected
+
+
+# ---------------------------------------------------------------------------
+# The sum-route sweep's 2**N direct route
+# ---------------------------------------------------------------------------
+
+# weight rows with signed zeros, zeros and signs in every slot
+SIGNED_WEIGHTS = np.array([
+    [0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [1.0, 0.0, -0.0], [-0.0, -1.0, 0.0],
+    [0.0, -0.0, 1.0], [-0.6, 0.8, 0.0], [0.0, -0.28, -0.96], [-0.48, -0.6, 0.64],
+])
+
+
+def gamma(n):
+    """Higham's gamma_n = n u / (1 - n u), u the unit roundoff of a double."""
+    return n * 2.0**-53 / (1 - n * 2.0**-53)
+
+
+def random_rows(rng, count, dim):
+    return rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+
+
+@pytest.mark.parametrize("n_atoms", range(1, 7))
+def test_weighted_action_matches_the_dense_operator(n_atoms):
+    # Jx v has N nonzero products per entry, Jy v N and Jz v one, and each
+    # route adds them and scales them in at most N + 3 rounded steps, so each
+    # is within gamma_{N+3} of the exact sum of the absolute terms; the
+    # bound takes gamma_{N+4} to cover the rounding of that sum itself
+    dim = 2**n_atoms
+    bases = [collective_op(axis, n_atoms).entries for axis in AXES]
+    rng = np.random.default_rng(n_atoms)
+    weights = np.concatenate((SIGNED_WEIGHTS, rng.standard_normal((20, 3))))
+    rows = random_rows(rng, len(weights), dim)
+    got = verify._weighted_action(weights, rows, n_atoms)
+    abs_x, abs_y, abs_z = (np.abs(mat) for mat in bases)
+    bound = 2 * gamma(n_atoms + 4)
+    for w, v, out in zip(weights, rows, got):
+        want = OperatorMatrix(sum(c * mat for c, mat in zip(w, bases))).entries @ v
+        a, b = np.abs(v.real), np.abs(v.imag)
+        scale_re = abs(w[0]) * abs_x @ a + abs(w[1]) * abs_y @ b + abs(w[2]) * abs_z @ a
+        scale_im = abs(w[0]) * abs_x @ b + abs(w[1]) * abs_y @ a + abs(w[2]) * abs_z @ b
+        assert np.all(np.abs(out.real - want.real) <= bound * scale_re)
+        assert np.all(np.abs(out.imag - want.imag) <= bound * scale_im)
+
+
+@pytest.mark.parametrize("n_atoms", range(1, 7))
+def test_each_row_gets_its_bits_alone_in_any_stack(n_atoms):
+    # the sweep's largest stack holds the x' and y' rows of one chunk of
+    # STACK_LEVELS amplitudes
+    sizes = [5, 101, 585, 2 * (moments.STACK_LEVELS >> n_atoms)]
+    count = max(sizes)
+    rng = np.random.default_rng(n_atoms)
+    weights = np.concatenate((SIGNED_WEIGHTS, rng.standard_normal((count, 3))))[:count]
+    rows = random_rows(rng, count, 2**n_atoms)
+    alone = [verify._weighted_action(weights[i:i + 1], rows[i:i + 1], n_atoms).tobytes()
+             for i in range(count)]
+    for size in sizes:
+        stacked = []
+        for start in range(0, count, size):
+            part = slice(start, start + size)
+            stacked.extend(
+                row.tobytes() for row in verify._weighted_action(weights[part], rows[part], n_atoms)
+            )
+        assert stacked == alone
+
+
+def sweep_rows(n_atoms, count, seed):
+    """The first ``count`` drawn rows of a sum-route sweep, framed, with their axes."""
+    draws = np.concatenate(list(verify._draws(n_atoms + 1, count, seed, n_atoms + 1)))
+    psi = verify.ladder_stack(n_atoms, draws, normalize=True)
+    (columns,) = verify.stack_columns([psi])
+    return psi[columns.frame.framed], columns.axes
+
+
+@pytest.mark.parametrize("n_atoms", [3, 4, 5, 6])
+def test_direct_third_moments_of_a_stack_are_each_rows_alone(n_atoms):
+    psi, axes = sweep_rows(n_atoms, 101, seed=13)
+    stacked = verify._direct_third_moments(n_atoms, psi, axes)
+    alone = np.concatenate(
+        [verify._direct_third_moments(n_atoms, psi[i:i + 1], axes[:, i:i + 1])
+         for i in range(len(psi))],
+        axis=1,
+    )
+    assert stacked.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("n_atoms", [3, 4, 5, 6])
+def test_direct_third_moments_are_near_the_40_digit_reference(n_atoms):
+    # First-order forward error of the recurrence, with u the unit roundoff,
+    # ||v|| = 1, ||A|| <= N/2 and ||A - <A>|| <= N: one action errs by at
+    # most sqrt(6) gamma_{N+3} N/2 ||x|| (its entries' absolute sums have
+    # norm at most sqrt(6) N/2 ||x||), a shift by 1.5 u N ||x|| more, and
+    # each step multiplies an earlier error by at most N, so (A - <A>)**3 v
+    # is off by 3 (1.23 gamma_{N+3} + 1.5 u) N**3; the last dot product
+    # adds gamma_{2**N+2} N**3, and the error of <A> moves the moment by at
+    # most 3 N**2 times (1.23 gamma_{N+3} N + gamma_{2**N+2} N/2).  With
+    # gamma_n ~ n u that is below (4 (N + 3) + 2**(N+1) + 5) eps N**3.
+    psi, axes = sweep_rows(n_atoms, 5, seed=13)
+    moments3 = verify._direct_third_moments(n_atoms, psi, axes)
+    full = verify.full_rows(n_atoms, psi)
+    eps = 2.0**-52
+    bound = (4 * (n_atoms + 3) + 2 ** (n_atoms + 1) + 5) * eps * n_atoms**3
+    for axis_rows, column in zip(axes, moments3):
+        for vector, axis, moment in zip(full, axis_rows, column):
+            reference = mpref.full_third_moment(vector, axis, n_atoms)
+            assert abs(moment - reference) <= bound
