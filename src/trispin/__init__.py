@@ -13,7 +13,7 @@ measurement statistics from which the moments could be estimated.
 
 import importlib
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 # Every public name once, under the module that defines it, in ``__all__``
 # order.  A module is imported when one of its names is first looked up, so

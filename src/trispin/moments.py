@@ -80,8 +80,8 @@ from .states import as_symmetric
 ROUTE_REL_TOL = 1e-9
 ROUTE_ABS_FLOOR = 1e-12
 
-# Most ladder levels, states x (N + 1), that ``stacks_of`` puts in one stack
-# by default; a stack holds at least one state.  A stack's arrays then take a
+# Most ladder levels, states x (N + 1), that ``stacks_of`` puts in one stack;
+# a stack holds at least one state.  A stack's arrays then take a
 # few MB, and 1000 scan points at N=999 stay within 3% of their
 # point-by-point peak RSS.
 STACK_LEVELS = 4096
@@ -477,15 +477,15 @@ def _report_columns(n_atoms, psi):
     )
 
 
-def stacks_of(items, row_size, budget=None):
+def stacks_of(items, row_size):
     """The one chunker: cut an iterable into stacks of a bounded cost.
 
-    A row costs ``row_size`` and a stack at most ``budget``, by default
-    ``STACK_LEVELS`` ladder levels; a stack holds one row at least.  The
+    A row costs ``row_size`` and a stack at most ``STACK_LEVELS``, in ladder
+    levels or the entries of a row; a stack holds one row at least.  The
     stacks are lists, and each is drawn from ``items`` only when it is asked
     for, so what the items hold follows the stack rather than their number.
     """
-    per_stack = max(1, (STACK_LEVELS if budget is None else budget) // row_size)
+    per_stack = max(1, STACK_LEVELS // row_size)
     items = iter(items)
     return iter(lambda: list(islice(items, per_stack)), [])
 

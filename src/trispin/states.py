@@ -458,9 +458,10 @@ def _gaussians(size, seed):
 
     The draw is ``standard_normal(2 * size)``: the real parts first, then
     the imaginary parts.  The seed must be an integer in [0, 2**64);
-    ``None``, which would give an unseeded draw, is refused with the rest.
+    ``None``, which would give an unseeded draw, and a bool, which numpy
+    would take as 0 or 1, are refused with the rest.
     """
-    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
+    if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
         raise ValueError(f"a seed must be an integer in [0, 2**64), got {seed!r}")
     draw = np.random.default_rng(seed).standard_normal(2 * size)
     return draw[:size] + 1j * draw[size:]

@@ -8,33 +8,33 @@ constant.  ``IDENTITIES`` holds those reductions as term lists derived by
 correlator table is built from, so the suite checks that rule itself;
 ``reduced_terms("xyz")`` shows one list for audit.  The suite rebuilds both
 sides as dense 8x8 matrices: a product of factors is one ``_product`` from
-the identity, and a term list is summed entry by entry over only the terms
-nonzero there, in list order (``_terms_matrix``, over the cached tables of
-``_term_entries``).
+the identity, and a term list is one matrix-vector product of its
+coefficients with the cached table of its term products (``_terms_matrix``
+over ``_term_table``), the same product for every row of coefficients.
 
 On top of the per-word identities, ``verify_cancellation`` checks the key
 cancellation result: the cube of the rotated component Jx' equals a term list
 containing only single-atom and tripartite factors (no bipartite products
-survive), for arbitrary rotation angles.  ``cancellation_sweep`` checks it
-on ``(K, 8, 8)`` stacks of random angle pairs cut by ``moments.stacks_of``,
-and ``verify_cancellation`` is that code on a stack of one.  Every dense
-check, the one-atom relations included (one stack of pairs per rule), passes
-by one rule (``_checked``): the largest entrywise distance of its sides is
-at most ``RESIDUAL_TOL``.  ``verify_sum_route`` and
-``verify_product_vanishing`` are randomized sweeps of the moment formulas,
-run on stacks from the seeded draw to the verdict: each sweep draws its
-states from one seeded generator, a ``(K, N+1)`` ladder stack at a time as
-``moments.stacks_of`` cuts them, checks them once per stack
-(``states.ladder_stack``, ``states.coherent_stack``), and each stack's
+survive), for arbitrary rotation angles.  ``cancellation_sweep`` checks it on
+``(K, 8, 8)`` stacks of random angle pairs cut by ``moments.stacks_of``, and
+``verify_cancellation`` is that code on a stack of one: a pair gets the
+residual it gets in any stack.  Every dense check, the one-atom relations
+included (one stack of pairs per rule), passes by one rule (``_checked``):
+the largest entrywise distance of its sides is at most ``RESIDUAL_TOL``.
+``verify_sum_route`` and ``verify_product_vanishing`` are randomized sweeps
+of the moment formulas, run on stacks from the seeded draw to the verdict:
+each sweep draws its states from one seeded generator, a ``(K, N+1)`` ladder
+stack at a time as ``moments.stacks_of`` cuts them, checks them once per
+stack (``states.ladder_stack``, ``states.coherent_stack``), and each stack's
 columns come from ``stack_columns`` and are used as they are yielded: no
 report object is built per row.  The sum-route sweep checks the sum-route
 columns against an independent direct route in the 2**N space: one real
-matrix product, the same for each row, applies the cached dense Jx and Jy
-to a chunk of 2**N vectors, Jz acts as its diagonal, and the three are
-weighted per row along the stack's axis columns (``_weighted_action``); no
-operator is written per state.  Every recorded float is the one the state
-gives alone.  Every sweep passes by one verdict (``_summary``): its worst
-value, NaN if any is, is at most its tolerance.
+matrix product, the same for each row, applies the cached dense Jx and Jy to
+a chunk of 2**N vectors, Jz acts as its diagonal, and the three are weighted
+per row along the stack's axis columns (``_weighted_action``); no operator is
+written per state.  Every recorded float is the one the state gives alone.
+Every sweep passes by one verdict (``_summary``): its worst value, NaN if any
+is, is at most its tolerance.
 """
 
 from __future__ import annotations
@@ -63,10 +63,6 @@ from .states import _check_atom_count, coherent_stack, full_rows, ladder_stack
 
 RESIDUAL_TOL = 1e-12
 PRODUCT_S_TOL = 1e-10
-
-# Most complex entries in one stack of the cancellation sweep, 0.5 MiB: the
-# gathered term products of 59 angle pairs (552 each).
-DENSE_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
@@ -154,11 +150,11 @@ IDENTITIES = tuple(
 )
 
 
-# The sweeps reuse a handful of small dense operators thousands of times; the
-# cached entries are read-only arrays.
+# The nine one-atom operators of three atoms, which every term table and
+# one-atom relation is built from; the cached entries are read-only arrays.
 @lru_cache(maxsize=None)
-def _atom_op(atom, axis, n_atoms):
-    return single_atom_op(atom, axis, n_atoms).entries
+def _atom_op(atom, axis):
+    return single_atom_op(atom, axis, 3).entries
 
 
 @lru_cache(maxsize=None)
@@ -200,63 +196,30 @@ def identity_lhs(entry):
 
 
 @lru_cache(maxsize=None)
-def _term_entries(factor_lists):
-    """Where the terms of a sum of dense 8x8 term products are nonzero.
+def _term_table(factor_lists):
+    """Column t: the flat dense 8x8 product of the factors ``factor_lists[t]``.
 
-    Each of the T tuples of ``(atom, axis)`` factors (none give the
-    identity) is one term, the dense product of its factors, with 8 nonzero
-    entries.  An entry of the sum gets the terms nonzero there, in list
-    order: its first, its second and so on are its terms of rank 0, 1, ...
-    Returns ``(entries, terms, values, widths)``: the flat entries that any
-    term reaches, the fullest first, so that the entries with a term of
-    rank r are the first ``widths[r]``; then, rank after rank, the term
-    number (from 0) and the term's value at each of those entries.  Cached
-    per tuple of factor lists and read-only, so every cancellation trial
-    reuses one set of tables.
+    The ``(64, T)`` table is cached per tuple of ``(atom, axis)`` factor
+    lists and read-only, so every cancellation stack reuses one table.
     """
-    stack = np.array([
-        _product(_atom_op(atom, axis, 3) for atom, axis in factors).ravel()
+    table = np.array([
+        _product(_atom_op(atom, axis) for atom, axis in factors).ravel()
         for factors in factor_lists
-    ])
-    nonzero = stack != 0
-    counts = np.count_nonzero(nonzero, axis=0)
-    entries = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
-    # a stable sort puts each entry's terms first, in list order
-    ranked = np.argsort(~nonzero[:, entries], axis=0, kind="stable")
-    widths = tuple(int(np.count_nonzero(counts > rank)) for rank in range(counts.max()))
-    terms = np.concatenate([ranked[rank, :width] for rank, width in enumerate(widths)])
-    values = stack[terms, np.concatenate([entries[:width] for width in widths])]
-    for table in (entries, terms, values):
-        table.setflags(write=False)
-    return entries, terms, values, widths
+    ]).T.copy()
+    table.setflags(write=False)
+    return table
 
 
 def _terms_matrix(coeffs, factor_lists):
-    """Dense 8x8 sums of the terms ``coeffs[..., i] * term(factor_lists[i])``.
+    """Dense 8x8 sums of the terms ``coeffs[..., t] * term(factor_lists[t])``.
 
-    ``coeffs`` has shape ``(..., T)`` and the result ``(..., 8, 8)``.  Each
-    entry adds, from +0 and in list order, the products of the coefficients
-    with the terms nonzero there (``_term_entries``), one rank of terms per
-    step: the additions of a loop over all the terms, bit for bit.  A
-    skipped product is an exact zero, which leaves a nonzero partial sum as
-    it is, and a zero partial sum stays +0.  The cancellation sweep's
-    recorded ``worst`` depends on that order, so each sum stays sequential:
-    ``np.sum`` promises no order and ``matmul``, ``tensordot`` and
-    ``einsum`` add in their own, which would move it.
+    One ``np.matvec`` of ``_term_table`` with each contiguous row of
+    ``coeffs``, ``(..., T)``: every row gets the same product, so its sums
+    do not depend on the rows beside it, which one product over the whole
+    stack would not promise, since a BLAS picks its kernel by the shape.
     """
-    entries, terms, values, widths = _term_entries(factor_lists)
-    coeffs = np.asarray(coeffs, dtype=complex)
-    lead = coeffs.shape[:-1]
-    products = coeffs[..., terms]
-    products *= values
-    sums = np.zeros((*lead, len(entries)), dtype=complex)
-    start = 0
-    for width in widths:
-        sums[..., :width] += products[..., start:start + width]
-        start += width
-    out = np.zeros((*lead, 64), dtype=complex)
-    out[..., entries] = sums
-    return out.reshape(*lead, 8, 8)
+    sums = np.matvec(_term_table(factor_lists), np.ascontiguousarray(coeffs, dtype=complex))
+    return sums.reshape(*sums.shape[:-1], 8, 8)
 
 
 def identity_rhs(entry):
@@ -268,7 +231,7 @@ def identity_rhs(entry):
 def _single_atom_relation_results():
     """The one-atom product rules on three atoms, one stack of pairs per rule."""
     # each a (3, 8, 8) stack over the atoms
-    x, y, z = (np.array([_atom_op(atom, axis, 3) for atom in (1, 2, 3)]) for axis in AXES)
+    x, y, z = (np.array([_atom_op(atom, axis) for atom in (1, 2, 3)]) for axis in AXES)
     ops, following = np.concatenate((x, y, z)), np.concatenate((y, z, x))
     return [
         _checked("atom_square", ops @ ops, 0.25 * np.eye(8, dtype=complex)),
@@ -346,8 +309,12 @@ def verify_cancellation(theta, phi):
     return _cancellation_check([(theta, phi)])
 
 
-def _check_trials(count):
-    # a sweep of no trials checks nothing, so it must not pass
+def _check_trials(count, seed):
+    # a bool is no count, and a sweep of no trials must not pass; a None seed
+    # draws from OS entropy, which no record replays (numpy refuses a negative)
+    for name, value in (("trial count", count), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"verification sweeps need an integer {name}, got {value!r}")
     if count < 1:
         raise ValueError(f"verification sweeps need at least 1 trial, got {count}")
 
@@ -356,16 +323,15 @@ def cancellation_sweep(n_pairs=100, seed=13):
     """Random-angle sweep of the cancellation check (at least one pair).
 
     The pairs are drawn one by one from ``default_rng(seed)`` and checked as
-    ``(K, 8, 8)`` stacks cut by ``stacks_of``: a stack holds at most
-    ``DENSE_ENTRIES`` of the term products its reduced forms gather.
+    ``(K, 8, 8)`` stacks cut by ``stacks_of``, a pair's 64 entries its row;
+    each pair gets the residual it gets alone (``_terms_matrix``).
     """
-    _check_trials(n_pairs)
+    _check_trials(n_pairs, seed)
     rng = np.random.default_rng(seed)
     pairs = (
         (rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi)) for _ in range(n_pairs)
     )
-    products = _term_entries(_CANCELLATION_FACTORS)[1].size
-    stacks = stacks_of(pairs, products, DENSE_ENTRIES)
+    stacks = stacks_of(pairs, 64)
     worst = worst_of(_cancellation_check(stack).max_abs_residual for stack in stacks)
     return _summary("cancellation_sweep", n_pairs, 0, worst, RESIDUAL_TOL)
 
@@ -468,7 +434,7 @@ def verify_sum_route(n_atoms, n_trials, seed):
     """
     if not 3 <= n_atoms <= 6:
         raise ValueError(f"dense sum-route sweep needs 3 <= N <= 6, got {n_atoms}")
-    _check_trials(n_trials)
+    _check_trials(n_trials, seed)
     # levels 0 and N normalize to exactly the 1/sqrt(2) of a GHZ state
     ghz = np.zeros(n_atoms + 1)
     ghz[0] = ghz[-1] = 1.0
@@ -514,7 +480,7 @@ def verify_product_vanishing(n_atoms, n_trials, seed):
     folded into ``worst_s`` as it is yielded.
     """
     _check_atom_count(n_atoms)
-    _check_trials(n_trials)
+    _check_trials(n_trials, seed)
     draws = _draws(2, n_trials, seed, n_atoms + 1)
     stacks = (coherent_stack(n_atoms, qubits) for qubits in draws)
     worst_s = worst_of(chain.from_iterable(map(_s_column, stack_columns(stacks))))
@@ -528,7 +494,7 @@ def run_verification(trials=100, seed=13, n_atoms=None, corrupt_identity=None):
     dense sum-route comparison only exists for 3 <= N <= 6 and is skipped
     outside that window.
     """
-    _check_trials(trials)
+    _check_trials(trials, seed)
     if n_atoms is not None:
         _check_atom_count(n_atoms)
     identities = verify_identity_suite(corrupt_identity)

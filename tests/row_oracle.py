@@ -16,8 +16,11 @@ columns of ``moments.ReportColumns`` and ``package_columns`` lays out the
 package's columns the same way, each float in hex, so the two compare as
 dicts.
 
-``terms_matrix_by_term`` is the term-by-term loop that the gathered
-``verify._terms_matrix`` replaces: the same additions in the same order.
+``terms_matrix_by_term`` is the term-by-term loop, adding the terms in
+list order from +0.  ``verify._terms_matrix`` adds them in BLAS's order,
+so the two agree bit for bit only where every sum is exact (the
+identities), and otherwise to within a rounding bound of
+``terms_scale_by_term``, the sum of the absolute terms.
 ``cancellation_sweep_by_pair`` is the cancellation sweep one pair at a
 time, as it ran before its stacks: each x' row from ``frame_rows_by_row``,
 each x' operator as Python's ``sum`` of the weighted dense components, its
@@ -42,6 +45,7 @@ that every column holds the floats of each state evaluated alone
 """
 
 import math
+from functools import lru_cache
 from itertools import permutations
 from operator import mul
 from typing import NamedTuple
@@ -245,18 +249,32 @@ def reports_by_row(n_atoms, syms):
     return rows
 
 
+@lru_cache(maxsize=None)
+def term_product(factors):
+    """The dense 8x8 product of ``(atom, axis)`` factors, from the identity."""
+    return _product(_atom_op(atom, axis) for atom, axis in factors)
+
+
 def terms_matrix_by_term(terms):
     """Dense 8x8 sum of ``(coeff, factors)`` terms, added one by one from zero."""
     out = np.zeros((8, 8), dtype=complex)
     for coeff, factors in terms:
-        out = out + coeff * _product(_atom_op(atom, axis, 3) for atom, axis in factors)
+        out = out + coeff * term_product(factors)
     return out
 
 
+def terms_scale_by_term(terms):
+    """Dense 8x8 sum of ``|coeff| * |term|`` over ``(coeff, factors)`` terms."""
+    return sum(abs(coeff) * np.abs(term_product(factors)) for coeff, factors in terms)
+
+
 def cancellation_sweep_by_pair(n_pairs, seed):
-    """The worst residual of the cancellation sweep, one pair at a time."""
+    """The cancellation sweep one pair at a time: its worst residual and scale.
+
+    The scale is the largest entry of any pair's ``terms_scale_by_term``.
+    """
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst = scale = 0.0
     for _ in range(n_pairs):
         theta, phi = rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi)
         axis, _, _ = frame_rows_by_row(RotationAngles(
@@ -266,9 +284,11 @@ def cancellation_sweep_by_pair(n_pairs, seed):
         coeffs = [1.75 * w for w in axis] * 3 + [
             weight for weight in pattern_weights_by_row(axis) for _ in range(6)
         ]
-        rhs = terms_matrix_by_term(zip(coeffs, _CANCELLATION_FACTORS))
+        terms = list(zip(coeffs, _CANCELLATION_FACTORS))
+        rhs = terms_matrix_by_term(terms)
         worst = worst_of((worst, float(np.max(np.abs(combo @ combo @ combo - rhs)))))
-    return worst
+        scale = max(scale, float(np.max(terms_scale_by_term(terms))))
+    return worst, scale
 
 
 def spectrum_by_group(state, op):

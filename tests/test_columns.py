@@ -6,20 +6,23 @@ stage one row at a time, with its own copy of the scalar frame.  Every
 column must match it by ``float.hex`` (every float, signed zeros
 included), and the frame must refuse a non-finite mean spin with the
 scalar frame's message.  The
-cancellation and identity sums add only the terms nonzero at each entry;
-they must give the term-by-term loop's matrices bit for bit, and the
-stacked cancellation sweep the pair-by-pair loop's worst residual.  The
-cached tables behind both refuse writes.
+identity sums are exact, so they must give the term-by-term loop's matrices
+bit for bit; the cancellation sums, and the stacked cancellation sweep's
+worst residual, must stay within a first-order rounding bound of that loop
+and of the exact sums, and a stack must not move a pair's residual by a
+bit.  The cached tables behind both refuse writes.
 """
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mpref
 from row_oracle import (
     cancellation_sweep_by_pair,
     oracle_columns,
@@ -31,6 +34,7 @@ from row_oracle import (
     rows_alone,
     stacked_rows,
     terms_matrix_by_term,
+    terms_scale_by_term,
 )
 from trispin import (
     MeanSpin,
@@ -419,28 +423,58 @@ def test_non_finite_mean_message_is_pinned(mean, message):
 
 
 # ---------------------------------------------------------------------------
-# The stacked term sums keep the loop's order
+# The stacked term sums
 # ---------------------------------------------------------------------------
+
+EPS = 2.0**-52
+TERMS = len(verify._CANCELLATION_FACTORS)
+# T products of a real coefficient with a dyadic entry, each exact, added in
+# any order: each sum is within gamma_{T-1} of the exact one times the sum
+# of its absolute terms, so two orders differ by at most 2 gamma_{T-1}; the
+# bound takes (T + 2) eps, which also covers a complex product's rounding
+BOUND = (TERMS + 2) * EPS
+
 
 def bits(matrix):
     return np.ascontiguousarray(matrix).tobytes()
 
 
+def random_pairs(seed, count):
+    rng = np.random.default_rng(seed)
+    return [(rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi)) for _ in range(count)]
+
+
 def test_cancellation_sums_equal_the_term_loop():
-    rng = np.random.default_rng(2024)
-    for _ in range(200):
-        theta, phi = rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi)
+    for theta, phi in random_pairs(2024, 200):
         axis = verify._x_prime_axes([(theta, phi)])[0]
-        stacked = verify._terms_matrix(
-            verify._cancellation_coeffs(axis), verify._CANCELLATION_FACTORS
-        )
-        coeffs = verify._cancellation_coeffs(axis).tolist()
-        loop = terms_matrix_by_term(zip(coeffs, verify._CANCELLATION_FACTORS))
-        assert np.array_equal(stacked, loop)
-        assert bits(stacked) == bits(loop)
+        coeffs = verify._cancellation_coeffs(axis)
+        stacked = verify._terms_matrix(coeffs, verify._CANCELLATION_FACTORS)
+        terms = list(zip(coeffs.tolist(), verify._CANCELLATION_FACTORS))
+        loop = terms_matrix_by_term(terms)
+        assert np.all(np.abs(stacked - loop) <= BOUND * terms_scale_by_term(terms))
         combo = sum(w * collective_op(a, 3).entries for w, a in zip(axis, AXES))
-        residual = float(np.max(np.abs(combo @ combo @ combo - loop)))
+        residual = float(np.max(np.abs(combo @ combo @ combo - stacked)))
         assert repr(verify_cancellation(theta, phi).max_abs_residual) == repr(residual)
+
+
+def exact_distance(sums, exact):
+    """Each entry's largest distance, real or imaginary part, from the exact sums."""
+    return [
+        max(abs(Fraction(z.real) - re), abs(Fraction(z.imag) - im))
+        for z, (re, im) in zip(sums.ravel().tolist(), exact)
+    ]
+
+
+def test_cancellation_sums_are_near_the_exact_sums():
+    # each part of each entry is within gamma_{T-1} of its exact sum times
+    # the sum of its absolute terms; (T + 2) u covers it
+    axes = verify._x_prime_axes(random_pairs(7, 20))
+    coeffs = verify._cancellation_coeffs(axes)
+    sums = verify._terms_matrix(coeffs, verify._CANCELLATION_FACTORS)
+    for row, pair_sums in zip(coeffs, sums):
+        exact, scales = mpref.exact_term_sums(row, verify._CANCELLATION_FACTORS)
+        for distance, scale in zip(exact_distance(pair_sums, exact), scales):
+            assert distance <= Fraction(BOUND / 2) * scale
 
 
 @pytest.mark.parametrize("entry", IDENTITIES, ids=lambda e: e.identity_id)
@@ -451,25 +485,60 @@ def test_identity_sums_equal_the_term_loop(entry):
     assert float(np.max(np.abs(identity_lhs(entry) - stacked))) == 0.0
 
 
+@pytest.mark.parametrize("entry", IDENTITIES, ids=lambda e: e.identity_id)
+def test_identity_sums_are_the_exact_sums(entry):
+    exact, _ = mpref.exact_term_sums(*zip(*entry.terms))
+    assert not any(exact_distance(identity_rhs(entry), exact))
+
+
+def test_terms_matrix_of_a_view_has_the_bits_of_its_copy():
+    axes = verify._x_prime_axes(random_pairs(11, 40))
+    coeffs = verify._cancellation_coeffs(axes)
+    for view in (coeffs[::3], coeffs[5:30:2], np.asfortranarray(coeffs), coeffs.T.T[::-1]):
+        want = verify._terms_matrix(view.copy(), verify._CANCELLATION_FACTORS)
+        assert bits(verify._terms_matrix(view, verify._CANCELLATION_FACTORS)) == bits(want)
+
+
 # trials per stack of the cancellation sweep, so the last count starts a
 # second stack with one pair
-PAIRS_PER_STACK = (
-    verify.DENSE_ENTRIES // verify._term_entries(verify._CANCELLATION_FACTORS)[1].size
-)
+PAIRS_PER_STACK = moments.STACK_LEVELS // 64
+
+
+@pytest.mark.parametrize("n_pairs", [1, 63, 64, 65, 129])
+def test_a_stack_keeps_each_pairs_residual(n_pairs, monkeypatch):
+    # the sweep's stacks, spied on through the one rule of its dense check,
+    # give each pair the residual that verify_cancellation gives it alone
+    checked, stacks, residuals = verify._checked, [], []
+
+    def spy(identity_id, lhs, rhs):
+        stacks.append(len(lhs))
+        residuals.extend(np.max(np.abs(lhs - rhs), axis=(-2, -1)).tolist())
+        return checked(identity_id, lhs, rhs)
+
+    monkeypatch.setattr(verify, "_checked", spy)
+    summary = cancellation_sweep(n_pairs, seed=3)
+    full, last = divmod(n_pairs, PAIRS_PER_STACK)
+    assert stacks == [PAIRS_PER_STACK] * full + [last] * bool(last)
+    monkeypatch.setattr(verify, "_checked", checked)
+    alone = [verify_cancellation(*pair).max_abs_residual for pair in random_pairs(3, n_pairs)]
+    assert list(map(repr, residuals)) == list(map(repr, alone))
+    assert repr(summary.worst) == repr(max(alone))
 
 
 @pytest.mark.parametrize("n_pairs", [1, 7, 100, PAIRS_PER_STACK + 1])
 def test_stacked_cancellation_sweep_equals_the_pair_loop(n_pairs):
+    # each pair's right-hand side moves by at most BOUND times its scale, and
+    # its residual, the largest distance to the cube, by no more
     for seed in range(20):
-        assert repr(cancellation_sweep(n_pairs, seed).worst) == repr(
-            cancellation_sweep_by_pair(n_pairs, seed)
-        )
+        worst, scale = cancellation_sweep_by_pair(n_pairs, seed)
+        assert abs(cancellation_sweep(n_pairs, seed).worst - worst) <= BOUND * scale
 
 
 def test_cancellation_sweep_worst_is_pinned():
-    # recorded in tests/data/verify_pin.json's default run; a change of the
-    # summation order (a matrix product, np.sum) moves it
-    assert repr(cancellation_sweep(100, 13).worst) == "3.1086554460010254e-15"
+    # recorded in tests/data/verify_pin.json's --trials 100 --seed 13 run; a
+    # change of the term sums' addition order (their product, its BLAS)
+    # moves it
+    assert repr(cancellation_sweep(100, 13).worst) == "2.6645352591003757e-15"
 
 
 # max |lhs + rhs| with one right-hand side's sign flipped, as recorded
@@ -502,12 +571,12 @@ CACHED_TABLES = {
     "ladder_spread": lambda: states._ladder_spread(4),
     "half_log_binomials": lambda: (states._half_log_binomials(6),),
     "moment_tols": lambda: (moments._moment_tols(5, 3),),
-    "cancellation_stack": lambda: verify._term_entries(verify._CANCELLATION_FACTORS)[:3],
+    "cancellation_stack": lambda: (verify._term_table(verify._CANCELLATION_FACTORS),),
     "identity_stack": lambda: (
-        verify._term_entries(tuple(factors for _, factors in IDENTITIES[13].terms))[:3]
+        verify._term_table(tuple(factors for _, factors in IDENTITIES[13].terms)),
     ),
     "dense_components": lambda: (verify._components(4),),
-    "atom_op": lambda: (verify._atom_op(2, "y", 3),),
+    "atom_op": lambda: (verify._atom_op(2, "y"),),
 }
 
 

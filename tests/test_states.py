@@ -320,11 +320,13 @@ class TestRandomStates:
         state = random_product_state(6, seed=11)
         np.testing.assert_array_equal(state.qubits, np.tile(state.qubits[0], (6, 1)))
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, None])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, None, True, False])
     def test_seeds_outside_the_unsigned_64_bit_integers_are_refused(self, seed):
-        # None above all: it would give an unseeded draw
+        # None above all: it would give an unseeded draw; a bool would pass
+        # for seed 0 or 1, as JSON booleans are refused as integers elsewhere
+        message = rf"^a seed must be an integer in \[0, 2\*\*64\), got {seed!r}$"
         for draw in (random_symmetric_state, random_product_state):
-            with pytest.raises(ValueError, match=r"integer in \[0, 2\*\*64\)"):
+            with pytest.raises(ValueError, match=message):
                 draw(3, seed)
 
     @pytest.mark.parametrize("build, n_atoms", [

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import math
+import re
 from collections import Counter
 from contextlib import contextmanager
 from functools import lru_cache
@@ -227,6 +228,45 @@ def test_a_sweep_of_no_trials_is_refused(sweep, trials):
     # skipped GHZ probe), so it must not come back passed
     with pytest.raises(ValueError, match="at least 1 trial"):
         sweep(trials)
+
+
+SWEEPS = {
+    "sum_route": lambda trials, seed: verify_sum_route(3, trials, seed),
+    "product_vanishing": lambda trials, seed: verify_product_vanishing(3, trials, seed),
+    "cancellation": cancellation_sweep,
+    "run_verification": run_verification,
+}
+
+
+@pytest.mark.parametrize("sweep", SWEEPS.values(), ids=list(SWEEPS))
+@pytest.mark.parametrize("trials, seed, message", [
+    (True, 1, "an integer trial count, got True"),
+    (2.5, 1, "an integer trial count, got 2.5"),
+    ("3", 1, "an integer trial count, got '3'"),
+    (5, None, "an integer seed, got None"),
+    (5, True, "an integer seed, got True"),
+    (5, 1.0, "an integer seed, got 1.0"),
+], ids=["true-count", "float-count", "str-count", "none-seed", "true-seed", "float-seed"])
+def test_a_sweep_refuses_a_count_or_seed_that_is_no_integer(
+    sweep, trials, seed, message, monkeypatch
+):
+    # before any draw: a None seed would draw from the OS entropy, so the run
+    # could not be replayed, and True would be recorded as the count
+    def no_draw(*args):
+        raise AssertionError("a draw before the arguments were checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ValueError, match=f"^verification sweeps need {re.escape(message)}$"):
+        sweep(trials, seed)
+
+
+@pytest.mark.parametrize("sweep", SWEEPS.values(), ids=list(SWEEPS))
+def test_a_sweep_takes_numpys_seed_range(sweep):
+    # any non-negative integer seeds a sweep, numpy integers too; numpy
+    # refuses a negative one
+    assert sweep(np.int64(3), np.uint64(2**64 - 1)) == sweep(3, 2**64 - 1)
+    with pytest.raises(ValueError, match="negative"):
+        sweep(3, -1)
 
 
 def nan_at(call, fn, poison):
